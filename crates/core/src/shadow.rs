@@ -13,6 +13,7 @@
 //! [`ShadowPageSlot::owned_mut`].
 
 use crate::clock::{Clock, Epoch};
+use barracuda_trace::backoff::splitmix;
 use parking_lot::{Mutex, MutexGuard};
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
@@ -233,15 +234,6 @@ struct Stripe {
     writer: Mutex<StripeInner>,
 }
 
-/// SplitMix64 finalizer shared with the record router: stripe and probe
-/// position both derive from it so adjacent page keys spread out.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// On-demand paged shadow for global memory, safe for concurrent detector
 /// threads. The paper uses a page-table root lock and per-location
 /// spinlocks; we sharpen that to a fixed-stripe table whose *lookups* are
@@ -305,7 +297,7 @@ impl GlobalShadow {
     /// page zero-fill. Every caller observes the same page for a key —
     /// entries are never moved or replaced.
     pub fn page_by_key(&self, key: u64) -> &ShadowPageSlot {
-        let h = mix64(key);
+        let h = splitmix(key);
         let stripe = &self.stripes[(h as usize) % STRIPES];
         if let Some(p) = Self::probe(stripe, key, h) {
             return p;

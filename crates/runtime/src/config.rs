@@ -54,19 +54,22 @@ pub struct BarracudaConfig {
     /// every queue so each worker keeps an exact copy of every warp's
     /// clocks. Ignored in [`DetectionMode::Synchronous`].
     pub sharded_routing: bool,
-    /// Co-resident kernel interleaving (off by default). When on,
+    /// Co-resident kernel interleaving (off by default). Every launch
+    /// executes as a co-resident group; this decides only *when* the group
+    /// flushes. Off, each launch is a group of one, flushed at once. On,
     /// [`launch_async`](crate::Engine::launch_async) *defers* the launch:
     /// kernels accumulate until a synchronization point (a memcpy,
     /// `stream_synchronize`, `device_synchronize`, or an explicit
-    /// [`flush_pending`](crate::Engine::flush_pending)) and then execute
-    /// as one co-resident group whose warps genuinely interleave under
-    /// [`scheduler`](BarracudaConfig::scheduler). Same-stream launches
-    /// keep their order inside the group; verdicts are
-    /// schedule-independent because happens-before edges are fixed at
-    /// registration time, before any schedule is chosen.
+    /// [`flush_pending`](crate::Engine::flush_pending)) and then execute as
+    /// one co-resident group whose warps genuinely interleave under
+    /// [`scheduler`](BarracudaConfig::scheduler). Same-stream launches keep
+    /// their order inside the group; verdicts are schedule-independent
+    /// because happens-before edges are fixed at registration time, before
+    /// any schedule is chosen.
     pub interleave_kernels: bool,
-    /// Warp-scheduling policy for co-resident groups (ignored unless
-    /// [`interleave_kernels`](BarracudaConfig::interleave_kernels) is on).
+    /// Launch-selection policy for co-resident groups. It never orders
+    /// the warps within a launch, so it has no effect unless
+    /// [`interleave_kernels`](BarracudaConfig::interleave_kernels) is on.
     pub scheduler: SchedPolicy,
     /// Epoch-space recycling (on by default): at host synchronization
     /// points the engine compacts launch-registry entries and

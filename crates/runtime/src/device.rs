@@ -62,7 +62,11 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns [`Error`] on parse or simulation failure.
+    /// Returns [`Error`] on parse or simulation failure. A launch that
+    /// fails in simulation still keeps its place in stream order, its
+    /// [`LaunchSummary`](crate::LaunchSummary) and its
+    /// [`HostOp::LaunchKernel`] entry: the next launch on `stream` is
+    /// ordered after it.
     ///
     /// # Panics
     ///

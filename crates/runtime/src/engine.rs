@@ -43,11 +43,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
-/// Per-launch tallies a pipeline run hands back for [`AnalysisStats`]:
-/// `(launch, records, events, format census, shadow path counters,
-/// pipeline telemetry)`.
-type LaunchTallies = (LaunchStats, u64, u64, [u64; 4], PathStats, PipelineStats);
-
 /// Per-launch summary of a device-lifetime run (the `--stats-json`
 /// `launches` array).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,10 +139,9 @@ impl RaceStream {
     }
 }
 
-/// Work order for one pool worker: drain your queue for this launch (or
-/// co-resident launch group — one detector per group slot, records
-/// dispatched by their [`Record::slot`](barracuda_trace::Record::slot)
-/// byte; eager launches pass a single detector).
+/// Work order for one pool worker: drain your queue for this launch
+/// group — one detector per group slot, records dispatched by their
+/// [`Record::slot`](barracuda_trace::Record::slot) byte.
 struct LaunchCmd {
     dets: Vec<Arc<Detector>>,
     plan: Option<Arc<FaultPlan>>,
@@ -168,9 +162,8 @@ struct WorkerPool {
     txs: Vec<mpsc::Sender<LaunchCmd>>,
     rx: mpsc::Receiver<(usize, WorkerOutcome)>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    // Cumulative queue counters as of the end of the previous launch;
-    // QueueSet counters are monotonic, so per-launch figures are deltas.
-    committed: u64,
+    // Cumulative queue counters as of the end of the previous group;
+    // QueueSet counters are monotonic, so per-group figures are deltas.
     dropped: u64,
     stalls: u64,
 }
@@ -220,7 +213,6 @@ impl WorkerPool {
             txs,
             rx,
             handles,
-            committed: 0,
             dropped: 0,
             stalls: 0,
         }
@@ -257,7 +249,8 @@ pub struct Engine {
     /// Cumulative per-stream pipeline telemetry, indexed by stream id.
     stream_stats: Vec<StreamTelemetry>,
     /// Deferred launches awaiting their co-resident group
-    /// ([`BarracudaConfig::interleave_kernels`]); empty in eager mode.
+    /// ([`BarracudaConfig::interleave_kernels`]); empty between launches
+    /// when interleaving is off.
     pending: Vec<PendingLaunch>,
 }
 
@@ -537,10 +530,19 @@ impl Engine {
     }
 
     /// The instrumented-run pipeline shared by every launch entry point:
-    /// registers a launch epoch (ordered after `stream`'s previous launch),
-    /// executes with logging, detects, and drains the races the launch
-    /// exposed — which may involve state left by *earlier* launches
-    /// (inter-kernel races) or host operations (host-device races).
+    /// registers a launch epoch (ordered after `stream`'s previous launch)
+    /// into the pending co-resident group. With
+    /// [`interleave_kernels`](BarracudaConfig::interleave_kernels) off the
+    /// group of one flushes at once — execute with logging, detect, drain
+    /// the races the launch exposed, which may involve state left by
+    /// *earlier* launches (inter-kernel races) or host operations
+    /// (host-device races) — and the launch's full analysis is returned.
+    ///
+    /// Registration fixes the launch's stream order, [`LaunchSummary`] and
+    /// [`HostOp::LaunchKernel`] entry, so a launch that fails (barrier
+    /// divergence, timeout, cancellation) keeps all three: the next launch
+    /// on its stream is ordered after it, and never races with whatever
+    /// records the failed launch left in the persistent shadow.
     pub(crate) fn run_launch(
         &mut self,
         stream: StreamId,
@@ -550,242 +552,11 @@ impl Engine {
         dims: GridDims,
         params: &[ParamValue],
     ) -> Result<Analysis, Error> {
+        let deferred = self.defer_launch(stream, kernel, lk, istats, dims, params)?;
         if self.config.interleave_kernels {
-            return self.defer_launch(stream, kernel, lk, istats, dims, params);
+            return Ok(deferred);
         }
-        let shared_size = lk.kernel.shared_size();
-        // Re-arm the cancel token: a cancellation aimed at a *previous*
-        // launch (e.g. a watchdog firing after completion) must not kill
-        // this one.
-        self.core.cancel_token().reset();
-        let pred = self.streams[stream.index()].last_epoch;
-        let det = Arc::new(self.core.begin_launch(dims, shared_size, pred));
-        let epoch = det.epoch();
-        let start = Instant::now();
-
-        let mut degradation: Vec<Diagnostic> = Vec::new();
-        let result = match self.config.mode {
-            DetectionMode::Synchronous => self.run_sync(lk, dims, params, &det),
-            DetectionMode::Threaded => self.run_threaded(lk, dims, params, &det, &mut degradation),
-        };
-        // Whatever happened, the launch epoch is over: shared-memory sync
-        // state dies with it.
-        self.core.finish_launch();
-        let (launch, records, events, census, shadow_paths, mut pipeline) = match result {
-            Ok(t) => t,
-            Err(e) => {
-                // Partial reports of a failed launch must not leak into
-                // the next operation's analysis.
-                let _ = self.core.drain();
-                return Err(e);
-            }
-        };
-        self.streams[stream.index()].last_epoch = Some(epoch);
-
-        // Per-stream cumulative telemetry (the serving path's fairness
-        // observability): indexed by stream id, grown on first use.
-        let si = stream.index();
-        if self.stream_stats.len() <= si {
-            self.stream_stats
-                .resize_with(si + 1, StreamTelemetry::default);
-        }
-        let ss = &mut self.stream_stats[si];
-        ss.stream = stream.0;
-        ss.launches += 1;
-        ss.records += records;
-        ss.dropped += pipeline.records_dropped;
-        ss.stall_cycles += pipeline.producer_stall_cycles;
-        ss.peak_depth = ss.peak_depth.max(pipeline.queue_high_water);
-        pipeline.per_stream = self.stream_stats.clone();
-
-        let stats = AnalysisStats {
-            instrument: istats,
-            launch,
-            records,
-            events,
-            format_census: census,
-            sync_locations: self.core.sync_location_count(),
-            shadow_pages: self.core.shadow_page_count(),
-            shadow_bytes: det.shadow_bytes(),
-            shadow_paths,
-            detection_time: start.elapsed(),
-            pipeline,
-        };
-        let (races, mut diagnostics) = self.core.drain();
-        diagnostics.extend(degradation);
-        self.host_trace.push(HostOp::LaunchKernel {
-            stream: stream.0,
-            epoch,
-        });
-        self.launches.push(LaunchSummary {
-            epoch,
-            stream: stream.0,
-            kernel: kernel.to_string(),
-            races: races.len(),
-            records,
-            events,
-        });
-        Ok(Analysis::new(races, diagnostics, stats))
-    }
-
-    /// Synchronous path: collect, then process on the calling thread.
-    fn run_sync(
-        &mut self,
-        lk: &LoadedKernel,
-        dims: GridDims,
-        params: &[ParamValue],
-        det: &Arc<Detector>,
-    ) -> Result<LaunchTallies, Error> {
-        let sink = VecSink::new();
-        let launch = self.gpu.launch_loaded(lk, dims, params, Some(&sink))?;
-        let recs = sink.take();
-        let nrecs = recs.len() as u64;
-        let mut worker = Worker::new(det);
-        for r in &recs {
-            worker.process_record(r);
-        }
-        let events = worker.event_count();
-        let census = worker.format_census();
-        let paths = worker.path_stats();
-        let pipeline = PipelineStats {
-            queues: 0,
-            per_worker: vec![WorkerTelemetry {
-                worker: 0,
-                events,
-                format_census: census,
-                corrupt_records: 0,
-                panicked: false,
-            }],
-            ..PipelineStats::default()
-        };
-        Ok((launch, nrecs, events, census, paths, pipeline))
-    }
-
-    /// Threaded path: the persistent worker pool drains the queues while
-    /// the simulation produces into them.
-    fn run_threaded(
-        &mut self,
-        lk: &LoadedKernel,
-        dims: GridDims,
-        params: &[ParamValue],
-        det: &Arc<Detector>,
-        degradation: &mut Vec<Diagnostic>,
-    ) -> Result<LaunchTallies, Error> {
-        let nqueues = self.config.num_queues();
-        if self.pool.is_none() {
-            self.pool = Some(WorkerPool::spawn(nqueues, self.config.queue_capacity));
-        }
-        let plan = self.config.fault_plan.clone().map(Arc::new);
-        let order = Arc::new(SyncOrder::new(nqueues));
-        let done = Arc::new(AtomicBool::new(false));
-        let queues = {
-            let pool = self.pool.as_ref().expect("spawned above");
-            for tx in &pool.txs {
-                tx.send(LaunchCmd {
-                    dets: vec![Arc::clone(det)],
-                    plan: plan.clone(),
-                    order: Arc::clone(&order),
-                    done: Arc::clone(&done),
-                    sharded: self.config.sharded_routing,
-                })
-                .expect("pool worker alive");
-            }
-            Arc::clone(&pool.queues)
-        };
-        let sink = PipelineSink::new(
-            &queues,
-            plan.as_deref(),
-            self.config.push_stall_budget,
-            &order,
-            det.epoch(),
-            self.config.sharded_routing,
-        );
-        let launch_res = self.gpu.launch_loaded(lk, dims, params, Some(&sink));
-        done.store(true, Ordering::Release);
-        let injected = sink.injected_drops();
-
-        // Collect exactly one outcome per worker, indexed by queue.
-        let pool = self.pool.as_mut().expect("spawned above");
-        let mut slots: Vec<Option<WorkerOutcome>> = (0..nqueues).map(|_| None).collect();
-        for _ in 0..nqueues {
-            let (qi, outcome) = pool.rx.recv().expect("pool worker alive");
-            slots[qi] = Some(outcome);
-        }
-        // Purge anything a dead worker left behind so the next launch
-        // starts with empty queues.
-        for q in pool.queues.iter() {
-            while q.try_pop().is_some() {}
-        }
-        // Per-launch queue telemetry: deltas of the monotonic counters.
-        let committed_now = pool.queues.total_committed();
-        let dropped_now = pool.queues.total_dropped();
-        let stalls_now = pool.queues.total_stall_cycles();
-        let committed = committed_now - pool.committed;
-        let shed = dropped_now - pool.dropped;
-        let stall_cycles = stalls_now - pool.stalls;
-        pool.committed = committed_now;
-        pool.dropped = dropped_now;
-        pool.stalls = stalls_now;
-        let high_water = pool.queues.max_high_water();
-        let launch = launch_res?;
-
-        // Merge worker outcomes deterministically, in queue order.
-        let mut events = 0u64;
-        let mut census = [0u64; 4];
-        let mut corrupt = 0u64;
-        let mut paths = PathStats::default();
-        let mut per_worker = Vec::with_capacity(nqueues);
-        for (qi, outcome) in slots.into_iter().enumerate() {
-            match outcome.expect("one outcome per worker") {
-                WorkerOutcome::Finished(t) => {
-                    events += t.events;
-                    for (c, n) in census.iter_mut().zip(t.census) {
-                        *c += n;
-                    }
-                    corrupt += t.corrupt;
-                    paths.merge(&t.paths);
-                    per_worker.push(WorkerTelemetry {
-                        worker: qi,
-                        events: t.events,
-                        format_census: t.census,
-                        corrupt_records: t.corrupt,
-                        panicked: false,
-                    });
-                }
-                WorkerOutcome::Panicked(message) => {
-                    degradation.push(Diagnostic::WorkerPanic {
-                        worker: qi as u64,
-                        message,
-                    });
-                    per_worker.push(WorkerTelemetry {
-                        worker: qi,
-                        panicked: true,
-                        ..WorkerTelemetry::default()
-                    });
-                }
-            }
-        }
-        let dropped = shed + injected;
-        if dropped > 0 || corrupt > 0 {
-            degradation.push(Diagnostic::LostRecords { dropped, corrupt });
-        }
-        let pipeline = PipelineStats {
-            queues: nqueues,
-            queue_high_water: high_water,
-            producer_stall_cycles: stall_cycles,
-            records_dropped: dropped,
-            records_corrupt: corrupt,
-            worker_panics: degradation
-                .iter()
-                .filter(|d| matches!(d, Diagnostic::WorkerPanic { .. }))
-                .count() as u64,
-            per_worker,
-            // Filled by `run_launch` once the stream tallies are updated.
-            per_stream: Vec::new(),
-        };
-        // `records` counts what the device logger produced, whether or
-        // not it survived the trip to a worker.
-        Ok((launch, committed + dropped, events, census, paths, pipeline))
+        self.flush_last_launch(deferred)
     }
 
     /// Defers the launch into the pending co-resident group
@@ -852,8 +623,9 @@ impl Engine {
 
     /// Executes every deferred launch as one co-resident group under the
     /// configured [`scheduler`](BarracudaConfig::scheduler) and returns
-    /// the races the group exposed. A no-op returning no races in eager
-    /// mode (or with nothing pending). The synchronization entry points
+    /// the races the group exposed. A no-op returning no races with
+    /// nothing pending (always so when interleaving is off: every launch
+    /// flushed its group of one at once). The synchronization entry points
     /// ([`memcpy_h2d`](Engine::memcpy_h2d),
     /// [`stream_synchronize`](Engine::stream_synchronize),
     /// [`device_synchronize`](Engine::device_synchronize)) call this
@@ -870,24 +642,32 @@ impl Engine {
         Ok(self.flush_pending_inner()?.races)
     }
 
-    /// Launches deferred and not yet flushed (always 0 in eager mode).
+    /// Launches deferred and not yet flushed (always 0 when interleaving
+    /// is off).
     pub fn pending_launches(&self) -> usize {
         self.pending.len()
     }
 
-    /// `check`/`check_module` epilogue in interleave mode: flush the
-    /// group the checked launch just joined and rebuild a full analysis
-    /// for *its* slot from the group tallies, so one-shot checks are
-    /// indistinguishable from eager mode apart from scheduling.
+    /// `check`/`check_module` epilogue: in interleave mode, flush the
+    /// group the checked launch just joined (otherwise
+    /// [`run_launch`](Engine::run_launch) already has).
     fn flush_for_check(&mut self, deferred: Analysis) -> Result<Analysis, Error> {
         if !self.config.interleave_kernels {
             return Ok(deferred);
         }
+        self.flush_last_launch(deferred)
+    }
+
+    /// Flushes the pending group and rebuilds a full analysis for its
+    /// newest launch (the one `deferred` registered) from the group
+    /// tallies, so a one-shot check reads the same in every mode apart
+    /// from scheduling.
+    fn flush_last_launch(&mut self, deferred: Analysis) -> Result<Analysis, Error> {
         let slot = self
             .pending
             .len()
             .checked_sub(1)
-            .expect("check just deferred a launch");
+            .expect("a launch was just deferred");
         let istats = deferred.stats().instrument;
         let out = self.flush_pending_inner()?;
         let stats = AnalysisStats {
@@ -963,9 +743,9 @@ impl Engine {
         // Per-stream telemetry, attributed slot-by-slot so interleaved
         // epochs do not cross-pollute: records and drops carry the
         // emitting launch's slot byte. Stall cycles and queue depth are
-        // properties of the *shared* queues, unattributable to one
-        // stream of an interleaved group; they stay on the group's
-        // pipeline stats.
+        // properties of the *shared* queues: they are charged to a stream
+        // only when the whole group ran on it (always so for a group of
+        // one), and otherwise stay on the group's pipeline stats.
         for &(stream, _, _) in &meta {
             let si = stream.index();
             if self.stream_stats.len() <= si {
@@ -979,6 +759,12 @@ impl Engine {
             ss.launches += 1;
             ss.records += tallies.records[slot];
             ss.dropped += tallies.dropped[slot];
+        }
+        let stream = meta[0].0;
+        if meta.iter().all(|&(s, _, _)| s == stream) {
+            let ss = &mut self.stream_stats[stream.index()];
+            ss.stall_cycles += tallies.pipeline.producer_stall_cycles;
+            ss.peak_depth = ss.peak_depth.max(tallies.pipeline.queue_high_water);
         }
         tallies.pipeline.per_stream = self.stream_stats.clone();
 
@@ -1120,12 +906,10 @@ impl Engine {
             while q.try_pop().is_some() {}
         }
         // Per-group queue telemetry: deltas of the monotonic counters.
-        let committed_now = pool.queues.total_committed();
         let dropped_now = pool.queues.total_dropped();
         let stalls_now = pool.queues.total_stall_cycles();
         let shed = dropped_now - pool.dropped;
         let stall_cycles = stalls_now - pool.stalls;
-        pool.committed = committed_now;
         pool.dropped = dropped_now;
         pool.stalls = stalls_now;
         let high_water = pool.queues.max_high_water();

@@ -199,7 +199,7 @@ pub(crate) struct WorkerTallies {
     /// Shadow fast-path/slow-path hit counters, merged across slots.
     pub(crate) paths: PathStats,
     /// Events applied per group slot — one entry per detector handed to
-    /// the worker (a single entry for eager launches). Sums to `events`.
+    /// the worker (a single entry for a group of one). Sums to `events`.
     pub(crate) slot_events: Vec<u64>,
 }
 
@@ -250,8 +250,8 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// with `Cancelled`, so the partial state is drained by the engine.
 ///
 /// `dets` holds one detector per group slot: every record dispatches to
-/// the worker of its [`Record::slot`] byte (eager launches pass a single
-/// detector and every record carries slot 0). Per-slot workers are
+/// the worker of its [`Record::slot`] byte (a group of one passes a
+/// single detector and every record carries slot 0). Per-slot workers are
 /// created lazily — a slot whose records all routed elsewhere costs
 /// nothing. A record whose slot byte is out of range counts as corrupt,
 /// but a *sync* record still pairs and completes its ticket so the

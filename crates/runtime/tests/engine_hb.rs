@@ -2,7 +2,10 @@
 //! host API: stream ordering, synchronization edges, and host↔device
 //! memcpy races — checked end-to-end through real PTX launches.
 
-use barracuda::{Engine, GridDims, KernelRun, ParamValue, RaceClass, StreamId};
+use barracuda::{
+    BarracudaConfig, DetectionMode, Engine, Error, GridDims, HostOp, KernelRun, ParamValue,
+    RaceClass, SimError, StreamId,
+};
 
 const HEADER: &str = ".version 4.3\n.target sm_35\n.address_size 64\n";
 
@@ -34,6 +37,75 @@ fn run<'a>(source: &'a str, params: &'a [ParamValue]) -> KernelRun<'a> {
         kernel: "k",
         dims: GridDims::new(1u32, 1u32),
         params,
+    }
+}
+
+/// Every thread stores its tid to `p[tid]`; with `diverge`, thread 0
+/// then returns while the rest wait at `bar.sync` (barrier divergence).
+fn tid_writer(diverge: bool) -> String {
+    let tail = if diverge {
+        "setp.eq.u32 %p1, %r1, 0;\n@%p1 bra L_out;\nbar.sync 0;\nL_out:\n"
+    } else {
+        ""
+    };
+    format!(
+        "{HEADER}.visible .entry k(.param .u64 p)\n{{\n\
+         .reg .pred %p<2>;\n.reg .b32 %r<2>;\n.reg .b64 %rd<4>;\n\
+         mov.u32 %r1, %tid.x;\n\
+         ld.param.u64 %rd1, [p];\n\
+         mul.wide.u32 %rd2, %r1, 4;\n\
+         add.s64 %rd3, %rd1, %rd2;\n\
+         st.global.u32 [%rd3], %r1;\n\
+         {tail}ret;\n}}"
+    )
+}
+
+#[test]
+fn failed_launch_still_orders_its_stream() {
+    // A launch that dies at a divergent barrier has already logged its
+    // stores (and, threaded, applied them to the persistent shadow). It
+    // keeps its place in stream order, so the next same-stream launch
+    // writing the same bytes is ordered after it: no inter-kernel race.
+    let (failing, clean) = (tid_writer(true), tid_writer(false));
+    for mode in [DetectionMode::Synchronous, DetectionMode::Threaded] {
+        let mut eng = Engine::with_config(BarracudaConfig {
+            mode,
+            ..BarracudaConfig::default()
+        });
+        let buf = eng.gpu_mut().malloc(64 * 4);
+        let params = [ParamValue::Ptr(buf)];
+        let dims = GridDims::new(1u32, 64u32);
+        let err = eng
+            .launch_async(
+                StreamId::DEFAULT,
+                &KernelRun {
+                    dims,
+                    ..run(&failing, &params)
+                },
+            )
+            .unwrap_err();
+        assert!(
+            matches!(err, Error::Sim(SimError::BarrierDivergence { .. })),
+            "{mode:?}: {err}"
+        );
+        let a = eng
+            .launch_async(
+                StreamId::DEFAULT,
+                &KernelRun {
+                    dims,
+                    ..run(&clean, &params)
+                },
+            )
+            .unwrap();
+        assert_eq!(a.race_count(), 0, "{mode:?}: {:?}", a.races());
+        // The failed launch keeps its summary and host-trace entry.
+        assert_eq!(eng.launches().len(), 2, "{mode:?}");
+        let launches = eng
+            .host_trace()
+            .iter()
+            .filter(|op| matches!(op, HostOp::LaunchKernel { .. }))
+            .count();
+        assert_eq!(launches, 2, "{mode:?}");
     }
 }
 

@@ -1,24 +1,27 @@
-//! Co-resident kernel scheduling: one warp scheduler over several
-//! launches at once.
+//! Kernel launch: one warp scheduler over a group of co-resident
+//! launches.
 //!
 //! Real GPUs keep kernels from independent streams resident together and
-//! interleave their warps on the SMs; the eager [`Gpu::launch_loaded`]
-//! path instead runs each launch to completion, so inter-kernel races are
-//! only ever *inferred* from happens-before reasoning over a serialized
-//! trace. [`Gpu::launch_group`] executes a whole group of launches under
-//! a single unified ready-warp pool, so records from concurrent epochs
-//! genuinely interleave in the emitted stream and planted inter-kernel
-//! races manifest as two live kernels touching the same bytes.
+//! interleave their warps on the SMs. [`Gpu::launch_group`] executes a
+//! whole group of launches under a single unified ready-warp pool, so
+//! records from concurrent epochs genuinely interleave in the emitted
+//! stream and planted inter-kernel races manifest as two live kernels
+//! touching the same bytes. Every launch goes through this one loop: a
+//! plain [`Gpu::launch_loaded`] is a group of one.
 //!
-//! Determinism is load-bearing: every policy is a pure function of its
-//! seed and the group contents, so the differential harness can replay a
-//! schedule exactly and prove verdict stability across schedules. The
-//! policies are:
+//! Scheduling is two-level. The [`SchedPolicy`] picks only *which
+//! launch* runs next; within that launch the warp is a uniform pick from
+//! the device RNG (swap-remove from the launch's ready list), so a group
+//! of one replays the same schedule under every policy. Determinism is
+//! load-bearing: every pick is a pure function of the device seed, the
+//! policy seed and the group contents, so the differential harness can
+//! replay a schedule exactly and prove verdict stability across
+//! schedules. The policies are:
 //!
-//! * [`SchedPolicy::RoundRobin`] — cycle fairly over the launches,
-//!   FIFO within each launch;
-//! * [`SchedPolicy::Random`] — pick uniformly over all ready warps from
-//!   a SplitMix64 stream (decoupled from the weak-memory RNG);
+//! * [`SchedPolicy::RoundRobin`] — cycle fairly over the launches;
+//! * [`SchedPolicy::Random`] — pick a launch with probability
+//!   proportional to its ready warps, from a SplitMix64 stream
+//!   (decoupled from the device RNG);
 //! * [`SchedPolicy::StarveOne`] — adversarial chaos mode: one victim
 //!   launch (chosen by seed) only runs when no other launch has a ready
 //!   warp or once per [`STARVE_BUDGET`] picks, so cross-kernel handoffs
@@ -28,17 +31,18 @@
 //! per-slot sink wrapper, which is what lets one detection pipeline
 //! demultiplex the interleaved stream back to per-launch detectors.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use barracuda_trace::backoff::splitmix;
 use barracuda_trace::{CancelToken, GridDims, HostOp, Record};
+use rand::rngs::StdRng;
 use rand::RngExt;
 
 use crate::config::{ExecMode, SimError};
 use crate::exec::{ExecCtx, StepOutcome};
 use crate::kernel::LoadedKernel;
 use crate::locals::LocalStore;
-use crate::machine::{resolve_barrier, BarrierResolution, Gpu, LaunchStats, ParamValue};
+use crate::machine::{Gpu, LaunchStats, ParamValue};
 use crate::mem::SharedMemory;
 use crate::sink::EventSink;
 use crate::warp::{WarpState, WarpStatus};
@@ -78,14 +82,15 @@ impl std::fmt::Debug for GroupLaunch<'_> {
     }
 }
 
-/// Deterministic warp-scheduling policy for a co-resident group.
+/// Deterministic launch-selection policy for a co-resident group. It
+/// chooses which launch runs next, never which warp within a launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedPolicy {
-    /// Fair rotation over launches, FIFO within each launch.
+    /// Fair rotation over launches.
     #[default]
     RoundRobin,
-    /// Uniform pick over all ready warps from a SplitMix64 stream seeded
-    /// with the payload.
+    /// Launch picked with probability proportional to its ready warps,
+    /// from a SplitMix64 stream seeded with the payload.
     Random(u64),
     /// Adversarial: launch `seed % group_size` is starved — it runs only
     /// when nothing else is ready or once per [`STARVE_BUDGET`] picks.
@@ -100,17 +105,6 @@ pub struct GroupOutcome {
     pub stats: Vec<LaunchStats>,
     /// Records each launch emitted to the sink, in group order.
     pub records: Vec<u64>,
-}
-
-/// SplitMix64: a tiny deterministic stream independent of the device's
-/// weak-memory RNG, so scheduling choices never perturb store-buffer
-/// drains (and vice versa).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Per-slot sink wrapper: stamps [`Record::slot`] and counts the slot's
@@ -133,9 +127,9 @@ impl EventSink for SlotStamp<'_> {
     }
 }
 
-/// The unified ready pool: one FIFO per slot plus the policy state.
+/// The unified ready pool: one ready list per slot plus the policy state.
 struct ReadyPool {
-    queues: Vec<VecDeque<usize>>,
+    slots: Vec<Vec<usize>>,
     total: usize,
     policy: SchedPolicy,
     /// Round-robin slot cursor (also used to rotate non-victim slots
@@ -154,7 +148,7 @@ impl ReadyPool {
             _ => 0,
         };
         ReadyPool {
-            queues: vec![VecDeque::new(); nslots],
+            slots: vec![Vec::new(); nslots],
             total: 0,
             policy,
             cursor: 0,
@@ -164,65 +158,67 @@ impl ReadyPool {
     }
 
     fn push(&mut self, slot: usize, wi: usize) {
-        self.queues[slot].push_back(wi);
+        self.slots[slot].push(wi);
         self.total += 1;
     }
 
-    /// Pops the front warp of the first non-empty slot at or after
-    /// `from`, rotating; `skip` exempts one slot (the starvation victim).
-    fn pop_rotating(&mut self, from: usize, skip: Option<usize>) -> Option<(usize, usize)> {
-        let n = self.queues.len();
-        for i in 0..n {
-            let slot = (from + i) % n;
-            if Some(slot) == skip {
-                continue;
-            }
-            if let Some(wi) = self.queues[slot].pop_front() {
-                self.total -= 1;
-                self.cursor = (slot + 1) % n;
-                return Some((slot, wi));
-            }
-        }
-        None
+    /// The first non-empty slot at or after the cursor, rotating; `skip`
+    /// exempts one slot (the starvation victim). Advances the cursor past
+    /// the slot it returns.
+    fn rotate(&mut self, skip: Option<usize>) -> Option<usize> {
+        let n = self.slots.len();
+        let slot = (0..n)
+            .map(|i| (self.cursor + i) % n)
+            .find(|&s| Some(s) != skip && !self.slots[s].is_empty())?;
+        self.cursor = (slot + 1) % n;
+        Some(slot)
     }
 
-    /// Picks the next `(slot, warp_index)` to run. Returns `None` when
-    /// no warp is ready.
-    fn pick(&mut self) -> Option<(usize, usize)> {
+    /// The policy's choice of launch to run next, or `None` when no warp
+    /// is ready.
+    fn pick_slot(&mut self) -> Option<usize> {
         if self.total == 0 {
             return None;
         }
         match self.policy {
-            SchedPolicy::RoundRobin => self.pop_rotating(self.cursor, None),
+            SchedPolicy::RoundRobin => self.rotate(None),
             SchedPolicy::Random(_) => {
-                let mut r = (splitmix64(&mut self.rng_state) % self.total as u64) as usize;
-                for (slot, q) in self.queues.iter_mut().enumerate() {
+                let mut r = (splitmix(self.rng_state) % self.total as u64) as usize;
+                self.rng_state = self.rng_state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                for (slot, q) in self.slots.iter().enumerate() {
                     if r < q.len() {
-                        let wi = q.remove(r).expect("index in range");
-                        self.total -= 1;
-                        return Some((slot, wi));
+                        return Some(slot);
                     }
                     r -= q.len();
                 }
-                unreachable!("total tracks queue lengths");
+                unreachable!("total tracks ready-list lengths");
             }
             SchedPolicy::StarveOne(seed) => {
-                let victim = (seed % self.queues.len() as u64) as usize;
-                let victim_ready = !self.queues[victim].is_empty();
+                let victim = (seed % self.slots.len() as u64) as usize;
+                let victim_ready = !self.slots[victim].is_empty();
                 let force_victim = victim_ready && self.since_victim >= STARVE_BUDGET;
                 if !force_victim {
-                    if let Some(pick) = self.pop_rotating(self.cursor, Some(victim)) {
+                    if let Some(slot) = self.rotate(Some(victim)) {
                         self.since_victim += 1;
-                        return Some(pick);
+                        return Some(slot);
                     }
                 }
                 // Either the budget ran out or only the victim is ready.
-                let wi = self.queues[victim].pop_front()?;
-                self.total -= 1;
                 self.since_victim = 0;
-                Some((victim, wi))
+                Some(victim)
             }
         }
+    }
+
+    /// Picks the next `(slot, warp_index)` to run: the policy chooses
+    /// the launch, the device RNG chooses uniformly among its ready
+    /// warps. Returns `None` when no warp is ready.
+    fn pick(&mut self, rng: &mut StdRng) -> Option<(usize, usize)> {
+        let slot = self.pick_slot()?;
+        let ready = &mut self.slots[slot];
+        let wi = ready.swap_remove(rng.random_range(0..ready.len()));
+        self.total -= 1;
+        Some((slot, wi))
     }
 }
 
@@ -237,8 +233,9 @@ struct Resident {
     /// This launch's first block id in the group-global block space.
     block_offset: u64,
     stats: LaunchStats,
-    /// All warps retired (drives `dep` release).
-    done: bool,
+    /// Warps not yet Done; the launch has retired at zero (drives `dep`
+    /// release).
+    live: usize,
     /// Warps have joined the ready pool (deps satisfied).
     enqueued: bool,
 }
@@ -320,7 +317,7 @@ impl Gpu {
                 not_running: vec![0; num_blocks as usize],
                 block_offset,
                 stats: LaunchStats::default(),
-                done: num_warps == 0,
+                live: num_warps as usize,
                 enqueued: false,
             });
             block_offset += num_blocks;
@@ -339,6 +336,9 @@ impl Gpu {
             })
             .unwrap_or_default();
 
+        // Split the borrow of `self` so the execution context can hold
+        // global memory mutably across a whole scheduling slice while the
+        // scheduler keeps using the RNG.
         let Gpu {
             config,
             global,
@@ -348,6 +348,8 @@ impl Gpu {
 
         global.begin_kernel(total_blocks);
         let buffered = config.memory_model.buffered();
+        // Both interpreters share ExecCtx and must agree step for step;
+        // pick the dispatch function once, outside the hot loop.
         let step: fn(&mut ExecCtx, &mut WarpState) -> Result<StepOutcome, SimError> =
             match config.exec_mode {
                 ExecMode::Decoded => exec::step,
@@ -373,20 +375,22 @@ impl Gpu {
         let mut total_instructions = 0u64;
 
         let outcome = loop {
+            // Cooperative cancellation: checked once per scheduling slice
+            // (not per instruction) to keep the hot loop unaffected.
             if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
                 break Err(SimError::Cancelled {
                     steps: total_instructions,
                 });
             }
-            let Some((slot, wi)) = pool.pick() else {
-                let all_done = residents.iter().all(|r| r.done);
-                if all_done {
+            let Some((slot, wi)) = pool.pick(rng) else {
+                if residents.iter().all(|r| r.live == 0) {
                     break Ok(());
                 }
-                // Some warp waits at a barrier that can never complete.
-                // (Warps gated behind an unsatisfied dep only exist when
-                // their dep is itself stuck, so there is always an
-                // AtBarrier warp to blame.)
+                // Some warp waits at a barrier that can never complete (a
+                // sibling exited or arrived with a partial mask), which is
+                // a divergence hang. (Warps gated behind an unsatisfied
+                // dep only exist when their dep is itself stuck, so there
+                // is always an AtBarrier warp to blame.)
                 let block = residents
                     .iter()
                     .flat_map(|r| r.warps.iter())
@@ -400,6 +404,8 @@ impl Gpu {
             }
             let dims = launches[slot].dims;
             let warps_per_block = dims.warps_per_block();
+            // One context per scheduling slice, not per step: the block
+            // (and hence the shared-memory bank) is fixed for the warp.
             let local_block = r.warps[wi].block - r.block_offset;
             let slot_sink: Option<&dyn EventSink> = if slot_sinks.is_empty() {
                 None
@@ -441,13 +447,16 @@ impl Gpu {
                 match out {
                     StepOutcome::Continue => {}
                     StepOutcome::Barrier | StepOutcome::Done => {
-                        let local_block = r.warps[wi].block - r.block_offset;
+                        if out == StepOutcome::Done {
+                            r.live -= 1;
+                        }
                         r.not_running[local_block as usize] += 1;
                         if r.not_running[local_block as usize] == warps_per_block {
                             match resolve_barrier(&mut r.warps, local_block, warps_per_block) {
                                 BarrierResolution::Released(n) => {
                                     r.stats.barriers += 1;
                                     r.not_running[local_block as usize] -= n;
+                                    // Re-enqueue the released warps.
                                     let base = local_block * warps_per_block;
                                     for i in 0..warps_per_block {
                                         let idx = (base + i) as usize;
@@ -474,13 +483,9 @@ impl Gpu {
             if let Err(e) = res {
                 break Err(e);
             }
-            // Retire the launch and release dependents once every warp
-            // is done.
-            if !r.done && r.warps.iter().all(|w| w.status == WarpStatus::Done) {
-                r.done = true;
-                if pending_deps > 0 {
-                    release_ready_deps(launches, &mut residents, &mut pool, &mut pending_deps);
-                }
+            // The launch just retired: release its dependents.
+            if r.live == 0 && pending_deps > 0 {
+                release_ready_deps(launches, &mut residents, &mut pool, &mut pending_deps);
             }
         };
         global.end_kernel();
@@ -514,7 +519,7 @@ fn release_ready_deps(
                 continue;
             }
             let dep = launches[slot].dep.expect("unenqueued slots have deps");
-            if residents[dep].done {
+            if residents[dep].live == 0 {
                 residents[slot].enqueued = true;
                 *pending_deps -= 1;
                 for wi in 0..residents[slot].warps.len() {
@@ -527,6 +532,43 @@ fn release_ready_deps(
             break;
         }
     }
+}
+
+enum BarrierResolution {
+    /// `n` warps were released back to Ready.
+    Released(u64),
+    /// Every warp of the block is Done (normal completion).
+    AllDone,
+    /// Barrier divergence: some threads exited or were inactive.
+    Divergence,
+}
+
+/// Attempts to complete a block barrier once every warp of the block has
+/// stopped running. Per the paper (§3.3.2) a barrier is only well-formed
+/// when *all* threads of the block are active at it. `warps` is one
+/// launch's warps and `block` indexes it launch-locally.
+fn resolve_barrier(warps: &mut [WarpState], block: u64, warps_per_block: u64) -> BarrierResolution {
+    let base = (block * warps_per_block) as usize;
+    let ws = &mut warps[base..base + warps_per_block as usize];
+    if ws.iter().all(|w| w.status == WarpStatus::Done) {
+        return BarrierResolution::AllDone;
+    }
+    // Mixed Done/AtBarrier or partial arrival masks → divergence bug.
+    let ok = ws
+        .iter()
+        .all(|w| w.status == WarpStatus::AtBarrier && w.barrier_mask == w.live_mask);
+    if !ok {
+        return BarrierResolution::Divergence;
+    }
+    let mut released = 0;
+    for w in ws.iter_mut() {
+        w.status = WarpStatus::Ready;
+        w.barrier_mask = 0;
+        let top = w.stack.last_mut().expect("barrier with empty stack");
+        top.pc += 1;
+        released += 1;
+    }
+    BarrierResolution::Released(released)
 }
 
 #[cfg(test)]
@@ -613,6 +655,37 @@ mod tests {
             let first: Vec<Sig> = run_pair(policy).iter().map(sig).collect();
             let second: Vec<Sig> = run_pair(policy).iter().map(sig).collect();
             assert_eq!(first, second, "{policy:?} must replay exactly");
+        }
+    }
+
+    #[test]
+    fn policy_never_picks_the_warp_within_a_launch() {
+        // A group of one: the policy has only one launch to choose, and
+        // the device RNG alone orders that launch's warps.
+        let run_one = |policy| {
+            let m = multi_store();
+            let lk = LoadedKernel::load(&m, "k").unwrap();
+            let mut g = logging_gpu();
+            let out = g.malloc(4096);
+            let params = [ParamValue::Ptr(out)];
+            let sink = VecSink::new();
+            let launch = GroupLaunch {
+                lk: &lk,
+                dims: GridDims::new(4u32, 64u32),
+                params: &params,
+                dep: None,
+            };
+            g.launch_group(&[launch], policy, Some(&sink)).unwrap();
+            sink.take().iter().map(sig).collect::<Vec<Sig>>()
+        };
+        let rr = run_one(SchedPolicy::RoundRobin);
+        for policy in [
+            SchedPolicy::Random(42),
+            SchedPolicy::Random(0xfeed),
+            SchedPolicy::StarveOne(0),
+            SchedPolicy::StarveOne(1),
+        ] {
+            assert_eq!(run_one(policy), rr, "{policy:?} reordered a lone launch");
         }
     }
 

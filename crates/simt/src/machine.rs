@@ -1,18 +1,16 @@
-//! The device: memory, warp scheduling and kernel launch.
+//! The device: memory, configuration and the kernel-launch entry points
+//! (the warp scheduler itself is in [`crate::coresident`]).
 
 use barracuda_ptx::ast::Module;
 use barracuda_trace::{CancelToken, GridDims, HostOp};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 
-use crate::config::{ExecMode, GpuConfig, SimError};
-use crate::exec::{ExecCtx, StepOutcome};
+use crate::config::{GpuConfig, SimError};
+use crate::coresident::{GroupLaunch, SchedPolicy};
 use crate::kernel::LoadedKernel;
-use crate::locals::LocalStore;
-use crate::mem::{GlobalMemory, SharedMemory};
+use crate::mem::GlobalMemory;
 use crate::sink::EventSink;
-use crate::warp::{WarpState, WarpStatus};
-use crate::{exec, exec_ast};
 
 /// A device global-memory address returned by [`Gpu::malloc`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -251,12 +249,13 @@ impl Gpu {
         self.launch_loaded(&lk, dims, params, Some(sink))
     }
 
-    /// Launches a pre-loaded kernel (avoids repeated CFG construction).
+    /// Launches a pre-loaded kernel (avoids repeated CFG construction):
+    /// a co-resident group of one (see [`Gpu::launch_group`]), so every
+    /// launch runs through the same scheduler.
     ///
     /// # Errors
     ///
     /// Same as [`Gpu::launch`].
-    #[allow(clippy::too_many_lines)]
     pub fn launch_loaded(
         &mut self,
         lk: &LoadedKernel,
@@ -264,193 +263,15 @@ impl Gpu {
         params: &[ParamValue],
         sink: Option<&dyn EventSink>,
     ) -> Result<LaunchStats, SimError> {
-        let param_block = lk.build_param_block(params)?;
-        let num_blocks = dims.num_blocks();
-        let warps_per_block = dims.warps_per_block();
-        let num_warps = dims.num_warps();
-        let nregs = lk.kernel.regs.len();
-
-        // Split the borrow of `self` so the execution context can hold
-        // global memory mutably across a whole scheduling slice while the
-        // scheduler keeps using the RNG.
-        let Gpu {
-            config,
-            global,
-            rng,
-            cancel,
-        } = self;
-
-        global.begin_kernel(num_blocks);
-        let shared_size = lk.kernel.shared_size();
-        let mut shareds: Vec<SharedMemory> = (0..num_blocks)
-            .map(|_| SharedMemory::new(shared_size))
-            .collect();
-        let mut warps: Vec<WarpState> = (0..num_warps)
-            .map(|w| {
-                WarpState::new(
-                    w,
-                    dims.block_of_warp(w),
-                    dims.initial_mask(w),
-                    nregs,
-                    dims.warp_size,
-                )
-            })
-            .collect();
-        let mut locals = LocalStore::new(num_warps as usize, dims.warp_size as usize);
-
-        // Per-block bookkeeping for barrier resolution.
-        let mut not_running: Vec<u64> = vec![0; num_blocks as usize]; // AtBarrier + Done
-        let mut stats = LaunchStats::default();
-        let mut ready: Vec<usize> = (0..warps.len()).collect();
-        let buffered = config.memory_model.buffered();
-        // Both interpreters share ExecCtx and must agree step for step;
-        // pick the dispatch function once, outside the hot loop.
-        let step: fn(&mut ExecCtx, &mut WarpState) -> Result<StepOutcome, SimError> =
-            match config.exec_mode {
-                ExecMode::Decoded => exec::step,
-                ExecMode::AstWalk => exec_ast::step,
-            };
-        let outcome = loop {
-            // Cooperative cancellation: checked once per scheduling slice
-            // (not per instruction) to keep the hot loop unaffected.
-            if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                break Err(SimError::Cancelled {
-                    steps: stats.instructions,
-                });
-            }
-            if ready.is_empty() {
-                if warps.iter().all(|w| w.status == WarpStatus::Done) {
-                    break Ok(());
-                }
-                // Every remaining warp waits at a barrier that can never
-                // complete (a sibling exited or arrived with a partial
-                // mask and resolution failed), which is a divergence hang.
-                let block = warps
-                    .iter()
-                    .find(|w| w.status == WarpStatus::AtBarrier)
-                    .map_or(0, |w| w.block);
-                break Err(SimError::BarrierDivergence { block });
-            }
-            let pick = rng.random_range(0..ready.len());
-            let wi = ready.swap_remove(pick);
-            if warps[wi].status != WarpStatus::Ready {
-                continue;
-            }
-            // One context per scheduling slice, not per step: the block
-            // (and hence the shared-memory bank) is fixed for the warp.
-            let block = warps[wi].block;
-            let mut ctx = ExecCtx {
-                kernel: lk,
-                dims: &dims,
-                param_block: &param_block,
-                global: &mut *global,
-                shared: &mut shareds[block as usize],
-                locals: &mut locals,
-                sink,
-                native_logging: config.native_access_logging,
-                filter_same_value: config.filter_same_value,
-            };
-            let mut slice_left = config.slice;
-            let res: Result<(), SimError> = loop {
-                if slice_left == 0 {
-                    ready.push(wi);
-                    break Ok(());
-                }
-                slice_left -= 1;
-                stats.instructions += 1;
-                if stats.instructions > config.max_steps {
-                    break Err(SimError::Timeout {
-                        steps: config.max_steps,
-                    });
-                }
-                let out = match step(&mut ctx, &mut warps[wi]) {
-                    Ok(o) => o,
-                    Err(e) => break Err(e),
-                };
-                if buffered && rng.random::<f64>() < config.drain_probability {
-                    ctx.global.drain_step(rng);
-                }
-                match out {
-                    StepOutcome::Continue => {}
-                    StepOutcome::Barrier | StepOutcome::Done => {
-                        let block = warps[wi].block;
-                        not_running[block as usize] += 1;
-                        if not_running[block as usize] == warps_per_block {
-                            match resolve_barrier(&mut warps, block, warps_per_block) {
-                                BarrierResolution::Released(n) => {
-                                    stats.barriers += 1;
-                                    not_running[block as usize] -= n;
-                                    // Re-enqueue the released warps.
-                                    let base = block * warps_per_block;
-                                    for i in 0..warps_per_block {
-                                        let idx = (base + i) as usize;
-                                        if warps[idx].status == WarpStatus::Ready && idx != wi {
-                                            ready.push(idx);
-                                        }
-                                    }
-                                    if warps[wi].status == WarpStatus::Ready {
-                                        ready.push(wi);
-                                    }
-                                }
-                                BarrierResolution::AllDone => {}
-                                BarrierResolution::Divergence => {
-                                    break Err(SimError::BarrierDivergence { block });
-                                }
-                            }
-                        }
-                        break Ok(());
-                    }
-                }
-            };
-            if let Err(e) = res {
-                break Err(e);
-            }
+        let launch = GroupLaunch {
+            lk,
+            dims,
+            params,
+            dep: None,
         };
-        global.end_kernel();
-        outcome.map(|()| stats)
+        let outcome = self.launch_group(&[launch], SchedPolicy::RoundRobin, sink)?;
+        Ok(outcome.stats[0])
     }
-}
-
-pub(crate) enum BarrierResolution {
-    /// `n` warps were released back to Ready.
-    Released(u64),
-    /// Every warp of the block is Done (normal completion).
-    AllDone,
-    /// Barrier divergence: some threads exited or were inactive.
-    Divergence,
-}
-
-/// Attempts to complete a block barrier once every warp of the block has
-/// stopped running. Per the paper (§3.3.2) a barrier is only well-formed
-/// when *all* threads of the block are active at it. `warps` may be the
-/// whole grid (eager launches) or one co-resident launch's slice (group
-/// launches) — `block` indexes it launch-locally either way.
-pub(crate) fn resolve_barrier(
-    warps: &mut [WarpState],
-    block: u64,
-    warps_per_block: u64,
-) -> BarrierResolution {
-    let base = (block * warps_per_block) as usize;
-    let ws = &mut warps[base..base + warps_per_block as usize];
-    if ws.iter().all(|w| w.status == WarpStatus::Done) {
-        return BarrierResolution::AllDone;
-    }
-    // Mixed Done/AtBarrier or partial arrival masks → divergence bug.
-    let ok = ws
-        .iter()
-        .all(|w| w.status == WarpStatus::AtBarrier && w.barrier_mask == w.live_mask);
-    if !ok {
-        return BarrierResolution::Divergence;
-    }
-    let mut released = 0;
-    for w in ws.iter_mut() {
-        w.status = WarpStatus::Ready;
-        w.barrier_mask = 0;
-        let top = w.stack.last_mut().expect("barrier with empty stack");
-        top.pc += 1;
-        released += 1;
-    }
-    BarrierResolution::Released(released)
 }
 
 #[cfg(test)]

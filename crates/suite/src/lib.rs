@@ -28,7 +28,7 @@ pub use multi::{
     MultiKernel, MultiProgram, MultiStep,
 };
 
-use barracuda::{Barracuda, BarracudaConfig, Error, KernelRun, SimError};
+use barracuda::{Analysis, Barracuda, BarracudaConfig, Error, KernelRun, SimError};
 use barracuda_simt::ParamValue;
 use barracuda_trace::GridDims;
 
@@ -137,21 +137,7 @@ pub fn run_program(p: &SuiteProgram) -> Verdict {
 /// [`barracuda::Diagnostic::LostRecords`]) do not affect the verdict; only
 /// barrier divergence does.
 pub fn run_program_with(p: &SuiteProgram, config: BarracudaConfig) -> Verdict {
-    let mut bar = Barracuda::with_config(config);
-    let mut params = Vec::with_capacity(p.args.len());
-    for a in &p.args {
-        match a {
-            ArgSpec::Buf(bytes) => params.push(ParamValue::Ptr(bar.gpu_mut().malloc(*bytes))),
-            ArgSpec::U32(v) => params.push(ParamValue::U32(*v)),
-        }
-    }
-    let run = KernelRun {
-        source: &p.source,
-        kernel: KERNEL,
-        dims: p.dims,
-        params: &params,
-    };
-    match bar.check(&run) {
+    match check_program(p, config) {
         Ok(analysis) => {
             let diverged = analysis
                 .diagnostics()
@@ -168,6 +154,30 @@ pub fn run_program_with(p: &SuiteProgram, config: BarracudaConfig) -> Verdict {
         Err(Error::Sim(SimError::BarrierDivergence { .. })) => Verdict::BarrierDivergence,
         Err(e) => Verdict::Error(e.to_string()),
     }
+}
+
+/// Checks one program on a fresh session with an explicit configuration
+/// and returns the full analysis (stats included).
+///
+/// # Errors
+///
+/// Returns the session's [`Error`] when the launch fails (barrier
+/// divergence, timeout).
+pub fn check_program(p: &SuiteProgram, config: BarracudaConfig) -> Result<Analysis, Error> {
+    let mut bar = Barracuda::with_config(config);
+    let mut params = Vec::with_capacity(p.args.len());
+    for a in &p.args {
+        match a {
+            ArgSpec::Buf(bytes) => params.push(ParamValue::Ptr(bar.gpu_mut().malloc(*bytes))),
+            ArgSpec::U32(v) => params.push(ParamValue::U32(*v)),
+        }
+    }
+    bar.check(&KernelRun {
+        source: &p.source,
+        kernel: KERNEL,
+        dims: p.dims,
+        params: &params,
+    })
 }
 
 /// True when the program's observed verdict matches its expectation.

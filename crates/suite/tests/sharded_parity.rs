@@ -9,8 +9,8 @@
 //! end-to-end that the sharded and unified pipelines agree on every
 //! program in the suite.
 
-use barracuda::{BarracudaConfig, DetectionMode};
-use barracuda_suite::{all_programs, run_program_with, Expectation, Verdict};
+use barracuda::{BarracudaConfig, DetectionMode, GpuConfig};
+use barracuda_suite::{all_programs, check_program, run_program_with, Expectation, Verdict};
 
 fn expectation_matches(v: &Verdict, e: Expectation) -> bool {
     matches!(
@@ -56,4 +56,41 @@ fn all_66_verdicts_unchanged_with_sharded_routing() {
 #[test]
 fn all_66_verdicts_unchanged_with_sharded_routing_slow_paths() {
     pin_all_sharded(false);
+}
+
+#[test]
+fn records_count_device_emissions_in_every_pipeline() {
+    // `AnalysisStats::records` is what the device logger emitted: the
+    // sharded router's page fragments and sync/control broadcast copies
+    // are queue traffic, not extra records.
+    let records = |p, mode, sharded_routing| {
+        let config = BarracudaConfig {
+            mode,
+            sharded_routing,
+            gpu: GpuConfig {
+                num_sms: 3,
+                ..GpuConfig::default()
+            },
+            queues_per_sm: 1.0,
+            ..BarracudaConfig::default()
+        };
+        check_program(p, config).ok().map(|a| a.stats().records)
+    };
+    let ps = all_programs();
+    assert_eq!(ps.len(), 66);
+    for p in &ps {
+        let sync = records(p, DetectionMode::Synchronous, false);
+        assert_eq!(
+            records(p, DetectionMode::Threaded, false),
+            sync,
+            "{}",
+            p.name
+        );
+        assert_eq!(
+            records(p, DetectionMode::Threaded, true),
+            sync,
+            "{} (sharded)",
+            p.name
+        );
+    }
 }

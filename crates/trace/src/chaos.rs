@@ -15,16 +15,7 @@
 //! it from `BarracudaConfig` through the producer sink and the consumer
 //! workers.
 
-/// SplitMix64 — the tiny mixing function used to derive per-record fault
-/// decisions from `(seed, stream, sequence)` without carrying RNG state
-/// across threads.
-#[inline]
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use crate::backoff::splitmix;
 
 /// A slow-consumer fault: the selected workers pause periodically, which
 /// builds queue backpressure without losing records.
@@ -91,7 +82,7 @@ impl FaultPlan {
     /// cadence and length are derived from the seed so different seeds
     /// exercise different interleavings.
     pub fn stalls_only(seed: u64) -> Self {
-        let h = mix(seed);
+        let h = splitmix(seed);
         FaultPlan {
             seed,
             consumer_stall: Some(ConsumerStall {
@@ -139,7 +130,7 @@ impl FaultPlan {
     /// Uniform `[0, 1)` draw for record `seq` of stream `stream` under
     /// fault class `class`.
     fn draw(&self, class: u64, stream: u64, seq: u64) -> f64 {
-        let z = mix(self.seed ^ mix(class) ^ mix(stream).rotate_left(17) ^ seq);
+        let z = splitmix(self.seed ^ splitmix(class) ^ splitmix(stream).rotate_left(17) ^ seq);
         (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -154,7 +145,7 @@ impl FaultPlan {
     pub fn corrupt_kind(&self, queue: u64, seq: u64) -> Option<u8> {
         if self.corrupt_rate > 0.0 && self.draw(2, queue, seq) < self.corrupt_rate {
             // Any value ≥ 14 fails to decode; keep it obviously bogus.
-            Some(0xC0 | (mix(self.seed ^ seq) as u8 & 0x3F))
+            Some(0xC0 | (splitmix(self.seed ^ seq) as u8 & 0x3F))
         } else {
             None
         }
@@ -166,7 +157,7 @@ impl FaultPlan {
         match self.consumer_stall {
             Some(s) if s.every_records > 0 && processed > 0 => {
                 // Offset the phase per worker so stalls do not align.
-                let phase = mix(self.seed ^ worker as u64) % s.every_records;
+                let phase = splitmix(self.seed ^ worker as u64) % s.every_records;
                 if (processed + phase).is_multiple_of(s.every_records) {
                     s.yields
                 } else {

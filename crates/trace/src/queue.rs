@@ -12,6 +12,7 @@
 //! order. The single consumer (the host detector thread owning this queue)
 //! reads between the read head and the commit index.
 
+use crate::backoff::splitmix;
 use crate::record::Record;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -324,11 +325,7 @@ impl std::fmt::Debug for Queue {
 /// cheap enough for the producer hot path.
 #[inline]
 pub fn launch_block_hash(epoch: u32, block: u64) -> u64 {
-    let mut z = (u64::from(epoch) << 32) ^ block;
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    splitmix((u64::from(epoch) << 32) ^ block)
 }
 
 /// A set of queues with thread-block affinity (§4.2): "Each thread block

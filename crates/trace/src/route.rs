@@ -26,6 +26,7 @@
 //!   what makes barriers resolvable worker-locally — see
 //!   [`route_class`] and the runtime pipeline sink.
 
+use crate::backoff::splitmix;
 use crate::record::{Record, RecordKind};
 
 /// Bytes covered by one shadow page. This is the canonical constant; the
@@ -38,15 +39,6 @@ pub fn page_key_of(addr: u64) -> u64 {
     addr / SHADOW_PAGE_SIZE
 }
 
-/// SplitMix64 finalizer — decorrelates adjacent page keys so neighboring
-/// pages land on different workers.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The worker (queue index) that owns shadow page `page_key` when the
 /// page space is partitioned over `shards` workers.
 ///
@@ -55,7 +47,7 @@ fn mix64(mut z: u64) -> u64 {
 /// Panics if `shards` is zero.
 pub fn page_partition(page_key: u64, shards: usize) -> usize {
     assert!(shards > 0, "page partition needs at least one shard");
-    (mix64(page_key) % shards as u64) as usize
+    (splitmix(page_key) % shards as u64) as usize
 }
 
 /// Coarse routing class of a record in the sharded pipeline.

@@ -18,6 +18,9 @@ cargo build --release --workspace
 echo "==> workspace: cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> benchmark: build perfbench and run its self-test"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> lint: cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
