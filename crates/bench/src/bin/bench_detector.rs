@@ -5,7 +5,7 @@
 //! Drives `Worker::process_event` / `Worker::process_sharded_record`
 //! directly on synthetic warp-level event streams — no parsing,
 //! instrumentation, or simulation — so the numbers isolate the
-//! shadow-check hot loop. Four access patterns:
+//! shadow-check hot loop. Five access patterns:
 //!
 //! * `coalesced` — all 32 lanes at consecutive word addresses, with the
 //!   base rotating across 64 distinct shadow pages so page-hash routing
@@ -17,7 +17,11 @@
 //!   converged-warp uniform clock view;
 //! * `atomic` — whole-warp atomics contending on one word (a single hot
 //!   page: the worst case for page partitioning, kept honest by
-//!   weighting throughput by each worker's share of the stream).
+//!   weighting throughput by each worker's share of the stream);
+//! * `broadcast` — every lane of every warp reads the same word (one of
+//!   16), so each word's cells hold one reader set of all 256 threads:
+//!   the word-granularity merge must share that set across the word's
+//!   cells, not compare and copy it per byte.
 //!
 //! Each pattern runs in two worker modes: `sync` (one worker processes
 //! every block's stream in order) and `threaded` (the sharded pipeline:
@@ -35,9 +39,10 @@
 //! * a steady-state pass over the coalesced stream is asserted to
 //!   perform **zero heap allocations** (counting global allocator), so
 //!   regressions that put a `Vec` back in the hot loop fail the bench;
-//! * `--gate` measures only the coalesced pattern and asserts the
-//!   sharded-threaded mode is at least as fast as sync — the
-//!   worker-scaling gate `verify.sh` runs.
+//! * `--gate` asserts that the sharded-threaded mode is at least as fast
+//!   as sync on the coalesced pattern (worker scaling), and that the fast
+//!   path is at least as fast as the per-byte sweep on broadcast sync
+//!   (reader-set sharing) — the gates `verify.sh` runs.
 //!
 //! Writes machine-readable results to `BENCH_detector.json` (current
 //! directory unless `--out <path>` is given), reporting access records
@@ -131,15 +136,16 @@ fn count_records(per_block: &[Vec<Event>]) -> u64 {
 fn patterns(dims: &GridDims) -> Vec<Pattern> {
     let wpb = dims.num_warps() / dims.num_blocks();
     let mut out = Vec::new();
-    for name in ["coalesced", "strided", "divergent", "atomic"] {
+    for name in ["coalesced", "strided", "divergent", "atomic", "broadcast"] {
         let mut per_block = Vec::new();
         for b in 0..dims.num_blocks() {
             let mut evs = Vec::new();
             for wib in 0..wpb {
                 let w = b * wpb + wib;
                 let mask = dims.initial_mask(w);
-                // Disjoint per-warp regions: the bench must stay
-                // race-free so report handling never enters the loop.
+                // Disjoint per-warp regions (broadcast only reads): the
+                // bench must stay race-free so report handling never
+                // enters the loop.
                 let region = w * 0x10_0000;
                 for i in 0..RECORDS_PER_WARP as u64 {
                     match name {
@@ -211,6 +217,19 @@ fn patterns(dims: &GridDims) -> Vec<Pattern> {
                                 size: 4,
                             });
                             evs.push(Event::Fi { warp: w });
+                        }
+                        "broadcast" => {
+                            // Every lane of every warp reads one word of
+                            // a region all warps share.
+                            let addrs = [0x4000_0000 + (i % 16) * 4; 32];
+                            evs.push(Event::Access {
+                                warp: w,
+                                kind: AccessKind::Read,
+                                space: MemSpace::Global,
+                                mask,
+                                addrs,
+                                size: 4,
+                            });
                         }
                         _ => {
                             // Whole warp atomically updating one counter.
@@ -406,6 +425,28 @@ fn measure_best(rounds: usize, mut f: impl FnMut() -> f64) -> f64 {
     (0..rounds).map(|_| f()).fold(0.0, f64::max)
 }
 
+fn pattern<'a>(all: &'a [Pattern], name: &str) -> &'a Pattern {
+    all.iter().find(|p| p.name == name).expect("known pattern")
+}
+
+/// Asserts that `better` measures at least as many records per second as
+/// `base` (best of 3 rounds each), allowing three attempts so scheduler
+/// noise cannot fail the smoke gate spuriously.
+fn gate_at_least(what: &str, mut base: impl FnMut() -> f64, mut better: impl FnMut() -> f64) {
+    for attempt in 1..=3 {
+        let b = measure_best(3, &mut base);
+        let f = measure_best(3, &mut better);
+        println!(
+            "gate[{attempt}]: {what}: {b:.0} vs {f:.0} records/s ({:.2}x)",
+            f / b
+        );
+        if f >= b {
+            return;
+        }
+    }
+    panic!("gate failed in 3 attempts: {what}");
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -423,33 +464,26 @@ fn main() {
     let all = patterns(&dims);
 
     if gate {
-        // Worker-scaling gate: the sharded threaded mode must beat the
-        // single-worker sync mode on the coalesced pattern.
-        let p = &all[0];
-        assert_eq!(p.name, "coalesced");
-        let rounds = 3;
         let workers = threaded_workers();
-        // The sharded win is structural but modest on a single-core host
-        // (no page locks, no per-access clock bump, decode-free hot
-        // path); allow a few attempts so scheduler noise can't fail the
-        // smoke gate spuriously.
-        for attempt in 1..=3 {
-            let sync = measure_best(rounds, || run_sync(dims, p, true, false));
-            let sharded = measure_best(rounds, || run_sharded(dims, p, workers, true, false));
-            println!(
-                "gate[{attempt}]: coalesced sync {sync:.0} records/s, sharded({workers}) \
-                 {sharded:.0} records/s ({:.2}x)",
-                sharded / sync
-            );
-            if sharded >= sync {
-                return;
-            }
-            assert!(
-                attempt < 3,
-                "sharded threaded mode ({sharded:.0} records/s) slower than sync \
-                 ({sync:.0} records/s) in 3 attempts"
-            );
-        }
+        // Worker-scaling gate: the sharded threaded mode must beat the
+        // single-worker sync mode on the coalesced pattern. The sharded
+        // win is structural but modest on a single-core host (no page
+        // locks, no per-access clock bump, decode-free hot path).
+        let coalesced = pattern(&all, "coalesced");
+        gate_at_least(
+            "coalesced sync vs sharded",
+            || run_sync(dims, coalesced, true, false),
+            || run_sharded(dims, coalesced, workers, true, false),
+        );
+        // Reader-set gate: on broadcast reads the fast path runs the
+        // state machine once per word, the slow path once per byte; a
+        // fast path that compares or copies reader sets per byte loses.
+        let broadcast = pattern(&all, "broadcast");
+        gate_at_least(
+            "broadcast sync slow vs fast",
+            || run_sync(dims, broadcast, false, false),
+            || run_sync(dims, broadcast, true, false),
+        );
         return;
     }
 

@@ -853,6 +853,13 @@ struct LaneAcc {
 /// behind the scan cursor), and the first racing run's verdict equals
 /// the first racing cell's, so the reported race matches the paper's
 /// byte-granularity loop exactly.
+///
+/// A run's cells share one reader-set allocation ([`ReadMeta::Shared`]).
+/// Before the head's check the rest of the run lets go of it, so the
+/// head updates the set in place unless cells outside the run still hold
+/// it (then `Arc::make_mut` copies); refilling the run only bumps the
+/// set's reference count. A block broadcast-reading one word thus costs
+/// O(1) per lane instead of a map compare and copy per byte.
 pub(crate) fn check_cells_run<F: Fn(u32) -> Clock>(
     cells: &mut [ShadowCell],
     e: Epoch,
@@ -870,6 +877,13 @@ pub(crate) fn check_cells_run<F: Fn(u32) -> Clock>(
             j += 1;
         }
         let (head, rest) = cells[i..j].split_first_mut().expect("non-empty run");
+        // Let go of the head's reader set so `check_cell` can update it
+        // in place; the refill below shares the result again.
+        if matches!(head.read, ReadMeta::Shared(_)) {
+            for c in rest.iter_mut() {
+                c.read = ReadMeta::Epoch(Epoch::BOTTOM);
+            }
+        }
         stats.cell_checks += 1;
         let race = check_cell(head, e, clock_of, atype);
         if rest.is_empty() {
@@ -1133,11 +1147,11 @@ pub(crate) fn check_cell<F: Fn(u32) -> Clock>(
                         let mut m = HashMap::with_capacity(2);
                         m.insert(r.tid, r.clock);
                         m.insert(e.tid, e.clock);
-                        cell.read = ReadMeta::Shared(Box::new(m));
+                        cell.read = ReadMeta::Shared(Arc::new(m));
                     }
                 }
                 ReadMeta::Shared(m) => {
-                    m.insert(e.tid, e.clock);
+                    Arc::make_mut(m).insert(e.tid, e.clock);
                 }
             }
         }
@@ -1718,5 +1732,109 @@ mod tests {
             |_| 0x2000,
         ));
         assert_eq!(det.sync_location_count(), 2);
+    }
+
+    /// One access of `size` bytes at `addr` by the lanes of `mask`, all
+    /// at the same address.
+    fn broadcast(warp: u64, kind: AccessKind, mask: u32, addr: u64, size: u8) -> Event {
+        Event::Access {
+            warp,
+            kind,
+            space: MemSpace::Global,
+            mask,
+            addrs: [addr; 32],
+            size,
+        }
+    }
+
+    /// Runs `f` over the `len` global-shadow cells starting at `addr`
+    /// without cloning them (a clone would bump the reader sets' counts).
+    fn with_cells<R>(
+        det: &Detector,
+        addr: u64,
+        len: usize,
+        f: impl FnOnce(&[ShadowCell]) -> R,
+    ) -> R {
+        det.global_shadow.with_page(addr, |p| {
+            #[allow(clippy::cast_possible_truncation)] // page offsets < 4096
+            let off = (addr % SHADOW_PAGE_SIZE) as usize;
+            f(&p.cells[off..off + len])
+        })
+    }
+
+    fn reader_set(c: &ShadowCell) -> &Arc<HashMap<u32, Clock>> {
+        match &c.read {
+            ReadMeta::Shared(m) => m,
+            other => panic!("expected a reader set, got {other:?}"),
+        }
+    }
+
+    /// 8 warps × 32 lanes read one word: every cell of the word points at
+    /// one reader-set allocation holding all 256 readers.
+    #[test]
+    fn broadcast_read_shares_one_reader_set_per_word() {
+        let dims = GridDims::with_warp_size(1u32, 256u32, 32);
+        for size in [4u8, 8] {
+            let det = Detector::new(dims, 0);
+            let mut w = Worker::new(&det);
+            for warp in 0..8 {
+                w.process_event(&broadcast(warp, AccessKind::Read, u32::MAX, 0x1000, size));
+            }
+            assert_eq!(det.races().race_count(), 0);
+            with_cells(&det, 0x1000, size.into(), |cells| {
+                let head = reader_set(&cells[0]);
+                assert_eq!(head.len(), 256, "size {size}");
+                assert_eq!(Arc::strong_count(head), cells.len(), "size {size}");
+                for c in cells {
+                    assert!(Arc::ptr_eq(head, reader_set(c)), "size {size}");
+                }
+            });
+        }
+    }
+
+    /// A 1-byte read inside a shared 8-byte run copies the set before it
+    /// updates it; a later write resets every cell to an epoch.
+    #[test]
+    fn narrow_read_copies_a_shared_set_and_a_write_resets_it() {
+        // Block 0 holds warps 0..8; warp 8 is block 1's first warp.
+        let dims = GridDims::with_warp_size(2u32, 256u32, 32);
+        let det = Detector::new(dims, 0);
+        let mut w = Worker::new(&det);
+        for warp in 0..8 {
+            w.process_event(&broadcast(warp, AccessKind::Read, u32::MAX, 0x1000, 8));
+        }
+        let before: HashMap<u32, Clock> =
+            with_cells(&det, 0x1000, 8, |c| (**reader_set(&c[0])).clone());
+        assert_eq!(before.len(), 256);
+
+        w.process_event(&broadcast(8, AccessKind::Read, 0b1, 0x1003, 1));
+        with_cells(&det, 0x1000, 8, |cells| {
+            let narrow = reader_set(&cells[3]);
+            assert_eq!(Arc::strong_count(narrow), 1);
+            assert_eq!(narrow.len(), 257);
+            assert!(
+                narrow.contains_key(&256),
+                "block 1's lane 0 is global TID 256"
+            );
+            let old = reader_set(&cells[0]);
+            assert_eq!(Arc::strong_count(old), 7);
+            for (i, c) in cells.iter().enumerate().filter(|&(i, _)| i != 3) {
+                assert!(Arc::ptr_eq(old, reader_set(c)), "cell {i}");
+                assert_eq!(**reader_set(c), before, "cell {i} saw the copy's update");
+            }
+        });
+
+        w.process_event(&broadcast(8, AccessKind::Write, 0b1, 0x1000, 8));
+        assert_eq!(
+            det.races().race_count(),
+            1,
+            "the write races with the readers"
+        );
+        with_cells(&det, 0x1000, 8, |cells| {
+            for (i, c) in cells.iter().enumerate() {
+                assert!(c.read.is_bottom(), "cell {i}: {:?}", c.read);
+                assert_eq!(c.write.tid, 256, "cell {i}");
+            }
+        });
     }
 }

@@ -19,16 +19,36 @@ use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Read metadata: an epoch for totally-ordered readers, inflated to a
 /// sparse map (TID → clock) under concurrent readers.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The map is a copy-on-write allocation: the cells of one word run
+/// (`check_cells_run`) all point at one reader set, and a cell that
+/// updates a set it still shares copies it first (`Arc::make_mut`), so
+/// no cell ever sees another cell's update through an alias.
+#[derive(Debug, Clone)]
 pub enum ReadMeta {
     /// Totally-ordered readers: a single epoch.
     Epoch(Epoch),
     /// Concurrent readers: TID → clock map.
-    Shared(Box<HashMap<u32, Clock>>),
+    Shared(Arc<HashMap<u32, Clock>>),
 }
+
+impl PartialEq for ReadMeta {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (ReadMeta::Epoch(a), ReadMeta::Epoch(b)) => a == b,
+            // Cells of one run share a set: identity settles it without
+            // walking the map.
+            (ReadMeta::Shared(a), ReadMeta::Shared(b)) => Arc::ptr_eq(a, b) || a == b,
+            _ => false,
+        }
+    }
+}
+
+impl Eq for ReadMeta {}
 
 impl ReadMeta {
     /// True when no read has been recorded.
@@ -499,7 +519,7 @@ mod tests {
     #[test]
     fn cell_footprint_is_modest() {
         // The paper packs per-location metadata into 32 bytes; ours must
-        // stay in the same ballpark (8B write epoch + boxed read meta +
+        // stay in the same ballpark (8B write epoch + shared read meta +
         // flags).
         assert!(
             std::mem::size_of::<ShadowCell>() <= 32,

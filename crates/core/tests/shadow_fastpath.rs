@@ -14,7 +14,9 @@
 //! offsets that straddle `SHADOW_PAGE_SIZE` boundaries (a single access
 //! split across two page locks), lanes of one warp hitting different
 //! pages, and divergent masks that disable the uniform-view path
-//! mid-stream.
+//! mid-stream. A second generator broadcast-reads one span from every
+//! warp, so word runs share one reader set that narrower or shifted
+//! reads must copy before they update it.
 
 mod common;
 
@@ -22,8 +24,92 @@ use barracuda_core::shadow::SHADOW_PAGE_SIZE;
 use barracuda_core::{Detector, Worker};
 use barracuda_trace::ops::{AccessKind, Event, MemSpace};
 use barracuda_trace::GridDims;
-use common::{gen_stream, run_config, run_reference};
+use common::{boundary_addr, gen_stream, run_config, run_reference};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+
+/// Every warp of every block reads one span a few times, all active
+/// lanes at one address, with sizes 1/2/4/8 at offsets that partially
+/// overlap. After a barrier (usually) one or two warps read 1 or 2 bytes
+/// of the span again, into cells whose reader set other cells share, so
+/// the update must copy it; then one lane writes (or atomically updates)
+/// part of the span.
+fn gen_broadcast(seed: u64, dims: &GridDims) -> Vec<Event> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let space = if rng.random_range(0..4) == 0 {
+        MemSpace::Shared
+    } else {
+        MemSpace::Global
+    };
+    let base = match space {
+        MemSpace::Shared => rng.random_range(0..56),
+        MemSpace::Global => boundary_addr(&mut rng, 8),
+    };
+    let read = |rng: &mut StdRng, warp: u64, sizes: &[u8]| {
+        let full = dims.initial_mask(warp);
+        let mask = if rng.random_range(0..4) == 0 {
+            (rng.random::<u32>() & full).max(1)
+        } else {
+            full
+        };
+        let size = sizes[rng.random_range(0..sizes.len())];
+        Event::Access {
+            warp,
+            kind: AccessKind::Read,
+            space,
+            mask,
+            addrs: [base + rng.random_range(0..9 - u64::from(size)); 32],
+            size,
+        }
+    };
+    let mut left: Vec<(u64, u32)> = (0..dims.num_warps())
+        .map(|w| (w, rng.random_range(1..4)))
+        .collect();
+    let mut out = Vec::new();
+    while !left.is_empty() {
+        let i = rng.random_range(0..left.len());
+        out.push(read(&mut rng, left[i].0, &[1, 2, 4, 8]));
+        left[i].1 -= 1;
+        if left[i].1 == 0 {
+            left.swap_remove(i);
+        }
+    }
+    if rng.random_range(0..4) != 0 {
+        for w in 0..dims.num_warps() {
+            out.push(Event::Bar {
+                warp: w,
+                mask: dims.initial_mask(w),
+            });
+        }
+    }
+    for _ in 0..rng.random_range(1..3) {
+        let warp = rng.random_range(0..dims.num_warps());
+        out.push(read(&mut rng, warp, &[1, 2]));
+    }
+    let warp = rng.random_range(0..dims.num_warps());
+    let lane = rng.random_range(0..dims.initial_mask(warp).count_ones());
+    let size = [1u8, 2, 4, 8][rng.random_range(0..4)];
+    out.push(Event::Access {
+        warp,
+        kind: if rng.random::<bool>() {
+            AccessKind::Write
+        } else {
+            AccessKind::Atomic
+        },
+        space,
+        mask: 1 << lane,
+        addrs: [base + rng.random_range(0..9 - u64::from(size)); 32],
+        size,
+    });
+    for w in 0..dims.num_warps() {
+        out.push(Event::Exit {
+            warp: w,
+            mask: dims.initial_mask(w),
+        });
+    }
+    out
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(80))]
@@ -65,6 +151,31 @@ proptest! {
         let fast = run_config(dims, &stream, true);
         let slow = run_config(dims, &stream, false);
         prop_assert_eq!(fast, slow);
+    }
+}
+
+proptest! {
+    // Only about one stream in thirty can tell a shared reader set
+    // updated in place from a copied one, so this runs more cases.
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// Three-way verdict equality on broadcast reads of one span by many
+    /// warps and blocks, followed by one writer.
+    #[test]
+    fn broadcast_reads_match_slow_and_reference(
+        seed in any::<u64>(),
+        blocks in 1u32..4,
+        warps_per_block in 1u32..4,
+        warp_log in 2u32..6,
+    ) {
+        let warp_size = 1 << warp_log;
+        let dims = GridDims::with_warp_size(blocks, warps_per_block * warp_size, warp_size);
+        let stream = gen_broadcast(seed, &dims);
+        let fast = run_config(dims, &stream, true);
+        let slow = run_config(dims, &stream, false);
+        let reference = run_reference(dims, &stream);
+        prop_assert_eq!(&fast, &slow, "fast/slow divergence on seed {}", seed);
+        prop_assert_eq!(&fast, &reference, "fast/reference divergence on seed {}", seed);
     }
 }
 

@@ -125,6 +125,11 @@ impl Analysis {
         }
     }
 
+    /// Splits the analysis into its races, diagnostics and statistics.
+    pub(crate) fn into_parts(self) -> (Vec<RaceReport>, Vec<Diagnostic>, AnalysisStats) {
+        (self.races, self.diagnostics, self.stats)
+    }
+
     /// Number of distinct racing locations.
     pub fn race_count(&self) -> usize {
         self.races.len()

@@ -661,17 +661,21 @@ impl Engine {
     /// Flushes the pending group and rebuilds a full analysis for its
     /// newest launch (the one `deferred` registered) from the group
     /// tallies, so a one-shot check reads the same in every mode apart
-    /// from scheduling.
+    /// from scheduling. Races and diagnostics `deferred` already carries
+    /// (a full group's forced flush in [`defer_launch`](Engine::defer_launch))
+    /// come first.
     fn flush_last_launch(&mut self, deferred: Analysis) -> Result<Analysis, Error> {
         let slot = self
             .pending
             .len()
             .checked_sub(1)
             .expect("a launch was just deferred");
-        let istats = deferred.stats().instrument;
+        let (mut races, mut diagnostics, stub) = deferred.into_parts();
         let out = self.flush_pending_inner()?;
+        races.extend(out.races);
+        diagnostics.extend(out.diagnostics);
         let stats = AnalysisStats {
-            instrument: istats,
+            instrument: stub.instrument,
             launch: out.tallies.stats[slot],
             records: out.tallies.records[slot],
             events: out.tallies.events[slot],
@@ -683,7 +687,7 @@ impl Engine {
             detection_time: out.detection_time,
             pipeline: out.tallies.pipeline,
         };
-        Ok(Analysis::new(out.races, out.diagnostics, stats))
+        Ok(Analysis::new(races, diagnostics, stats))
     }
 
     /// The group flush pipeline: refresh registries, execute co-resident,
@@ -887,7 +891,12 @@ impl Engine {
         let launch_res = self
             .gpu
             .launch_group(gls, self.config.scheduler, Some(&sink));
-        done.store(true, Ordering::Release);
+        // SeqCst pairs with a parked worker's check of `done` (see
+        // `Queue::wait`), so the wake below cannot be lost.
+        done.store(true, Ordering::SeqCst);
+        for q in queues.iter() {
+            q.wake();
+        }
         let injected = sink.injected_drops();
         let dropped_per_slot: Vec<u64> = (0..nslots)
             .map(|si| sink.dropped_for_slot(si as u8))

@@ -8,6 +8,7 @@ use barracuda_trace::route::{route_class, split_global_access, RouteClass, SeqSt
 use barracuda_trace::{FaultPlan, HostOp, PushOutcome, QueueSet, Record, SyncOrder};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Producer-side state of the sharded (page-hash) routing mode.
 struct ShardedRouting {
@@ -187,6 +188,10 @@ impl EventSink for PipelineSink<'_> {
     }
 }
 
+/// The longest a parked worker sleeps without a wake (a backstop: every
+/// commit and the end of the launch wake it).
+const IDLE_PARK: Duration = Duration::from_millis(1);
+
 /// What one finished detector worker tallied.
 #[derive(Debug, Default)]
 pub(crate) struct WorkerTallies {
@@ -241,6 +246,11 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// transaction; the writes are idempotent because replicas hold
 /// identical clock state — and completes the sub-turn. All other records
 /// go through [`Worker::process_sharded_record`] directly.
+///
+/// A worker whose queue is empty parks on it until the next commit or the
+/// end of the launch. Spinning instead would take CPU time from the
+/// simulating thread whenever workers outnumber free cores, and how much
+/// it took would vary with thread placement from one check to the next.
 ///
 /// The loop polls the cancel token between records (and inside every
 /// spin-wait, where a cancelled producer would otherwise leave it
@@ -381,8 +391,9 @@ pub(crate) fn drain_queue(
         } else if done.load(Ordering::Acquire) && q.is_empty() {
             break;
         } else {
-            std::hint::spin_loop();
-            std::thread::yield_now();
+            q.wait(IDLE_PARK, || {
+                done.load(Ordering::SeqCst) || cancel.is_cancelled()
+            });
         }
     }
     let mut tallies = WorkerTallies {

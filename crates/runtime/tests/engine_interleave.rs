@@ -35,6 +35,18 @@ fn striding_writer() -> String {
     )
 }
 
+/// Intra-kernel race: every thread stores its own `%tid.x` to `[p]`.
+fn racy_writer() -> String {
+    format!(
+        "{HEADER}.visible .entry k(.param .u64 p)\n{{\n\
+         .reg .b32 %r<2>;\n.reg .b64 %rd<2>;\n\
+         mov.u32 %r1, %tid.x;\n\
+         ld.param.u64 %rd1, [p];\n\
+         st.global.u32 [%rd1], %r1;\n\
+         ret;\n}}"
+    )
+}
+
 /// Flag-handoff producer without a fence: `p[0] = 42; p[1] = 1`.
 fn producer() -> String {
     format!(
@@ -296,5 +308,34 @@ fn verdicts_are_stable_across_policies_and_seeds() {
             let races = eng.device_synchronize().unwrap();
             assert!(races.is_empty(), "{policy:?}/{mode:?}: {races:?}");
         }
+    }
+}
+
+#[test]
+fn check_keeps_the_races_of_a_full_groups_forced_flush() {
+    // 255 deferred racy launches fill the group; the check's launch
+    // forces their flush before it joins a group of its own, and the
+    // check must report the forced flush's races with its own.
+    const FULL_GROUP: usize = 255;
+    let racy = racy_writer();
+    let clean = striding_writer();
+    for mode in [DetectionMode::Synchronous, DetectionMode::Threaded] {
+        let mut eng = Engine::with_config(interleave_config(SchedPolicy::RoundRobin, mode));
+        for _ in 0..FULL_GROUP {
+            let buf = eng.gpu_mut().malloc(4);
+            eng.launch_async(StreamId::DEFAULT, &run(&racy, &[ParamValue::Ptr(buf)], 2))
+                .unwrap();
+        }
+        assert_eq!(eng.pending_launches(), FULL_GROUP);
+        let buf = eng.gpu_mut().malloc(256);
+        let a = eng
+            .check(&run(&clean, &[ParamValue::Ptr(buf)], 64))
+            .unwrap();
+        assert_eq!(eng.pending_launches(), 0, "{mode:?}");
+        assert_eq!(a.race_count(), FULL_GROUP, "{mode:?}");
+        assert!(
+            a.races().iter().all(|r| r.class == RaceClass::IntraWarp),
+            "{mode:?}"
+        );
     }
 }

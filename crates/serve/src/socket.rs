@@ -9,15 +9,41 @@
 //! server to stop: the accept loop closes, in-flight work drains per
 //! [`Server::shutdown`]'s contract, and the serve call returns the
 //! final stats.
+//!
+//! Lines are capped at the TCP transport's [`MAX_FRAME`] (16 MiB, not
+//! counting the newline) on both ends. The server answers an oversized
+//! line with one `error` line and closes that connection only: the
+//! stream cannot be resynchronised, and no other session is touched.
 
 use crate::proto::{self, Request, Response};
 use crate::server::{Server, ServerConfig, ServerStats, Session};
-use std::io::{BufRead, BufReader, Write};
+use crate::tcp::MAX_FRAME;
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Longest accepted line, newline included.
+const MAX_LINE: usize = MAX_FRAME as usize + 1;
+
+/// Appends to `line` up to and including the next newline, stopping at
+/// EOF or a read error; bytes read before an error (a read timeout)
+/// stay in `line` for the next call. A line that reaches [`MAX_LINE`]
+/// bytes without a newline is refused with `InvalidData` before any
+/// more of it is buffered.
+fn read_capped_line(reader: &mut impl BufRead, line: &mut Vec<u8>) -> std::io::Result<usize> {
+    let room = MAX_LINE.saturating_sub(line.len()) as u64;
+    let n = reader.take(room).read_until(b'\n', line)?;
+    if line.len() >= MAX_LINE && !line.ends_with(b"\n") {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("line exceeds cap of {MAX_FRAME} bytes"),
+        ));
+    }
+    Ok(n)
+}
 
 fn handle_connection(
     stream: UnixStream,
@@ -31,11 +57,11 @@ fn handle_connection(
     stream.set_read_timeout(Some(Duration::from_millis(50)))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
+        match read_capped_line(&mut reader, &mut line) {
             Ok(0) => return Ok(()), // client hung up
-            Ok(_) if line.ends_with('\n') => {}
+            Ok(_) if line.ends_with(b"\n") => {}
             Ok(_) => continue, // partial line before EOF; next read settles it
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -46,9 +72,19 @@ fn handle_connection(
                 }
                 continue;
             }
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                // Oversized line: refuse explicitly, then drop the
+                // connection (the stream cannot be resynchronised).
+                let resp = Response::Error {
+                    message: e.to_string(),
+                };
+                let _ = writeln!(writer, "{}", proto::encode_response(&resp));
+                return Ok(());
+            }
             Err(e) => return Err(e),
         }
-        let trimmed = line.trim();
+        let text = String::from_utf8_lossy(&line);
+        let trimmed = text.trim();
         if !trimmed.is_empty() {
             let resp = match proto::decode_request(trimmed) {
                 Ok(Request::Shutdown) => {
@@ -166,14 +202,14 @@ impl SocketClient {
     }
 
     fn read_response(&mut self) -> std::io::Result<Response> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
+        let mut line = Vec::new();
+        if read_capped_line(&mut self.reader, &mut line)? == 0 {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
             ));
         }
-        proto::decode_response(line.trim())
+        proto::decode_response(String::from_utf8_lossy(&line).trim())
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 }

@@ -1,6 +1,6 @@
 //! Integration tests of the detection server: verdict parity with a
 //! direct engine, cooperative deadlines, step budgets, panic quarantine,
-//! admission control and graceful shutdown.
+//! admission control, graceful shutdown and the Unix socket's line cap.
 
 use barracuda::{BarracudaConfig, Engine, KernelRun};
 use barracuda_serve::{
@@ -299,4 +299,68 @@ fn graceful_shutdown_answers_queued_work_and_counts_it() {
 
     // Clones of the session refuse new work after shutdown.
     assert_eq!(session.submit(racy_request()), Response::ShuttingDown);
+}
+
+#[test]
+fn an_oversized_socket_line_is_refused_without_touching_other_sessions() {
+    use barracuda_serve::{serve_socket, SocketClient, Transport, MAX_FRAME};
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+
+    let dir = std::env::temp_dir().join(format!("barracuda-linecap-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let path = dir.join("serve.sock");
+    let server = {
+        let path = path.clone();
+        std::thread::spawn(move || serve_socket(&path, ServerConfig::default()).expect("serve"))
+    };
+    for _ in 0..200 {
+        if path.exists() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // A second session opened before the oversized line arrives.
+    let mut good = SocketClient::connect(&path).expect("connect");
+
+    let mut bad = UnixStream::connect(&path).expect("connect");
+    // A server without the cap would never answer: fail, don't hang.
+    bad.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let chunk = vec![b'x'; 1 << 20];
+    let mut sent = 0usize;
+    while sent <= MAX_FRAME as usize {
+        // The server hangs up once the cap is crossed; later writes may
+        // fail with a broken pipe.
+        if bad.write_all(&chunk).is_err() {
+            break;
+        }
+        sent += chunk.len();
+    }
+    let mut reply = String::new();
+    BufReader::new(&bad)
+        .read_line(&mut reply)
+        .expect("error line");
+    match barracuda_serve::proto::decode_response(reply.trim()) {
+        Ok(Response::Error { message }) => assert!(message.contains("exceeds cap"), "{message}"),
+        other => panic!("expected an error line, got {other:?}"),
+    }
+    let mut rest = String::new();
+    let eof = BufReader::new(&bad).read_line(&mut rest).expect("eof");
+    assert_eq!(eof, 0, "the oversized connection is closed");
+
+    let (races, degraded, code) = direct_verdict(RACY);
+    match good.submit(&racy_request()) {
+        Response::Done(body) => {
+            assert_eq!(body.races, races);
+            assert_eq!(body.degraded, degraded);
+            assert_eq!(body.exit_code, code);
+        }
+        other => panic!("expected Done, got {other:?}"),
+    }
+    good.shutdown_server().expect("shutdown");
+    let stats = server.join().expect("server thread");
+    assert_eq!(stats.completed, 1);
+    let _ = std::fs::remove_dir_all(&dir);
 }

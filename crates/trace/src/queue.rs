@@ -11,12 +11,19 @@
 //! fill the record, then publish it by advancing the commit index in
 //! order. The single consumer (the host detector thread owning this queue)
 //! reads between the read head and the commit index.
+//!
+//! An idle consumer may block in [`Queue::wait`] instead of spinning; the
+//! next commit (or [`Queue::wake`]) unparks it. On a machine with fewer
+//! cores than threads a spinning consumer takes CPU time from the
+//! producer it waits for.
 
 use crate::backoff::splitmix;
 use crate::record::Record;
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::Thread;
+use std::time::Duration;
 
 /// A fixed-capacity multi-producer / single-consumer ring of [`Record`]s.
 ///
@@ -32,6 +39,10 @@ pub struct Queue {
     high_water: AtomicU64,
     stall_cycles: AtomicU64,
     dropped: AtomicU64,
+    /// Set while the consumer is (about to be) parked in [`Queue::wait`].
+    parked: AtomicBool,
+    /// The thread that last waited, unparked by a commit or a wake.
+    consumer: Mutex<Option<Thread>>,
 }
 
 /// Outcome of a bounded-stall push ([`Queue::push_bounded`]).
@@ -50,7 +61,8 @@ pub enum PushOutcome {
 // SAFETY: slot access is mediated by the write-head / commit / read-head
 // protocol — a slot is written exclusively by the producer that reserved
 // it, and read only after the commit index has passed it (Release/Acquire
-// pairs on `commit` and `read_head` provide the necessary ordering).
+// pairs on `commit` and `read_head` provide the necessary ordering). The
+// other fields are atomics and a mutex, which are `Send + Sync` already.
 unsafe impl Sync for Queue {}
 unsafe impl Send for Queue {}
 
@@ -74,6 +86,8 @@ impl Queue {
             high_water: AtomicU64::new(0),
             stall_cycles: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
+            parked: AtomicBool::new(false),
+            consumer: Mutex::new(None),
         }
     }
 
@@ -134,6 +148,7 @@ impl Queue {
             *stalled += 1;
         }
         self.commit.store(idx + 1, Ordering::Release);
+        self.notify();
         // read_head may already have raced past idx+1; saturate to zero.
         let depth = (idx + 1).saturating_sub(self.read_head.load(Ordering::Relaxed));
         self.high_water.fetch_max(depth, Ordering::Relaxed);
@@ -147,7 +162,10 @@ impl Queue {
         // Reserve a slot.
         let idx = loop {
             let w = self.write_head.load(Ordering::Relaxed);
-            if w - self.read_head.load(Ordering::Acquire) >= cap {
+            // `w` may be stale: other producers and the consumer can have
+            // moved past it since it was read. Then the CAS below fails
+            // and the loop reads it again.
+            if w.saturating_sub(self.read_head.load(Ordering::Acquire)) >= cap {
                 std::hint::spin_loop();
                 std::thread::yield_now();
                 stalled += 1;
@@ -190,7 +208,7 @@ impl Queue {
         let mut stalled = 0u64;
         let idx = loop {
             let w = self.write_head.load(Ordering::Relaxed);
-            if w - self.read_head.load(Ordering::Acquire) >= cap {
+            if w.saturating_sub(self.read_head.load(Ordering::Acquire)) >= cap {
                 if stalled >= max_stalls {
                     self.stall_cycles.fetch_add(stalled, Ordering::Relaxed);
                     self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -240,7 +258,7 @@ impl Queue {
         if w != c {
             return false; // an earlier slot is reserved but uncommitted
         }
-        if w - self.read_head.load(Ordering::Acquire) >= cap {
+        if w.saturating_sub(self.read_head.load(Ordering::Acquire)) >= cap {
             return false;
         }
         if self
@@ -256,6 +274,7 @@ impl Queue {
         // No earlier uncommitted slot can exist (see above): publish
         // immediately, without waiting.
         self.commit.store(w + 1, Ordering::Release);
+        self.notify();
         let depth = (w + 1).saturating_sub(self.read_head.load(Ordering::Relaxed));
         self.high_water.fetch_max(depth, Ordering::Relaxed);
         true
@@ -277,6 +296,41 @@ impl Queue {
         }
         let mut stalled = 0u64;
         self.publish(idx, &mut stalled);
+    }
+
+    /// Wakes a parked consumer after a commit. The fence orders the
+    /// commit before the `parked` load, against the consumer's store of
+    /// `parked` before its emptiness check, so one of the two sees the
+    /// other.
+    fn notify(&self) {
+        fence(Ordering::SeqCst);
+        if self.parked.load(Ordering::Relaxed) {
+            self.wake();
+        }
+    }
+
+    /// Unparks the consumer if it is parked in [`Queue::wait`] (or about
+    /// to park there). Call it after setting whatever `stop` condition
+    /// the consumer passed to `wait`, with `SeqCst` ordering.
+    pub fn wake(&self) {
+        if self.parked.swap(false, Ordering::SeqCst) {
+            if let Some(t) = &*self.consumer.lock().expect("queue consumer poisoned") {
+                t.unpark();
+            }
+        }
+    }
+
+    /// Blocks the consumer until a record is committed, [`Queue::wake`]
+    /// is called or `timeout` passes; returns at once when records are
+    /// pending or `stop()` holds. Must be called from the consumer thread.
+    pub fn wait(&self, timeout: Duration, stop: impl Fn() -> bool) {
+        *self.consumer.lock().expect("queue consumer poisoned") = Some(std::thread::current());
+        self.parked.store(true, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        if self.is_empty() && !stop() {
+            std::thread::park_timeout(timeout);
+        }
+        self.parked.store(false, Ordering::Relaxed);
     }
 
     /// Removes and returns the oldest committed record, if any.
@@ -713,6 +767,81 @@ mod tests {
         assert_eq!(qs.queue(0).push_bounded(rec(5), 4), PushOutcome::Dropped);
         assert_eq!(qs.total_dropped(), 1);
         assert!(qs.total_stall_cycles() >= 4);
+    }
+
+    /// A wait long enough that a lost wake fails the test's time bound.
+    const NEVER: Duration = Duration::from_secs(30);
+
+    #[test]
+    fn every_commit_reaches_a_parked_consumer() {
+        // Ping-pong: the producer pushes the next record only after the
+        // consumer took the last one, so the consumer is usually parked
+        // (or about to park) when the commit lands. A lost wake would
+        // stall the run for `NEVER`.
+        let q = Arc::new(Queue::new(4));
+        let taken = Arc::new(AtomicU64::new(0));
+        let n = 2_000u64;
+        let consumer = {
+            let (q, taken) = (Arc::clone(&q), Arc::clone(&taken));
+            std::thread::spawn(move || {
+                for i in 0..n {
+                    let r = loop {
+                        match q.try_pop() {
+                            Some(r) => break r,
+                            None => q.wait(NEVER, || false),
+                        }
+                    };
+                    assert_eq!(r.warp, i);
+                    taken.store(i + 1, Ordering::Release);
+                }
+            })
+        };
+        let start = std::time::Instant::now();
+        for i in 0..n {
+            while taken.load(Ordering::Acquire) < i {
+                std::thread::yield_now();
+            }
+            if i % 2 == 0 {
+                q.push(rec(i));
+            } else {
+                while !q.try_push(rec(i)) {
+                    std::thread::yield_now();
+                }
+            }
+        }
+        consumer.join().unwrap();
+        assert!(
+            start.elapsed() < NEVER / 2,
+            "a commit did not wake the consumer"
+        );
+    }
+
+    #[test]
+    fn wake_after_stop_releases_a_parked_consumer() {
+        let q = Arc::new(Queue::new(4));
+        let stop = Arc::new(AtomicBool::new(false));
+        let consumer = {
+            let (q, stop) = (Arc::clone(&q), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    q.wait(NEVER, || stop.load(Ordering::SeqCst));
+                }
+            })
+        };
+        // Wake only once the consumer has announced it is parking.
+        while !q.parked.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        let start = std::time::Instant::now();
+        stop.store(true, Ordering::SeqCst);
+        q.wake();
+        consumer.join().unwrap();
+        assert!(
+            start.elapsed() < NEVER / 2,
+            "wake did not release the consumer"
+        );
+        // Nothing pending and the stop condition holds: no parking.
+        q.wait(NEVER, || true);
     }
 
     #[test]

@@ -47,7 +47,7 @@ echo "==> bench smoke: bench_detector --quick"
 ./target/release/bench_detector --quick --out /tmp/bench_detector_smoke.json
 rm -f /tmp/bench_detector_smoke.json
 
-echo "==> worker-scaling gate: bench_detector --gate (sharded threaded >= sync on coalesced)"
+echo "==> detector gates: bench_detector --gate (sharded threaded >= sync on coalesced; fast >= slow on broadcast sync)"
 ./target/release/bench_detector --gate
 
 echo "==> shadow fast-path differential: core proptests + 66-program parity (both pipeline modes)"
