@@ -248,11 +248,14 @@ fn injected_worker_panic_degrades_instead_of_aborting() {
 #[test]
 fn full_queue_stall_window_counts_pressure_without_losing_records() {
     let source = racy_counter_src();
-    // Aggressive consumer stalls against a tiny queue: producers must
-    // wait (bounded), but with a live consumer nothing is lost.
+    // A consumer that stalls after every record for far longer than the
+    // simulator takes to fill a 4-deep queue, so producers wait by
+    // construction rather than by winning a race between the two
+    // threads. The wait is bounded by a budget 64x the stall, and with a
+    // live consumer nothing is lost.
     let plan = FaultPlan::none().with_consumer_stall(barracuda::ConsumerStall {
         every_records: 1,
-        yields: 50,
+        yields: 1 << 14,
     });
     let mut cfg = chaos_config(plan);
     cfg.queue_capacity = 4;
@@ -357,9 +360,13 @@ fn persistent_pool_survives_a_panicked_launch() {
         worker: 0,
         after_records: 5,
     });
+    // The default stall budget: the healed and baseline checks below
+    // must not shed records when a healthy worker is descheduled. The
+    // dead worker's queue still costs only one budget per launch, after
+    // which the sink marks it wedged and drops at once.
     let mut cfg = chaos_config(plan);
     cfg.queue_capacity = 8;
-    cfg.push_stall_budget = 512;
+    cfg.push_stall_budget = BarracudaConfig::default().push_stall_budget;
     let mut bar = Barracuda::with_config(cfg);
     let ctr = bar.gpu_mut().malloc(4);
     let run = |bar: &mut Barracuda, ctr| {
@@ -402,7 +409,7 @@ fn persistent_pool_survives_a_panicked_launch() {
     let mut baseline_cfg = chaos_config(FaultPlan::none());
     baseline_cfg.fault_plan = None;
     baseline_cfg.queue_capacity = 8;
-    baseline_cfg.push_stall_budget = 512;
+    baseline_cfg.push_stall_budget = BarracudaConfig::default().push_stall_budget;
     let mut fresh = Barracuda::with_config(baseline_cfg);
     let ctr2 = fresh.gpu_mut().malloc(4);
     let baseline = fresh

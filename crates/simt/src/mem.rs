@@ -13,7 +13,7 @@
 use crate::config::{MemoryModel, SimError};
 use rand::rngs::StdRng;
 use rand::RngExt;
-use std::collections::HashMap;
+use std::ops::Range;
 
 const PAGE_SHIFT: u32 = 16;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT; // 64 KiB
@@ -26,15 +26,19 @@ struct PendingStore {
     value: u64,
 }
 
+/// Whether `a` and `[addr, addr + size)` share a byte; wrapping offsets
+/// keep an access at the top of the address space from overflowing.
 fn overlaps(a: &PendingStore, addr: u64, size: u8) -> bool {
-    a.addr < addr + u64::from(size) && addr < a.addr + u64::from(a.size)
+    a.addr.wrapping_sub(addr) < u64::from(size) || addr.wrapping_sub(a.addr) < u64::from(a.size)
 }
 
 /// Device global memory.
 #[derive(Debug)]
 pub struct GlobalMemory {
     model: MemoryModel,
-    pages: HashMap<u64, Box<[u8]>>,
+    /// Page `i` starts at `GLOBAL_BASE + (i << PAGE_SHIFT)`. Allocation bumps
+    /// a pointer and never skips a page, so the pages in use are a prefix.
+    pages: Vec<Box<[u8]>>,
     next_alloc: u64,
     allocated: u64,
     buffers: Vec<Vec<PendingStore>>,
@@ -46,7 +50,7 @@ impl GlobalMemory {
     pub fn new(model: MemoryModel) -> Self {
         GlobalMemory {
             model,
-            pages: HashMap::new(),
+            pages: Vec::new(),
             next_alloc: crate::GLOBAL_BASE,
             allocated: 0,
             buffers: Vec::new(),
@@ -59,18 +63,19 @@ impl GlobalMemory {
     }
 
     /// Allocates `size` zeroed bytes, 256-byte aligned (like `cudaMalloc`).
+    /// Panics when the allocation would end past `u64::MAX`.
     pub fn malloc(&mut self, size: u64) -> u64 {
-        let addr = self.next_alloc.div_ceil(256) * 256;
-        self.next_alloc = addr + size.max(1);
+        let (addr, end) = self
+            .next_alloc
+            .checked_next_multiple_of(256)
+            .and_then(|a| Some((a, a.checked_add(size.max(1))?)))
+            .expect("device allocation passes the end of the address space");
+        self.next_alloc = end;
         self.allocated += size;
         // Pre-create pages so accesses can be validated cheaply.
-        let first = addr >> PAGE_SHIFT;
-        let last = (addr + size.max(1) - 1) >> PAGE_SHIFT;
-        for p in first..=last {
-            self.pages
-                .entry(p)
-                .or_insert_with(|| vec![0u8; PAGE_SIZE].into_boxed_slice());
-        }
+        let pages = ((end - 1 - crate::GLOBAL_BASE) >> PAGE_SHIFT) as usize + 1;
+        let zeroed = || vec![0u8; PAGE_SIZE].into_boxed_slice();
+        self.pages.resize_with(pages.max(self.pages.len()), zeroed);
         addr
     }
 
@@ -86,34 +91,49 @@ impl GlobalMemory {
         self.buffers.clear();
     }
 
-    fn page(&self, p: u64) -> Result<&[u8], SimError> {
-        self.pages
-            .get(&p)
-            .map(|b| &**b)
-            .ok_or(SimError::InvalidAccess {
-                addr: p << PAGE_SHIFT,
+    /// Splits `[addr, addr + len)` into one `(page, offset, buffer range)`
+    /// chunk per page once all of it lies in the `npages` allocated pages;
+    /// otherwise names the first byte that does not.
+    fn chunks(
+        npages: usize,
+        addr: u64,
+        len: usize,
+    ) -> Result<impl Iterator<Item = (usize, usize, Range<usize>)>, SimError> {
+        let mapped = (npages as u64) << PAGE_SHIFT;
+        let start = match addr.checked_sub(crate::GLOBAL_BASE) {
+            Some(o) if o < mapped => o,
+            _ if len == 0 => 0,
+            _ => return Err(SimError::InvalidAccess { addr }),
+        };
+        if len as u64 > mapped - start {
+            let addr = crate::GLOBAL_BASE + mapped;
+            return Err(SimError::InvalidAccess { addr });
+        }
+        let mut done = 0;
+        Ok(std::iter::from_fn(move || {
+            (done < len).then(|| {
+                let o = start + done as u64;
+                let off = (o & (PAGE_SIZE as u64 - 1)) as usize;
+                let n = (len - done).min(PAGE_SIZE - off);
+                done += n;
+                ((o >> PAGE_SHIFT) as usize, off, done - n..done)
             })
+        }))
     }
 
     /// Reads committed bytes (host view; ignores store buffers).
     pub fn read_bytes(&self, addr: u64, out: &mut [u8]) -> Result<(), SimError> {
-        for (i, b) in out.iter_mut().enumerate() {
-            let a = addr + i as u64;
-            let page = self.page(a >> PAGE_SHIFT)?;
-            *b = page[(a & (PAGE_SIZE as u64 - 1)) as usize];
+        for (p, off, r) in Self::chunks(self.pages.len(), addr, out.len())? {
+            out[r.clone()].copy_from_slice(&self.pages[p][off..off + r.len()]);
         }
         Ok(())
     }
 
-    /// Writes committed bytes (host view).
+    /// Writes committed bytes (host view). Nothing is written unless the
+    /// whole range is allocated.
     pub fn write_bytes(&mut self, addr: u64, data: &[u8]) -> Result<(), SimError> {
-        for (i, &b) in data.iter().enumerate() {
-            let a = addr + i as u64;
-            let page = self
-                .pages
-                .get_mut(&(a >> PAGE_SHIFT))
-                .ok_or(SimError::InvalidAccess { addr: a })?;
-            page[(a & (PAGE_SIZE as u64 - 1)) as usize] = b;
+        for (p, off, r) in Self::chunks(self.pages.len(), addr, data.len())? {
+            self.pages[p][off..off + r.len()].copy_from_slice(&data[r]);
         }
         Ok(())
     }
@@ -144,14 +164,13 @@ impl GlobalMemory {
 
     /// A store by `block`: buffered under weak models, immediate under SC.
     pub fn store(&mut self, block: u64, addr: u64, size: u8, value: u64) -> Result<(), SimError> {
-        // Validate the address eagerly in all models.
-        self.page(addr >> PAGE_SHIFT)?;
-        if self.model.buffered() {
-            self.buffers[block as usize].push(PendingStore { addr, size, value });
-            Ok(())
-        } else {
-            self.write_committed(addr, size, value)
+        if !self.model.buffered() {
+            return self.write_committed(addr, size, value);
         }
+        // Validate the address now: the store commits later.
+        let _ = Self::chunks(self.pages.len(), addr, 1)?;
+        self.buffers[block as usize].push(PendingStore { addr, size, value });
+        Ok(())
     }
 
     /// An atomic read-modify-write by `block`. Atomics are coherent: all
@@ -312,7 +331,9 @@ impl SharedMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn malloc_zeroed_and_aligned() {
@@ -466,6 +487,305 @@ mod tests {
             Err(SimError::SharedOutOfBounds { .. })
         ));
         assert!(s.load(12, 4).is_ok());
+    }
+
+    const BASE: u64 = crate::GLOBAL_BASE;
+    const PAGE: u64 = PAGE_SIZE as u64;
+
+    #[test]
+    fn access_straddling_a_page_boundary() {
+        for model in [MemoryModel::SequentiallyConsistent, MemoryModel::KeplerK520] {
+            let mut m = GlobalMemory::new(model);
+            let a = m.malloc(3 * PAGE);
+            let at = a + PAGE - 4;
+            assert_eq!(at >> PAGE_SHIFT, a >> PAGE_SHIFT, "{model:?}");
+            m.begin_kernel(2);
+            m.store(0, at, 8, 0x1122_3344_5566_7788).unwrap();
+            assert_eq!(
+                m.load(0, at, 8).unwrap(),
+                0x1122_3344_5566_7788,
+                "{model:?}"
+            );
+            m.fence(0, true);
+            assert_eq!(m.load(1, at, 4).unwrap(), 0x5566_7788, "{model:?}");
+            assert_eq!(m.load(1, at + 4, 4).unwrap(), 0x1122_3344, "{model:?}");
+            assert_eq!(
+                m.load(1, at, 8).unwrap(),
+                0x1122_3344_5566_7788,
+                "{model:?}"
+            );
+            assert_eq!(m.load(1, at - 4, 4).unwrap(), 0, "{model:?}");
+            assert_eq!(m.load(1, at + 8, 4).unwrap(), 0, "{model:?}");
+        }
+    }
+
+    #[test]
+    fn host_copy_across_three_pages() {
+        let mut m = GlobalMemory::new(MemoryModel::SequentiallyConsistent);
+        let a = m.malloc(4 * PAGE);
+        let at = a + PAGE - 50;
+        let data: Vec<u8> = (0..PAGE as usize + 100)
+            .map(|i| (i * 7 + 1) as u8)
+            .collect();
+        m.write_bytes(at, &data).unwrap();
+        let mut back = vec![0u8; data.len() + 2];
+        m.read_bytes(at - 1, &mut back).unwrap();
+        assert_eq!(back[0], 0);
+        assert_eq!(&back[1..=data.len()], &data[..]);
+        assert_eq!(back[data.len() + 1], 0);
+    }
+
+    #[test]
+    fn invalid_access_names_the_first_faulting_byte() {
+        let mut m = GlobalMemory::new(MemoryModel::SequentiallyConsistent);
+        m.malloc(100);
+        let end = BASE + PAGE; // just past the last page
+        fn fault<T>(addr: u64) -> Result<T, SimError> {
+            Err(SimError::InvalidAccess { addr })
+        }
+        for (addr, len, first_bad) in [(BASE - 1, 4, BASE - 1), (end, 4, end), (end - 2, 4, end)] {
+            let mut buf = vec![0u8; len];
+            assert_eq!(
+                m.read_bytes(addr, &mut buf),
+                fault(first_bad),
+                "read {addr:#x}"
+            );
+            assert_eq!(
+                m.write_bytes(addr, &buf),
+                fault(first_bad),
+                "write {addr:#x}"
+            );
+        }
+        m.begin_kernel(1);
+        assert_eq!(m.load(0, BASE - 1, 1), fault(BASE - 1));
+        assert_eq!(m.store(0, end, 4, 1), fault(end));
+        assert_eq!(m.atomic(0, end - 2, 4, |v| v), fault(end));
+        assert_eq!(
+            m.read_bytes(BASE - 1, &mut []),
+            Ok(()),
+            "an empty copy never faults"
+        );
+    }
+
+    #[test]
+    fn write_off_the_last_page_changes_nothing() {
+        let mut m = GlobalMemory::new(MemoryModel::SequentiallyConsistent);
+        m.malloc(100);
+        let end = BASE + PAGE;
+        m.write_bytes(end - 4, &[1, 2, 3, 4]).unwrap();
+        assert_eq!(
+            m.write_bytes(end - 4, &[9; 8]),
+            Err(SimError::InvalidAccess { addr: end })
+        );
+        let mut back = [0u8; 4];
+        m.read_bytes(end - 4, &mut back).unwrap();
+        assert_eq!(back, [1, 2, 3, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "device allocation passes the end of the address space")]
+    fn malloc_past_the_end_of_the_address_space_panics() {
+        let mut m = GlobalMemory::new(MemoryModel::SequentiallyConsistent);
+        m.malloc(64);
+        m.malloc(u64::MAX - BASE);
+    }
+
+    /// A naive reference for [`GlobalMemory`]: a byte map, the set of
+    /// allocated 64 KiB pages by absolute page number, and per-block
+    /// lists of pending stores.
+    #[derive(Default)]
+    struct Model {
+        buffered: bool,
+        next: u64,
+        pages: BTreeSet<u64>,
+        bytes: BTreeMap<u64, u8>,
+        pending: Vec<Vec<(u64, u8, u64)>>,
+    }
+
+    impl Model {
+        fn malloc(&mut self, size: u64) -> u64 {
+            let addr = self.next.max(BASE).div_ceil(256) * 256;
+            self.next = addr + size.max(1);
+            self.pages
+                .extend(addr >> PAGE_SHIFT..=(self.next - 1) >> PAGE_SHIFT);
+            addr
+        }
+
+        /// The first byte of `[addr, addr + len)` on a page that was never
+        /// allocated.
+        fn check(&self, addr: u64, len: u64) -> Result<(), SimError> {
+            if len == 0 {
+                return Ok(());
+            }
+            let last = addr.saturating_add(len - 1) >> PAGE_SHIFT;
+            match (addr >> PAGE_SHIFT..=last).find(|p| !self.pages.contains(p)) {
+                Some(p) => Err(SimError::InvalidAccess {
+                    addr: addr.max(p << PAGE_SHIFT),
+                }),
+                None => Ok(()),
+            }
+        }
+
+        fn read(&self, addr: u64, len: u64) -> Result<Vec<u8>, SimError> {
+            self.check(addr, len)?;
+            let mut out = vec![0u8; len as usize];
+            for (&a, &b) in self.bytes.range(addr..addr + len) {
+                out[(a - addr) as usize] = b;
+            }
+            Ok(out)
+        }
+
+        fn write(&mut self, addr: u64, data: &[u8]) -> Result<(), SimError> {
+            self.check(addr, data.len() as u64)?;
+            for (i, &b) in data.iter().enumerate() {
+                self.bytes.insert(addr + i as u64, b);
+            }
+            Ok(())
+        }
+
+        fn read_word(&self, addr: u64, size: u8) -> Result<u64, SimError> {
+            let mut w = [0u8; 8];
+            w[..size as usize].copy_from_slice(&self.read(addr, u64::from(size))?);
+            Ok(u64::from_le_bytes(w))
+        }
+
+        fn write_word(&mut self, addr: u64, size: u8, value: u64) -> Result<(), SimError> {
+            self.write(addr, &value.to_le_bytes()[..size as usize])
+        }
+
+        fn load(&self, block: usize, addr: u64, size: u8) -> Result<u64, SimError> {
+            // Only buffered models ever hold pending stores.
+            let forwarded = self.pending[block]
+                .iter()
+                .rev()
+                .find(|s| (s.0, s.1) == (addr, size));
+            forwarded.map_or_else(|| self.read_word(addr, size), |s| Ok(s.2))
+        }
+
+        fn store(&mut self, block: usize, addr: u64, size: u8, value: u64) -> Result<(), SimError> {
+            self.check(addr, 1)?;
+            if self.buffered {
+                self.pending[block].push((addr, size, value));
+                Ok(())
+            } else {
+                self.write_word(addr, size, value)
+            }
+        }
+
+        fn atomic(&mut self, addr: u64, size: u8, add: u64) -> Result<u64, SimError> {
+            let end = u128::from(addr) + u128::from(size);
+            for b in 0..self.pending.len() {
+                let (hit, keep) = self.pending[b].iter().partition(|s| {
+                    u128::from(s.0) < end && u128::from(addr) < u128::from(s.0) + u128::from(s.1)
+                });
+                self.pending[b] = keep;
+                for (a, sz, v) in hit as Vec<_> {
+                    let _ = self.write_word(a, sz, v);
+                }
+            }
+            let old = self.read_word(addr, size)?;
+            self.write_word(addr, size, old.wrapping_add(add))?;
+            Ok(old)
+        }
+
+        fn fence(&mut self) {
+            for b in 0..self.pending.len() {
+                for (a, sz, v) in std::mem::take(&mut self.pending[b]) {
+                    let _ = self.write_word(a, sz, v);
+                }
+            }
+        }
+    }
+
+    /// One generated operation: `(kind, block, address class, offset
+    /// seed, value)`.
+    type Op = (u8, u8, u8, u64, u64);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn global_memory_matches_a_byte_map_model(
+            ops in prop::collection::vec((0u8..8, 0u8..2, 0u8..4, any::<u64>(), any::<u64>()), 1..40)
+        ) {
+            for model in [MemoryModel::SequentiallyConsistent, MemoryModel::KeplerK520] {
+                run_against_model(model, &ops);
+            }
+        }
+    }
+
+    fn run_against_model(model: MemoryModel, ops: &[Op]) {
+        let mut m = GlobalMemory::new(model);
+        let mut r = Model {
+            buffered: model.buffered(),
+            pending: vec![Vec::new(); 2],
+            ..Model::default()
+        };
+        m.begin_kernel(2);
+        for (step, &(kind, block, class, seed, value)) in ops.iter().enumerate() {
+            let mapped = (r.next.max(BASE) - BASE).div_ceil(PAGE) * PAGE;
+            let addr = match class {
+                // Anywhere in the allocated pages, or up to a page past them.
+                0 => BASE + seed % (mapped + PAGE),
+                // Up to 8 bytes before a page boundary.
+                1 => BASE + (1 + seed % (mapped / PAGE + 1)) * PAGE - (seed >> 32) % 9,
+                // Just below the first page.
+                2 => BASE - 1 - seed % 8,
+                // Near the top of the address space.
+                _ => u64::MAX - seed % 16,
+            };
+            let size = [1u8, 2, 4, 8][(value % 4) as usize];
+            let block64 = u64::from(block);
+            let ctx = format!("{model:?} step {step}: op {kind} addr {addr:#x} size {size}");
+            match kind {
+                0 => {
+                    let bytes = seed % (2 * PAGE);
+                    if r.next < BASE + 4 * PAGE {
+                        assert_eq!(m.malloc(bytes), r.malloc(bytes), "{ctx}");
+                    }
+                }
+                1 => assert_eq!(
+                    m.load(block64, addr, size),
+                    r.load(block.into(), addr, size),
+                    "{ctx}"
+                ),
+                2 => assert_eq!(
+                    m.store(block64, addr, size, value),
+                    r.store(block.into(), addr, size, value),
+                    "{ctx}"
+                ),
+                3 => assert_eq!(
+                    m.atomic(block64, addr, size, |v| v.wrapping_add(value)),
+                    r.atomic(addr, size, value),
+                    "{ctx}"
+                ),
+                4 => {
+                    m.fence(block64, true);
+                    r.fence();
+                }
+                5 => {
+                    let len = (value >> 8) % (PAGE + 16);
+                    let mut out = vec![0u8; len as usize];
+                    let got = m.read_bytes(addr, &mut out).map(|()| out);
+                    assert_eq!(got, r.read(addr, len), "{ctx} len {len}");
+                }
+                _ => {
+                    let len = (value >> 8) % (PAGE + 16);
+                    let data: Vec<u8> = (0..len).map(|i| (i as u8) ^ (value as u8)).collect();
+                    assert_eq!(
+                        m.write_bytes(addr, &data),
+                        r.write(addr, &data),
+                        "{ctx} len {len}"
+                    );
+                }
+            }
+        }
+        m.end_kernel();
+        r.fence();
+        let len = r.next.max(BASE) - BASE;
+        let mut all = vec![0u8; len as usize];
+        m.read_bytes(BASE, &mut all).unwrap();
+        assert_eq!(Ok(all), r.read(BASE, len), "{model:?} final contents");
     }
 
     #[test]

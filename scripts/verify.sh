@@ -58,6 +58,9 @@ echo "==> sharded routing differential: core proptests + 66-program parity (shar
 cargo test -q -p barracuda-core --test sharded_routing
 cargo test -q -p barracuda-suite --test sharded_parity
 
+echo "==> simulation digest: record streams, launch stats, final memory and Fig. 4 counts vs the checked-in golden"
+cargo test -q -p barracuda-suite --test sim_digest
+
 echo "==> interleave parity: 66 verdicts + 11 multi race sets under co-resident scheduling (all policies x seeds x pipelines)"
 cargo test -q -p barracuda-suite --test interleave_parity
 cargo test -q -p barracuda-core --test two_stream_diff
