@@ -8,7 +8,7 @@ use barracuda::{Barracuda, BarracudaConfig, DetectionMode, KernelRun};
 use barracuda_instrument::{instrument_module, InstrumentOptions};
 use barracuda_simt::litmus::{mp_table, Fence, MpTableRow};
 use barracuda_simt::MemoryModel;
-use barracuda_suite::{all_programs, run_program, Expectation, Verdict};
+use barracuda_suite::{all_programs, run_program};
 use barracuda_trace::MemSpace;
 use barracuda_workloads::{all_workloads, Scale, Workload};
 use std::time::{Duration, Instant};
@@ -227,13 +227,7 @@ pub fn suite_table() -> SuiteSummary {
     let mut racecheck_failures = Vec::new();
     for p in &programs {
         let verdict = run_program(p);
-        let ok = matches!(
-            (&verdict, p.expected),
-            (Verdict::Race, Expectation::Race)
-                | (Verdict::NoRace, Expectation::NoRace)
-                | (Verdict::BarrierDivergence, Expectation::BarrierDivergence)
-        );
-        if ok {
+        if verdict.matches(p.expected) {
             barracuda_correct += 1;
         } else {
             barracuda_failures.push(p.name.to_string());

@@ -154,16 +154,16 @@ impl LaunchScope {
     }
 }
 
-/// Counters for the detector's shadow fast paths, kept per worker and
-/// merged for telemetry (`--stats-json`). "Fast" is the warp-coalesced
-/// path (one page lock per record, word-granularity merges, uniform
-/// converged clock views); "slow" is the paper-literal per-byte sweep
-/// kept as the differential baseline.
+/// Counters for the detector's shadow checks, kept per worker and
+/// merged for telemetry (`--stats-json`). Every plain access takes the
+/// warp-coalesced path: one page lock per record, word-granularity
+/// merges, uniform converged clock views.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PathStats {
-    /// Plain-access records processed through the batched fast path.
+    /// Plain-access records processed through the batched sweep.
     pub batched_records: u64,
-    /// Plain-access records processed through the per-byte slow path.
+    /// Always 0. Kept only because the benchmark's `core.batched_share`
+    /// reads it.
     pub slow_records: u64,
     /// Global-shadow page-lock acquisitions.
     pub page_locks: u64,
@@ -183,7 +183,6 @@ impl PathStats {
     /// Accumulates another worker's counters into this one.
     pub fn merge(&mut self, o: &PathStats) {
         self.batched_records += o.batched_records;
-        self.slow_records += o.slow_records;
         self.page_locks += o.page_locks;
         self.word_merges += o.word_merges;
         self.word_fallbacks += o.word_fallbacks;
@@ -208,9 +207,6 @@ pub struct Detector {
     /// records and stop early once it fires (deadline watchdog, server
     /// shutdown). A standalone detector's token never fires.
     cancel: CancelToken,
-    /// Warp-coalesced shadow fast paths (on by default); off forces the
-    /// paper-literal per-byte sweep used as differential baseline.
-    fast_paths: bool,
 }
 
 impl Detector {
@@ -258,23 +254,7 @@ impl Detector {
             races,
             scope,
             cancel: CancelToken::new(),
-            fast_paths: true,
         }
-    }
-
-    /// Enables or disables the warp-coalesced shadow fast paths (builder
-    /// style). They are on by default; disabling forces the per-byte,
-    /// lock-per-byte slow path — kept as the differential-testing and
-    /// benchmarking baseline.
-    #[must_use]
-    pub fn with_fast_paths(mut self, on: bool) -> Self {
-        self.fast_paths = on;
-        self
-    }
-
-    /// True when the warp-coalesced shadow fast paths are enabled.
-    pub fn fast_paths(&self) -> bool {
-        self.fast_paths
     }
 
     /// Attaches the engine's cancellation token (builder style, used by
@@ -382,7 +362,7 @@ pub struct Worker<'d> {
     blocks: HashMap<u64, BlockState>,
     /// Census of PTVC formats observed at access events.
     format_census: [u64; 4],
-    /// Shadow fast-path/slow-path hit counters.
+    /// Shadow-check counters.
     path_stats: PathStats,
     events: u64,
     /// `Some((index, count))` when this worker is the exclusive owner of
@@ -430,8 +410,7 @@ impl<'d> Worker<'d> {
         self.format_census
     }
 
-    /// Shadow fast-path/slow-path hit counters accumulated by this
-    /// worker.
+    /// Shadow-check counters accumulated by this worker.
     pub fn path_stats(&self) -> PathStats {
         self.path_stats
     }
@@ -450,113 +429,39 @@ impl<'d> Worker<'d> {
     /// Processes one warp-level event.
     pub fn process_event(&mut self, ev: &Event) {
         self.events += 1;
-        let dims = self.det.dims;
-        let warp = ev.warp();
-        let block = dims.block_of_warp(warp);
-        let wib = (warp % dims.warps_per_block()) as usize;
-        let bs = self
-            .blocks
-            .entry(block)
-            .or_insert_with(|| BlockState::new(&dims, block, self.det.shared_size));
-        match ev {
-            Event::Access {
-                kind,
-                space,
-                mask,
+        let det = self.det;
+        let (bs, wib) = block_entry(&mut self.blocks, det, ev.warp());
+        if let Event::Access {
+            kind: kind @ (AccessKind::Read | AccessKind::Write | AccessKind::Atomic),
+            space,
+            mask,
+            addrs,
+            size,
+            ..
+        } = ev
+        {
+            let atype = match kind {
+                AccessKind::Read => AccessType::Read,
+                AccessKind::Write => AccessType::Write,
+                _ => AccessType::Atomic,
+            };
+            self.format_census[census_slot(&bs.warps[wib])] += 1;
+            check_warp_access(
+                det,
+                &mut bs.shared_shadow,
+                &bs.warps[wib],
+                *mask,
+                *space,
                 addrs,
-                size,
-                ..
-            } => {
-                {
-                    let wc = &bs.warps[wib];
-                    self.format_census[match wc.format() {
-                        PtvcFormat::Converged => 0,
-                        PtvcFormat::Diverged => 1,
-                        PtvcFormat::NestedDiverged => 2,
-                        PtvcFormat::SparseVc => 3,
-                    }] += 1;
-                }
-                match kind {
-                    AccessKind::Read | AccessKind::Write | AccessKind::Atomic => {
-                        let atype = match kind {
-                            AccessKind::Read => AccessType::Read,
-                            AccessKind::Write => AccessType::Write,
-                            _ => AccessType::Atomic,
-                        };
-                        if self.det.fast_paths {
-                            check_warp_access(
-                                self.det,
-                                &mut bs.shared_shadow,
-                                &bs.warps[wib],
-                                *mask,
-                                *space,
-                                addrs,
-                                *size,
-                                atype,
-                                (0, 0),
-                                false,
-                                &mut self.path_stats,
-                            );
-                        } else {
-                            self.path_stats.slow_records += 1;
-                            for lane in 0..dims.warp_size {
-                                if mask & (1 << lane) == 0 {
-                                    continue;
-                                }
-                                check_lane_access(
-                                    self.det,
-                                    &mut bs.shared_shadow,
-                                    &bs.warps[wib],
-                                    lane,
-                                    *space,
-                                    addrs[lane as usize],
-                                    *size,
-                                    atype,
-                                    (0, 0),
-                                    false,
-                                    &mut self.path_stats,
-                                );
-                            }
-                        }
-                        bs.warps[wib].endi();
-                    }
-                    AccessKind::Acquire(scope) => {
-                        process_sync(self.det, bs, wib, *space, *mask, addrs, Some(*scope), None);
-                    }
-                    AccessKind::Release(scope) => {
-                        process_sync(self.det, bs, wib, *space, *mask, addrs, None, Some(*scope));
-                    }
-                    AccessKind::AcquireRelease(scope) => {
-                        process_sync(
-                            self.det,
-                            bs,
-                            wib,
-                            *space,
-                            *mask,
-                            addrs,
-                            Some(*scope),
-                            Some(*scope),
-                        );
-                    }
-                }
-            }
-            Event::If {
-                then_mask,
-                else_mask,
-                ..
-            } => {
-                bs.warps[wib].branch_if(*then_mask, *else_mask);
-            }
-            Event::Else { .. } => bs.warps[wib].branch_else(),
-            Event::Fi { .. } => bs.warps[wib].branch_fi(),
-            Event::Bar { mask, .. } => {
-                bs.arrived[wib] = Some(*mask);
-                try_barrier(self.det, bs, true);
-            }
-            Event::Exit { .. } => {
-                bs.exited[wib] = true;
-                try_barrier(self.det, bs, true);
-            }
+                *size,
+                atype,
+                (0, 0),
+                false,
+                &mut self.path_stats,
+            );
+            bs.warps[wib].endi();
+        } else {
+            apply_sync_or_control(det, bs, wib, ev, true);
         }
     }
 
@@ -592,15 +497,8 @@ impl<'d> Worker<'d> {
             return false;
         }
         self.events += 1;
-        let dims = self.det.dims;
-        let warp = rec.warp;
-        let block = dims.block_of_warp(warp);
-        let wib = (warp % dims.warps_per_block()) as usize;
-        let shared_size = self.det.shared_size;
-        let bs = self
-            .blocks
-            .entry(block)
-            .or_insert_with(|| BlockState::new(&dims, block, shared_size));
+        let det = self.det;
+        let (bs, wib) = block_entry(&mut self.blocks, det, rec.warp);
         // Fast-forward: account for the warp's plain accesses that routed
         // to other partitions. The stamp can also *trail* `seen`
         // (fragments of one access share a stamp; benchmarks replay
@@ -609,13 +507,6 @@ impl<'d> Worker<'d> {
             bs.warps[wib].advance(rec.seq - bs.seen[wib]);
             bs.seen[wib] = rec.seq;
         }
-        // This shard owns the block's control/shared stream (and its
-        // barrier diagnostics) iff the block hashes to it. Only the
-        // barrier arms care; keep the hash off the plain-access hot path.
-        let owner = || {
-            barracuda_trace::queue::launch_block_hash(self.det.scope.epoch, block) % count as u64
-                == index as u64
-        };
         // Plain accesses are the hot path: handled straight off the wire
         // (no `Event` materialization — the 32 lane address slots are
         // borrowed from the record in place).
@@ -630,205 +521,104 @@ impl<'d> Worker<'d> {
             } else {
                 MemSpace::Shared
             };
-            {
-                let wc = &bs.warps[wib];
-                self.format_census[match wc.format() {
-                    PtvcFormat::Converged => 0,
-                    PtvcFormat::Diverged => 1,
-                    PtvcFormat::NestedDiverged => 2,
-                    PtvcFormat::SparseVc => 3,
-                }] += 1;
-            }
-            let window = (rec.frag_off, rec.frag_len);
+            self.format_census[census_slot(&bs.warps[wib])] += 1;
             // Global plain accesses were routed here by page hash: this
             // worker owns every covered page.
-            let owned = space == MemSpace::Global;
-            if self.det.fast_paths {
-                check_warp_access(
-                    self.det,
-                    &mut bs.shared_shadow,
-                    &bs.warps[wib],
-                    rec.mask,
-                    space,
-                    &rec.addrs,
-                    rec.size,
-                    atype,
-                    window,
-                    owned,
-                    &mut self.path_stats,
-                );
-            } else {
-                self.path_stats.slow_records += 1;
-                for lane in 0..dims.warp_size {
-                    if rec.mask & (1 << lane) == 0 {
-                        continue;
-                    }
-                    check_lane_access(
-                        self.det,
-                        &mut bs.shared_shadow,
-                        &bs.warps[wib],
-                        lane,
-                        space,
-                        rec.addrs[lane as usize],
-                        rec.size,
-                        atype,
-                        window,
-                        owned,
-                        &mut self.path_stats,
-                    );
-                }
-            }
+            check_warp_access(
+                det,
+                &mut bs.shared_shadow,
+                &bs.warps[wib],
+                rec.mask,
+                space,
+                &rec.addrs,
+                rec.size,
+                atype,
+                (rec.frag_off, rec.frag_len),
+                space == MemSpace::Global,
+                &mut self.path_stats,
+            );
             // No endi: the seq fast-forward accounts for it.
             return true;
         }
-        let ev = rec.decode();
-        match &ev {
-            Event::Access {
-                kind,
-                space,
-                mask,
-                addrs,
-                ..
-            } => match kind {
-                AccessKind::Acquire(scope) => {
-                    process_sync(self.det, bs, wib, *space, *mask, addrs, Some(*scope), None);
-                }
-                AccessKind::Release(scope) => {
-                    process_sync(self.det, bs, wib, *space, *mask, addrs, None, Some(*scope));
-                }
-                AccessKind::AcquireRelease(scope) => {
-                    process_sync(
-                        self.det,
-                        bs,
-                        wib,
-                        *space,
-                        *mask,
-                        addrs,
-                        Some(*scope),
-                        Some(*scope),
-                    );
-                }
-                AccessKind::Read | AccessKind::Write | AccessKind::Atomic => {
-                    unreachable!("plain accesses are handled off the wire above")
-                }
-            },
-            Event::If {
-                then_mask,
-                else_mask,
-                ..
-            } => {
-                bs.warps[wib].branch_if(*then_mask, *else_mask);
-            }
-            Event::Else { .. } => bs.warps[wib].branch_else(),
-            Event::Fi { .. } => bs.warps[wib].branch_fi(),
-            Event::Bar { mask, .. } => {
-                bs.arrived[wib] = Some(*mask);
-                try_barrier(self.det, bs, owner());
-            }
-            Event::Exit { .. } => {
-                bs.exited[wib] = true;
-                try_barrier(self.det, bs, owner());
-            }
-        }
+        // This shard owns the block's control/shared stream (and its
+        // barrier diagnostics) iff the block hashes to it.
+        let owner = barracuda_trace::queue::launch_block_hash(det.scope.epoch, bs.block)
+            % count as u64
+            == index as u64;
+        apply_sync_or_control(det, bs, wib, &rec.decode(), owner);
         true
     }
 }
 
-/// Checks one lane's plain access (read / write / standalone atomic) at
-/// byte granularity and updates the shadow metadata per the Fig. 2–3
-/// rules. Reports at most one race per lane access, keyed to the base
-/// address. This is the slow path: one page lock per byte, one state-
-/// machine run per byte — kept as the differential-testing baseline for
-/// [`check_warp_access`].
-///
-/// `window = (off, len)` restricts the checked bytes to
-/// `[addr + off, addr + off + len)` (`len == 0` means the whole access);
-/// fragments of a page-straddling access in the sharded pipeline use it
-/// so each owner checks only its own page's bytes while races still
-/// report at the lane base address. `owned` selects the sharded owner
-/// fast path: global-shadow cells are touched without page locks (the
-/// caller guarantees partition exclusivity).
-#[allow(clippy::too_many_arguments)]
-fn check_lane_access(
+/// The state of `warp`'s block, created on first touch, and the warp's
+/// index within the block.
+fn block_entry<'b>(
+    blocks: &'b mut HashMap<u64, BlockState>,
     det: &Detector,
-    shared_shadow: &mut SharedShadow,
-    wc: &WarpClocks,
-    lane: u32,
-    space: MemSpace,
-    addr: u64,
-    size: u8,
-    atype: AccessType,
-    window: (u8, u8),
-    owned: bool,
-    stats: &mut PathStats,
-) {
+    warp: u64,
+) -> (&'b mut BlockState, usize) {
     let dims = &det.dims;
-    let scope = &det.scope;
-    let tid = dims.tid_of_lane(wc.warp, lane);
-    let gt = scope.tid_base + tid.0;
-    #[allow(clippy::cast_possible_truncation)] // registry caps TIDs below u32::MAX
-    let e = Epoch::new(wc.own_clock(), gt as u32);
-    // This lane's view of a global TID: structural clocks for same-epoch
-    // threads, the frozen predecessor frontier for foreign epochs and the
-    // host, plus the (globally keyed) external clock in either case.
-    let ext = wc.active().external.as_ref();
-    let clock_of = |t: u32| -> Clock {
-        let key = u64::from(t);
-        let mut c = match scope.local_of(key) {
-            Some(local) => wc.clock_of_structural(lane, local, dims),
-            None => scope.preds.get_scoped(key, &scope.registry),
-        };
-        if let Some(eh) = ext {
-            c = c.max(eh.get_scoped(key, &scope.registry));
-        }
-        c
-    };
-    let mut first_race: Option<(u32, AccessType)> = None;
-    let lo = addr + u64::from(window.0);
-    let hi = lo + u64::from(if window.1 == 0 { size } else { window.1 });
-    match space {
-        MemSpace::Shared => {
-            for b in lo..hi {
-                let cell = shared_shadow.cell_mut(b);
-                stats.cell_checks += 1;
-                let race = check_cell(cell, e, &clock_of, atype);
-                if first_race.is_none() {
-                    first_race = race;
-                }
-            }
-        }
-        MemSpace::Global => {
-            // An access never spans shadow pages beyond two; lock per byte
-            // via with_page for simplicity (pages cache well).
-            for b in lo..hi {
-                stats.cell_checks += 1;
-                let race = if owned {
-                    let page = det.global_shadow.page(b);
-                    // SAFETY: sharded routing gives this worker exclusive
-                    // ownership of the page (see `Worker::new_sharded`).
-                    let page = unsafe { page.owned_mut() };
-                    check_cell(page.cell_mut(b), e, &clock_of, atype)
-                } else {
-                    stats.page_locks += 1;
-                    det.global_shadow
-                        .with_page(b, |page| check_cell(page.cell_mut(b), e, &clock_of, atype))
-                };
-                if first_race.is_none() {
-                    first_race = race;
-                }
-            }
-        }
+    let block = dims.block_of_warp(warp);
+    let wib = (warp % dims.warps_per_block()) as usize;
+    let bs = blocks
+        .entry(block)
+        .or_insert_with(|| BlockState::new(dims, block, det.shared_size));
+    (bs, wib)
+}
+
+/// The [`Worker::format_census`] slot of the warp's current PTVC format.
+fn census_slot(wc: &WarpClocks) -> usize {
+    match wc.format() {
+        PtvcFormat::Converged => 0,
+        PtvcFormat::Diverged => 1,
+        PtvcFormat::NestedDiverged => 2,
+        PtvcFormat::SparseVc => 3,
     }
-    if let Some((prev_tid, prev_type)) = first_race {
-        let class = classify(scope, dims, wc, tid, u64::from(prev_tid));
-        det.races.report(RaceReport {
+}
+
+/// Applies a sync access (Fig. 3 acquire/release rules) or a control
+/// event (branch, barrier, exit) to the warp's clocks. `diagnose` gates
+/// barrier-divergence reports; see [`try_barrier`].
+fn apply_sync_or_control(
+    det: &Detector,
+    bs: &mut BlockState,
+    wib: usize,
+    ev: &Event,
+    diagnose: bool,
+) {
+    match *ev {
+        Event::Access {
+            kind,
             space,
-            block: (space == MemSpace::Shared).then(|| dims.block_of(tid)),
-            addr,
-            current: (Tid(gt), atype),
-            previous: (Tid(u64::from(prev_tid)), prev_type),
-            class,
-        });
+            mask,
+            ref addrs,
+            ..
+        } => {
+            let (acquire, release) = match kind {
+                AccessKind::Acquire(scope) => (Some(scope), None),
+                AccessKind::Release(scope) => (None, Some(scope)),
+                AccessKind::AcquireRelease(scope) => (Some(scope), Some(scope)),
+                AccessKind::Read | AccessKind::Write | AccessKind::Atomic => {
+                    unreachable!("plain accesses go through check_warp_access")
+                }
+            };
+            process_sync(det, bs, wib, space, mask, addrs, acquire, release);
+        }
+        Event::If {
+            then_mask,
+            else_mask,
+            ..
+        } => bs.warps[wib].branch_if(then_mask, else_mask),
+        Event::Else { .. } => bs.warps[wib].branch_else(),
+        Event::Fi { .. } => bs.warps[wib].branch_fi(),
+        Event::Bar { mask, .. } => {
+            bs.arrived[wib] = Some(mask);
+            try_barrier(det, bs, diagnose);
+        }
+        Event::Exit { .. } => {
+            bs.exited[wib] = true;
+            try_barrier(det, bs, diagnose);
+        }
     }
 }
 
@@ -912,8 +702,8 @@ pub(crate) fn check_cells_run<F: Fn(u32) -> Clock>(
 /// instead of once per byte per lane, and reusing the held guard for
 /// every lane-byte that lands on the page.
 ///
-/// Verdict-equivalent to running [`check_lane_access`] per lane: cells
-/// are visited page-major / lane-minor, which preserves the slow path's
+/// Verdict-equivalent to the paper's per-lane, per-byte sweep: cells
+/// are visited page-major / lane-minor, which preserves that sweep's
 /// per-cell check order (two paths only reorder checks of *disjoint*
 /// cells, and `check_cell` touches nothing outside its own cell), each
 /// lane still meets its own bytes in ascending address order (a
@@ -927,9 +717,10 @@ pub(crate) fn check_cells_run<F: Fn(u32) -> Clock>(
 /// `window = (off, len)` restricts every lane's checked bytes to
 /// `[addr + off, addr + off + len)` (`len == 0` means the whole access);
 /// races still report at the lane base address, so sharded fragments
-/// agree with the unified verdicts. `owned` selects the sharded owner
-/// fast path: pages are touched without locking (the caller guarantees
-/// partition exclusivity, see [`Worker::new_sharded`]).
+/// agree with the unified verdicts. Bytes past `u64::MAX` do not exist
+/// and are never checked. `owned` selects the sharded owner fast path:
+/// pages are touched without locking (the caller guarantees partition
+/// exclusivity, see [`Worker::new_sharded`]).
 #[allow(clippy::too_many_arguments)]
 fn check_warp_access(
     det: &Detector,
@@ -1020,20 +811,19 @@ fn check_warp_access(
             for (li, la) in lanes.iter().enumerate() {
                 #[allow(clippy::cast_possible_truncation)] // li < 32, segment lengths ≤ size
                 let li = li as u8;
-                let start = la.addr + woff;
-                let end = start + u64::from(wlen);
-                let first_page = start / SHADOW_PAGE_SIZE;
-                let last_page = (end - 1) / SHADOW_PAGE_SIZE;
-                if first_page == last_page {
-                    segs[ns] = (first_page, li, start, wlen);
+                let Some(start) = la.addr.checked_add(woff) else {
+                    continue;
+                };
+                let room = SHADOW_PAGE_SIZE - start % SHADOW_PAGE_SIZE;
+                #[allow(clippy::cast_possible_truncation)] // low ≤ wlen
+                let low = u64::from(wlen).min(room) as u8;
+                segs[ns] = (start / SHADOW_PAGE_SIZE, li, start, low);
+                ns += 1;
+                // The rest lies on the next page, unless the first segment
+                // already ends at the top of the address space.
+                if let Some(next) = start.checked_add(u64::from(low)).filter(|_| low < wlen) {
+                    segs[ns] = (next / SHADOW_PAGE_SIZE, li, next, wlen - low);
                     ns += 1;
-                } else {
-                    let split = last_page * SHADOW_PAGE_SIZE;
-                    #[allow(clippy::cast_possible_truncation)]
-                    let low_len = (split - start) as u8;
-                    segs[ns] = (first_page, li, start, low_len);
-                    segs[ns + 1] = (last_page, li, split, wlen - low_len);
-                    ns += 2;
                 }
             }
             let segs = &mut segs[..ns];
@@ -1094,9 +884,8 @@ fn check_warp_access(
 /// WRITEEXCL / WRITESHARED / INITATOM* / ATOM* from Figs. 2–3.
 ///
 /// `e` is the accessing thread's epoch (globally keyed in engine mode)
-/// and `clock_of` its view of any global TID. Shared with the engine's
-/// host-access checks, where the "thread" is the host.
-pub(crate) fn check_cell<F: Fn(u32) -> Clock>(
+/// and `clock_of` its view of any global TID.
+fn check_cell<F: Fn(u32) -> Clock>(
     cell: &mut ShadowCell,
     e: Epoch,
     clock_of: &F,
@@ -1734,6 +1523,43 @@ mod tests {
         assert_eq!(det.sync_location_count(), 2);
     }
 
+    /// An access running past `u64::MAX` checks only the bytes that
+    /// exist: it races at the top of the address space and never touches
+    /// the cells of address 0, unified or as a sharded fragment.
+    #[test]
+    fn accesses_stop_at_the_top_of_the_address_space() {
+        for sharded in [false, true] {
+            let det = Detector::new(dims(), 64);
+            let mut w = if sharded {
+                Worker::new_sharded(&det, 0, 1)
+            } else {
+                Worker::new(&det)
+            };
+            let mut run = |ev: Event| {
+                if sharded {
+                    let rec = Record::encode(&ev);
+                    barracuda_trace::route::split_global_access(&rec, 1, |_, frag| {
+                        assert!(w.process_sharded_record(&frag));
+                    });
+                } else {
+                    w.process_event(&ev);
+                }
+            };
+            let top = |warp| broadcast(warp, AccessKind::Write, 0b1, u64::MAX - 3, 8);
+            run(top(0));
+            run(broadcast(2, AccessKind::Write, 0b1, 0, 4));
+            assert_eq!(
+                det.races().race_count(),
+                0,
+                "sharded={sharded}: wrapped to 0"
+            );
+            run(top(2));
+            let races = det.races().reports();
+            assert_eq!(races.len(), 1, "sharded={sharded}");
+            assert_eq!(races[0].addr, u64::MAX - 3, "sharded={sharded}");
+        }
+    }
+
     /// One access of `size` bytes at `addr` by the lanes of `mask`, all
     /// at the same address.
     fn broadcast(warp: u64, kind: AccessKind, mask: u32, addr: u64, size: u8) -> Event {
@@ -1755,11 +1581,13 @@ mod tests {
         len: usize,
         f: impl FnOnce(&[ShadowCell]) -> R,
     ) -> R {
-        det.global_shadow.with_page(addr, |p| {
-            #[allow(clippy::cast_possible_truncation)] // page offsets < 4096
-            let off = (addr % SHADOW_PAGE_SIZE) as usize;
-            f(&p.cells[off..off + len])
-        })
+        let page = det
+            .global_shadow
+            .page_by_key(addr / SHADOW_PAGE_SIZE)
+            .lock();
+        #[allow(clippy::cast_possible_truncation)] // page offsets < 4096
+        let off = (addr % SHADOW_PAGE_SIZE) as usize;
+        f(&page.cells[off..off + len])
     }
 
     fn reader_set(c: &ShadowCell) -> &Arc<HashMap<u32, Clock>> {

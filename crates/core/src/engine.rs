@@ -27,11 +27,11 @@
 //! are [`RaceClass::HostDevice`].
 
 use crate::clock::{Clock, Epoch};
-use crate::detector::{check_cell, check_cells_run, Detector, LaunchScope, PathStats, SyncMap};
+use crate::detector::{check_cells_run, Detector, LaunchScope, PathStats, SyncMap};
 use crate::hclock::HClock;
 use crate::launch::{LaunchRegistry, HOST_TID, HOST_TID_KEY};
 use crate::report::{AccessType, Diagnostic, RaceClass, RaceReport, RaceSink};
-use crate::shadow::GlobalShadow;
+use crate::shadow::{GlobalShadow, SHADOW_PAGE_SIZE};
 use barracuda_trace::{CancelToken, GridDims, MemSpace, Tid};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -104,12 +104,6 @@ pub struct EngineCore {
     /// Engine-lifetime cancellation token, cloned into every launch's
     /// detector so a deadline watchdog reaches the worker loops.
     cancel: CancelToken,
-    /// Warp-coalesced shadow fast paths, inherited by every launch
-    /// detector and by the host-access sweep.
-    fast_paths: bool,
-    /// Fast-path counters for host memory operations (the launch
-    /// detectors' workers keep their own).
-    host_path_stats: PathStats,
 }
 
 impl Default for EngineCore {
@@ -133,26 +127,7 @@ impl EngineCore {
             host_clock: 1,
             host_view: HClock::new(),
             cancel: CancelToken::new(),
-            fast_paths: true,
-            host_path_stats: PathStats::default(),
         }
-    }
-
-    /// Enables or disables the warp-coalesced shadow fast paths for every
-    /// subsequently minted launch detector and for host accesses (on by
-    /// default; off forces the per-byte differential baseline).
-    pub fn set_fast_paths(&mut self, on: bool) {
-        self.fast_paths = on;
-    }
-
-    /// True when the shadow fast paths are enabled.
-    pub fn fast_paths(&self) -> bool {
-        self.fast_paths
-    }
-
-    /// Fast-path counters accumulated by host memory operations.
-    pub fn host_path_stats(&self) -> PathStats {
-        self.host_path_stats
     }
 
     /// The engine's cancellation token: cancelling it stops the detector
@@ -209,7 +184,6 @@ impl EngineCore {
             scope,
         )
         .with_cancel(self.cancel.clone())
-        .with_fast_paths(self.fast_paths)
     }
 
     /// Re-points a deferred launch detector at the engine's current
@@ -262,39 +236,24 @@ impl EngineCore {
         };
         // Every byte's metadata is updated (later launches must observe
         // the host epochs); at most one race is reported, keyed to the
-        // operation's base address.
+        // operation's base address. One lock per page of the range, with
+        // the word-granularity merge applied to each page-local span (a
+        // host op has a single epoch and clock view, so a span of
+        // identical cells needs only one state-machine run — memcpys
+        // re-covering a region hit this constantly). Host operations keep
+        // no counters.
         let mut first: Option<(u32, AccessType)> = None;
-        if self.fast_paths {
-            // Batched page sweep: one lock per page of the range, with the
-            // word-granularity merge applied to each page-local span (a
-            // host op has a single epoch and clock view, so a span of
-            // identical cells needs only one state-machine run — memcpys
-            // re-covering a region hit this constantly).
-            for (key, page) in self.global_shadow.pages_for_range(addr, len) {
-                let start = addr.max(key * crate::shadow::SHADOW_PAGE_SIZE);
-                let end = (addr + len).min((key + 1) * crate::shadow::SHADOW_PAGE_SIZE);
-                let mut guard = page.lock();
-                self.host_path_stats.page_locks += 1;
-                #[allow(clippy::cast_possible_truncation)] // page offsets < 4096
-                let off = (start % crate::shadow::SHADOW_PAGE_SIZE) as usize;
-                let cells = &mut guard.cells[off..off + (end - start) as usize];
-                let race = check_cells_run(cells, e, &clock_of, atype, &mut self.host_path_stats);
-                if first.is_none() {
-                    first = race;
-                }
-            }
-            self.host_path_stats.batched_records += 1;
-        } else {
-            self.host_path_stats.slow_records += 1;
-            for b in addr..addr + len {
-                self.host_path_stats.page_locks += 1;
-                self.host_path_stats.cell_checks += 1;
-                let race = self
-                    .global_shadow
-                    .with_page(b, |page| check_cell(page.cell_mut(b), e, &clock_of, atype));
-                if first.is_none() {
-                    first = race;
-                }
+        let mut stats = PathStats::default();
+        for (key, page) in self.global_shadow.pages_for_range(addr, len) {
+            let start = addr.max(key * SHADOW_PAGE_SIZE);
+            let end = (addr + len).min((key + 1) * SHADOW_PAGE_SIZE);
+            let mut guard = page.lock();
+            #[allow(clippy::cast_possible_truncation)] // page offsets < 4096
+            let off = (start % SHADOW_PAGE_SIZE) as usize;
+            let cells = &mut guard.cells[off..off + (end - start) as usize];
+            let race = check_cells_run(cells, e, &clock_of, atype, &mut stats);
+            if first.is_none() {
+                first = race;
             }
         }
         if let Some((prev_tid, prev_type)) = first {

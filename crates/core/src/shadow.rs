@@ -116,9 +116,9 @@ impl ShadowPage {
 /// Two access disciplines coexist:
 ///
 /// * [`ShadowPageSlot::lock`] — mutual exclusion via the page lock, used
-///   by the host sweep, the single-threaded sync mode, the per-byte slow
-///   path, and block-affinity threaded workers (any worker may touch any
-///   page there);
+///   by the host sweep, the single-threaded sync mode, and
+///   block-affinity threaded workers (any worker may touch any page
+///   there);
 /// * [`ShadowPageSlot::owned_mut`] — lock-free access for the sharded
 ///   pipeline, where the page-hash router makes one worker the exclusive
 ///   owner of every page in its partition.
@@ -304,11 +304,6 @@ impl GlobalShadow {
         }
     }
 
-    /// The page covering `addr`, allocating it on first touch.
-    pub fn page(&self, addr: u64) -> &ShadowPageSlot {
-        self.page_by_key(addr / SHADOW_PAGE_SIZE)
-    }
-
     /// The page with table key `key` (`addr / SHADOW_PAGE_SIZE`),
     /// allocating it on first touch. The fast path is a lock-free probe
     /// of the stripe's segment chain; only a miss takes the stripe mutex,
@@ -425,12 +420,6 @@ impl GlobalShadow {
     pub fn page_count(&self) -> usize {
         self.count.load(Ordering::Relaxed)
     }
-
-    /// Runs `f` with the locked page for `addr`.
-    pub fn with_page<R>(&self, addr: u64, f: impl FnOnce(&mut ShadowPage) -> R) -> R {
-        let mut guard = self.page(addr).lock();
-        f(&mut guard)
-    }
 }
 
 impl Drop for GlobalShadow {
@@ -507,6 +496,11 @@ impl SharedShadow {
 mod tests {
     use super::*;
 
+    /// The page covering `addr`, allocated on first touch.
+    fn page_of(g: &GlobalShadow, addr: u64) -> &ShadowPageSlot {
+        g.page_by_key(addr / SHADOW_PAGE_SIZE)
+    }
+
     #[test]
     fn default_cell_is_bottom() {
         let c = ShadowCell::default();
@@ -532,17 +526,16 @@ mod tests {
     fn global_shadow_allocates_on_demand() {
         let g = GlobalShadow::new();
         assert_eq!(g.page_count(), 0);
-        g.with_page(0x1000_0000, |p| {
-            p.cell_mut(0x1000_0000).write = Epoch::new(3, 1);
-        });
+        page_of(&g, 0x1000_0000).lock().cell_mut(0x1000_0000).write = Epoch::new(3, 1);
         assert_eq!(g.page_count(), 1);
         // Same page reused.
-        g.with_page(0x1000_0004, |p| {
-            assert_eq!(p.cell_mut(0x1000_0000).write, Epoch::new(3, 1));
-        });
+        assert_eq!(
+            page_of(&g, 0x1000_0004).lock().cell_mut(0x1000_0000).write,
+            Epoch::new(3, 1)
+        );
         assert_eq!(g.page_count(), 1);
         // Different page.
-        g.with_page(0x1000_0000 + SHADOW_PAGE_SIZE, |_| {});
+        page_of(&g, 0x1000_0000 + SHADOW_PAGE_SIZE);
         assert_eq!(g.page_count(), 2);
     }
 
@@ -598,11 +591,16 @@ mod tests {
         let two: Vec<_> = g.pages_for_range(SHADOW_PAGE_SIZE - 4, 8).collect();
         assert_eq!(two.len(), 2);
         assert_eq!((two[0].0, two[1].0), (0, 1));
-        // Keys match what `page` would resolve, and the pages are shared.
+        // Keys match what an address lookup resolves, and the pages are
+        // shared.
         two[0].1.lock().cell_mut(SHADOW_PAGE_SIZE - 1).write = Epoch::new(5, 3);
-        g.with_page(SHADOW_PAGE_SIZE - 1, |p| {
-            assert_eq!(p.cell_mut(SHADOW_PAGE_SIZE - 1).write, Epoch::new(5, 3));
-        });
+        assert_eq!(
+            page_of(&g, SHADOW_PAGE_SIZE - 1)
+                .lock()
+                .cell_mut(SHADOW_PAGE_SIZE - 1)
+                .write,
+            Epoch::new(5, 3)
+        );
         assert_eq!(g.page_count(), 2);
     }
 
@@ -627,7 +625,7 @@ mod tests {
     #[test]
     fn owned_mut_sees_locked_writes() {
         let g = GlobalShadow::new();
-        let slot = g.page(0x5000);
+        let slot = page_of(&g, 0x5000);
         slot.lock().cell_mut(0x5000).write = Epoch::new(9, 2);
         // Exclusive-owner access observes the same cells.
         // SAFETY: single-threaded test — trivially the sole accessor.
@@ -643,10 +641,9 @@ mod tests {
                 let g = &g;
                 s.spawn(move || {
                     for i in 0..100u64 {
-                        g.with_page(0x1000_0000 + i * 64, |p| {
-                            let c = p.cell_mut(0x1000_0000 + i * 64);
-                            c.write = Epoch::new(i as Clock + 1, t);
-                        });
+                        let addr = 0x1000_0000 + i * 64;
+                        page_of(g, addr).lock().cell_mut(addr).write =
+                            Epoch::new(i as Clock + 1, t);
                     }
                 });
             }

@@ -190,9 +190,9 @@ pub fn race_set(reports: &[barracuda_core::RaceReport]) -> BTreeSet<RaceKey> {
         .collect()
 }
 
-/// Unified single-worker run with the fast paths on or off.
-pub fn run_config(dims: GridDims, stream: &[Event], fast: bool) -> BTreeSet<RaceKey> {
-    let det = Detector::new(dims, 64).with_fast_paths(fast);
+/// Unified single-worker run of the production detector.
+pub fn run_config(dims: GridDims, stream: &[Event]) -> BTreeSet<RaceKey> {
+    let det = Detector::new(dims, 64);
     let mut worker = Worker::new(&det);
     for ev in stream {
         worker.process_event(ev);

@@ -1,13 +1,10 @@
-//! Verdict equivalence of the warp-coalesced shadow fast paths.
+//! Verdict equivalence of the warp-coalesced shadow checks.
 //!
-//! The batched detector (`check_warp_access`: one page lock per record,
+//! The detector (`check_warp_access`: one page lock per record,
 //! word-granularity cell merging, converged-warp uniform clock views)
-//! must report exactly the same racing locations as
-//!
-//! * the forced-slow detector (per-lane, per-byte, lock-per-byte sweep —
-//!   the paper-literal §4.3.3 path, `with_fast_paths(false)`), and
-//! * the uncompressed reference detector (dense vector clocks, literal
-//!   Fig. 2–3 semantics).
+//! must report exactly the same racing locations as the uncompressed
+//! reference detector (dense vector clocks, per-byte cells, literal
+//! Fig. 2–3 semantics).
 //!
 //! The generators (see `common`) deliberately stress the cases where
 //! batching could go wrong: unaligned accesses of sizes 1/2/4/8 placed at
@@ -114,10 +111,10 @@ fn gen_broadcast(seed: u64, dims: &GridDims) -> Vec<Event> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(80))]
 
-    /// Three-way verdict equality (fast / forced-slow / reference) on
-    /// streams of unaligned, page-straddling accesses.
+    /// Verdict equality with the reference on streams of unaligned,
+    /// page-straddling accesses.
     #[test]
-    fn fast_slow_and_reference_verdicts_match(
+    fn verdicts_match_reference(
         seed in any::<u64>(),
         blocks in 1u32..3,
         warps_per_block in 1u32..3,
@@ -126,31 +123,22 @@ proptest! {
         let warp_size = 4;
         let dims = GridDims::with_warp_size(blocks, warps_per_block * warp_size, warp_size);
         let stream = gen_stream(seed, &dims, rounds);
-        let fast = run_config(dims, &stream, true);
-        let slow = run_config(dims, &stream, false);
-        let reference = run_reference(dims, &stream);
         prop_assert_eq!(
-            &fast, &slow,
-            "fast/slow divergence on seed {} (stream of {} events)", seed, stream.len()
-        );
-        prop_assert_eq!(
-            &fast, &reference,
-            "fast/reference divergence on seed {} (stream of {} events)", seed, stream.len()
+            run_config(dims, &stream), run_reference(dims, &stream),
+            "divergence from the reference on seed {} (stream of {} events)", seed, stream.len()
         );
     }
 
     /// Partial last warps must not change the equivalence (the uniform
     /// view keys on the dims-provided live mask).
     #[test]
-    fn fast_path_matches_with_partial_warps(
+    fn partial_warps_match_reference(
         seed in any::<u64>(),
         tpb in 1u32..8,
     ) {
         let dims = GridDims::with_warp_size(2u32, tpb, 4);
         let stream = gen_stream(seed, &dims, 2);
-        let fast = run_config(dims, &stream, true);
-        let slow = run_config(dims, &stream, false);
-        prop_assert_eq!(fast, slow);
+        prop_assert_eq!(run_config(dims, &stream), run_reference(dims, &stream));
     }
 }
 
@@ -159,10 +147,10 @@ proptest! {
     // updated in place from a copied one, so this runs more cases.
     #![proptest_config(ProptestConfig::with_cases(400))]
 
-    /// Three-way verdict equality on broadcast reads of one span by many
-    /// warps and blocks, followed by one writer.
+    /// Verdict equality with the reference on broadcast reads of one
+    /// span by many warps and blocks, followed by one writer.
     #[test]
-    fn broadcast_reads_match_slow_and_reference(
+    fn broadcast_reads_match_reference(
         seed in any::<u64>(),
         blocks in 1u32..4,
         warps_per_block in 1u32..4,
@@ -171,18 +159,17 @@ proptest! {
         let warp_size = 1 << warp_log;
         let dims = GridDims::with_warp_size(blocks, warps_per_block * warp_size, warp_size);
         let stream = gen_broadcast(seed, &dims);
-        let fast = run_config(dims, &stream, true);
-        let slow = run_config(dims, &stream, false);
-        let reference = run_reference(dims, &stream);
-        prop_assert_eq!(&fast, &slow, "fast/slow divergence on seed {}", seed);
-        prop_assert_eq!(&fast, &reference, "fast/reference divergence on seed {}", seed);
+        prop_assert_eq!(
+            run_config(dims, &stream), run_reference(dims, &stream),
+            "divergence from the reference on seed {}", seed
+        );
     }
 }
 
 /// Deterministic page-straddle sweep: two conflicting warps write a
 /// window that crosses a page boundary at every possible split point, for
-/// every access size. Each byte of the straddling window must race in
-/// both configurations.
+/// every access size. Each byte of the straddling window must race, as
+/// in the reference.
 #[test]
 fn straddling_writes_race_identically_at_every_split() {
     let dims = GridDims::with_warp_size(2u32, 4u32, 4);
@@ -198,42 +185,33 @@ fn straddling_writes_race_identically_at_every_split() {
                 size,
             };
             let stream = [ev(0), ev(1)];
-            let fast = run_config(dims, &stream, true);
-            let slow = run_config(dims, &stream, false);
-            let reference = run_reference(dims, &stream);
-            assert_eq!(fast, slow, "size {size} offset {off}");
-            assert_eq!(fast, reference, "size {size} offset {off}");
+            let races = run_config(dims, &stream);
+            assert_eq!(
+                races,
+                run_reference(dims, &stream),
+                "size {size} offset {off}"
+            );
             assert!(
-                !fast.is_empty(),
+                !races.is_empty(),
                 "size {size} offset {off}: conflicting writes must race"
             );
         }
     }
 }
 
-/// The fast path actually engages on these streams (the differential is
-/// vacuous if everything falls through to the slow path).
+/// The batched sweep's shortcuts actually engage on these streams (the
+/// differential is vacuous if they never fire).
 #[test]
 fn fast_path_counters_prove_engagement() {
     let dims = GridDims::with_warp_size(2u32, 8u32, 4);
     let stream = gen_stream(7, &dims, 3);
-    let det = Detector::new(dims, 64).with_fast_paths(true);
+    let det = Detector::new(dims, 64);
     let mut worker = Worker::new(&det);
     for ev in &stream {
         worker.process_event(ev);
     }
     let stats = worker.path_stats();
     assert!(stats.batched_records > 0, "no batched records: {stats:?}");
-    assert_eq!(stats.slow_records, 0, "fast detector used slow path");
     assert!(stats.page_locks > 0, "no page locks counted");
     assert!(stats.uniform_records > 0, "uniform view never engaged");
-
-    let det = Detector::new(dims, 64).with_fast_paths(false);
-    let mut worker = Worker::new(&det);
-    for ev in &stream {
-        worker.process_event(ev);
-    }
-    let stats = worker.path_stats();
-    assert_eq!(stats.batched_records, 0, "slow detector batched records");
-    assert!(stats.slow_records > 0, "no slow records counted");
 }

@@ -7,8 +7,7 @@
 //! sync/control records replicate to every worker (sync records applied
 //! in ascending worker order — the broadcast ticket's sub-turn
 //! serialization). The racing locations must equal the unified
-//! single-worker detector's on the same stream, for every worker count
-//! and with the shadow fast paths both on and off.
+//! single-worker detector's on the same stream, for every worker count.
 //!
 //! The proptests run on *aligned* streams (every lane address rounded to
 //! its access size), where lane windows are equal or disjoint and the
@@ -50,13 +49,8 @@ fn align_stream(stream: &mut [Event]) {
 /// routing rules, in the deterministic schedule the sync-order ticketing
 /// enforces (emission order; sync sub-turns ascending by worker index).
 /// Returns `(race keys, barrier-divergence diagnostic count)`.
-fn run_sharded(
-    dims: GridDims,
-    stream: &[Event],
-    workers: usize,
-    fast: bool,
-) -> (BTreeSet<RaceKey>, usize) {
-    let det = Detector::new(dims, 64).with_fast_paths(fast);
+fn run_sharded(dims: GridDims, stream: &[Event], workers: usize) -> (BTreeSet<RaceKey>, usize) {
+    let det = Detector::new(dims, 64);
     let epoch = det.epoch();
     let mut ws: Vec<Worker> = (0..workers)
         .map(|i| Worker::new_sharded(&det, i, workers))
@@ -90,8 +84,7 @@ fn run_sharded(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(60))]
 
-    /// Sharded verdicts equal unified verdicts for 1, 2 and 4 workers,
-    /// fast paths on.
+    /// Sharded verdicts equal unified verdicts for 1, 2 and 4 workers.
     #[test]
     fn sharded_verdicts_match_unified(
         seed in any::<u64>(),
@@ -103,30 +96,15 @@ proptest! {
         let dims = GridDims::with_warp_size(blocks, warps_per_block * warp_size, warp_size);
         let mut stream = gen_stream(seed, &dims, rounds);
         align_stream(&mut stream);
-        let unified = run_config(dims, &stream, true);
+        let unified = run_config(dims, &stream);
         for workers in [1usize, 2, 4] {
-            let (sharded, _) = run_sharded(dims, &stream, workers, true);
+            let (sharded, _) = run_sharded(dims, &stream, workers);
             prop_assert_eq!(
                 &sharded, &unified,
                 "sharded({})/unified divergence on seed {} ({} events)",
                 workers, seed, stream.len()
             );
         }
-    }
-
-    /// The same equivalence with the fast paths off: routing must not
-    /// depend on the batched sweep.
-    #[test]
-    fn sharded_verdicts_match_unified_slow_paths(
-        seed in any::<u64>(),
-        rounds in 1usize..3,
-    ) {
-        let dims = GridDims::with_warp_size(2u32, 8u32, 4);
-        let mut stream = gen_stream(seed, &dims, rounds);
-        align_stream(&mut stream);
-        let unified = run_config(dims, &stream, false);
-        let (sharded, _) = run_sharded(dims, &stream, 3, false);
-        prop_assert_eq!(sharded, unified);
     }
 }
 
@@ -159,8 +137,8 @@ fn straddling_writes_race_identically_when_split_across_workers() {
             if lo != hi {
                 cross_worker_splits += 1;
             }
-            let unified = run_config(dims, &stream, true);
-            let (sharded, _) = run_sharded(dims, &stream, workers, true);
+            let unified = run_config(dims, &stream);
+            let (sharded, _) = run_sharded(dims, &stream, workers);
             assert_eq!(sharded, unified, "size {size} offset {off}");
             assert!(
                 sharded.contains(&(0, 0, base)),
@@ -207,7 +185,7 @@ fn barrier_divergence_is_diagnosed_once_across_shards() {
     let unified_diags = det.races().diagnostics().len();
     assert!(unified_diags > 0, "stream must diverge at the barrier");
     for workers in [1usize, 2, 4] {
-        let (_, diags) = run_sharded(dims, &stream, workers, true);
+        let (_, diags) = run_sharded(dims, &stream, workers);
         assert_eq!(
             diags, unified_diags,
             "{workers} sharded workers must not duplicate barrier diagnostics"

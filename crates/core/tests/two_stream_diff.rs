@@ -7,8 +7,8 @@
 //! launch (kernel B's warps offset into block 1, exactly the demux
 //! remapping the group pipeline uses), replays the pair under a serial
 //! schedule and under many random interleavings, and requires identical
-//! race sets from the production detector (fast paths on and off) and
-//! the dense vector-clock reference.
+//! race sets from the production detector and the dense vector-clock
+//! reference.
 
 //! As in the sharded-routing differential, exact race-key equality only
 //! holds when lane windows are equal or disjoint: with *overlapping*
@@ -53,17 +53,13 @@ proptest! {
         normalize_stream(&mut a);
         normalize_stream(&mut b);
         let serial = interleave_two(0, &a, &b);
-        let want_fast = run_config(dims, &serial, true);
+        let want = run_config(dims, &serial);
         let want_ref = run_reference(dims, &serial);
         for &s in &sched_seeds {
             let stream = interleave_two(s, &a, &b);
             prop_assert_eq!(
-                &run_config(dims, &stream, true), &want_fast,
-                "fast detector diverged under schedule {}", s
-            );
-            prop_assert_eq!(
-                &run_config(dims, &stream, false), &want_fast,
-                "slow detector diverged under schedule {}", s
+                &run_config(dims, &stream), &want,
+                "detector diverged under schedule {}", s
             );
             prop_assert_eq!(
                 &run_reference(dims, &stream), &want_ref,
@@ -72,6 +68,6 @@ proptest! {
         }
         // The production detector and the reference agree with each other
         // on the serial schedule, closing the loop.
-        prop_assert_eq!(&want_fast, &want_ref);
+        prop_assert_eq!(&want, &want_ref);
     }
 }

@@ -95,8 +95,8 @@ pub struct AnalysisStats {
     pub shadow_pages: usize,
     /// Approximate global shadow metadata bytes (~32× tracked bytes, Fig. 8).
     pub shadow_bytes: u64,
-    /// Shadow fast-path vs slow-path hit counters, merged across all
-    /// detector workers of the launch.
+    /// Shadow-check counters, merged across all detector workers of the
+    /// launch.
     pub shadow_paths: PathStats,
     /// Wall-clock time of the instrumented, detected run.
     pub detection_time: Duration,

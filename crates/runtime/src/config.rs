@@ -42,10 +42,6 @@ pub struct BarracudaConfig {
     /// Deterministic fault injection for the threaded pipeline
     /// (chaos testing); `None` injects nothing.
     pub fault_plan: Option<FaultPlan>,
-    /// Warp-coalesced shadow fast paths in the detector (on by default).
-    /// Off forces the paper-literal per-byte, lock-per-byte sweep — the
-    /// differential-testing and benchmarking baseline.
-    pub detector_fast_paths: bool,
     /// Sharded (page-hash) record routing for [`DetectionMode::Threaded`]
     /// (off by default). Plain global accesses route to workers by shadow
     ///-page hash — splitting page-straddling accesses into per-page
@@ -102,7 +98,6 @@ impl Default for BarracudaConfig {
             queues_per_sm: 1.25,
             push_stall_budget: 1 << 18,
             fault_plan: None,
-            detector_fast_paths: true,
             sharded_routing: false,
             interleave_kernels: false,
             scheduler: SchedPolicy::RoundRobin,

@@ -229,6 +229,26 @@ impl Drop for WorkerPool {
     }
 }
 
+/// Ends a group for the pool's workers when dropped: sets `done` and
+/// wakes every queue. Held across the simulation, so a panic on the
+/// simulating thread still releases workers parked on an empty queue;
+/// without it `WorkerPool::drop` would join them forever.
+struct EndOfGroup<'a> {
+    done: &'a AtomicBool,
+    queues: &'a QueueSet,
+}
+
+impl Drop for EndOfGroup<'_> {
+    fn drop(&mut self) {
+        // SeqCst pairs with a parked worker's check of `done` (see
+        // `Queue::wait`), so the wake below cannot be lost.
+        self.done.store(true, Ordering::SeqCst);
+        for q in self.queues.iter() {
+            q.wake();
+        }
+    }
+}
+
 /// A persistent, device-lifetime detection engine (see the module docs).
 #[derive(Debug)]
 pub struct Engine {
@@ -276,8 +296,7 @@ impl Engine {
     /// rebuilt after a quarantine): checks of modules any sharer already
     /// instrumented skip the rewrite.
     pub fn with_shared_cache(config: BarracudaConfig, cache: Arc<ModuleCache>) -> Self {
-        let mut core = EngineCore::new();
-        core.set_fast_paths(config.detector_fast_paths);
+        let core = EngineCore::new();
         let mut gpu = Gpu::new(config.gpu.clone());
         // One token spans the whole pipeline: the simulator polls it at
         // scheduler slice boundaries, detector workers between records.
@@ -888,15 +907,14 @@ impl Engine {
             dets[0].epoch(),
             self.config.sharded_routing,
         );
+        let end_of_group = EndOfGroup {
+            done: &done,
+            queues: &queues,
+        };
         let launch_res = self
             .gpu
             .launch_group(gls, self.config.scheduler, Some(&sink));
-        // SeqCst pairs with a parked worker's check of `done` (see
-        // `Queue::wait`), so the wake below cannot be lost.
-        done.store(true, Ordering::SeqCst);
-        for q in queues.iter() {
-            q.wake();
-        }
+        drop(end_of_group);
         let injected = sink.injected_drops();
         let dropped_per_slot: Vec<u64> = (0..nslots)
             .map(|si| sink.dropped_for_slot(si as u8))
@@ -1001,4 +1019,47 @@ pub(crate) fn hash_key(tag: u8, text: &str) -> u64 {
     tag.hash(&mut h);
     text.hash(&mut h);
     h.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    /// A panic on the simulating thread must still end the group: the
+    /// guard's drop wakes the workers parked on their empty queues, so
+    /// dropping the pool joins them instead of hanging.
+    #[test]
+    fn end_of_group_releases_parked_workers_when_the_simulation_panics() {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let pool = WorkerPool::spawn(2, 64);
+            let det = Arc::new(Detector::new(GridDims::new(1u32, 32u32), 0));
+            let order = Arc::new(SyncOrder::new(2));
+            let done = Arc::new(AtomicBool::new(false));
+            for tx in &pool.txs {
+                tx.send(LaunchCmd {
+                    dets: vec![Arc::clone(&det)],
+                    plan: None,
+                    order: Arc::clone(&order),
+                    done: Arc::clone(&done),
+                    sharded: false,
+                })
+                .expect("pool worker alive");
+            }
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                let _end = EndOfGroup {
+                    done: &done,
+                    queues: &pool.queues,
+                };
+                // resume_unwind skips the panic hook's backtrace.
+                std::panic::resume_unwind(Box::new("simulator panic"));
+            }));
+            assert!(r.is_err());
+            drop(pool);
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("dropping the pool did not join its parked workers");
+    }
 }

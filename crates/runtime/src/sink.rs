@@ -201,7 +201,7 @@ pub(crate) struct WorkerTallies {
     pub(crate) census: [u64; 4],
     /// Corrupt records skipped (undecodable kind or out-of-range slot).
     pub(crate) corrupt: u64,
-    /// Shadow fast-path/slow-path hit counters, merged across slots.
+    /// Shadow-check counters, merged across slots.
     pub(crate) paths: PathStats,
     /// Events applied per group slot — one entry per detector handed to
     /// the worker (a single entry for a group of one). Sums to `events`.

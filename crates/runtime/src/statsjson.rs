@@ -255,11 +255,10 @@ pub fn to_json(a: &Analysis) -> String {
     let sp = &st.shadow_paths;
     let _ = write!(
         s,
-        ",\"shadow_fast_path\":{{\"batched_records\":{},\"slow_records\":{},\
-         \"page_locks\":{},\"word_merges\":{},\"word_fallbacks\":{},\
+        ",\"shadow_fast_path\":{{\"batched_records\":{},\"page_locks\":{},\
+         \"word_merges\":{},\"word_fallbacks\":{},\
          \"uniform_records\":{},\"cell_checks\":{}}}",
         sp.batched_records,
-        sp.slow_records,
         sp.page_locks,
         sp.word_merges,
         sp.word_fallbacks,
@@ -651,12 +650,12 @@ mod tests {
             shadow_bytes: 4096,
             shadow_paths: PathStats {
                 batched_records: 40,
-                slow_records: 1,
                 page_locks: 44,
                 word_merges: 30,
                 word_fallbacks: 3,
                 uniform_records: 38,
                 cell_checks: 55,
+                ..PathStats::default()
             },
             pipeline: PipelineStats {
                 queues: 4,
@@ -733,7 +732,10 @@ mod tests {
             .get("shadow_fast_path")
             .expect("shadow_fast_path object");
         assert_eq!(sp.get("batched_records").and_then(Json::as_u64), Some(40));
-        assert_eq!(sp.get("slow_records").and_then(Json::as_u64), Some(1));
+        assert!(
+            sp.get("slow_records").is_none(),
+            "slow_records is not emitted"
+        );
         assert_eq!(sp.get("page_locks").and_then(Json::as_u64), Some(44));
         assert_eq!(sp.get("word_merges").and_then(Json::as_u64), Some(30));
         assert_eq!(sp.get("word_fallbacks").and_then(Json::as_u64), Some(3));

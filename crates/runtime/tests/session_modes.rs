@@ -5,8 +5,9 @@
 
 use barracuda::{
     Barracuda, BarracudaConfig, DetectionMode, Error, FaultPlan, GridDims, KernelRun, ParamValue,
-    RaceClass,
+    RaceClass, SimError,
 };
+use std::time::{Duration, Instant};
 
 const HEADER: &str = ".version 4.3\n.target sm_35\n.address_size 64\n";
 
@@ -41,6 +42,47 @@ fn racy_counter_detected_in_both_modes() {
             .unwrap();
         assert!(a.race_count() > 0, "{mode:?}");
         assert!(a.count_class(RaceClass::InterBlock) > 0, "{mode:?}");
+    }
+}
+
+/// A store whose 8 bytes would run past `u64::MAX` is logged before it
+/// faults. Every pipeline must return the fault promptly, without
+/// overflowing on the address in the detector or the sharded router.
+#[test]
+fn store_past_the_top_of_the_address_space_faults_in_every_mode() {
+    let source = src(
+        ".reg .b64 %rd<4>;\n\
+         mov.u64 %rd1, 0xFFFFFFFFFFFFFFFC;\n\
+         st.global.u64 [%rd1], %rd1;\n\
+         ret;",
+        "",
+    );
+    for (mode, sharded_routing) in [
+        (DetectionMode::Synchronous, false),
+        (DetectionMode::Threaded, false),
+        (DetectionMode::Threaded, true),
+    ] {
+        let mut bar = Barracuda::with_config(BarracudaConfig {
+            mode,
+            sharded_routing,
+            ..BarracudaConfig::default()
+        });
+        let start = Instant::now();
+        let r = bar.check(&KernelRun {
+            source: &source,
+            kernel: "k",
+            dims: GridDims::new(1u32, 32u32),
+            params: &[],
+        });
+        let what = format!("{mode:?}, sharded_routing={sharded_routing}");
+        assert!(
+            matches!(r, Err(Error::Sim(SimError::InvalidAccess { .. }))),
+            "{what}: {r:?}"
+        );
+        assert!(
+            start.elapsed() < Duration::from_secs(20),
+            "{what}: slow fault"
+        );
     }
 }
 

@@ -85,6 +85,19 @@ pub enum Verdict {
     Error(String),
 }
 
+impl Verdict {
+    /// True when this verdict is the one `e` expects (an `Error` never
+    /// is).
+    pub fn matches(&self, e: Expectation) -> bool {
+        matches!(
+            (self, e),
+            (Verdict::Race, Expectation::Race)
+                | (Verdict::NoRace, Expectation::NoRace)
+                | (Verdict::BarrierDivergence, Expectation::BarrierDivergence)
+        )
+    }
+}
+
 /// The standard module header for suite kernels.
 pub(crate) fn module_src(params: &str, body: &str) -> String {
     let plist = if params.is_empty() {
@@ -182,12 +195,7 @@ pub fn check_program(p: &SuiteProgram, config: BarracudaConfig) -> Result<Analys
 
 /// True when the program's observed verdict matches its expectation.
 pub fn evaluate(p: &SuiteProgram) -> bool {
-    matches!(
-        (run_program(p), p.expected),
-        (Verdict::Race, Expectation::Race)
-            | (Verdict::NoRace, Expectation::NoRace)
-            | (Verdict::BarrierDivergence, Expectation::BarrierDivergence)
-    )
+    run_program(p).matches(p.expected)
 }
 
 #[cfg(test)]

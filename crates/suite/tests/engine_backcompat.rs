@@ -1,34 +1,27 @@
 //! Back-compat pinning: the persistent engine behind `Barracuda::check`
 //! must reproduce the exact verdict of every one of the 66 single-kernel
-//! suite programs, in both detection modes, and sequential independent
-//! launches on one engine must not contaminate each other's reports.
+//! suite programs in each pipeline (synchronous, threaded, and threaded
+//! with sharded page-hash routing), and sequential independent launches
+//! on one engine must not contaminate each other's reports.
 
-use barracuda::{Barracuda, BarracudaConfig, DetectionMode, KernelRun};
+use barracuda::{Barracuda, BarracudaConfig, DetectionMode, GpuConfig, KernelRun};
 use barracuda_simt::ParamValue;
 use barracuda_suite::{
-    all_programs, program, run_program_with, ArgSpec, Expectation, SuiteProgram, Verdict, KERNEL,
+    all_programs, check_program, program, run_program_with, ArgSpec, SuiteProgram, KERNEL,
 };
 
-fn expectation_matches(v: &Verdict, e: Expectation) -> bool {
-    matches!(
-        (v, e),
-        (Verdict::Race, Expectation::Race)
-            | (Verdict::NoRace, Expectation::NoRace)
-            | (Verdict::BarrierDivergence, Expectation::BarrierDivergence)
-    )
-}
-
-fn pin_all(mode: DetectionMode) {
+fn pin_all(mode: DetectionMode, sharded_routing: bool) {
     let ps = all_programs();
     assert_eq!(ps.len(), 66);
     let mut failures = Vec::new();
     for p in &ps {
         let config = BarracudaConfig {
             mode,
+            sharded_routing,
             ..BarracudaConfig::default()
         };
         let got = run_program_with(p, config);
-        if !expectation_matches(&got, p.expected) {
+        if !got.matches(p.expected) {
             failures.push(format!(
                 "{}: expected {:?}, got {:?}",
                 p.name, p.expected, got
@@ -37,7 +30,7 @@ fn pin_all(mode: DetectionMode) {
     }
     assert!(
         failures.is_empty(),
-        "engine changed {} suite verdicts ({mode:?}):\n{}",
+        "engine changed {} suite verdicts ({mode:?}, sharded_routing={sharded_routing}):\n{}",
         failures.len(),
         failures.join("\n")
     );
@@ -45,12 +38,54 @@ fn pin_all(mode: DetectionMode) {
 
 #[test]
 fn all_66_verdicts_unchanged_through_engine_sync() {
-    pin_all(DetectionMode::Synchronous);
+    pin_all(DetectionMode::Synchronous, false);
 }
 
 #[test]
 fn all_66_verdicts_unchanged_through_engine_threaded() {
-    pin_all(DetectionMode::Threaded);
+    pin_all(DetectionMode::Threaded, false);
+}
+
+#[test]
+fn all_66_verdicts_unchanged_through_engine_threaded_sharded() {
+    pin_all(DetectionMode::Threaded, true);
+}
+
+#[test]
+fn records_count_device_emissions_in_every_pipeline() {
+    // `AnalysisStats::records` is what the device logger emitted: the
+    // sharded router's page fragments and sync/control broadcast copies
+    // are queue traffic, not extra records.
+    let records = |p, mode, sharded_routing| {
+        let config = BarracudaConfig {
+            mode,
+            sharded_routing,
+            gpu: GpuConfig {
+                num_sms: 3,
+                ..GpuConfig::default()
+            },
+            queues_per_sm: 1.0,
+            ..BarracudaConfig::default()
+        };
+        check_program(p, config).ok().map(|a| a.stats().records)
+    };
+    let ps = all_programs();
+    assert_eq!(ps.len(), 66);
+    for p in &ps {
+        let sync = records(p, DetectionMode::Synchronous, false);
+        assert_eq!(
+            records(p, DetectionMode::Threaded, false),
+            sync,
+            "{}",
+            p.name
+        );
+        assert_eq!(
+            records(p, DetectionMode::Threaded, true),
+            sync,
+            "{} (sharded)",
+            p.name
+        );
+    }
 }
 
 /// Runs one suite program on an existing session (fresh buffers, same

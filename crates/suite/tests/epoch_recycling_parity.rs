@@ -11,7 +11,7 @@
 
 use barracuda::{BarracudaConfig, DetectionMode};
 use barracuda_suite::{
-    all_programs, multi_programs, run_multi_races_with, run_program_with, Expectation, Verdict,
+    all_programs, multi_programs, run_multi_races_with, run_program_with, Expectation,
 };
 use std::collections::BTreeSet;
 
@@ -24,15 +24,6 @@ fn config(mode: DetectionMode, sharded: bool, recycling: bool) -> BarracudaConfi
         history_cap: 8,
         ..BarracudaConfig::default()
     }
-}
-
-fn expectation_matches(v: &Verdict, e: Expectation) -> bool {
-    matches!(
-        (v, e),
-        (Verdict::Race, Expectation::Race)
-            | (Verdict::NoRace, Expectation::NoRace)
-            | (Verdict::BarrierDivergence, Expectation::BarrierDivergence)
-    )
 }
 
 fn pin_suite(mode: DetectionMode, sharded: bool) {
@@ -48,7 +39,7 @@ fn pin_suite(mode: DetectionMode, sharded: bool) {
                 p.name
             ));
         }
-        if !expectation_matches(&with, p.expected) {
+        if !with.matches(p.expected) {
             failures.push(format!(
                 "{}: expected {:?}, got {with:?}",
                 p.name, p.expected

@@ -15,7 +15,6 @@ use std::collections::BTreeSet;
 use barracuda::{BarracudaConfig, DetectionMode, RaceReport, SchedPolicy};
 use barracuda_suite::{
     all_programs, multi_programs, run_multi_races, run_multi_races_with, run_program_with,
-    Expectation, Verdict,
 };
 use barracuda_trace::ops::MemSpace;
 
@@ -44,15 +43,6 @@ fn interleave_config(policy: SchedPolicy, mode: DetectionMode) -> BarracudaConfi
     config
 }
 
-fn expectation_matches(v: &Verdict, e: Expectation) -> bool {
-    matches!(
-        (v, e),
-        (Verdict::Race, Expectation::Race)
-            | (Verdict::NoRace, Expectation::NoRace)
-            | (Verdict::BarrierDivergence, Expectation::BarrierDivergence)
-    )
-}
-
 fn pin_all_verdicts(mode: DetectionMode) {
     let ps = all_programs();
     assert_eq!(ps.len(), 66);
@@ -60,7 +50,7 @@ fn pin_all_verdicts(mode: DetectionMode) {
     for policy in POLICIES {
         for p in &ps {
             let got = run_program_with(p, interleave_config(policy, mode));
-            if !expectation_matches(&got, p.expected) {
+            if !got.matches(p.expected) {
                 failures.push(format!(
                     "{} under {policy:?}: expected {:?}, got {got:?}",
                     p.name, p.expected

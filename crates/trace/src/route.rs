@@ -149,7 +149,9 @@ struct Group {
 /// their first lane) matches the unsharded page-major sweep.
 ///
 /// Accesses are at most 8 bytes wide, so a lane straddles at most one
-/// page boundary and contributes at most two windows.
+/// page boundary and contributes at most two windows. Bytes past
+/// `u64::MAX` do not exist: a lane whose access would wrap keeps only
+/// the window up to the top of the address space.
 pub fn split_global_access(rec: &Record, shards: usize, mut emit: impl FnMut(usize, Record)) {
     debug_assert!(is_plain_access_kind(rec.kind) && rec.space == 0);
     let size = u64::from(rec.size.max(1));
@@ -169,9 +171,10 @@ pub fn split_global_access(rec: &Record, shards: usize, mut emit: impl FnMut(usi
         let mut off = 0u64;
         while off < size {
             // Window = intersection of [base, base+size) with one page.
-            let addr = base + off;
-            let page_end = (page_key_of(addr) + 1) * SHADOW_PAGE_SIZE;
-            let len = (size - off).min(page_end - addr);
+            let Some(addr) = base.checked_add(off) else {
+                break;
+            };
+            let len = (size - off).min(SHADOW_PAGE_SIZE - addr % SHADOW_PAGE_SIZE);
             let shard = page_partition(page_key_of(addr), shards) as u16;
             let (o8, l8) = (off as u8, len as u8);
             match groups[..ngroups]
@@ -299,6 +302,28 @@ mod tests {
                 sorted.sort_unstable();
                 assert_eq!(firsts, sorted, "lane order per shard");
             }
+        }
+    }
+
+    /// A lane window running past `u64::MAX` stops at the top of the
+    /// address space.
+    #[test]
+    fn windows_stop_at_the_top_of_the_address_space() {
+        let rec = access(0, 0b11, 8, |l| u64::MAX - 3 - 4 * u64::from(l));
+        let last_page = page_key_of(u64::MAX);
+        for shards in [1usize, 4] {
+            let mut frags = Vec::new();
+            split_global_access(&rec, shards, |shard, f| frags.push((shard, f)));
+            let windows: Vec<_> = frags
+                .iter()
+                .map(|(shard, f)| (*shard, f.mask, f.frag_off, f.frag_len))
+                .collect();
+            let owner = page_partition(last_page, shards);
+            assert_eq!(
+                windows,
+                vec![(owner, 0b01, 0, 4), (owner, 0b10, 0, 8)],
+                "lane 0 at MAX-3 keeps 4 bytes, lane 1 at MAX-7 all 8 (shards={shards})"
+            );
         }
     }
 

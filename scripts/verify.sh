@@ -47,16 +47,15 @@ echo "==> bench smoke: bench_detector --quick"
 ./target/release/bench_detector --quick --out /tmp/bench_detector_smoke.json
 rm -f /tmp/bench_detector_smoke.json
 
-echo "==> detector gates: bench_detector --gate (sharded threaded >= sync on coalesced; fast >= slow on broadcast sync)"
+echo "==> detector gates: bench_detector --gate (zero-alloc steady state on coalesced/strided/atomic/broadcast; sharded threaded >= sync on coalesced)"
 ./target/release/bench_detector --gate
 
-echo "==> shadow fast-path differential: core proptests + 66-program parity (both pipeline modes)"
+echo "==> shadow-check differential: core proptests against the dense reference detector"
 cargo test -q -p barracuda-core --test shadow_fastpath
-cargo test -q -p barracuda-suite --test fastpath_parity
 
-echo "==> sharded routing differential: core proptests + 66-program parity (sharded pipeline)"
+echo "==> sharded routing differential: core proptests + 66-program parity (sync, threaded, sharded pipelines)"
 cargo test -q -p barracuda-core --test sharded_routing
-cargo test -q -p barracuda-suite --test sharded_parity
+cargo test -q -p barracuda-suite --test engine_backcompat
 
 echo "==> simulation digest: record streams, launch stats, final memory and Fig. 4 counts vs the checked-in golden"
 cargo test -q -p barracuda-suite --test sim_digest
