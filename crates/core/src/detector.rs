@@ -347,11 +347,6 @@ impl BlockState {
             seen: vec![0; wpb as usize],
         }
     }
-
-    /// The clock state of warp-in-block `i` (for tests/inspection).
-    pub fn warp_clocks(&self, i: usize) -> &WarpClocks {
-        &self.warps[i]
-    }
 }
 
 /// A queue consumer: processes the records of the blocks mapped to one
@@ -413,12 +408,6 @@ impl<'d> Worker<'d> {
     /// Shadow-check counters accumulated by this worker.
     pub fn path_stats(&self) -> PathStats {
         self.path_stats
-    }
-
-    /// Per-block state (for tests/inspection), if this worker has seen the
-    /// block.
-    pub fn block_state(&self, block: u64) -> Option<&BlockState> {
-        self.blocks.get(&block)
     }
 
     /// Decodes and processes one record.

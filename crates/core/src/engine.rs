@@ -392,11 +392,6 @@ impl EngineCore {
         Arc::clone(&self.races)
     }
 
-    /// Number of launches registered so far.
-    pub fn launch_count(&self) -> usize {
-        self.registry.len()
-    }
-
     /// The host thread's current clock.
     pub fn host_clock(&self) -> Clock {
         self.host_clock

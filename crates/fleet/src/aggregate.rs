@@ -135,64 +135,26 @@ impl Report {
     /// facts — byte-identical across interrupted and uninterrupted runs
     /// over the same corpus).
     pub fn to_json(&self) -> String {
-        let mut root = BTreeMap::new();
-        root.insert(
-            "targets_scheduled".to_string(),
-            Json::Num(self.scheduled as f64),
-        );
-        let mut oc = BTreeMap::new();
-        for o in Outcome::ALL {
-            oc.insert(
-                o.as_str().replace('-', "_"),
-                Json::Num(self.count(o) as f64),
-            );
-        }
-        root.insert("outcomes".to_string(), Json::Obj(oc));
-        root.insert("reconciled".to_string(), Json::Bool(self.reconciled));
-        root.insert(
-            "malformed_sites".to_string(),
-            Json::Num(self.malformed_sites as f64),
-        );
-        let clusters = self
-            .clusters
-            .iter()
-            .map(|c| {
-                let mut m = BTreeMap::new();
-                m.insert("space".to_string(), Json::Str(c.key.space.clone()));
-                m.insert("class".to_string(), Json::Str(c.key.class.clone()));
-                m.insert(
-                    "pc_pair".to_string(),
-                    Json::Arr(vec![
-                        Json::Str(c.key.pc_pair.0.clone()),
-                        Json::Str(c.key.pc_pair.1.clone()),
-                    ]),
-                );
-                m.insert("count".to_string(), Json::Num(c.count as f64));
-                m.insert("targets".to_string(), Json::Num(c.targets.len() as f64));
-                m.insert(
-                    "exemplars".to_string(),
-                    Json::Arr(
-                        c.targets
-                            .iter()
-                            .take(5)
-                            .map(|t| Json::Str(t.clone()))
-                            .collect(),
-                    ),
-                );
-                Json::Obj(m)
-            })
-            .collect();
-        root.insert("clusters".to_string(), Json::Arr(clusters));
-        root.insert(
-            "quarantined_targets".to_string(),
-            Json::Arr(
-                self.quarantined
-                    .iter()
-                    .map(|t| Json::Str(t.clone()))
-                    .collect(),
-            ),
-        );
-        Json::Obj(root).dump()
+        let outcomes = Outcome::ALL.map(|o| (o.as_str().replace('-', "_"), self.count(o).into()));
+        let cluster = |c: &Cluster| {
+            Json::obj([
+                ("space", c.key.space.as_str().into()),
+                ("class", c.key.class.as_str().into()),
+                ("pc_pair", strings([&c.key.pc_pair.0, &c.key.pc_pair.1])),
+                ("count", c.count.into()),
+                ("targets", c.targets.len().into()),
+                ("exemplars", strings(c.targets.iter().take(5))),
+            ])
+        };
+        Json::obj([
+            ("targets_scheduled", self.scheduled.into()),
+            ("outcomes", Json::obj(outcomes)),
+            ("reconciled", self.reconciled.into()),
+            ("malformed_sites", self.malformed_sites.into()),
+            ("clusters", self.clusters.iter().map(cluster).collect()),
+            ("quarantined_targets", strings(&self.quarantined)),
+        ])
+        .dump()
     }
 
     /// The human triage table.
@@ -228,6 +190,10 @@ impl Report {
         }
         s
     }
+}
+
+fn strings<'a>(v: impl IntoIterator<Item = &'a String>) -> Json {
+    v.into_iter().map(|s| s.as_str().into()).collect()
 }
 
 #[cfg(test)]

@@ -20,9 +20,10 @@
 //!   from the child's `--stats-json`, so one journal line is enough to
 //!   reproduce the run.
 //!
-//! Serialization is the hand-rolled [`barracuda::statsjson`] JSON (no
-//! external dependencies), whose `BTreeMap`-ordered `dump` gives every
-//! record a canonical byte form.
+//! Records are [`Json`] trees written by [`Json::dump`], whose
+//! `BTreeMap`-ordered keys give every record a canonical byte form.
+//! Numbers keep their literal text, so a repro block's `u64` seeds
+//! survive the journal exactly and the line still replays the run.
 
 use barracuda::statsjson::{parse, Json};
 use std::collections::BTreeMap;
@@ -198,34 +199,31 @@ impl Journal {
         detail: &str,
         duration_ms: u64,
     ) {
-        let mut m = BTreeMap::new();
-        m.insert("v".to_string(), Json::Num(1.0));
-        m.insert("kind".to_string(), Json::Str("attempt".to_string()));
-        m.insert("target".to_string(), Json::Str(target.to_string()));
-        m.insert("strike".to_string(), Json::Str(strike.as_str().to_string()));
-        m.insert("attempt".to_string(), Json::Num(attempt as f64));
-        m.insert("detail".to_string(), Json::Str(detail.to_string()));
-        m.insert("duration_ms".to_string(), Json::Num(duration_ms as f64));
-        self.write_line(&Json::Obj(m));
+        self.write_line(&Json::obj([
+            ("v", 1u8.into()),
+            ("kind", "attempt".into()),
+            ("target", target.into()),
+            ("strike", strike.as_str().into()),
+            ("attempt", attempt.into()),
+            ("detail", detail.into()),
+            ("duration_ms", duration_ms.into()),
+        ]));
     }
 
     /// Appends a target's terminal record.
     pub fn record_final(&self, target: &str, rec: &FinalRecord, duration_ms: u64) {
-        let mut m = BTreeMap::new();
-        m.insert("v".to_string(), Json::Num(1.0));
-        m.insert("kind".to_string(), Json::Str("final".to_string()));
-        m.insert("target".to_string(), Json::Str(target.to_string()));
-        m.insert(
-            "outcome".to_string(),
-            Json::Str(rec.outcome.as_str().to_string()),
-        );
-        m.insert("attempt".to_string(), Json::Num(rec.attempt as f64));
-        m.insert("races".to_string(), Json::Num(rec.races as f64));
-        m.insert("race_sites".to_string(), Json::Arr(rec.race_sites.clone()));
-        m.insert("repro".to_string(), rec.repro.clone().unwrap_or(Json::Null));
-        m.insert("detail".to_string(), Json::Str(rec.detail.clone()));
-        m.insert("duration_ms".to_string(), Json::Num(duration_ms as f64));
-        self.write_line(&Json::Obj(m));
+        self.write_line(&Json::obj([
+            ("v", 1u8.into()),
+            ("kind", "final".into()),
+            ("target", target.into()),
+            ("outcome", rec.outcome.as_str().into()),
+            ("attempt", rec.attempt.into()),
+            ("races", rec.races.into()),
+            ("race_sites", rec.race_sites.clone().into()),
+            ("repro", rec.repro.clone().into()),
+            ("detail", rec.detail.as_str().into()),
+            ("duration_ms", duration_ms.into()),
+        ]));
     }
 }
 
@@ -423,6 +421,43 @@ mod tests {
             state.finals.contains_key("t/torn"),
             "the re-run's final survives next to the sealed fragment"
         );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn repro_seeds_survive_the_journal_exactly() {
+        let path = tmp("seeds");
+        let _ = std::fs::remove_file(&path);
+        // The repro block as a child's `--stats-json` prints it.
+        let stdout = format!(
+            r#"{{"seed":{m},"warp_size":32,"memory_model":"sc","chaos_seed":{m},"sched_policy":"random","sched_seed":{}}}"#,
+            (1u64 << 53) + 1,
+            m = u64::MAX
+        );
+        let repro = parse(&stdout).unwrap();
+        let j = Journal::open_append(&path).unwrap();
+        let rec = FinalRecord {
+            outcome: Outcome::Degraded,
+            attempt: 1,
+            races: 0,
+            race_sites: vec![],
+            repro: Some(repro.clone()),
+            detail: String::new(),
+        };
+        j.record_final("t/seeded", &rec, 1);
+        drop(j);
+        let replayed = load(&path).unwrap().finals["t/seeded"]
+            .repro
+            .clone()
+            .unwrap();
+        assert_eq!(replayed, repro);
+        for (key, n) in [
+            ("seed", u64::MAX),
+            ("chaos_seed", u64::MAX),
+            ("sched_seed", (1 << 53) + 1),
+        ] {
+            assert_eq!(replayed.get(key).and_then(Json::as_u64), Some(n), "{key}");
+        }
         let _ = std::fs::remove_file(&path);
     }
 

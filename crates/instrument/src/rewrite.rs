@@ -6,7 +6,7 @@ use barracuda_ptx::ast::{
     AddrBase, Address, Guard, Instruction, Kernel, Module, Op, Operand, RegClass, Statement,
 };
 use barracuda_ptx::cfg::{Cfg, FlatKernel};
-use barracuda_trace::ops::{AccessKind, MemSpace, Scope};
+use barracuda_trace::ops::{AccessKind, Scope};
 use barracuda_trace::record::RecordKind;
 use std::collections::{HashMap, HashSet};
 
@@ -401,16 +401,6 @@ pub fn instrument_module(module: &Module, opts: &InstrumentOptions) -> (Module, 
         })
         .collect();
     (out, stats)
-}
-
-/// The memory space a logged access resolves to at instrumentation time
-/// (exposed for tests).
-pub fn static_space(space: barracuda_ptx::ast::Space) -> Option<MemSpace> {
-    match space {
-        barracuda_ptx::ast::Space::Global => Some(MemSpace::Global),
-        barracuda_ptx::ast::Space::Shared => Some(MemSpace::Shared),
-        _ => None,
-    }
 }
 
 #[cfg(test)]

@@ -581,22 +581,6 @@ impl Address {
             offset: 0,
         }
     }
-
-    /// Address based at a named symbol plus byte offset.
-    pub fn sym_off(name: impl Into<String>, offset: i64) -> Self {
-        Address {
-            base: AddrBase::Sym(name.into()),
-            offset,
-        }
-    }
-
-    /// The base register, if the base is a register.
-    pub fn base_reg(&self) -> Option<Reg> {
-        match self.base {
-            AddrBase::Reg(r) => Some(r),
-            AddrBase::Sym(_) => None,
-        }
-    }
 }
 
 /// Guard predicate on an instruction (`@%p` / `@!%p`).

@@ -1,27 +1,39 @@
-//! Machine-readable analysis output (`barracuda check --stats-json`).
+//! JSON: the one value type, writer and parser of every document the
+//! repo emits, and the `barracuda check --stats-json` schema.
 //!
-//! Emits one JSON object per analysis with the verdict, race/diagnostic
-//! breakdown and the full [`crate::AnalysisStats`] including the pipeline
-//! telemetry (queue high-water marks, producer stall cycles, per-worker
-//! event counts, drop counts). The build environment has no registry
-//! access, so — in the same spirit as the `vendor/` shims — serialization
-//! is hand-rolled here and paired with [`parse`], a minimal JSON reader
-//! used by the round-trip tests and available to downstream tooling.
+//! [`document`] builds the stats document of one analysis: the verdict,
+//! race/diagnostic breakdown and the full [`crate::AnalysisStats`]
+//! including the pipeline telemetry (queue high-water marks, producer
+//! stall cycles, per-worker event counts, drop counts), plus the engine's
+//! per-launch summaries and the repro block when given. The serve wire
+//! protocol and the fleet journal and report build their documents as
+//! [`Json`] trees too, so [`Json::dump`] is the only JSON writer and
+//! [`parse`] the only reader. Objects dump their keys in `BTreeMap`
+//! order; key order is not part of any schema.
+//!
+//! The build environment has no registry access, so — in the same spirit
+//! as the `vendor/` shims — there is no serde. [`parse`] reads untrusted
+//! input (the serve transports feed it client lines): nesting deeper than
+//! [`MAX_DEPTH`] is an error rather than a stack overflow, and a number
+//! keeps its literal text, so integers of any width round-trip exactly.
 
-use crate::analysis::Analysis;
-use barracuda_core::{Diagnostic, RaceClass};
+use crate::analysis::{Analysis, StreamTelemetry, WorkerTelemetry};
+use crate::engine::LaunchSummary;
+use barracuda_core::{Diagnostic, RaceClass, RaceReport};
+use barracuda_trace::MemSpace;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// A parsed JSON value (the subset the stats schema uses).
-#[derive(Debug, Clone, PartialEq)]
+/// A JSON value.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (parsed as f64; the schema only emits integers).
-    Num(f64),
+    /// A number, as its literal JSON text (`42`, `-3.5`, `1e6`), so
+    /// integers of any width dump and parse back exactly.
+    Num(String),
     /// A string.
     Str(String),
     /// An array.
@@ -31,6 +43,11 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object from `(key, value)` fields.
+    pub fn obj<K: Into<String>>(fields: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
     /// The value at `key` of an object, if present.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -39,10 +56,9 @@ impl Json {
         }
     }
 
-    /// Serializes this value back to JSON text (the inverse of
-    /// [`parse`]; object keys come out in `BTreeMap` order, so
-    /// `parse(x).dump()` is a canonical form). Used by the fleet journal
-    /// to re-emit sub-documents (race sites, repro blocks) verbatim.
+    /// Serializes this value to JSON text (the inverse of [`parse`];
+    /// object keys come out in `BTreeMap` order, so `parse(x).dump()` is
+    /// a canonical form).
     pub fn dump(&self) -> String {
         let mut s = String::new();
         self.dump_into(&mut s);
@@ -53,16 +69,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                // The schema only emits integers; keep whole numbers
-                // integral so round-trips are byte-stable.
-                #[allow(clippy::cast_possible_truncation)]
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    let _ = write!(out, "{}", *n as i64);
-                } else {
-                    let _ = write!(out, "{n}");
-                }
-            }
+            Json::Num(n) => out.push_str(n),
             Json::Str(v) => escape(v, out),
             Json::Arr(v) => {
                 out.push('[');
@@ -89,13 +96,15 @@ impl Json {
         }
     }
 
-    /// This value as an integer, if it is a whole number.
+    /// This value as an integer, if it is a whole number: exactly for an
+    /// integer literal, through `f64` for other spellings (`1e6`).
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
+        let Json::Num(text) = self else { return None };
+        text.parse().ok().or_else(|| {
+            let n: f64 = text.parse().ok()?;
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
+            (n >= 0.0 && n.fract() == 0.0).then_some(n as u64)
+        })
     }
 
     /// This value as a boolean.
@@ -123,6 +132,34 @@ impl Json {
     }
 }
 
+/// `From<$t>` for each listed type, wrapping `v.$conv()` in `Json::$variant`.
+macro_rules! json_from {
+    ($variant:ident, $conv:ident: $($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Json {
+                Json::$variant(v.$conv())
+            }
+        }
+    )*};
+}
+json_from!(Num, to_string: u8, u32, u64, usize, u128);
+json_from!(Str, into: &str, String);
+json_from!(Bool, into: bool);
+json_from!(Arr, into: Vec<Json>);
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+impl FromIterator<Json> for Json {
+    fn from_iter<I: IntoIterator<Item = Json>>(iter: I) -> Json {
+        Json::Arr(iter.into_iter().collect())
+    }
+}
+
 fn escape(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
@@ -141,9 +178,15 @@ fn escape(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Serializes one analysis to the stats-JSON schema.
-pub fn to_json(a: &Analysis) -> String {
-    let mut s = String::with_capacity(1024);
+/// The `--stats-json` document of one analysis. `launches` adds the
+/// engine's per-launch summaries (launch order, stream, kernel and the
+/// races each launch exposed, including inter-kernel and host-device
+/// races only a persistent engine can see); `repro` adds the repro block.
+pub fn document(
+    a: &Analysis,
+    launches: Option<&[LaunchSummary]>,
+    repro: Option<&ReproInfo>,
+) -> Json {
     let verdict = if a.race_count() > 0 {
         "race"
     } else if a.diagnostics().is_empty() {
@@ -153,201 +196,165 @@ pub fn to_json(a: &Analysis) -> String {
     };
     let (shared, global) = a.space_counts();
     let st = a.stats();
-    let p = &st.pipeline;
-    let _ = write!(
-        s,
-        "{{\"verdict\":\"{verdict}\",\"degraded\":{},\"races\":{},\
-         \"race_classes\":{{\"intra_warp\":{},\"divergence\":{},\"intra_block\":{},\
-         \"inter_block\":{},\"inter_kernel\":{},\"host_device\":{}}},\
-         \"spaces\":{{\"shared\":{shared},\"global\":{global}}}",
-        a.is_degraded(),
-        a.race_count(),
-        a.count_class(RaceClass::IntraWarp),
-        a.count_class(RaceClass::Divergence),
-        a.count_class(RaceClass::IntraBlock),
-        a.count_class(RaceClass::InterBlock),
-        a.count_class(RaceClass::InterKernel),
-        a.count_class(RaceClass::HostDevice),
+    let (c, ins, sp, p) = (
+        st.format_census,
+        &st.instrument,
+        &st.shadow_paths,
+        &st.pipeline,
     );
-    // Per-race site records: the static signature of each report, the
-    // fleet aggregator's dedup input. The engine does not (yet) thread
-    // instruction PCs into shadow state, so a site is identified by the
-    // pair of access kinds plus the racy byte address — stable across
-    // seeds and warp sizes for deterministic corpora.
-    s.push_str(",\"race_sites\":[");
-    for (i, r) in a.races().iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let space = match r.space {
-            barracuda_trace::MemSpace::Shared => "shared",
-            barracuda_trace::MemSpace::Global => "global",
-        };
-        let _ = write!(
-            s,
-            "{{\"space\":\"{space}\",\"block\":{},\"addr\":{},\
-             \"current\":\"{}\",\"previous\":\"{}\",\"class\":\"{}\"}}",
-            r.block.map_or("null".to_string(), |b| b.to_string()),
-            r.addr,
-            r.current.1,
-            r.previous.1,
-            r.class,
-        );
-    }
-    s.push(']');
-    s.push_str(",\"diagnostics\":[");
-    for (i, d) in a.diagnostics().iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        match d {
-            Diagnostic::BarrierDivergence { block } => {
-                let _ = write!(s, "{{\"kind\":\"barrier_divergence\",\"block\":{block}}}");
-            }
-            Diagnostic::WorkerPanic { worker, message } => {
-                let _ = write!(
-                    s,
-                    "{{\"kind\":\"worker_panic\",\"worker\":{worker},\"message\":"
-                );
-                escape(message, &mut s);
-                s.push('}');
-            }
-            Diagnostic::LostRecords { dropped, corrupt } => {
-                let _ = write!(
-                    s,
-                    "{{\"kind\":\"lost_records\",\"dropped\":{dropped},\"corrupt\":{corrupt}}}"
-                );
-            }
-        }
-    }
-    let _ = write!(
-        s,
-        "],\"stats\":{{\"records\":{},\"events\":{},\
-         \"format_census\":[{},{},{},{}],\
-         \"ptvc_histogram\":{{\"converged\":{},\"diverged\":{},\
-         \"nested_diverged\":{},\"sparse_vc\":{}}},\
-         \"sync_locations\":{},\"shadow_pages\":{},\
-         \"shadow_bytes\":{},\"detection_time_us\":{},\
-         \"launch\":{{\"instructions\":{},\"barriers\":{}}},\
-         \"instrument\":{{\"static_instructions\":{},\"instrumented_instructions\":{},\
-         \"log_calls\":{},\"pruned\":{}}}",
-        st.records,
-        st.events,
-        st.format_census[0],
-        st.format_census[1],
-        st.format_census[2],
-        st.format_census[3],
-        st.format_census[0],
-        st.format_census[1],
-        st.format_census[2],
-        st.format_census[3],
-        st.sync_locations,
-        st.shadow_pages,
-        st.shadow_bytes,
-        st.detection_time.as_micros(),
-        st.launch.instructions,
-        st.launch.barriers,
-        st.instrument.static_instructions,
-        st.instrument.instrumented_instructions,
-        st.instrument.log_calls,
-        st.instrument.pruned,
-    );
-    let sp = &st.shadow_paths;
-    let _ = write!(
-        s,
-        ",\"shadow_fast_path\":{{\"batched_records\":{},\"page_locks\":{},\
-         \"word_merges\":{},\"word_fallbacks\":{},\
-         \"uniform_records\":{},\"cell_checks\":{}}}",
-        sp.batched_records,
-        sp.page_locks,
-        sp.word_merges,
-        sp.word_fallbacks,
-        sp.uniform_records,
-        sp.cell_checks,
-    );
-    let _ = write!(
-        s,
-        ",\"pipeline\":{{\"queues\":{},\"queue_high_water\":{},\
-         \"producer_stall_cycles\":{},\"records_dropped\":{},\"records_corrupt\":{},\
-         \"worker_panics\":{},\"per_worker\":[",
-        p.queues,
-        p.queue_high_water,
-        p.producer_stall_cycles,
-        p.records_dropped,
-        p.records_corrupt,
-        p.worker_panics,
-    );
-    for (i, w) in p.per_worker.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"worker\":{},\"events\":{},\"format_census\":[{},{},{},{}],\
-             \"corrupt_records\":{},\"panicked\":{}}}",
-            w.worker,
-            w.events,
-            w.format_census[0],
-            w.format_census[1],
-            w.format_census[2],
-            w.format_census[3],
-            w.corrupt_records,
-            w.panicked,
-        );
-    }
-    s.push_str("],\"per_stream\":[");
-    for (i, t) in p.per_stream.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"stream\":{},\"launches\":{},\"records\":{},\"dropped\":{},\
-             \"stall_cycles\":{},\"peak_depth\":{}}}",
-            t.stream, t.launches, t.records, t.dropped, t.stall_cycles, t.peak_depth,
-        );
-    }
-    s.push_str("]}}}");
-    s
+    let census = |c: [u64; 4]| Json::Arr(c.map(Json::from).into());
+    let race_classes = Json::obj([
+        ("intra_warp", a.count_class(RaceClass::IntraWarp).into()),
+        ("divergence", a.count_class(RaceClass::Divergence).into()),
+        ("intra_block", a.count_class(RaceClass::IntraBlock).into()),
+        ("inter_block", a.count_class(RaceClass::InterBlock).into()),
+        ("inter_kernel", a.count_class(RaceClass::InterKernel).into()),
+        ("host_device", a.count_class(RaceClass::HostDevice).into()),
+    ]);
+    let spaces = Json::obj([("shared", shared.into()), ("global", global.into())]);
+    let diagnostics: Json = a.diagnostics().iter().map(diagnostic).collect();
+    let ptvc_histogram = Json::obj([
+        ("converged", c[0].into()),
+        ("diverged", c[1].into()),
+        ("nested_diverged", c[2].into()),
+        ("sparse_vc", c[3].into()),
+    ]);
+    let launch = Json::obj([
+        ("instructions", st.launch.instructions.into()),
+        ("barriers", st.launch.barriers.into()),
+    ]);
+    let instrument = Json::obj([
+        ("static_instructions", ins.static_instructions.into()),
+        (
+            "instrumented_instructions",
+            ins.instrumented_instructions.into(),
+        ),
+        ("log_calls", ins.log_calls.into()),
+        ("pruned", ins.pruned.into()),
+    ]);
+    let shadow_fast_path = Json::obj([
+        ("batched_records", sp.batched_records.into()),
+        ("page_locks", sp.page_locks.into()),
+        ("word_merges", sp.word_merges.into()),
+        ("word_fallbacks", sp.word_fallbacks.into()),
+        ("uniform_records", sp.uniform_records.into()),
+        ("cell_checks", sp.cell_checks.into()),
+    ]);
+    let worker = |w: &WorkerTelemetry| {
+        Json::obj([
+            ("worker", w.worker.into()),
+            ("events", w.events.into()),
+            ("format_census", census(w.format_census)),
+            ("corrupt_records", w.corrupt_records.into()),
+            ("panicked", w.panicked.into()),
+        ])
+    };
+    let stream = |t: &StreamTelemetry| {
+        Json::obj([
+            ("stream", t.stream.into()),
+            ("launches", t.launches.into()),
+            ("records", t.records.into()),
+            ("dropped", t.dropped.into()),
+            ("stall_cycles", t.stall_cycles.into()),
+            ("peak_depth", t.peak_depth.into()),
+        ])
+    };
+    let pipeline = Json::obj([
+        ("queues", p.queues.into()),
+        ("queue_high_water", p.queue_high_water.into()),
+        ("producer_stall_cycles", p.producer_stall_cycles.into()),
+        ("records_dropped", p.records_dropped.into()),
+        ("records_corrupt", p.records_corrupt.into()),
+        ("worker_panics", p.worker_panics.into()),
+        ("per_worker", p.per_worker.iter().map(worker).collect()),
+        ("per_stream", p.per_stream.iter().map(stream).collect()),
+    ]);
+    let stats = Json::obj([
+        ("records", st.records.into()),
+        ("events", st.events.into()),
+        ("format_census", census(c)),
+        ("ptvc_histogram", ptvc_histogram),
+        ("sync_locations", st.sync_locations.into()),
+        ("shadow_pages", st.shadow_pages.into()),
+        ("shadow_bytes", st.shadow_bytes.into()),
+        ("detection_time_us", st.detection_time.as_micros().into()),
+        ("launch", launch),
+        ("instrument", instrument),
+        ("shadow_fast_path", shadow_fast_path),
+        ("pipeline", pipeline),
+    ]);
+    let doc = [
+        ("verdict", verdict.into()),
+        ("degraded", a.is_degraded().into()),
+        ("races", a.race_count().into()),
+        ("race_classes", race_classes),
+        ("spaces", spaces),
+        ("race_sites", a.races().iter().map(race_site).collect()),
+        ("diagnostics", diagnostics),
+        ("stats", stats),
+    ];
+    let launch = |l: &LaunchSummary| {
+        Json::obj([
+            ("epoch", l.epoch.into()),
+            ("stream", l.stream.into()),
+            ("kernel", l.kernel.as_str().into()),
+            ("races", l.races.into()),
+            ("records", l.records.into()),
+            ("events", l.events.into()),
+        ])
+    };
+    let launches = launches.map(|ls| ("launches", ls.iter().map(launch).collect()));
+    let repro = repro.map(|r| {
+        let block = Json::obj([
+            ("seed", r.seed.into()),
+            ("warp_size", r.warp_size.into()),
+            ("memory_model", r.memory_model.as_str().into()),
+            ("chaos_seed", r.chaos_seed.into()),
+            ("sched_policy", r.sched_policy.as_str().into()),
+            ("sched_seed", r.sched_seed.into()),
+        ]);
+        ("repro", block)
+    });
+    Json::obj(doc.into_iter().chain(launches).chain(repro))
 }
 
-/// Serializes an engine's per-launch summaries as a JSON array (the
-/// `launches` field of `--stats-json` output): launch order, stream,
-/// kernel, and the races each launch exposed — including inter-kernel and
-/// host-device races only a persistent engine can see.
-pub fn launches_to_json(launches: &[crate::engine::LaunchSummary]) -> String {
-    let mut s = String::with_capacity(64 * launches.len() + 2);
-    s.push('[');
-    for (i, l) in launches.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"epoch\":{},\"stream\":{},\"kernel\":",
-            l.epoch, l.stream
-        );
-        escape(&l.kernel, &mut s);
-        let _ = write!(
-            s,
-            ",\"races\":{},\"records\":{},\"events\":{}}}",
-            l.races, l.records, l.events
-        );
-    }
-    s.push(']');
-    s
+/// One race's site record: the static signature of its report, the fleet
+/// aggregator's dedup input. The engine does not (yet) thread instruction
+/// PCs into shadow state, so a site is identified by the pair of access
+/// kinds plus the racy byte address — stable across seeds and warp sizes
+/// for deterministic corpora.
+fn race_site(r: &RaceReport) -> Json {
+    let space = match r.space {
+        MemSpace::Shared => "shared",
+        MemSpace::Global => "global",
+    };
+    Json::obj([
+        ("space", space.into()),
+        ("block", r.block.into()),
+        ("addr", r.addr.into()),
+        ("current", r.current.1.to_string().into()),
+        ("previous", r.previous.1.to_string().into()),
+        ("class", r.class.to_string().into()),
+    ])
 }
 
-/// [`to_json`] plus the engine's per-launch `launches` array — the full
-/// `--stats-json` document of a persistent-engine run.
-pub fn to_json_with_launches(a: &Analysis, launches: &[crate::engine::LaunchSummary]) -> String {
-    let mut s = to_json(a);
-    let closing = s.pop();
-    debug_assert_eq!(closing, Some('}'));
-    s.push_str(",\"launches\":");
-    s.push_str(&launches_to_json(launches));
-    s.push('}');
-    s
+fn diagnostic(d: &Diagnostic) -> Json {
+    match d {
+        Diagnostic::BarrierDivergence { block } => Json::obj([
+            ("kind", "barrier_divergence".into()),
+            ("block", (*block).into()),
+        ]),
+        Diagnostic::WorkerPanic { worker, message } => Json::obj([
+            ("kind", "worker_panic".into()),
+            ("worker", (*worker).into()),
+            ("message", message.as_str().into()),
+        ]),
+        Diagnostic::LostRecords { dropped, corrupt } => Json::obj([
+            ("kind", "lost_records".into()),
+            ("dropped", (*dropped).into()),
+            ("corrupt", (*corrupt).into()),
+        ]),
+    }
 }
 
 /// Everything needed to reproduce one run from its telemetry alone: the
@@ -405,28 +412,6 @@ impl ReproInfo {
         }
     }
 
-    /// Serializes the repro block as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(128);
-        let _ = write!(
-            s,
-            "{{\"seed\":{},\"warp_size\":{},\"memory_model\":",
-            self.seed, self.warp_size
-        );
-        escape(&self.memory_model, &mut s);
-        s.push_str(",\"chaos_seed\":");
-        match self.chaos_seed {
-            Some(c) => {
-                let _ = write!(s, "{c}");
-            }
-            None => s.push_str("null"),
-        }
-        s.push_str(",\"sched_policy\":");
-        escape(&self.sched_policy, &mut s);
-        let _ = write!(s, ",\"sched_seed\":{}}}", self.sched_seed);
-        s
-    }
-
     /// One human-readable line (printed with degraded-run diagnostics so
     /// a degraded verdict is reproducible straight from the terminal).
     pub fn human_line(&self) -> String {
@@ -443,32 +428,22 @@ impl ReproInfo {
     }
 }
 
-/// The full `--stats-json` document: [`to_json`] plus the per-launch
-/// `launches` array plus the `repro` block.
-pub fn to_json_full(
-    a: &Analysis,
-    launches: &[crate::engine::LaunchSummary],
-    repro: &ReproInfo,
-) -> String {
-    let mut s = to_json_with_launches(a, launches);
-    let closing = s.pop();
-    debug_assert_eq!(closing, Some('}'));
-    s.push_str(",\"repro\":");
-    s.push_str(&repro.to_json());
-    s.push('}');
-    s
-}
+/// Deepest array/object nesting [`parse`] accepts. The deepest document
+/// the repo emits has five levels; the cap keeps a hostile line from
+/// overflowing the stack of the thread that parses it.
+pub const MAX_DEPTH: usize = 64;
 
-/// Parses a JSON document (the subset [`to_json`] emits: objects, arrays,
-/// strings with basic escapes, numbers, booleans, null).
+/// Parses a JSON document: objects, arrays, strings, numbers, booleans
+/// and null, nested at most [`MAX_DEPTH`] deep.
 ///
 /// # Errors
 ///
-/// Returns a message describing the first syntax error.
+/// Returns a message describing the first syntax error, or the nesting
+/// that went past [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -491,11 +466,14 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+        }
+        Some(b'{') => parse_obj(b, pos, depth + 1),
+        Some(b'[') => parse_arr(b, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_str(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -524,10 +502,11 @@ fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     {
         *pos += 1;
     }
+    // The scanned bytes are ASCII; `f64` parsing only validates them.
     std::str::from_utf8(&b[start..*pos])
         .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Num)
+        .filter(|s| s.parse::<f64>().is_ok())
+        .map(|s| Json::Num(s.to_string()))
         .ok_or_else(|| format!("bad number at byte {start}"))
 }
 
@@ -535,47 +514,40 @@ fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
     expect(b, pos, b'"')?;
     let mut out = String::new();
     loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
-                        out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is
-                // always on a char boundary).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("empty char")?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+        // Copy the run up to the next quote or backslash at once; both
+        // are ASCII, so the run is whole UTF-8 of the input `&str`.
+        let run = b[*pos..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\')
+            .ok_or("unterminated string")?;
+        out.push_str(std::str::from_utf8(&b[*pos..*pos + run]).map_err(|e| e.to_string())?);
+        *pos += run + 1;
+        if b[*pos - 1] == b'"' {
+            return Ok(out);
         }
+        match b.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b't') => out.push('\t'),
+            Some(b'r') => out.push('\r'),
+            Some(b'u') => {
+                let hex = b
+                    .get(*pos + 1..*pos + 5)
+                    .and_then(|h| std::str::from_utf8(h).ok())
+                    .and_then(|h| u32::from_str_radix(h, 16).ok())
+                    .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
+                out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
+                *pos += 4;
+            }
+            _ => return Err(format!("bad escape at byte {}", *pos)),
+        }
+        *pos += 1;
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'{')?;
     let mut m = BTreeMap::new();
     skip_ws(b, pos);
@@ -588,7 +560,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_str(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let val = parse_value(b, pos)?;
+        let val = parse_value(b, pos, depth)?;
         m.insert(key, val);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -602,7 +574,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'[')?;
     let mut v = Vec::new();
     skip_ws(b, pos);
@@ -611,7 +583,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(v));
     }
     loop {
-        v.push(parse_value(b, pos)?);
+        v.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -627,10 +599,53 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{AnalysisStats, PipelineStats, StreamTelemetry, WorkerTelemetry};
-    use crate::Analysis;
-    use barracuda_core::{AccessType, PathStats, RaceReport};
-    use barracuda_trace::{MemSpace, Tid};
+    use crate::analysis::{AnalysisStats, PipelineStats};
+    use barracuda_core::{AccessType, PathStats};
+    use barracuda_trace::Tid;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+
+    /// `to_json_full(&sample_analysis(), &launches(), &repro())` as the
+    /// format-string serializer wrote it, before `document` replaced it.
+    /// Key order differs now; the tree must not.
+    const PARENT_FULL_DOCUMENT: &str = r#"{"verdict":"race","degraded":true,"races":1,"race_classes":{"intra_warp":0,"divergence":0,"intra_block":0,"inter_block":1,"inter_kernel":0,"host_device":0},"spaces":{"shared":0,"global":1},"race_sites":[{"space":"global","block":null,"addr":64,"current":"write","previous":"read","class":"inter-block"}],"diagnostics":[{"kind":"worker_panic","worker":1,"message":"chaos \"quoted\""},{"kind":"lost_records","dropped":6,"corrupt":2}],"stats":{"records":128,"events":120,"format_census":[100,12,5,3],"ptvc_histogram":{"converged":100,"diverged":12,"nested_diverged":5,"sparse_vc":3},"sync_locations":2,"shadow_pages":1,"shadow_bytes":4096,"detection_time_us":0,"launch":{"instructions":0,"barriers":0},"instrument":{"static_instructions":0,"instrumented_instructions":0,"log_calls":0,"pruned":0},"shadow_fast_path":{"batched_records":40,"page_locks":44,"word_merges":30,"word_fallbacks":3,"uniform_records":38,"cell_checks":55},"pipeline":{"queues":4,"queue_high_water":37,"producer_stall_cycles":991,"records_dropped":6,"records_corrupt":2,"worker_panics":1,"per_worker":[{"worker":0,"events":120,"format_census":[100,12,5,3],"corrupt_records":2,"panicked":false},{"worker":1,"events":0,"format_census":[0,0,0,0],"corrupt_records":0,"panicked":true}],"per_stream":[{"stream":0,"launches":2,"records":128,"dropped":6,"stall_cycles":991,"peak_depth":37}]}},"launches":[{"epoch":0,"stream":0,"kernel":"k\"q\"","races":2,"records":100,"events":99},{"epoch":1,"stream":3,"kernel":"other","races":0,"records":5,"events":5}],"repro":{"seed":7,"warp_size":16,"memory_model":"kepler","chaos_seed":99,"sched_policy":"random","sched_seed":3}}"#;
+
+    fn launches() -> Vec<LaunchSummary> {
+        vec![
+            LaunchSummary {
+                epoch: 0,
+                stream: 0,
+                kernel: "k\"q\"".to_string(),
+                races: 2,
+                records: 100,
+                events: 99,
+            },
+            LaunchSummary {
+                epoch: 1,
+                stream: 3,
+                kernel: "other".to_string(),
+                races: 0,
+                records: 5,
+                events: 5,
+            },
+        ]
+    }
+
+    fn repro() -> ReproInfo {
+        ReproInfo {
+            seed: 7,
+            warp_size: 16,
+            memory_model: "kepler".to_string(),
+            chaos_seed: Some(99),
+            sched_policy: "random".to_string(),
+            sched_seed: 3,
+        }
+    }
+
+    /// The analysis-only document, through its text.
+    fn emitted(a: &Analysis) -> Json {
+        parse(&document(a, None, None).dump()).expect("valid json")
+    }
 
     fn sample_analysis() -> Analysis {
         let race = RaceReport {
@@ -707,7 +722,7 @@ mod tests {
 
     #[test]
     fn emitted_json_parses() {
-        let j = parse(&to_json(&sample_analysis())).expect("valid json");
+        let j = emitted(&sample_analysis());
         assert_eq!(j.get("verdict").and_then(Json::as_str), Some("race"));
         assert_eq!(j.get("degraded"), Some(&Json::Bool(true)));
         assert_eq!(j.get("races").and_then(Json::as_u64), Some(1));
@@ -715,8 +730,7 @@ mod tests {
 
     #[test]
     fn schema_round_trips_every_field() {
-        let a = sample_analysis();
-        let j = parse(&to_json(&a)).unwrap();
+        let j = emitted(&sample_analysis());
         let stats = j.get("stats").expect("stats object");
         assert_eq!(stats.get("records").and_then(Json::as_u64), Some(128));
         assert_eq!(stats.get("events").and_then(Json::as_u64), Some(120));
@@ -784,7 +798,7 @@ mod tests {
 
     #[test]
     fn race_classes_include_engine_classes() {
-        let j = parse(&to_json(&sample_analysis())).unwrap();
+        let j = emitted(&sample_analysis());
         let classes = j.get("race_classes").expect("race_classes object");
         assert_eq!(classes.get("inter_kernel").and_then(Json::as_u64), Some(0));
         assert_eq!(classes.get("host_device").and_then(Json::as_u64), Some(0));
@@ -793,47 +807,23 @@ mod tests {
 
     #[test]
     fn launches_array_round_trips() {
-        use crate::engine::LaunchSummary;
-        let launches = vec![
-            LaunchSummary {
-                epoch: 0,
-                stream: 0,
-                kernel: "k\"q\"".to_string(),
-                races: 2,
-                records: 100,
-                events: 99,
-            },
-            LaunchSummary {
-                epoch: 1,
-                stream: 3,
-                kernel: "other".to_string(),
-                races: 0,
-                records: 5,
-                events: 5,
-            },
-        ];
-        let j = parse(&launches_to_json(&launches)).expect("valid json");
-        let arr = j.as_arr().unwrap();
+        let doc = parse(&document(&sample_analysis(), Some(&launches()), None).dump()).unwrap();
+        assert_eq!(doc.get("verdict").and_then(Json::as_str), Some("race"));
+        assert!(doc.get("repro").is_none(), "no repro block unless given");
+        let arr = doc.get("launches").and_then(Json::as_arr).unwrap();
         assert_eq!(arr.len(), 2);
         assert_eq!(arr[0].get("kernel").and_then(Json::as_str), Some("k\"q\""));
         assert_eq!(arr[0].get("races").and_then(Json::as_u64), Some(2));
         assert_eq!(arr[1].get("stream").and_then(Json::as_u64), Some(3));
         assert_eq!(arr[1].get("epoch").and_then(Json::as_u64), Some(1));
-        assert_eq!(parse(&launches_to_json(&[])).unwrap(), Json::Arr(vec![]));
-
-        let doc = parse(&to_json_with_launches(&sample_analysis(), &launches)).unwrap();
-        assert_eq!(doc.get("verdict").and_then(Json::as_str), Some("race"));
-        assert_eq!(
-            doc.get("launches")
-                .and_then(Json::as_arr)
-                .map(<[Json]>::len),
-            Some(2)
-        );
+        let empty = document(&sample_analysis(), Some(&[]), None);
+        assert_eq!(empty.get("launches"), Some(&Json::Arr(vec![])));
+        assert!(emitted(&sample_analysis()).get("launches").is_none());
     }
 
     #[test]
     fn race_sites_round_trip() {
-        let j = parse(&to_json(&sample_analysis())).unwrap();
+        let j = emitted(&sample_analysis());
         let sites = j.get("race_sites").and_then(Json::as_arr).unwrap();
         assert_eq!(sites.len(), 1);
         assert_eq!(sites[0].get("space").and_then(Json::as_str), Some("global"));
@@ -855,15 +845,9 @@ mod tests {
 
     #[test]
     fn repro_block_round_trips_and_attaches() {
-        let repro = ReproInfo {
-            seed: 7,
-            warp_size: 16,
-            memory_model: "kepler".to_string(),
-            chaos_seed: Some(99),
-            sched_policy: "random".to_string(),
-            sched_seed: 3,
-        };
-        let j = parse(&repro.to_json()).unwrap();
+        let repro = repro();
+        let doc = parse(&document(&sample_analysis(), None, Some(&repro)).dump()).unwrap();
+        let j = doc.get("repro").expect("repro object");
         assert_eq!(j.get("seed").and_then(Json::as_u64), Some(7));
         assert_eq!(j.get("warp_size").and_then(Json::as_u64), Some(16));
         assert_eq!(j.get("memory_model").and_then(Json::as_str), Some("kepler"));
@@ -871,9 +855,6 @@ mod tests {
         assert_eq!(j.get("sched_policy").and_then(Json::as_str), Some("random"));
         assert_eq!(j.get("sched_seed").and_then(Json::as_u64), Some(3));
 
-        let doc = parse(&to_json_full(&sample_analysis(), &[], &repro)).unwrap();
-        let r = doc.get("repro").expect("repro object");
-        assert_eq!(r.get("chaos_seed").and_then(Json::as_u64), Some(99));
         assert!(repro.human_line().contains("chaos-seed=99"));
         assert!(repro.human_line().contains("sched=random/3"));
 
@@ -881,8 +862,11 @@ mod tests {
             chaos_seed: None,
             ..repro
         };
-        let j = parse(&none.to_json()).unwrap();
-        assert_eq!(j.get("chaos_seed"), Some(&Json::Null));
+        let doc = document(&sample_analysis(), None, Some(&none));
+        assert_eq!(
+            doc.get("repro").unwrap().get("chaos_seed"),
+            Some(&Json::Null)
+        );
     }
 
     #[test]
@@ -908,26 +892,34 @@ mod tests {
 
     #[test]
     fn dump_round_trips_documents() {
-        let doc = to_json_with_launches(&sample_analysis(), &[]);
-        let parsed = parse(&doc).unwrap();
+        let doc = document(&sample_analysis(), Some(&[]), None);
         // dump() is canonical (sorted keys), so parse∘dump is a fixpoint.
-        assert_eq!(parse(&parsed.dump()).unwrap(), parsed);
-        let tricky = Json::Obj(BTreeMap::from([
-            ("s".to_string(), Json::Str("a\"b\\c\nd".to_string())),
-            ("n".to_string(), Json::Num(-3.5)),
-            ("i".to_string(), Json::Num(42.0)),
-            (
-                "z".to_string(),
-                Json::Arr(vec![Json::Null, Json::Bool(true)]),
-            ),
-        ]));
+        assert_eq!(parse(&doc.dump()).unwrap(), doc);
+        let tricky = Json::obj([
+            ("s", "a\"b\\c\nd".into()),
+            ("n", Json::Num("-3.5".to_string())),
+            ("i", 42u64.into()),
+            ("z", vec![Json::Null, true.into()].into()),
+        ]);
         assert_eq!(parse(&tricky.dump()).unwrap(), tricky);
         assert!(tricky.dump().contains("\"i\":42,"), "{}", tricky.dump());
     }
 
     #[test]
     fn parser_rejects_malformed_documents() {
-        for bad in ["", "{", "{\"a\":}", "[1,]", "{\"a\":1} x", "\"unterminated"] {
+        for bad in [
+            "",
+            "{",
+            "{\"a\":}",
+            "[1,]",
+            "{\"a\":1} x",
+            "\"unterminated",
+            "-",
+            "1.2.3",
+            "1e",
+            "--1",
+            "1-",
+        ] {
             assert!(parse(bad).is_err(), "{bad:?} must fail");
         }
     }
@@ -942,7 +934,146 @@ mod tests {
             Some("x\ny")
         );
         assert_eq!(j.get("c"), Some(&Json::Null));
-        assert_eq!(j.get("d"), Some(&Json::Num(-3.5)));
+        assert_eq!(j.get("d"), Some(&Json::Num("-3.5".to_string())));
         assert_eq!(j.get("e"), Some(&Json::Bool(true)));
+    }
+
+    #[test]
+    fn parent_text_parses_to_the_same_tree() {
+        let doc = document(&sample_analysis(), Some(&launches()), Some(&repro()));
+        assert_eq!(parse(PARENT_FULL_DOCUMENT).unwrap(), doc);
+        assert_eq!(parse(&doc.dump()).unwrap(), doc);
+    }
+
+    #[test]
+    fn integers_parse_and_dump_exactly() {
+        for n in [0, 1 << 53, (1 << 53) + 1, u64::MAX - 1, u64::MAX] {
+            let text = format!("{{\"seed\":{n}}}");
+            let j = parse(&text).unwrap();
+            assert_eq!(j.get("seed").and_then(Json::as_u64), Some(n));
+            assert_eq!(j.dump(), text);
+            assert_eq!(Json::from(n), j.get("seed").unwrap().clone());
+        }
+        // Other spellings of a whole number keep their meaning.
+        for (text, n) in [
+            ("1e6", Some(1_000_000)),
+            ("2.0", Some(2)),
+            ("2.5", None),
+            ("-1", None),
+        ] {
+            assert_eq!(parse(text).unwrap().as_u64(), n, "{text}");
+        }
+        assert_eq!(
+            parse("18446744073709551616").unwrap().dump(),
+            "18446744073709551616"
+        );
+    }
+
+    #[test]
+    fn nesting_past_the_depth_cap_is_an_error_not_a_stack_overflow() {
+        // The default 2 MiB stack, as on the serve transports' connection
+        // handler threads.
+        let errors = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let deep_arr = "[".repeat(1 << 20);
+                let deep_obj = "{\"a\":".repeat(1 << 20);
+                [parse(&deep_arr), parse(&deep_obj)].map(|r| r.unwrap_err())
+            })
+            .expect("spawn")
+            .join()
+            .expect("no panic");
+        for e in errors {
+            assert!(e.contains("nesting deeper than 64"), "{e}");
+        }
+        let nested = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+    }
+
+    #[test]
+    fn a_long_string_parses_in_linear_time() {
+        // A wire line carries a whole PTX module as one string. Re-checking
+        // the rest of the input per character took ~0.7 s for 256 KiB and
+        // grew with the square of the length.
+        let ptx = "ptx é\n".repeat(1 << 19);
+        let text = Json::from(ptx.as_str()).dump();
+        let started = std::time::Instant::now();
+        assert_eq!(parse(&text).unwrap().as_str(), Some(ptx.as_str()));
+        let took = started.elapsed();
+        assert!(took < std::time::Duration::from_secs(2), "{took:?}");
+    }
+
+    /// Trees of depth ≤ `depth` over strings with quotes, backslashes,
+    /// control characters and non-ASCII text, and integers over all of
+    /// `u64`.
+    struct Trees {
+        depth: u32,
+    }
+
+    fn string(rng: &mut TestRng) -> String {
+        const ALPHABET: [char; 12] = [
+            'a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\u{1}', '\u{1f}', 'é', '😀',
+        ];
+        (0..rng.range(0..8usize))
+            .map(|_| ALPHABET[rng.range(0..ALPHABET.len())])
+            .collect()
+    }
+
+    fn tree(rng: &mut TestRng, depth: u32) -> Json {
+        let leaf = depth == 0 || rng.range(0..3u32) == 0;
+        match rng.range(0..if leaf { 5u32 } else { 7 }) {
+            0 => Json::Null,
+            1 => rng.any::<bool>().into(),
+            2 => rng.any::<u64>().into(),
+            3 => Json::Num(["-7", "-3.5", "0.25", "1e6"][rng.range(0..4usize)].to_string()),
+            4 => string(rng).into(),
+            5 => (0..rng.range(0..4usize))
+                .map(|_| tree(rng, depth - 1))
+                .collect(),
+            _ => Json::obj((0..rng.range(0..4usize)).map(|_| (string(rng), tree(rng, depth - 1)))),
+        }
+    }
+
+    impl Strategy for Trees {
+        type Value = Json;
+        fn sample(&self, rng: &mut TestRng) -> Json {
+            tree(rng, self.depth)
+        }
+    }
+
+    /// Arbitrary bytes, biased towards JSON punctuation so the parser
+    /// gets past its first byte, read as lossy UTF-8.
+    fn hostile_text() -> impl Strategy<Value = String> {
+        const BYTES: &[u8] = b"{}[]\":,\\-+.eE0123456789 truefalsn\xc3\xa9\xff";
+        prop::collection::vec((any::<bool>(), any::<u8>()), 0..64).prop_map(|v| {
+            let bytes: Vec<u8> = v
+                .into_iter()
+                .map(|(raw, b)| {
+                    if raw {
+                        b
+                    } else {
+                        BYTES[usize::from(b) % BYTES.len()]
+                    }
+                })
+                .collect();
+            String::from_utf8_lossy(&bytes).into_owned()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn parse_inverts_dump(j in Trees { depth: 6 }) {
+            prop_assert_eq!(parse(&j.dump()), Ok(j));
+        }
+
+        #[test]
+        fn parse_never_panics_on_hostile_text(text in hostile_text()) {
+            if let Ok(j) = parse(&text) {
+                prop_assert_eq!(parse(&j.dump()), Ok(j));
+            }
+        }
     }
 }

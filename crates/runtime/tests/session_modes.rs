@@ -510,7 +510,8 @@ fn per_stream_telemetry_tracks_each_streams_launches() {
     assert!(streams[1].peak_depth >= 1);
 
     // The JSON schema carries the same counters.
-    let doc = barracuda::statsjson::parse(&barracuda::statsjson::to_json(&last)).unwrap();
+    let text = barracuda::statsjson::document(&last, None, None).dump();
+    let doc = barracuda::statsjson::parse(&text).unwrap();
     let js = doc
         .get("stats")
         .and_then(|s| s.get("pipeline"))

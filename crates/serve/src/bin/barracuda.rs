@@ -475,10 +475,9 @@ fn cmd_check(args: &[String], trace: bool) -> ExitCode {
                 // Machine-readable mode: exactly one JSON object on stdout,
                 // including the engine's per-launch race counts and the
                 // repro block (seeds, scheduler, chaos plan).
-                println!(
-                    "{}",
-                    barracuda::statsjson::to_json_full(&analysis, bar.engine().launches(), &repro)
-                );
+                let launches = Some(bar.engine().launches());
+                let doc = barracuda::statsjson::document(&analysis, launches, Some(&repro));
+                println!("{}", doc.dump());
                 return ExitCode::from(exitcode::for_analysis(&analysis));
             }
             for d in analysis.diagnostics() {

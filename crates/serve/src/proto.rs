@@ -7,14 +7,15 @@
 //! the server never answers with a bare error string for conditions a
 //! client is expected to handle programmatically.
 //!
-//! The wire encoding (used by the Unix-socket transport and the CLI
-//! client) is newline-delimited JSON, hand-rolled over
-//! [`barracuda::statsjson`]'s emitter/parser in the same no-external-deps
-//! spirit as the rest of the repo. In-process clients skip the encoding
-//! entirely and exchange these types over channels.
+//! The wire encoding (used by the Unix-socket and TCP transports and the
+//! CLI client) is newline-delimited JSON. Each message is built as a
+//! [`Json`] tree and written by [`Json::dump`]; lines are read back with
+//! [`barracuda::statsjson::parse`], which bounds nesting depth and keeps
+//! `u64` fields such as launch ids exact. Options that are unset stay off
+//! the wire. In-process clients skip the encoding entirely and exchange
+//! these types over channels.
 
 use barracuda::statsjson::{parse, Json};
-use std::fmt::Write as _;
 
 /// A kernel parameter, by value or as a server-allocated device buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -209,144 +210,100 @@ impl Response {
     }
 }
 
-fn escape(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Encodes a request as one line of JSON (no trailing newline).
 pub fn encode_request(req: &Request) -> String {
-    let mut s = String::with_capacity(256);
-    match req {
-        Request::Shutdown => s.push_str("{\"op\":\"shutdown\"}"),
-        Request::Check(c) => {
-            s.push_str("{\"op\":\"check\",\"source\":");
-            escape(&c.source, &mut s);
-            s.push_str(",\"kernel\":");
-            escape(&c.kernel, &mut s);
-            let _ = write!(
-                s,
-                ",\"grid\":[{},{},{}],\"block\":[{},{},{}],\"params\":[",
-                c.grid.0, c.grid.1, c.grid.2, c.block.0, c.block.1, c.block.2
-            );
-            for (i, p) in c.params.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                match p {
-                    ParamSpec::Buf(bytes) => {
-                        let _ = write!(s, "{{\"buf\":{bytes}}}");
-                    }
-                    ParamSpec::U32(v) => {
-                        let _ = write!(s, "{{\"u32\":{v}}}");
-                    }
-                }
-            }
-            s.push(']');
-            if let Some(ms) = c.max_steps {
-                let _ = write!(s, ",\"max_steps\":{ms}");
-            }
-            if let Some(ms) = c.deadline_ms {
-                let _ = write!(s, ",\"deadline_ms\":{ms}");
-            }
-            if let Some(seed) = c.chaos_stalls {
-                let _ = write!(s, ",\"chaos_stalls\":{seed}");
-            }
-            if c.stream {
-                s.push_str(",\"stream\":true");
-            }
-            if let Some(id) = c.launch_id {
-                let _ = write!(s, ",\"launch_id\":{id}");
-            }
-            s.push('}');
-        }
-    }
-    s
+    let c = match req {
+        Request::Shutdown => return Json::obj([("op", "shutdown".into())]).dump(),
+        Request::Check(c) => c,
+    };
+    let dim3 = |(x, y, z): (u32, u32, u32)| Json::from(vec![x.into(), y.into(), z.into()]);
+    let param = |p: &ParamSpec| match *p {
+        ParamSpec::Buf(bytes) => Json::obj([("buf", bytes.into())]),
+        ParamSpec::U32(v) => Json::obj([("u32", v.into())]),
+    };
+    // Unset options stay off the wire, so the line decodes on v1 peers.
+    let options = [
+        ("max_steps", c.max_steps),
+        ("deadline_ms", c.deadline_ms),
+        ("chaos_stalls", c.chaos_stalls),
+        ("launch_id", c.launch_id),
+    ];
+    let options = options
+        .into_iter()
+        .filter_map(|(k, v)| Some((k, v?.into())));
+    let fields = [
+        ("op", "check".into()),
+        ("source", c.source.as_str().into()),
+        ("kernel", c.kernel.as_str().into()),
+        ("grid", dim3(c.grid)),
+        ("block", dim3(c.block)),
+        ("params", c.params.iter().map(param).collect()),
+    ];
+    let stream = c.stream.then(|| ("stream", true.into()));
+    Json::obj(fields.into_iter().chain(options).chain(stream)).dump()
 }
 
 /// Encodes a response as one line of JSON (no trailing newline).
 pub fn encode_response(resp: &Response) -> String {
-    let mut s = String::with_capacity(128);
-    match resp {
-        Response::Done(b) => {
-            let _ = write!(
-                s,
-                "{{\"verdict\":\"done\",\"races\":{},\"degraded\":{},\"exit_code\":{},\
-                 \"records\":{},\"events\":{},\"reports\":[",
-                b.races, b.degraded, b.exit_code, b.records, b.events
-            );
-            for (i, r) in b.reports.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                escape(r, &mut s);
-            }
-            s.push_str("]}");
-        }
+    response_json(resp).dump()
+}
+
+fn response_json(resp: &Response) -> Json {
+    let (verdict, fields): (&str, Vec<(&str, Json)>) = match *resp {
+        Response::Done(ref b) => (
+            "done",
+            vec![
+                ("races", b.races.into()),
+                ("degraded", b.degraded.into()),
+                ("exit_code", b.exit_code.into()),
+                ("records", b.records.into()),
+                ("events", b.events.into()),
+                (
+                    "reports",
+                    b.reports.iter().map(|r| r.as_str().into()).collect(),
+                ),
+            ],
+        ),
         Response::Rejected { retry_after_ms } => {
-            let _ = write!(
-                s,
-                "{{\"verdict\":\"rejected\",\"retry_after_ms\":{retry_after_ms}}}"
-            );
+            ("rejected", vec![("retry_after_ms", retry_after_ms.into())])
         }
-        Response::Timeout { deadline, steps } => {
-            let _ = write!(
-                s,
-                "{{\"verdict\":\"timeout\",\"deadline\":{deadline},\"steps\":{steps}}}"
-            );
+        Response::Timeout { deadline, steps } => (
+            "timeout",
+            vec![("deadline", deadline.into()), ("steps", steps.into())],
+        ),
+        Response::Degraded { ref message } => {
+            ("degraded", vec![("message", message.as_str().into())])
         }
-        Response::Degraded { message } => {
-            s.push_str("{\"verdict\":\"degraded\",\"message\":");
-            escape(message, &mut s);
-            s.push('}');
-        }
-        Response::Error { message } => {
-            s.push_str("{\"verdict\":\"error\",\"message\":");
-            escape(message, &mut s);
-            s.push('}');
-        }
-        Response::ShuttingDown => s.push_str("{\"verdict\":\"shutting_down\"}"),
+        Response::Error { ref message } => ("error", vec![("message", message.as_str().into())]),
+        Response::ShuttingDown => ("shutting_down", vec![]),
         Response::RaceEvent {
             launch_id,
             seq,
-            report,
-        } => {
-            let _ = write!(
-                s,
-                "{{\"verdict\":\"race_event\",\"launch_id\":{launch_id},\"seq\":{seq},\"report\":"
-            );
-            escape(report, &mut s);
-            s.push('}');
-        }
-        Response::LaunchDone { launch_id, body } => {
-            let _ = write!(
-                s,
-                "{{\"verdict\":\"launch_done\",\"launch_id\":{launch_id},\"body\":"
-            );
-            s.push_str(&encode_response(body));
-            s.push('}');
-        }
-        Response::Interrupted { launch_id, events } => {
-            let _ = write!(
-                s,
-                "{{\"verdict\":\"interrupted\",\"launch_id\":{launch_id},\"events\":{events}}}"
-            );
-        }
-    }
-    s
+            ref report,
+        } => (
+            "race_event",
+            vec![
+                ("launch_id", launch_id.into()),
+                ("seq", seq.into()),
+                ("report", report.as_str().into()),
+            ],
+        ),
+        Response::LaunchDone {
+            launch_id,
+            ref body,
+        } => (
+            "launch_done",
+            vec![
+                ("launch_id", launch_id.into()),
+                ("body", response_json(body)),
+            ],
+        ),
+        Response::Interrupted { launch_id, events } => (
+            "interrupted",
+            vec![("launch_id", launch_id.into()), ("events", events.into())],
+        ),
+    };
+    Json::obj(fields.into_iter().chain([("verdict", verdict.into())]))
 }
 
 fn dim3(j: &Json, key: &str) -> Result<(u32, u32, u32), String> {
@@ -500,10 +457,13 @@ fn decode_response_value(j: &Json) -> Result<Response, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn requests_round_trip() {
-        let req = Request::Check(CheckRequest {
+    /// The request of `requests_round_trip`, and the text the
+    /// format-string encoder wrote for it before `encode_request` built a
+    /// [`Json`] tree (likewise for every fixture below).
+    fn full_request() -> CheckRequest {
+        CheckRequest {
             source: ".version 4.3\n// \"quoted\"".to_string(),
             kernel: "k".to_string(),
             grid: (2, 1, 1),
@@ -514,15 +474,39 @@ mod tests {
             chaos_stalls: Some(42),
             stream: true,
             launch_id: Some(0xdead_beef),
-        });
+        }
+    }
+
+    const PARENT_REQUESTS: [&str; 3] = [
+        r#"{"op":"check","source":".version 4.3\n// \"quoted\"","kernel":"k","grid":[2,1,1],"block":[64,2,1],"params":[{"buf":1024},{"u32":7}],"max_steps":10000,"deadline_ms":250,"chaos_stalls":42,"stream":true,"launch_id":3735928559}"#,
+        r#"{"op":"shutdown"}"#,
+        r#"{"op":"check","source":".version 4.3","kernel":"k","grid":[1,1,1],"block":[32,1,1],"params":[]}"#,
+    ];
+
+    /// In the order of `all_responses`.
+    const PARENT_RESPONSES: [&str; 10] = [
+        r#"{"verdict":"done","races":3,"degraded":true,"exit_code":1,"records":100,"events":99,"reports":["race at 0x40\nline2"]}"#,
+        r#"{"verdict":"rejected","retry_after_ms":25}"#,
+        r#"{"verdict":"timeout","deadline":true,"steps":4096}"#,
+        r#"{"verdict":"degraded","message":"worker died: \"chaos\""}"#,
+        r#"{"verdict":"error","message":"unknown kernel 'x'"}"#,
+        r#"{"verdict":"shutting_down"}"#,
+        r#"{"verdict":"race_event","launch_id":7,"seq":2,"report":"global write-write race at 0x40\n  \"tid 3\""}"#,
+        r#"{"verdict":"launch_done","launch_id":7,"body":{"verdict":"done","races":1,"degraded":false,"exit_code":1,"records":10,"events":9,"reports":["race"]}}"#,
+        r#"{"verdict":"launch_done","launch_id":8,"body":{"verdict":"degraded","message":"engine quarantined"}}"#,
+        r#"{"verdict":"interrupted","launch_id":9,"events":4}"#,
+    ];
+
+    #[test]
+    fn requests_round_trip() {
+        let req = Request::Check(full_request());
         assert_eq!(decode_request(&encode_request(&req)).unwrap(), req);
         let s = Request::Shutdown;
         assert_eq!(decode_request(&encode_request(&s)).unwrap(), s);
     }
 
-    #[test]
-    fn responses_round_trip() {
-        let all = [
+    fn all_responses() -> [Response; 10] {
+        [
             Response::Done(DoneBody {
                 races: 3,
                 degraded: true,
@@ -569,8 +553,12 @@ mod tests {
                 launch_id: 9,
                 events: 4,
             },
-        ];
-        for r in all {
+        ]
+    }
+
+    #[test]
+    fn responses_round_trip() {
+        for r in all_responses() {
             assert_eq!(decode_response(&encode_response(&r)).unwrap(), r);
         }
     }
@@ -640,5 +628,114 @@ mod tests {
         }
         .is_terminal());
         assert!(Response::ShuttingDown.is_terminal());
+    }
+
+    #[test]
+    fn parent_text_parses_to_the_same_tree() {
+        let requests = [
+            Request::Check(full_request()),
+            Request::Shutdown,
+            Request::Check(CheckRequest::new(".version 4.3", "k", 1, 32)),
+        ];
+        for (req, text) in requests.iter().zip(PARENT_REQUESTS) {
+            assert_eq!(parse(&encode_request(req)), parse(text));
+            assert_eq!(decode_request(text).as_ref(), Ok(req));
+        }
+        for (resp, text) in all_responses().iter().zip(PARENT_RESPONSES) {
+            assert_eq!(parse(&encode_response(resp)), parse(text));
+            assert_eq!(decode_response(text).as_ref(), Ok(resp));
+        }
+    }
+
+    #[test]
+    fn u64_fields_round_trip_exactly() {
+        for id in [(1 << 53) + 1, u64::MAX] {
+            let mut req = full_request();
+            req.launch_id = Some(id);
+            req.max_steps = Some(u64::MAX);
+            let req = Request::Check(req);
+            assert_eq!(decode_request(&encode_request(&req)), Ok(req));
+            let resp = Response::LaunchDone {
+                launch_id: id,
+                body: Box::new(Response::Timeout {
+                    deadline: false,
+                    steps: id,
+                }),
+            };
+            assert_eq!(decode_response(&encode_response(&resp)), Ok(resp));
+        }
+        // Two launch ids that differ only above 2^53 stay distinct.
+        let line =
+            |id: u64| format!("{{\"verdict\":\"interrupted\",\"launch_id\":{id},\"events\":0}}");
+        let id = |id| match decode_response(&line(id)) {
+            Ok(Response::Interrupted { launch_id, .. }) => launch_id,
+            other => panic!("{other:?}"),
+        };
+        assert_ne!(id(1 << 53), id((1 << 53) + 1));
+    }
+
+    #[test]
+    fn a_deeply_nested_line_is_an_error_on_a_default_stack_thread() {
+        let results = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let deep = "[".repeat(100_000);
+                (decode_request(&deep), decode_response(&deep))
+            })
+            .expect("spawn")
+            .join()
+            .expect("no panic");
+        assert!(results.0.is_err() && results.1.is_err());
+    }
+
+    /// Arbitrary bytes read as lossy UTF-8, or an encoded line with a few
+    /// bytes overwritten, inserted or cut off.
+    fn hostile_line() -> impl Strategy<Value = String> {
+        let edits = prop::collection::vec((any::<usize>(), any::<u8>(), 0u8..3), 0..6);
+        let raw = prop::collection::vec(any::<u8>(), 0..96);
+        (any::<bool>(), 0usize..4, edits, raw).prop_map(|(mutate, base, edits, raw)| {
+            if !mutate {
+                return String::from_utf8_lossy(&raw).into_owned();
+            }
+            let mut bytes = match base {
+                0 => encode_request(&Request::Check(full_request())),
+                1 => PARENT_RESPONSES[0].to_string(),
+                2 => PARENT_RESPONSES[7].to_string(),
+                _ => PARENT_RESPONSES[6].to_string(),
+            }
+            .into_bytes();
+            for (at, b, op) in edits {
+                let at = at % (bytes.len() + 1);
+                match op {
+                    0 if at < bytes.len() => bytes[at] = b,
+                    1 => bytes.insert(at, b),
+                    _ => bytes.truncate(at),
+                }
+            }
+            String::from_utf8_lossy(&bytes).into_owned()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn decoders_never_panic_on_hostile_lines(line in hostile_line()) {
+            let _ = decode_request(&line);
+            let _ = decode_response(&line);
+        }
+
+        #[test]
+        fn checks_round_trip_over_the_u64_range(
+            ids in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+            buf in any::<u64>(),
+        ) {
+            let mut req = full_request();
+            req.params.push(ParamSpec::Buf(buf));
+            (req.max_steps, req.deadline_ms, req.chaos_stalls, req.launch_id) =
+                (Some(ids.0), Some(ids.1), Some(ids.2), Some(ids.3));
+            let req = Request::Check(req);
+            prop_assert_eq!(decode_request(&encode_request(&req)), Ok(req));
+        }
     }
 }

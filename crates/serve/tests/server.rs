@@ -1,6 +1,7 @@
 //! Integration tests of the detection server: verdict parity with a
 //! direct engine, cooperative deadlines, step budgets, panic quarantine,
-//! admission control, graceful shutdown and the Unix socket's line cap.
+//! admission control, graceful shutdown, and the Unix socket's line cap
+//! and nesting depth cap.
 
 use barracuda::{BarracudaConfig, Engine, KernelRun};
 use barracuda_serve::{
@@ -349,6 +350,60 @@ fn an_oversized_socket_line_is_refused_without_touching_other_sessions() {
     let mut rest = String::new();
     let eof = BufReader::new(&bad).read_line(&mut rest).expect("eof");
     assert_eq!(eof, 0, "the oversized connection is closed");
+
+    let (races, degraded, code) = direct_verdict(RACY);
+    match good.submit(&racy_request()) {
+        Response::Done(body) => {
+            assert_eq!(body.races, races);
+            assert_eq!(body.degraded, degraded);
+            assert_eq!(body.exit_code, code);
+        }
+        other => panic!("expected Done, got {other:?}"),
+    }
+    good.shutdown_server().expect("shutdown");
+    let stats = server.join().expect("server thread");
+    assert_eq!(stats.completed, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_deeply_nested_socket_line_is_an_error_and_other_sessions_keep_their_verdicts() {
+    use barracuda_serve::{serve_socket, SocketClient, Transport};
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+
+    let dir = std::env::temp_dir().join(format!("barracuda-deepline-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let path = dir.join("serve.sock");
+    let server = {
+        let path = path.clone();
+        std::thread::spawn(move || serve_socket(&path, ServerConfig::default()).expect("serve"))
+    };
+    for _ in 0..200 {
+        if path.exists() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut good = SocketClient::connect(&path).expect("connect");
+
+    // 1 MiB of nesting: a recursive parser without a depth cap overflows
+    // the connection handler's stack and aborts the whole server.
+    let mut bad = UnixStream::connect(&path).expect("connect");
+    bad.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(bad.try_clone().expect("clone"));
+    for opener in ["[", "{\"a\":"] {
+        let mut line = opener.repeat(1 << 20);
+        line.push('\n');
+        bad.write_all(line.as_bytes()).expect("send");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply line");
+        match barracuda_serve::proto::decode_response(reply.trim()) {
+            Ok(Response::Error { message }) => assert!(message.contains("nesting"), "{message}"),
+            other => panic!("expected an error line, got {other:?}"),
+        }
+    }
 
     let (races, degraded, code) = direct_verdict(RACY);
     match good.submit(&racy_request()) {

@@ -199,22 +199,6 @@ impl Gpu {
         self.read_u32s(ptr, 1)[0]
     }
 
-    /// Writes a slice of `u64`s starting at `ptr`.
-    pub fn write_u64s(&mut self, ptr: DevicePtr, vals: &[u64]) {
-        let bytes: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
-        self.write_bytes(ptr, &bytes);
-    }
-
-    /// Reads `n` `u64`s starting at `ptr`.
-    pub fn read_u64s(&self, ptr: DevicePtr, n: usize) -> Vec<u64> {
-        let mut bytes = vec![0u8; n * 8];
-        self.read_bytes(ptr, &mut bytes);
-        bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
-            .collect()
-    }
-
     /// Launches `kernel` from `module` without event logging.
     ///
     /// # Errors

@@ -107,20 +107,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the record-drop probability.
-    #[must_use]
-    pub fn with_drop_rate(mut self, p: f64) -> Self {
-        self.drop_rate = p;
-        self
-    }
-
-    /// Sets the record-corruption probability.
-    #[must_use]
-    pub fn with_corrupt_rate(mut self, p: f64) -> Self {
-        self.corrupt_rate = p;
-        self
-    }
-
     /// True when the plan can lose or damage records (verdicts may then
     /// legitimately differ from a fault-free run).
     pub fn is_lossy(&self) -> bool {

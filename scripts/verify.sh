@@ -193,6 +193,22 @@ echo "==> serve v2: multiplexing fairness/parity + streaming/resume suites"
 cargo test -q -p barracuda-serve --test multiplex
 cargo test -q -p barracuda-serve --test streaming
 
+echo "==> hostile wire frames: parser depth cap, exact u64 integers, linear-time strings, decoder proptests"
+cargo test -q -p barracuda --lib -- \
+  statsjson::tests::nesting_past_the_depth_cap_is_an_error_not_a_stack_overflow \
+  statsjson::tests::integers_parse_and_dump_exactly \
+  statsjson::tests::a_long_string_parses_in_linear_time \
+  statsjson::tests::parse_never_panics_on_hostile_text \
+  statsjson::tests::parse_inverts_dump
+cargo test -q -p barracuda-serve --lib -- \
+  proto::tests::a_deeply_nested_line_is_an_error_on_a_default_stack_thread \
+  proto::tests::u64_fields_round_trip_exactly \
+  proto::tests::decoders_never_panic_on_hostile_lines \
+  proto::tests::checks_round_trip_over_the_u64_range
+cargo test -q -p barracuda-serve --test server \
+  a_deeply_nested_socket_line_is_an_error_and_other_sessions_keep_their_verdicts
+cargo test -q -p barracuda-fleet --lib journal::tests::repro_seeds_survive_the_journal_exactly
+
 echo "==> chaos soak: fixed-seed server soak test"
 cargo test -q -p barracuda-serve --test soak
 
