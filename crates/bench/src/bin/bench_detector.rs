@@ -525,8 +525,9 @@ fn main() {
     let tw = threaded_workers();
     let json = format!(
         "{{\n  \"bench\": \"detector\",\n  \"description\": \"warp-level access records \
-         through the detector hot loop (one page lock per record, word-granularity cell \
-         checks, converged-warp clock views); threaded mode is the sharded pipeline \
+         through the detector hot loop (one page lock per record, one state-machine run \
+         per lane group and word run, reader sets by warp chunk, converged-warp clock \
+         views); threaded mode is the sharded pipeline \
          (page-hash routing to owner-partitioned lock-free workers, worker count capped \
          at machine parallelism)\",\n  \
          \"unit\": \"records per second\",\n  \"threaded_workers\": {tw},\n  \"quick\": {quick},\n  \"patterns\": [\n{rows}\n  \

@@ -13,6 +13,31 @@
 //!   arrive on one queue;
 //! * [`Worker`] — one queue consumer: a map of block states plus the
 //!   event dispatch loop.
+//!
+//! # Lane groups
+//!
+//! There is one shadow-check path, `check_warp_access`. It visits a
+//! record's lane segments page-major and lane-minor, and consecutive
+//! lanes whose (windowed) byte spans are identical form a *lane group*:
+//! the Fig. 2–3 machine runs once per group over each run of identical
+//! cells, not once per lane. A group's lanes share the warp's own clock
+//! and its view of every other thread (one PTVC group state), so:
+//!
+//! * a read checks the last write once for all lanes but the writer,
+//!   steps lane by lane while the read metadata is an epoch (READEXCL or
+//!   READINFLATE), and once it is an inflated [`ReaderSet`] adds every
+//!   remaining lane in one insert — a whole-warp broadcast read costs one
+//!   set update;
+//! * writes and atomics step through the group's lanes on the cell;
+//! * a host operation (`EngineCore::host_write`/`host_read`) is a group
+//!   of one.
+//!
+//! Every cell still meets its lanes in ascending lane order, so verdicts
+//! and race keys equal the per-lane sweep's. A write racing with several
+//! concurrent readers reports the *lowest* racing reader TID (reader sets
+//! iterate in ascending TID order; the reference detector keeps its
+//! readers in a `BTreeMap` for the same rule), so the reported reader and
+//! race class never depend on hash order.
 
 use crate::clock::{Clock, Epoch};
 use crate::hclock::HClock;
@@ -20,7 +45,8 @@ use crate::launch::{LaunchRegistry, HOST_TID_KEY};
 use crate::ptvc::{PtvcFormat, WarpClocks};
 use crate::report::{AccessType, Diagnostic, RaceClass, RaceReport, RaceSink};
 use crate::shadow::{
-    GlobalShadow, ReadMeta, ShadowCell, ShadowPage, SharedShadow, SHADOW_PAGE_SIZE,
+    lanes_of, GlobalShadow, ReadMeta, ReaderSet, ShadowCell, ShadowPage, SharedShadow,
+    SHADOW_PAGE_SIZE,
 };
 use barracuda_trace::ops::{AccessKind, Event, Scope};
 use barracuda_trace::record::{Record, RecordKind};
@@ -175,7 +201,8 @@ pub struct PathStats {
     /// Records whose converged PTVC allowed a shared structural clock
     /// view across all active lanes.
     pub uniform_records: u64,
-    /// Individual Fig. 2–3 state-machine executions.
+    /// Fig. 2–3 state-machine runs: one per lane group per run of
+    /// identical cells (a warp's same-word read is one run).
     pub cell_checks: u64,
 }
 
@@ -621,33 +648,71 @@ struct LaneAcc {
     addr: u64,
 }
 
-/// Runs the Fig. 2–3 state machine over the consecutive cells covered by
-/// one lane access, vectorized over *maximal runs* of identical
-/// metadata: within each run the machine executes once on the head cell
-/// and the resulting state is replicated to the rest — sound because
-/// `check_cell` reads and writes nothing outside its own cell, so equal
-/// inputs under one `(epoch, clock view, access type)` produce equal
-/// outputs and the same race verdict as the per-byte sweep. Runs are
-/// delimited on the pre-access state (replication only touches cells
-/// behind the scan cursor), and the first racing run's verdict equals
-/// the first racing cell's, so the reported race matches the paper's
-/// byte-granularity loop exactly.
+/// A race verdict: the previous access's global TID and type.
+type Race = (u32, AccessType);
+
+/// The lanes of one warp instruction that access the same byte span:
+/// the shadow check runs once per group instead of once per lane.
+///
+/// Every lane of a group shares the warp's own clock, and lane `l`'s
+/// global TID is `base + l` (a warp's lanes are consecutive TIDs). A
+/// host operation is a group of one lane, lane 0.
+pub(crate) struct LaneGroup<'a, F> {
+    /// Global TID of lane 0.
+    pub(crate) base: u32,
+    /// The group's lanes (bit `l` = lane `l`), checked in ascending order.
+    pub(crate) lanes: u32,
+    /// `C_t(t)` of every lane in the group.
+    pub(crate) own: Clock,
+    /// `clock_of(lane, t)`: lane `lane`'s view of global TID `t`. The
+    /// lanes of a warp instruction share the active PTVC group (§4.3.2),
+    /// so every lane has the same view of any thread but itself.
+    pub(crate) clock_of: &'a F,
+}
+
+impl<F: Fn(u32, u32) -> Clock> LaneGroup<'_, F> {
+    /// Lane `lane`'s epoch.
+    fn epoch(&self, lane: u32) -> Epoch {
+        Epoch::new(self.own, self.base + lane)
+    }
+}
+
+/// Records `race` as `lane`'s verdict unless the lane already has one
+/// (a lane reports its lowest racing byte).
+fn note_race(races: &mut [Option<Race>; 32], lane: u32, race: Option<Race>) {
+    let slot = &mut races[lane as usize];
+    if slot.is_none() {
+        *slot = race;
+    }
+}
+
+/// Runs the Fig. 2–3 state machine for one lane group over the
+/// consecutive cells of the group's span, vectorized over *maximal runs*
+/// of identical metadata: within each run the machine executes once on
+/// the head cell and the resulting state is replicated to the rest —
+/// sound because `check_group` reads and writes nothing outside its own
+/// cell, so equal inputs under one lane group and access type produce
+/// equal outputs and the same race verdicts as the per-byte sweep. Runs
+/// are delimited on the pre-access state (replication only touches cells
+/// behind the scan cursor), and runs are visited in ascending address
+/// order, so each lane's verdict (into `races`, indexed by lane) is its
+/// first racing cell's, exactly as in the paper's byte-granularity loop.
 ///
 /// A run's cells share one reader-set allocation ([`ReadMeta::Shared`]).
 /// Before the head's check the rest of the run lets go of it, so the
 /// head updates the set in place unless cells outside the run still hold
 /// it (then `Arc::make_mut` copies); refilling the run only bumps the
 /// set's reference count. A block broadcast-reading one word thus costs
-/// O(1) per lane instead of a map compare and copy per byte.
-pub(crate) fn check_cells_run<F: Fn(u32) -> Clock>(
+/// one set update per warp instead of a map compare and copy per byte
+/// per lane.
+pub(crate) fn check_cells_run<F: Fn(u32, u32) -> Clock>(
     cells: &mut [ShadowCell],
-    e: Epoch,
-    clock_of: &F,
+    group: &LaneGroup<'_, F>,
     atype: AccessType,
+    races: &mut [Option<Race>; 32],
     stats: &mut PathStats,
-) -> Option<(u32, AccessType)> {
+) {
     let n = cells.len();
-    let mut first_race: Option<(u32, AccessType)> = None;
     let mut imperfect = false;
     let mut i = 0usize;
     while i < n {
@@ -656,7 +721,7 @@ pub(crate) fn check_cells_run<F: Fn(u32) -> Clock>(
             j += 1;
         }
         let (head, rest) = cells[i..j].split_first_mut().expect("non-empty run");
-        // Let go of the head's reader set so `check_cell` can update it
+        // Let go of the head's reader set so `check_group` can update it
         // in place; the refill below shares the result again.
         if matches!(head.read, ReadMeta::Shared(_)) {
             for c in rest.iter_mut() {
@@ -664,7 +729,7 @@ pub(crate) fn check_cells_run<F: Fn(u32) -> Clock>(
             }
         }
         stats.cell_checks += 1;
-        let race = check_cell(head, e, clock_of, atype);
+        check_group(head, group, atype, races);
         if rest.is_empty() {
             // A lone cell inside a multi-byte span: the span's metadata
             // was not fully mergeable.
@@ -675,15 +740,11 @@ pub(crate) fn check_cells_run<F: Fn(u32) -> Clock>(
                 c.clone_from(head);
             }
         }
-        if first_race.is_none() {
-            first_race = race;
-        }
         i = j;
     }
     if imperfect && n > 1 {
         stats.word_fallbacks += 1;
     }
-    first_race
 }
 
 /// Checks every active lane of one plain access record against the
@@ -694,11 +755,14 @@ pub(crate) fn check_cells_run<F: Fn(u32) -> Clock>(
 /// Verdict-equivalent to the paper's per-lane, per-byte sweep: cells
 /// are visited page-major / lane-minor, which preserves that sweep's
 /// per-cell check order (two paths only reorder checks of *disjoint*
-/// cells, and `check_cell` touches nothing outside its own cell), each
+/// cells, and `check_group` touches nothing outside its own cell), each
 /// lane still meets its own bytes in ascending address order (a
 /// straddling lane's low page sorts first), and race reports are emitted
 /// in lane order after the sweep (reporting never feeds back into cell
-/// state). On top of the batching it applies the word-granularity merge
+/// state). Consecutive lanes in that order whose (windowed, page-local)
+/// spans are identical form one [`LaneGroup`], checked in one pass over
+/// the span — the group's lanes still meet every cell in ascending lane
+/// order. On top of the batching it applies the word-granularity merge
 /// ([`check_cells_run`]) and, for converged warps, computes the
 /// structural component of `clock_of` once per record
 /// ([`WarpClocks::uniform_view`]).
@@ -732,7 +796,6 @@ fn check_warp_access(
     let dims = &det.dims;
     let scope = &det.scope;
     stats.batched_records += 1;
-    let own = wc.own_clock();
     let ext = wc.active().external.as_ref();
     let uniform = wc.uniform_view(dims);
     if uniform.is_some() {
@@ -744,7 +807,7 @@ fn check_warp_access(
         let key = u64::from(t);
         let mut c = match scope.local_of(key) {
             Some(local) => match &uniform {
-                Some(u) => u.get(local, dims),
+                Some(u) => u.get(local),
                 None => wc.clock_of_structural(lane, local, dims),
             },
             None => scope.preds.get_scoped(key, &scope.registry),
@@ -753,6 +816,16 @@ fn check_warp_access(
             c = c.max(eh.get_scoped(key, &scope.registry));
         }
         c
+    };
+    let base = dims.tid_of_lane(wc.warp, 0).0;
+    let base_gt = scope.tid_base + base;
+    // A group of `lanes`, all accessing one span.
+    let group = |lanes: u32| LaneGroup {
+        #[allow(clippy::cast_possible_truncation)] // registry caps TIDs below u32::MAX
+        base: base_gt as u32,
+        lanes,
+        own: wc.own_clock(),
+        clock_of: &clock_for,
     };
 
     let mut lanes = [LaneAcc {
@@ -766,52 +839,53 @@ fn check_warp_access(
         if mask & (1 << lane) == 0 {
             continue;
         }
-        let tid = dims.tid_of_lane(wc.warp, lane);
         lanes[n] = LaneAcc {
             lane,
-            tid,
-            gt: scope.tid_base + tid.0,
+            tid: Tid(base + u64::from(lane)),
+            gt: base_gt + u64::from(lane),
             addr: addrs[lane as usize],
         };
         n += 1;
     }
     let lanes = &lanes[..n];
-    let mut first_race = [None::<(u32, AccessType)>; 32];
+    let mut races = [None::<Race>; 32];
 
     match space {
         MemSpace::Shared => {
-            for (li, la) in lanes.iter().enumerate() {
-                #[allow(clippy::cast_possible_truncation)] // registry caps TIDs below u32::MAX
-                let e = Epoch::new(own, la.gt as u32);
-                let lane = la.lane;
-                let clock_of = |t: u32| clock_for(lane, t);
-                let cells = shared_shadow.range_mut(la.addr + woff, u64::from(wlen));
-                first_race[li] = check_cells_run(cells, e, &clock_of, atype, stats);
+            // Consecutive lanes at one address form a group.
+            let mut i = 0;
+            while i < n {
+                let addr = lanes[i].addr;
+                let mut members = 0u32;
+                while i < n && lanes[i].addr == addr {
+                    members |= 1 << lanes[i].lane;
+                    i += 1;
+                }
+                let cells = shared_shadow.range_mut(addr + woff, u64::from(wlen));
+                check_cells_run(cells, &group(members), atype, &mut races, stats);
             }
         }
         MemSpace::Global => {
             // Split each lane's (windowed) access into page-local
             // segments — at most two per lane, since accesses (≤ 8 bytes)
             // are smaller than a shadow page — tagged with the owning
-            // lane's index. Sharded fragments are page-local already and
-            // always produce one segment.
-            let mut segs = [(0u64, 0u8, 0u64, 0u8); 64];
+            // lane. Sharded fragments are page-local already and always
+            // produce one segment.
+            let mut segs = [(0u64, 0u32, 0u64, 0u8); 64];
             let mut ns = 0usize;
-            for (li, la) in lanes.iter().enumerate() {
-                #[allow(clippy::cast_possible_truncation)] // li < 32, segment lengths ≤ size
-                let li = li as u8;
+            for la in lanes {
                 let Some(start) = la.addr.checked_add(woff) else {
                     continue;
                 };
                 let room = SHADOW_PAGE_SIZE - start % SHADOW_PAGE_SIZE;
                 #[allow(clippy::cast_possible_truncation)] // low ≤ wlen
                 let low = u64::from(wlen).min(room) as u8;
-                segs[ns] = (start / SHADOW_PAGE_SIZE, li, start, low);
+                segs[ns] = (start / SHADOW_PAGE_SIZE, la.lane, start, low);
                 ns += 1;
                 // The rest lies on the next page, unless the first segment
                 // already ends at the top of the address space.
                 if let Some(next) = start.checked_add(u64::from(low)).filter(|_| low < wlen) {
-                    segs[ns] = (next / SHADOW_PAGE_SIZE, li, next, wlen - low);
+                    segs[ns] = (next / SHADOW_PAGE_SIZE, la.lane, next, wlen - low);
                     ns += 1;
                 }
             }
@@ -834,28 +908,24 @@ fn check_warp_access(
                     None => unsafe { slot.owned_mut() },
                 };
                 while i < ns && segs[i].0 == page_key {
-                    let (_, li, start, len) = segs[i];
-                    let la = &lanes[li as usize];
-                    #[allow(clippy::cast_possible_truncation)] // registry caps TIDs below u32::MAX
-                    let e = Epoch::new(own, la.gt as u32);
-                    let lane = la.lane;
-                    let clock_of = |t: u32| clock_for(lane, t);
+                    // Consecutive segments over one span form a group.
+                    let (_, _, start, len) = segs[i];
+                    let mut members = 0u32;
+                    while i < ns && segs[i].2 == start && segs[i].3 == len {
+                        members |= 1 << segs[i].1;
+                        i += 1;
+                    }
                     #[allow(clippy::cast_possible_truncation)] // page offsets < 4096
                     let off = (start % SHADOW_PAGE_SIZE) as usize;
                     let cells = &mut page.cells[off..off + len as usize];
-                    let race = check_cells_run(cells, e, &clock_of, atype, stats);
-                    let race_slot = &mut first_race[li as usize];
-                    if race_slot.is_none() {
-                        *race_slot = race;
-                    }
-                    i += 1;
+                    check_cells_run(cells, &group(members), atype, &mut races, stats);
                 }
             }
         }
     }
 
-    for (li, la) in lanes.iter().enumerate() {
-        if let Some((prev_tid, prev_type)) = first_race[li] {
+    for la in lanes {
+        if let Some((prev_tid, prev_type)) = races[la.lane as usize] {
             let class = classify(scope, dims, wc, la.tid, u64::from(prev_tid));
             det.races.report(RaceReport {
                 space,
@@ -869,92 +939,127 @@ fn check_warp_access(
     }
 }
 
-/// The per-cell state machine: READEXCL / READSHARED / READINFLATE /
-/// WRITEEXCL / WRITESHARED / INITATOM* / ATOM* from Figs. 2–3.
+/// Runs one lane group's access on one cell: each lane in ascending lane
+/// order, exactly as a per-lane loop would, except that a read meeting an
+/// inflated reader set adds all its remaining lanes in one insert. Their
+/// write-race verdicts come from one lookup: a read leaves the last write
+/// unchanged, and every lane but the writer sees the writer alike. Writes
+/// and atomics step through the lanes on the cell.
+fn check_group<F: Fn(u32, u32) -> Clock>(
+    cell: &mut ShadowCell,
+    g: &LaneGroup<'_, F>,
+    atype: AccessType,
+    races: &mut [Option<Race>; 32],
+) {
+    let mut rest = g.lanes;
+    while rest != 0 {
+        if atype == AccessType::Read {
+            if let ReadMeta::Shared(set) = &mut cell.read {
+                // Every lane but the last writer itself shares one view
+                // of the writer: one lookup settles them all.
+                let writer = cell.write.tid.wrapping_sub(g.base);
+                let others = if writer < 32 {
+                    rest & !(1 << writer)
+                } else {
+                    rest
+                };
+                if others != 0 {
+                    let asker = others.trailing_zeros();
+                    let race =
+                        unordered_write(&cell.write, cell.write_atomic, g.epoch(asker), &|t| {
+                            (g.clock_of)(asker, t)
+                        });
+                    if race.is_some() {
+                        for lane in lanes_of(others) {
+                            note_race(races, lane, race);
+                        }
+                    }
+                }
+                Arc::make_mut(set).insert_group(g.base, rest, g.own);
+                return;
+            }
+        }
+        let lane = rest.trailing_zeros();
+        rest &= rest - 1;
+        let race = check_cell(cell, g.epoch(lane), &|t| (g.clock_of)(lane, t), atype);
+        note_race(races, lane, race);
+    }
+}
+
+/// The WRITE-side race of an access at epoch `e`: the last write, unless
+/// it is absent, `e`'s own, or happened before `e` (`clock_of` is `e`'s
+/// view).
+fn unordered_write<F: Fn(u32) -> Clock>(
+    write: &Epoch,
+    atomic: bool,
+    e: Epoch,
+    clock_of: &F,
+) -> Option<Race> {
+    let ordered = write.is_bottom() || write.tid == e.tid || write.clock <= clock_of(write.tid);
+    let prev = if atomic {
+        AccessType::Atomic
+    } else {
+        AccessType::Write
+    };
+    (!ordered).then_some((write.tid, prev))
+}
+
+/// The per-cell state machine for one thread: READEXCL / READSHARED /
+/// READINFLATE / WRITEEXCL / WRITESHARED / INITATOM* / ATOM* from Figs.
+/// 2–3.
 ///
 /// `e` is the accessing thread's epoch (globally keyed in engine mode)
-/// and `clock_of` its view of any global TID.
+/// and `clock_of` its view of any global TID. A write that races with
+/// several concurrent readers reports the lowest racing reader TID.
 fn check_cell<F: Fn(u32) -> Clock>(
     cell: &mut ShadowCell,
     e: Epoch,
     clock_of: &F,
     atype: AccessType,
-) -> Option<(u32, AccessType)> {
-    let write_ordered = cell.write.is_bottom()
-        || cell.write.tid == e.tid
-        || cell.write.clock <= clock_of(cell.write.tid);
-    let prev_write_type = if cell.write_atomic {
-        AccessType::Atomic
-    } else {
-        AccessType::Write
-    };
-    let mut race: Option<(u32, AccessType)> = None;
-
-    let check_reads = |cell: &ShadowCell, race: &mut Option<(u32, AccessType)>| {
-        if race.is_some() {
-            return;
-        }
+) -> Option<Race> {
+    let racing_read = |cell: &ShadowCell| -> Option<Race> {
         match &cell.read {
-            ReadMeta::Epoch(r) => {
-                if !r.is_bottom() && r.tid != e.tid && r.clock > clock_of(r.tid) {
-                    *race = Some((r.tid, AccessType::Read));
-                }
-            }
-            ReadMeta::Shared(m) => {
-                for (&rt, &rc) in m.iter() {
-                    if rt != e.tid && rc > clock_of(rt) {
-                        *race = Some((rt, AccessType::Read));
-                        break;
-                    }
-                }
-            }
+            ReadMeta::Epoch(r) => (!r.is_bottom() && r.tid != e.tid && r.clock > clock_of(r.tid))
+                .then_some((r.tid, AccessType::Read)),
+            // Ascending TIDs: the first racing reader is the lowest.
+            ReadMeta::Shared(set) => set
+                .iter()
+                .find(|&(rt, rc)| rt != e.tid && rc > clock_of(rt))
+                .map(|(rt, _)| (rt, AccessType::Read)),
         }
     };
 
     match atype {
         AccessType::Read => {
-            if !write_ordered {
-                race = Some((cell.write.tid, prev_write_type));
-            }
+            let race = unordered_write(&cell.write, cell.write_atomic, e, clock_of);
             // Update read metadata (READEXCL / READINFLATE / READSHARED).
             match &mut cell.read {
                 ReadMeta::Epoch(r) => {
                     if r.is_bottom() || r.tid == e.tid || r.clock <= clock_of(r.tid) {
                         *r = e;
                     } else {
-                        let mut m = HashMap::with_capacity(2);
-                        m.insert(r.tid, r.clock);
-                        m.insert(e.tid, e.clock);
-                        cell.read = ReadMeta::Shared(Arc::new(m));
+                        cell.read = ReadMeta::Shared(Arc::new(ReaderSet::pair(*r, e)));
                     }
                 }
-                ReadMeta::Shared(m) => {
-                    Arc::make_mut(m).insert(e.tid, e.clock);
-                }
+                ReadMeta::Shared(set) => Arc::make_mut(set).insert(e.tid, e.clock),
             }
+            race
         }
-        AccessType::Write => {
-            if !write_ordered {
-                race = Some((cell.write.tid, prev_write_type));
-            }
-            check_reads(cell, &mut race);
-            cell.write = e;
-            cell.write_atomic = false;
-            cell.read = ReadMeta::Epoch(Epoch::BOTTOM);
-        }
-        AccessType::Atomic => {
+        AccessType::Write | AccessType::Atomic => {
             // Atomic-atomic pairs never race (§3.3.2); the INITATOM rules
             // check the previous *non-atomic* write.
-            if !cell.write_atomic && !write_ordered {
-                race = Some((cell.write.tid, AccessType::Write));
+            let race = if atype == AccessType::Atomic && cell.write_atomic {
+                None
+            } else {
+                unordered_write(&cell.write, cell.write_atomic, e, clock_of)
             }
-            check_reads(cell, &mut race);
+            .or_else(|| racing_read(cell));
             cell.write = e;
-            cell.write_atomic = true;
+            cell.write_atomic = atype == AccessType::Atomic;
             cell.read = ReadMeta::Epoch(Epoch::BOTTOM);
+            race
         }
     }
-    race
 }
 
 /// Classifies a race from the two TIDs (§4.3.3): divergence (same warp,
@@ -1579,7 +1684,7 @@ mod tests {
         f(&page.cells[off..off + len])
     }
 
-    fn reader_set(c: &ShadowCell) -> &Arc<HashMap<u32, Clock>> {
+    fn reader_set(c: &ShadowCell) -> &Arc<ReaderSet> {
         match &c.read {
             ReadMeta::Shared(m) => m,
             other => panic!("expected a reader set, got {other:?}"),
@@ -1620,8 +1725,7 @@ mod tests {
         for warp in 0..8 {
             w.process_event(&broadcast(warp, AccessKind::Read, u32::MAX, 0x1000, 8));
         }
-        let before: HashMap<u32, Clock> =
-            with_cells(&det, 0x1000, 8, |c| (**reader_set(&c[0])).clone());
+        let before: ReaderSet = with_cells(&det, 0x1000, 8, |c| (**reader_set(&c[0])).clone());
         assert_eq!(before.len(), 256);
 
         w.process_event(&broadcast(8, AccessKind::Read, 0b1, 0x1003, 1));
@@ -1630,7 +1734,7 @@ mod tests {
             assert_eq!(Arc::strong_count(narrow), 1);
             assert_eq!(narrow.len(), 257);
             assert!(
-                narrow.contains_key(&256),
+                narrow.get(256).is_some(),
                 "block 1's lane 0 is global TID 256"
             );
             let old = reader_set(&cells[0]);

@@ -26,8 +26,8 @@
 //! classified [`RaceClass::InterKernel`]; races against a host operation
 //! are [`RaceClass::HostDevice`].
 
-use crate::clock::{Clock, Epoch};
-use crate::detector::{check_cells_run, Detector, LaunchScope, PathStats, SyncMap};
+use crate::clock::Clock;
+use crate::detector::{check_cells_run, Detector, LaneGroup, LaunchScope, PathStats, SyncMap};
 use crate::hclock::HClock;
 use crate::launch::{LaunchRegistry, HOST_TID, HOST_TID_KEY};
 use crate::report::{AccessType, Diagnostic, RaceClass, RaceReport, RaceSink};
@@ -223,16 +223,22 @@ impl EngineCore {
     }
 
     fn host_access(&mut self, addr: u64, len: u64, atype: AccessType) {
-        let e = Epoch::new(self.host_clock, HOST_TID);
         let hc = self.host_clock;
         let view = &self.host_view;
         let reg = &self.registry;
-        let clock_of = |t: u32| -> Clock {
+        let clock_of = |_lane: u32, t: u32| -> Clock {
             if t == HOST_TID {
                 hc // the host is sequential: it has seen all its own ops
             } else {
                 view.get_scoped(u64::from(t), reg)
             }
+        };
+        // The host is a lane group of one.
+        let group = LaneGroup {
+            base: HOST_TID,
+            lanes: 1,
+            own: hc,
+            clock_of: &clock_of,
         };
         // Every byte's metadata is updated (later launches must observe
         // the host epochs); at most one race is reported, keyed to the
@@ -242,7 +248,7 @@ impl EngineCore {
         // identical cells needs only one state-machine run — memcpys
         // re-covering a region hit this constantly). Host operations keep
         // no counters.
-        let mut first: Option<(u32, AccessType)> = None;
+        let mut races = [None; 32];
         let mut stats = PathStats::default();
         for (key, page) in self.global_shadow.pages_for_range(addr, len) {
             let start = addr.max(key * SHADOW_PAGE_SIZE);
@@ -251,12 +257,9 @@ impl EngineCore {
             #[allow(clippy::cast_possible_truncation)] // page offsets < 4096
             let off = (start % SHADOW_PAGE_SIZE) as usize;
             let cells = &mut guard.cells[off..off + (end - start) as usize];
-            let race = check_cells_run(cells, e, &clock_of, atype, &mut stats);
-            if first.is_none() {
-                first = race;
-            }
+            check_cells_run(cells, &group, atype, &mut races, &mut stats);
         }
-        if let Some((prev_tid, prev_type)) = first {
+        if let Some((prev_tid, prev_type)) = races[0] {
             self.races.report(RaceReport {
                 space: MemSpace::Global,
                 block: None,

@@ -36,6 +36,7 @@
 use crate::clock::Clock;
 use crate::hclock::HClock;
 use barracuda_trace::{GridDims, Tid};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// View of the warp lanes *outside* a group's mask.
@@ -507,9 +508,12 @@ impl WarpClocks {
         if g.external.is_some() || !matches!(g.warp_view, WarpView::Uniform(_)) {
             return None;
         }
+        let block = dims.block_of_warp(self.warp);
+        let warp_lo = dims.tid_of_lane(self.warp, 0).0;
+        let block_lo = block * dims.threads_per_block();
         Some(UniformView {
-            warp: self.warp,
-            block: dims.block_of_warp(self.warp),
+            warp: warp_lo..warp_lo + u64::from(dims.lanes_in_warp(self.warp)),
+            block: block_lo..block_lo + dims.threads_per_block(),
             mate_clock: g.own.saturating_sub(1),
             block_clock: g.block_clock,
         })
@@ -518,11 +522,12 @@ impl WarpClocks {
 
 /// The shared structural clock view of a CONVERGED warp (see
 /// [`WarpClocks::uniform_view`]): every active lane observes the same
-/// clock for any thread other than itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// clock for any thread other than itself. The warp's and the block's
+/// threads are TID ranges, so a lookup is two range tests.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UniformView {
-    warp: u64,
-    block: u64,
+    warp: Range<u64>,
+    block: Range<u64>,
     mate_clock: Clock,
     block_clock: Clock,
 }
@@ -530,10 +535,10 @@ pub struct UniformView {
 impl UniformView {
     /// The structural clock any active lane observes for `target`, which
     /// must be a thread other than the querying lane's own.
-    pub fn get(&self, target: Tid, dims: &GridDims) -> Clock {
-        if dims.warp_of(target) == self.warp {
+    pub fn get(&self, target: Tid) -> Clock {
+        if self.warp.contains(&target.0) {
             self.mate_clock
-        } else if dims.block_of(target) == self.block {
+        } else if self.block.contains(&target.0) {
             self.block_clock
         } else {
             0
@@ -626,26 +631,30 @@ mod tests {
     #[test]
     fn uniform_view_matches_structural_clocks_when_converged() {
         let d = dims3();
-        // Live mask must match the dims, as BlockState guarantees.
-        let mut w = WarpClocks::new(0, d.initial_mask(0));
-        w.endi();
-        w.endi();
-        assert_eq!(w.format(), PtvcFormat::Converged);
-        let u = w.uniform_view(&d).expect("converged warp has uniform view");
-        // Every active lane sees the same structural clock for every other
-        // thread: warp mates, in-block threads, foreign-block threads.
-        for lane in 0..d.lanes_in_warp(0) {
-            let self_tid = d.tid_of_lane(0, lane);
-            for t in 0..d.total_threads() {
-                let t = Tid(t);
-                if t == self_tid {
-                    continue;
+        // Every warp, the partial last warp of each block included.
+        for warp in 0..d.num_warps() {
+            // Live mask must match the dims, as BlockState guarantees.
+            let mut w = WarpClocks::new(warp, d.initial_mask(warp));
+            w.endi();
+            w.endi();
+            assert_eq!(w.format(), PtvcFormat::Converged);
+            let u = w.uniform_view(&d).expect("converged warp has uniform view");
+            // Every active lane sees the same structural clock for every
+            // other thread: warp mates, in-block threads, foreign-block
+            // threads.
+            for lane in 0..d.lanes_in_warp(warp) {
+                let self_tid = d.tid_of_lane(warp, lane);
+                for t in 0..d.total_threads() {
+                    let t = Tid(t);
+                    if t == self_tid {
+                        continue;
+                    }
+                    assert_eq!(
+                        u.get(t),
+                        w.clock_of_structural(lane, t, &d),
+                        "warp {warp} lane {lane} target {t:?}"
+                    );
                 }
-                assert_eq!(
-                    u.get(t, &d),
-                    w.clock_of_structural(lane, t, &d),
-                    "lane {lane} target {t:?}"
-                );
             }
         }
     }
@@ -677,9 +686,9 @@ mod tests {
         let u = w.uniform_view(&d).expect("barrier reconverges the warp");
         // Warp mates at own-1 = block_clock + 1 - 1; in-block at the
         // broadcast clock; other blocks unseen.
-        assert_eq!(u.get(Tid(1), &d), 7);
-        assert_eq!(u.get(Tid(2), &d), 7);
-        assert_eq!(u.get(Tid(6), &d), 0);
+        assert_eq!(u.get(Tid(1)), 7);
+        assert_eq!(u.get(Tid(2)), 7);
+        assert_eq!(u.get(Tid(6)), 0);
     }
 
     #[test]

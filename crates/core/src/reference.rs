@@ -15,7 +15,7 @@ use crate::clock::{Clock, VectorClock};
 use crate::report::{AccessType, Diagnostic, RaceClass, RaceReport, RaceSink};
 use barracuda_trace::ops::{AccessKind, Event, Scope};
 use barracuda_trace::{GridDims, MemSpace, Tid};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Loc {
@@ -27,7 +27,9 @@ struct Loc {
 #[derive(Debug, Default, Clone)]
 struct RefCell {
     write: Option<(Clock, u32, bool)>, // (clock, tid, atomic)
-    readers: HashMap<u32, Clock>,
+    /// Ascending TID order: a write racing with several readers reports
+    /// the lowest racing TID, as the compressed detector does.
+    readers: BTreeMap<u32, Clock>,
 }
 
 /// The uncompressed reference detector.

@@ -2,7 +2,7 @@
 //!
 //! Per-location (1-byte granularity, "for generality") metadata: a
 //! last-write epoch with an atomic bit, a last-read epoch that inflates to
-//! a sparse reader map under concurrent readers, and attribute flags.
+//! a [`ReaderSet`] under concurrent readers, and attribute flags.
 //! Shared-memory shadow is preallocated per block (its size is known at
 //! launch); global-memory shadow is allocated on demand through a
 //! fixed-stripe sharded page table: lookups are lock-free (append-only
@@ -11,20 +11,192 @@
 //! pages across threads. Workers that *own* a page partition (the sharded
 //! page-hash pipeline) skip the page lock entirely via
 //! [`ShadowPageSlot::owned_mut`].
+//!
+//! # Reader sets
+//!
+//! READSHARED reader sets are compressed along the warp hierarchy the way
+//! PTVCs compress clocks (§4.3): a warp's lanes are consecutive global
+//! TIDs and one warp instruction reads at one clock, so a [`ReaderSet`]
+//! stores *32-thread chunks* (`tid >> 5`) with a lane bit mask and one
+//! clock per entry. A whole-warp read that lands in an inflated set is a
+//! single insert touching at most two chunks. Entries are kept sorted by
+//! `(chunk, clock)`, one per pair, with disjoint bit masks inside a chunk,
+//! so the layout is lossless and canonical (equal sets compare equal
+//! entry by entry), and iteration yields readers in ascending TID order —
+//! which is what makes a write that races with several readers report the
+//! lowest racing TID.
 
 use crate::clock::{Clock, Epoch};
 use barracuda_trace::backoff::splitmix;
 use parking_lot::{Mutex, MutexGuard};
 use std::cell::UnsafeCell;
-use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Read metadata: an epoch for totally-ordered readers, inflated to a
-/// sparse map (TID → clock) under concurrent readers.
+/// One entry of a [`ReaderSet`]: the threads `chunk * 32 + b` for every
+/// set bit `b` of `lanes`, each last read at `clock`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ChunkEntry {
+    chunk: u32,
+    lanes: u32,
+    clock: Clock,
+}
+
+/// The READSHARED reader map `TID → clock`, stored by 32-thread chunk
+/// (see the [module docs](self#reader-sets)).
 ///
-/// The map is a copy-on-write allocation: the cells of one word run
+/// A flat vector sorted by `(chunk, clock)` and searched by binary
+/// search: a block's worth of readers is a handful of entries, and an
+/// insert that replaces a warp's previous read reuses the entry it
+/// empties, so steady-state re-reads never allocate.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ReaderSet {
+    entries: Vec<ChunkEntry>,
+}
+
+/// The set bits of `mask`, in ascending order (a lane group's lanes).
+pub(crate) fn lanes_of(mut mask: u32) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros();
+            mask &= mask - 1;
+            bit
+        })
+    })
+}
+
+impl ReaderSet {
+    /// The set `{a, b}` READINFLATE builds from the last-read epoch and
+    /// the concurrent reader.
+    pub fn pair(a: Epoch, b: Epoch) -> Self {
+        let mut s = ReaderSet {
+            entries: Vec::with_capacity(2),
+        };
+        s.insert(a.tid, a.clock);
+        s.insert(b.tid, b.clock);
+        s
+    }
+
+    /// Records that thread `tid` read at `clock`.
+    pub fn insert(&mut self, tid: u32, clock: Clock) {
+        self.insert_chunk(tid >> 5, 1 << (tid & 31), clock);
+    }
+
+    /// Records that the threads `base + l`, for every set bit `l` of
+    /// `lanes`, all read at `clock` — one warp instruction's lane group,
+    /// whose TIDs are consecutive from `base` (the TID of lane 0). Touches
+    /// at most two chunks. Every TID must fit in `u32`.
+    pub fn insert_group(&mut self, base: u32, lanes: u32, clock: Clock) {
+        debug_assert!(
+            lanes == 0
+                || u64::from(base) + u64::from(31 - lanes.leading_zeros()) <= u64::from(u32::MAX),
+            "group TIDs past u32::MAX"
+        );
+        let (chunk, shift) = (base >> 5, base & 31);
+        let low = lanes << shift;
+        if low != 0 {
+            self.insert_chunk(chunk, low, clock);
+        }
+        if shift != 0 {
+            let high = lanes >> (32 - shift);
+            if high != 0 {
+                self.insert_chunk(chunk + 1, high, clock);
+            }
+        }
+    }
+
+    /// Sets the clock of every thread of `chunk` in `lanes` to `clock`,
+    /// keeping the entries canonical: the bits move out of the chunk's
+    /// other entries into the one entry for `clock` (reusing an entry the
+    /// move empties before growing the vector), and empty entries go.
+    fn insert_chunk(&mut self, chunk: u32, lanes: u32, clock: Clock) {
+        let v = &mut self.entries;
+        let lo = v.partition_point(|e| e.chunk < chunk);
+        let mut hi = lo;
+        let mut merged = false;
+        while hi < v.len() && v[hi].chunk == chunk {
+            let e = &mut v[hi];
+            if e.clock == clock {
+                e.lanes |= lanes;
+                merged = true;
+            } else {
+                e.lanes &= !lanes;
+            }
+            hi += 1;
+        }
+        if !merged {
+            let fresh = ChunkEntry {
+                chunk,
+                lanes,
+                clock,
+            };
+            match v[lo..hi].iter().position(|e| e.lanes == 0) {
+                Some(i) => v[lo + i] = fresh,
+                None => {
+                    v.insert(hi, fresh);
+                    hi += 1;
+                }
+            }
+            v[lo..hi].sort_unstable_by_key(|e| e.clock);
+        }
+        // Drop emptied entries, keeping the rest in order.
+        let mut kept = lo;
+        for i in lo..hi {
+            if v[i].lanes != 0 {
+                v.swap(kept, i);
+                kept += 1;
+            }
+        }
+        v.drain(kept..hi);
+    }
+
+    /// The clock at which `tid` last read, if it is in the set.
+    pub fn get(&self, tid: u32) -> Option<Clock> {
+        let chunk = tid >> 5;
+        let bit = 1 << (tid & 31);
+        let lo = self.entries.partition_point(|e| e.chunk < chunk);
+        self.entries[lo..]
+            .iter()
+            .take_while(|e| e.chunk == chunk)
+            .find(|e| e.lanes & bit != 0)
+            .map(|e| e.clock)
+    }
+
+    /// Number of readers.
+    pub fn len(&self) -> usize {
+        self.entries
+            .iter()
+            .map(|e| e.lanes.count_ones() as usize)
+            .sum()
+    }
+
+    /// True when the set holds no reader.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Every `(tid, clock)` pair, in ascending TID order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, Clock)> + '_ {
+        self.entries
+            .chunk_by(|a, b| a.chunk == b.chunk)
+            .flat_map(|run| {
+                let all = run.iter().fold(0u32, |acc, e| acc | e.lanes);
+                lanes_of(all).map(move |b| {
+                    let e = run
+                        .iter()
+                        .find(|e| e.lanes & (1 << b) != 0)
+                        .expect("a chunk's bits come from its entries");
+                    ((run[0].chunk << 5) | b, e.clock)
+                })
+            })
+    }
+}
+
+/// Read metadata: an epoch for totally-ordered readers, inflated to a
+/// [`ReaderSet`] under concurrent readers.
+///
+/// The set is a copy-on-write allocation: the cells of one word run
 /// (`check_cells_run`) all point at one reader set, and a cell that
 /// updates a set it still shares copies it first (`Arc::make_mut`), so
 /// no cell ever sees another cell's update through an alias.
@@ -32,8 +204,8 @@ use std::sync::Arc;
 pub enum ReadMeta {
     /// Totally-ordered readers: a single epoch.
     Epoch(Epoch),
-    /// Concurrent readers: TID → clock map.
-    Shared(Arc<HashMap<u32, Clock>>),
+    /// Concurrent readers: TID → clock, by warp chunk.
+    Shared(Arc<ReaderSet>),
 }
 
 impl PartialEq for ReadMeta {
@@ -41,7 +213,7 @@ impl PartialEq for ReadMeta {
         match (self, other) {
             (ReadMeta::Epoch(a), ReadMeta::Epoch(b)) => a == b,
             // Cells of one run share a set: identity settles it without
-            // walking the map.
+            // walking the entries.
             (ReadMeta::Shared(a), ReadMeta::Shared(b)) => Arc::ptr_eq(a, b) || a == b,
             _ => false,
         }
@@ -58,7 +230,7 @@ impl ReadMeta {
 }
 
 /// Per-byte shadow cell. The paper packs this into 32 bytes; this struct
-/// has the same fields (write epoch, read epoch / reader map, atomic /
+/// has the same fields (write epoch, read epoch / reader set, atomic /
 /// read-shared / sync-location flags) and a matching footprint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShadowCell {
@@ -495,6 +667,9 @@ impl SharedShadow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::launch::HOST_TID;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     /// The page covering `addr`, allocated on first touch.
     fn page_of(g: &GlobalShadow, addr: u64) -> &ShadowPageSlot {
@@ -520,6 +695,89 @@ mod tests {
             "{}",
             std::mem::size_of::<ShadowCell>()
         );
+    }
+
+    /// Applies `op` to both the set and a `BTreeMap` model: `(base,
+    /// lanes, clock)` adds the group `base + l` for each set bit `l`.
+    fn apply(set: &mut ReaderSet, model: &mut BTreeMap<u32, Clock>, op: (u32, u32, Clock)) {
+        let (base, lanes, clock) = op;
+        set.insert_group(base, lanes, clock);
+        for l in (0..32).filter(|l| lanes & (1 << l) != 0) {
+            model.insert(base + l, clock);
+        }
+    }
+
+    /// One insert: a lane group at a base biased towards few chunks (so
+    /// inserts collide, at every alignment) or the top of the TID space,
+    /// a single TID, or [`HOST_TID`]; lane masks are cut so every TID
+    /// fits in `u32`.
+    fn insert_op() -> impl Strategy<Value = (u32, u32, Clock)> {
+        (0u8..6, any::<u32>(), any::<u32>(), 1u32..6).prop_map(|(kind, raw, lanes, clock)| {
+            let (base, lanes) = match kind {
+                0 => (raw % 200, u32::MAX),
+                1 => (raw % 200, lanes),
+                2 => (u32::MAX - raw % 70, lanes),
+                3 => (raw, lanes),
+                4 => (raw % 200, 1),
+                _ => (HOST_TID, 1),
+            };
+            let room = u32::MAX - base; // highest lane index that fits
+            let lanes = if room < 31 {
+                lanes & ((2u32 << room) - 1)
+            } else {
+                lanes
+            };
+            (base, lanes, clock)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The chunked layout is lossless: after every single or group
+        /// insert, iteration is strictly ascending by TID and equals a
+        /// plain `TID → clock` map, and `get`/`len` agree with it.
+        #[test]
+        fn reader_set_matches_a_btreemap_model(
+            ops in proptest::collection::vec(insert_op(), 1..40),
+        ) {
+            let mut set = ReaderSet::default();
+            let mut model = BTreeMap::new();
+            for op in ops {
+                apply(&mut set, &mut model, op);
+                let got: Vec<(u32, Clock)> = set.iter().collect();
+                prop_assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "not ascending: {:?}", got);
+                let want: Vec<(u32, Clock)> = model.iter().map(|(&t, &c)| (t, c)).collect();
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(set.len(), model.len());
+                prop_assert_eq!(set.get(op.0), model.get(&op.0).copied());
+            }
+        }
+    }
+
+    #[test]
+    fn reader_set_is_canonical_and_reuses_emptied_entries() {
+        // Two sets with the same readers built in different orders
+        // compare equal entry by entry.
+        let mut a = ReaderSet::default();
+        a.insert_group(40, u32::MAX, 3); // chunks 1 and 2
+        a.insert(45, 4);
+        let mut b = ReaderSet::default();
+        b.insert(45, 4);
+        b.insert_group(40, !(1 << 5), 3);
+        assert_eq!(a, b);
+        // A warp re-reading at a new clock replaces its entries without
+        // growing the vector.
+        let mut s = ReaderSet::default();
+        s.insert_group(64, u32::MAX, 1);
+        let cap = s.entries.capacity();
+        for clock in 2..10 {
+            s.insert_group(64, u32::MAX, clock);
+        }
+        assert_eq!(s.entries.len(), 1);
+        assert_eq!(s.entries.capacity(), cap);
+        assert_eq!(s.get(95), Some(9));
+        assert_eq!(s.get(96), None);
     }
 
     #[test]

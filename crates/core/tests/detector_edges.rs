@@ -278,3 +278,45 @@ fn shadow_memory_costs_about_32x_tracked_bytes() {
         "shadow/tracked ratio {ratio} outside the Fig. 8 ballpark"
     );
 }
+
+/// A write that races with several concurrent readers reports the lowest
+/// racing reader TID, in both detectors and in every fresh detector of
+/// one process (a hash-ordered reader map made the reported reader, and
+/// with it the race class, vary from run to run).
+#[test]
+fn a_write_racing_many_readers_reports_the_lowest_reader_tid() {
+    use barracuda_core::{AccessType, RaceReport, ReferenceDetector};
+    use barracuda_trace::Tid;
+
+    let d = GridDims::new(2u32, 64u32);
+    let full = u32::MAX;
+    // Warps 1 (block 0) and 2 (block 1) broadcast-read, warp 0 lane 1
+    // reads, then warp 0 lane 0 writes: lane 1 is ordered before the
+    // write (an earlier instruction of the same warp), TIDs 32..96 race.
+    let stream = [
+        access(1, AccessKind::Read, full, 0x1000),
+        access(2, AccessKind::Read, full, 0x1000),
+        access(0, AccessKind::Read, 0b10, 0x1000),
+        access(0, AccessKind::Write, 0b01, 0x1000),
+    ];
+    let check = |reports: Vec<RaceReport>, who: &str| {
+        assert_eq!(reports.len(), 1, "{who}: {reports:?}");
+        assert_eq!(reports[0].current, (Tid(0), AccessType::Write), "{who}");
+        assert_eq!(reports[0].previous, (Tid(32), AccessType::Read), "{who}");
+        assert_eq!(reports[0].class, RaceClass::IntraBlock, "{who}");
+    };
+    for run in 0..32 {
+        let det = Detector::new(d, 0);
+        let mut w = Worker::new(&det);
+        let mut reference = ReferenceDetector::new(d);
+        for ev in &stream {
+            w.process_event(ev);
+            reference.process_event(ev);
+        }
+        check(det.races().reports(), &format!("detector, run {run}"));
+        check(
+            reference.races().reports(),
+            &format!("reference, run {run}"),
+        );
+    }
+}

@@ -50,6 +50,12 @@ rm -f /tmp/bench_detector_smoke.json
 echo "==> detector gates: bench_detector --gate (zero-alloc steady state on coalesced/strided/atomic/broadcast; sharded threaded >= sync on coalesced)"
 ./target/release/bench_detector --gate
 
+echo "==> detector gates: lowest racing reader TID (determinism) and the chunked reader-set model"
+cargo test -q -p barracuda-core --test detector_edges -- --exact \
+  a_write_racing_many_readers_reports_the_lowest_reader_tid
+cargo test -q -p barracuda-core --lib -- --exact \
+  shadow::tests::reader_set_matches_a_btreemap_model
+
 echo "==> shadow-check differential: core proptests against the dense reference detector"
 cargo test -q -p barracuda-core --test shadow_fastpath
 
