@@ -861,7 +861,7 @@ fn check_warp_access(
                     members |= 1 << lanes[i].lane;
                     i += 1;
                 }
-                let cells = shared_shadow.range_mut(addr + woff, u64::from(wlen));
+                let cells = shared_shadow.range_mut(addr.saturating_add(woff), u64::from(wlen));
                 check_cells_run(cells, &group(members), atype, &mut races, stats);
             }
         }
@@ -1258,6 +1258,18 @@ mod tests {
             addrs,
             size: 4,
         }
+    }
+
+    /// A shared record naming bytes past the declared segment (the
+    /// simulator logs it, then faults the access) leaves the segment's
+    /// shadow at its declared size and checks nothing.
+    #[test]
+    fn shared_record_past_the_segment_allocates_no_shadow() {
+        let det = Detector::new(dims(), 128);
+        let mut w = Worker::new(&det);
+        w.process_event(&shared_access(0, AccessKind::Write, 0b1111, 1 << 20));
+        assert_eq!(w.blocks[&0].shared_shadow.len(), 128);
+        assert_eq!(det.races().race_count(), 0);
     }
 
     #[test]

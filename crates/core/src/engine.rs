@@ -727,13 +727,13 @@ mod tests {
         run_launch(&mut core, None, &[write(0, data), rel]);
         let unrelated = run_launch(&mut core, None, &[write(0, 0x9000)]);
         core.join_epoch(unrelated);
-        match core.maybe_recycle() {
-            // Epoch 0 (the releaser, not joined) must stay live; only
-            // nothing or the unrelated epoch may drop. With watermark
-            // stuck at 0 the call is a no-op, which is also fine.
-            Some(RecycleAction::Reset) => panic!("the releaser is still live"),
-            _ => {}
-        }
+        // Epoch 0 (the releaser, not joined) must stay live; only nothing
+        // or the unrelated epoch may drop. With watermark stuck at 0 the
+        // call is a no-op, which is also fine.
+        assert!(
+            !matches!(core.maybe_recycle(), Some(RecycleAction::Reset)),
+            "the releaser is still live"
+        );
         run_launch(&mut core, None, &[acq, write(0, data)]);
         let (races, _) = core.drain();
         assert!(races.is_empty(), "{races:?}");

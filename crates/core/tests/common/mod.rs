@@ -12,6 +12,13 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeSet;
 
+/// Shared-segment size every detector in these tests declares: it covers
+/// each shared address the generators emit (page boundaries up to the
+/// third, plus a warp of 8-byte strides), as the simulator guarantees for
+/// every record of a launch that completes. The detector keeps no shadow
+/// past the declared segment.
+pub const SHARED_BYTES: u64 = 4 * SHADOW_PAGE_SIZE;
+
 /// Picks a base address near a shadow page boundary: for size `s`, the
 /// offsets `boundary - s .. boundary + 1` cover fully-before, straddling
 /// (every split point), and fully-after placements.
@@ -192,7 +199,7 @@ pub fn race_set(reports: &[barracuda_core::RaceReport]) -> BTreeSet<RaceKey> {
 
 /// Unified single-worker run of the production detector.
 pub fn run_config(dims: GridDims, stream: &[Event]) -> BTreeSet<RaceKey> {
-    let det = Detector::new(dims, 64);
+    let det = Detector::new(dims, SHARED_BYTES);
     let mut worker = Worker::new(&det);
     for ev in stream {
         worker.process_event(ev);

@@ -15,6 +15,11 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeSet;
 
+/// Declared shared-segment size: covers every shared address the
+/// generator emits (`0x1000` plus at most 21, then 4 bytes). The detector
+/// keeps no shadow past the declared segment.
+const SHARED_BYTES: u64 = 0x1020;
+
 /// Generates a balanced (possibly branching) program for one warp with
 /// the given active mask.
 fn gen_body(rng: &mut StdRng, warp: u64, mask: u32, depth: u32, out: &mut Vec<Event>) {
@@ -158,7 +163,7 @@ fn race_set(reports: &[barracuda_core::RaceReport]) -> BTreeSet<RaceKey> {
 }
 
 fn run_both(dims: GridDims, stream: &[Event]) -> (BTreeSet<RaceKey>, BTreeSet<RaceKey>) {
-    let det = Detector::new(dims, 64);
+    let det = Detector::new(dims, SHARED_BYTES);
     let mut worker = Worker::new(&det);
     let mut reference = ReferenceDetector::new(dims);
     for ev in stream {

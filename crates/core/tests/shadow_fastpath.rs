@@ -23,7 +23,7 @@ use barracuda_core::shadow::SHADOW_PAGE_SIZE;
 use barracuda_core::{Detector, ReferenceDetector, Worker};
 use barracuda_trace::ops::{AccessKind, Event, MemSpace, Scope};
 use barracuda_trace::{GridDims, Tid};
-use common::{boundary_addr, gen_stream, run_config, run_reference};
+use common::{boundary_addr, gen_stream, run_config, run_reference, SHARED_BYTES};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -382,7 +382,7 @@ fn straddling_writes_race_identically_at_every_split() {
 fn fast_path_counters_prove_engagement() {
     let dims = GridDims::with_warp_size(2u32, 8u32, 4);
     let stream = gen_stream(7, &dims, 3);
-    let det = Detector::new(dims, 64);
+    let det = Detector::new(dims, SHARED_BYTES);
     let mut worker = Worker::new(&det);
     for ev in &stream {
         worker.process_event(ev);

@@ -28,7 +28,7 @@ use barracuda_trace::route::{
     page_key_of, page_partition, route_class, split_global_access, RouteClass, SeqStamper,
 };
 use barracuda_trace::{GridDims, Record};
-use common::{gen_stream, race_set, run_config, RaceKey};
+use common::{gen_stream, race_set, run_config, RaceKey, SHARED_BYTES};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -50,7 +50,7 @@ fn align_stream(stream: &mut [Event]) {
 /// enforces (emission order; sync sub-turns ascending by worker index).
 /// Returns `(race keys, barrier-divergence diagnostic count)`.
 fn run_sharded(dims: GridDims, stream: &[Event], workers: usize) -> (BTreeSet<RaceKey>, usize) {
-    let det = Detector::new(dims, 64);
+    let det = Detector::new(dims, SHARED_BYTES);
     let epoch = det.epoch();
     let mut ws: Vec<Worker> = (0..workers)
         .map(|i| Worker::new_sharded(&det, i, workers))

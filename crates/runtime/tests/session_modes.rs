@@ -86,6 +86,43 @@ fn store_past_the_top_of_the_address_space_faults_in_every_mode() {
     }
 }
 
+/// A shared store far past a 128-byte segment is logged before it
+/// faults. Every pipeline must return the fault; the threaded workers see
+/// the record while the launch runs and must not size the block's
+/// shared shadow to the offset it names.
+#[test]
+fn shared_store_past_the_segment_faults_in_every_mode() {
+    let source = src(
+        ".reg .b32 %r<4>;\n.reg .b64 %rd<4>;\n\
+         .shared .align 4 .b8 sm[128];\n\
+         mov.u32 %r1, %tid.x;\n\
+         st.shared.u32 [sm+16777216], %r1;\n\
+         ret;",
+        "",
+    );
+    for (mode, sharded_routing) in [
+        (DetectionMode::Synchronous, false),
+        (DetectionMode::Threaded, false),
+        (DetectionMode::Threaded, true),
+    ] {
+        let mut bar = Barracuda::with_config(BarracudaConfig {
+            mode,
+            sharded_routing,
+            ..BarracudaConfig::default()
+        });
+        let r = bar.check(&KernelRun {
+            source: &source,
+            kernel: "k",
+            dims: GridDims::new(1u32, 32u32),
+            params: &[],
+        });
+        assert!(
+            matches!(r, Err(Error::Sim(SimError::SharedOutOfBounds { .. }))),
+            "{mode:?}, sharded_routing={sharded_routing}: {r:?}"
+        );
+    }
+}
+
 #[test]
 fn disjoint_writes_clean() {
     let source = src(

@@ -9,6 +9,17 @@
 //! the reference semantics; both share the helpers defined here and must
 //! produce byte-identical event streams (see
 //! `tests/decode_differential.rs`).
+//!
+//! A global `ld`/`st`/`ld.vN`/`st.vN` whose active lanes all resolve to
+//! global memory first tries to run as one warp operation through
+//! [`GlobalMemory::try_load_lanes`] / [`GlobalMemory::try_store_lanes`],
+//! which copy each lane at a fixed width when the model is SC and every
+//! lane's bytes lie on one allocated page (see `mem.rs`). Otherwise the
+//! instruction runs the per-lane loop, the only path that faults or goes
+//! through a store buffer. Shared, local and param accesses, a generic
+//! access with a lane in shared memory, and atomics stay per-lane. The AST
+//! walker keeps its per-lane memory path, so the differential suite still
+//! checks the warp path against an independent implementation.
 
 use barracuda_ptx::ast::{BinOp, CmpOp, Guard, MulMode, Reg, SpecialReg, Type, UnOp};
 use barracuda_trace::ops::{AccessKind, Event, MemSpace, Scope};
@@ -273,17 +284,42 @@ macro_rules! with_each_type {
     };
 }
 
+/// The lane loop shared by the `bin`/`mul`/`setp` warp functions. A
+/// register/immediate pair (`add %acc, %acc, 1`) reads the register
+/// column directly and folds the immediate into the loop, touching no
+/// operand scratch buffer.
+#[inline(always)]
+fn warp_bin_loop(
+    dims: &GridDims,
+    w: &mut WarpState,
+    exec: u32,
+    dst: Reg,
+    (a, b): (DOperand, DOperand),
+    f: impl Fn(u64, u64) -> u64,
+) {
+    let ws = dims.warp_size as usize;
+    let mut out = [0u64; 32];
+    if let (DOperand::Reg(r), DOperand::Imm(y)) = (a, b) {
+        for (o, &x) in out[..ws].iter_mut().zip(w.col(r)) {
+            *o = f(x, y);
+        }
+    } else {
+        let (mut ab, mut bb) = ([0u64; 32], [0u64; 32]);
+        let av = operand_slice(dims, w, exec, a, &mut ab);
+        let bv = operand_slice(dims, w, exec, b, &mut bb);
+        for ((o, &x), &y) in out[..ws].iter_mut().zip(av).zip(bv) {
+            *o = f(x, y);
+        }
+    }
+    write_masked(w, dst, exec, &out, ws);
+}
+
 macro_rules! bin_arm {
     ($o:ident, $t:ident) => {
         (|dims: &GridDims, w: &mut WarpState, exec: u32, dst: Reg, a: DOperand, b: DOperand| {
-            let ws = dims.warp_size as usize;
-            let (mut ab, mut bb, mut out) = ([0u64; 32], [0u64; 32], [0u64; 32]);
-            let av = operand_slice(dims, w, exec, a, &mut ab);
-            let bv = operand_slice(dims, w, exec, b, &mut bb);
-            for ((o, &x), &y) in out[..ws].iter_mut().zip(av).zip(bv) {
-                *o = value::bin(BinOp::$o, Type::$t, x, y);
-            }
-            write_masked(w, dst, exec, &out, ws);
+            warp_bin_loop(dims, w, exec, dst, (a, b), |x, y| {
+                value::bin(BinOp::$o, Type::$t, x, y)
+            });
         }) as WarpBinFn
     };
 }
@@ -308,14 +344,9 @@ pub(crate) fn warp_bin_fn(op: BinOp, ty: Type) -> WarpBinFn {
 macro_rules! mul_arm {
     ($m:ident, $t:ident) => {
         (|dims: &GridDims, w: &mut WarpState, exec: u32, dst: Reg, a: DOperand, b: DOperand| {
-            let ws = dims.warp_size as usize;
-            let (mut ab, mut bb, mut out) = ([0u64; 32], [0u64; 32], [0u64; 32]);
-            let av = operand_slice(dims, w, exec, a, &mut ab);
-            let bv = operand_slice(dims, w, exec, b, &mut bb);
-            for ((o, &x), &y) in out[..ws].iter_mut().zip(av).zip(bv) {
-                *o = value::mul(MulMode::$m, Type::$t, x, y);
-            }
-            write_masked(w, dst, exec, &out, ws);
+            warp_bin_loop(dims, w, exec, dst, (a, b), |x, y| {
+                value::mul(MulMode::$m, Type::$t, x, y)
+            });
         }) as WarpBinFn
     };
 }
@@ -332,14 +363,9 @@ pub(crate) fn warp_mul_fn(mode: MulMode, ty: Type) -> WarpBinFn {
 macro_rules! setp_arm {
     ($o:ident, $t:ident) => {
         (|dims: &GridDims, w: &mut WarpState, exec: u32, dst: Reg, a: DOperand, b: DOperand| {
-            let ws = dims.warp_size as usize;
-            let (mut ab, mut bb, mut out) = ([0u64; 32], [0u64; 32], [0u64; 32]);
-            let av = operand_slice(dims, w, exec, a, &mut ab);
-            let bv = operand_slice(dims, w, exec, b, &mut bb);
-            for ((o, &x), &y) in out[..ws].iter_mut().zip(av).zip(bv) {
-                *o = u64::from(value::cmp(CmpOp::$o, Type::$t, x, y));
-            }
-            write_masked(w, dst, exec, &out, ws);
+            warp_bin_loop(dims, w, exec, dst, (a, b), |x, y| {
+                u64::from(value::cmp(CmpOp::$o, Type::$t, x, y))
+            });
         }) as WarpBinFn
     };
 }
@@ -445,10 +471,62 @@ fn dresolve_addr(
     (rs, a)
 }
 
+/// Resolves every `exec` lane's address into `addrs` and reports whether
+/// all of them lie in global memory — the case that may be served
+/// warp-wide by [`GlobalMemory::try_load_lanes`] /
+/// [`GlobalMemory::try_store_lanes`]. Shared, local and param accesses
+/// (and a generic access with any lane below [`crate::GLOBAL_BASE`]) keep
+/// the per-lane loop.
+fn resolve_global_lanes(
+    w: &WarpState,
+    exec: u32,
+    warp_size: u32,
+    addr: DAddr,
+    space: barracuda_ptx::ast::Space,
+    addrs: &mut [u64; 32],
+) -> bool {
+    use barracuda_ptx::ast::Space;
+    if !matches!(space, Space::Global | Space::Generic) {
+        return false;
+    }
+    let mut global = true;
+    for lane in lanes(exec, warp_size) {
+        let (rs, a) = dresolve_addr(w, lane, addr, space);
+        addrs[lane as usize] = a;
+        global &= rs == ResolvedSpace::Global;
+    }
+    global
+}
+
+/// A loaded `ty` value as its register holds it: sign-extended for signed
+/// types, truncated otherwise.
+#[inline(always)]
+fn loaded_value(ty: Type, raw: u64) -> u64 {
+    if ty.is_signed() {
+        value::sext(ty, raw) as u64
+    } else {
+        value::trunc(ty, raw)
+    }
+}
+
 /// Same-value intra-warp write filtering (paper §3.3.1): lanes writing the
 /// same value to the same address collapse to the lowest lane; differing
 /// values are all kept so the detector reports the intra-warp race.
+///
+/// When the active lanes' addresses strictly increase in lane order (the
+/// coalesced case), no two lanes share an address and the mask is
+/// returned after one O(32) pass.
 pub(crate) fn filter_same_value(mask: u32, addrs: &[u64; 32], vals: &[u64; 32]) -> u32 {
+    let mut prev = None;
+    let increasing = lanes(mask, 32).all(|l| {
+        let a = addrs[l as usize];
+        let up = prev.is_none_or(|p| a > p);
+        prev = Some(a);
+        up
+    });
+    if increasing {
+        return mask;
+    }
     let mut keep = mask;
     for lane in 0..32u32 {
         if keep & (1 << lane) == 0 {
@@ -667,28 +745,42 @@ fn exec_instr(
             let total = (elem * dsts.len() as u64) as u8;
             let mut addrs = [0u64; 32];
             let vals = [0u64; 32];
-            let mut rspace = ResolvedSpace::Global;
-            for lane in lanes(exec, warp_size) {
-                let (rs, base) = dresolve_addr(w, lane, addr, space);
-                rspace = rs;
-                addrs[lane as usize] = base;
-                for (i, &dst) in dsts.iter().enumerate() {
-                    let a = base + i as u64 * elem;
-                    let raw = match rs {
-                        ResolvedSpace::Global => ctx.global.load(w.block, a, elem as u8)?,
-                        ResolvedSpace::Shared => ctx.shared.load(a, elem as u8)?,
-                        _ => {
-                            return Err(SimError::Fault("vector load on param/local space".into()))
-                        }
-                    };
-                    let v = if ty.is_signed() {
-                        value::sext(ty, raw) as u64
-                    } else {
-                        value::trunc(ty, raw)
-                    };
-                    w.set_reg(lane, dst, v);
+            let mut raw = [[0u64; 32]; 4];
+            let rspace = if dsts.len() <= 4
+                && resolve_global_lanes(w, exec, warp_size, addr, space, &mut addrs)
+                && ctx
+                    .global
+                    .try_load_lanes(exec, &addrs, elem as u8, &mut raw[..dsts.len()])
+            {
+                for (&dst, col) in dsts.iter().zip(raw.iter_mut()) {
+                    for lane in lanes(exec, warp_size) {
+                        col[lane as usize] = loaded_value(ty, col[lane as usize]);
+                    }
+                    write_masked(w, dst, exec, col, warp_size as usize);
                 }
-            }
+                ResolvedSpace::Global
+            } else {
+                let mut rspace = ResolvedSpace::Global;
+                for lane in lanes(exec, warp_size) {
+                    let (rs, base) = dresolve_addr(w, lane, addr, space);
+                    rspace = rs;
+                    addrs[lane as usize] = base;
+                    for (i, &dst) in dsts.iter().enumerate() {
+                        let a = base + i as u64 * elem;
+                        let raw = match rs {
+                            ResolvedSpace::Global => ctx.global.load(w.block, a, elem as u8)?,
+                            ResolvedSpace::Shared => ctx.shared.load(a, elem as u8)?,
+                            _ => {
+                                return Err(SimError::Fault(
+                                    "vector load on param/local space".into(),
+                                ))
+                            }
+                        };
+                        w.set_reg(lane, dst, loaded_value(ty, raw));
+                    }
+                }
+                rspace
+            };
             log_native_access(ctx, w, AccessKind::Read, rspace, exec, &addrs, &vals, total);
             advance(w);
             Ok(StepOutcome::Continue)
@@ -706,26 +798,47 @@ fn exec_instr(
             let total = (elem * srcs.len() as u64) as u8;
             let mut addrs = [0u64; 32];
             let mut vals = [0u64; 32];
-            let mut rspace = ResolvedSpace::Global;
+            // Vector stores carry multiple values; disable the same-value
+            // collapse by making lane tags distinct.
             for lane in lanes(exec, warp_size) {
-                let (rs, base) = dresolve_addr(w, lane, addr, space);
-                rspace = rs;
-                addrs[lane as usize] = base;
-                // Vector stores carry multiple values; disable the
-                // same-value collapse by making lane tags distinct.
                 vals[lane as usize] = u64::from(lane) + 1;
-                for (i, &src) in srcs.iter().enumerate() {
-                    let a = base + i as u64 * elem;
-                    let v = value::trunc(ty, doperand_value(dims, w, lane, src));
-                    match rs {
-                        ResolvedSpace::Global => ctx.global.store(w.block, a, elem as u8, v)?,
-                        ResolvedSpace::Shared => ctx.shared.store(a, elem as u8, v)?,
-                        _ => {
-                            return Err(SimError::Fault("vector store on param/local space".into()))
+            }
+            let mut direct = srcs.len() <= 4
+                && resolve_global_lanes(w, exec, warp_size, addr, space, &mut addrs);
+            if direct {
+                let mut elems = [[0u64; 32]; 4];
+                for (&src, col) in srcs.iter().zip(elems.iter_mut()) {
+                    for lane in lanes(exec, warp_size) {
+                        col[lane as usize] = value::trunc(ty, doperand_value(dims, w, lane, src));
+                    }
+                }
+                let elems = &elems[..srcs.len()];
+                direct = ctx.global.try_store_lanes(exec, &addrs, elem as u8, elems);
+            }
+            let rspace = if direct {
+                ResolvedSpace::Global
+            } else {
+                let mut rspace = ResolvedSpace::Global;
+                for lane in lanes(exec, warp_size) {
+                    let (rs, base) = dresolve_addr(w, lane, addr, space);
+                    rspace = rs;
+                    addrs[lane as usize] = base;
+                    for (i, &src) in srcs.iter().enumerate() {
+                        let a = base + i as u64 * elem;
+                        let v = value::trunc(ty, doperand_value(dims, w, lane, src));
+                        match rs {
+                            ResolvedSpace::Global => ctx.global.store(w.block, a, elem as u8, v)?,
+                            ResolvedSpace::Shared => ctx.shared.store(a, elem as u8, v)?,
+                            _ => {
+                                return Err(SimError::Fault(
+                                    "vector store on param/local space".into(),
+                                ))
+                            }
                         }
                     }
                 }
-            }
+                rspace
+            };
             log_native_access(
                 ctx,
                 w,
@@ -748,27 +861,38 @@ fn exec_instr(
             let size = ty.size() as u8;
             let mut addrs = [0u64; 32];
             let mut vals = [0u64; 32];
-            let mut rspace = ResolvedSpace::Global;
-            for lane in lanes(exec, warp_size) {
-                let (rs, a) = dresolve_addr(w, lane, addr, space);
-                rspace = rs;
-                let raw = match rs {
-                    ResolvedSpace::Global => ctx.global.load(w.block, a, size)?,
-                    ResolvedSpace::Shared => ctx.shared.load(a, size)?,
-                    ResolvedSpace::Param => load_bytes(ctx.param_block, a as usize, size, "param")?,
-                    ResolvedSpace::Local => {
-                        load_bytes(ctx.locals.lane(w.warp, lane), a as usize, size, "local")?
-                    }
-                };
-                let v = if ty.is_signed() {
-                    value::sext(ty, raw) as u64
-                } else {
-                    value::trunc(ty, raw)
-                };
-                addrs[lane as usize] = a;
-                vals[lane as usize] = v;
-                w.set_reg(lane, dst, v);
-            }
+            let rspace = if resolve_global_lanes(w, exec, warp_size, addr, space, &mut addrs)
+                && ctx
+                    .global
+                    .try_load_lanes(exec, &addrs, size, std::slice::from_mut(&mut vals))
+            {
+                for lane in lanes(exec, warp_size) {
+                    vals[lane as usize] = loaded_value(ty, vals[lane as usize]);
+                }
+                write_masked(w, dst, exec, &vals, warp_size as usize);
+                ResolvedSpace::Global
+            } else {
+                let mut rspace = ResolvedSpace::Global;
+                for lane in lanes(exec, warp_size) {
+                    let (rs, a) = dresolve_addr(w, lane, addr, space);
+                    rspace = rs;
+                    let raw = match rs {
+                        ResolvedSpace::Global => ctx.global.load(w.block, a, size)?,
+                        ResolvedSpace::Shared => ctx.shared.load(a, size)?,
+                        ResolvedSpace::Param => {
+                            load_bytes(ctx.param_block, a as usize, size, "param")?
+                        }
+                        ResolvedSpace::Local => {
+                            load_bytes(ctx.locals.lane(w.warp, lane), a as usize, size, "local")?
+                        }
+                    };
+                    let v = loaded_value(ty, raw);
+                    addrs[lane as usize] = a;
+                    vals[lane as usize] = v;
+                    w.set_reg(lane, dst, v);
+                }
+                rspace
+            };
             log_native_access(ctx, w, AccessKind::Read, rspace, exec, &addrs, &vals, size);
             advance(w);
             Ok(StepOutcome::Continue)
@@ -782,24 +906,38 @@ fn exec_instr(
             let size = ty.size() as u8;
             let mut addrs = [0u64; 32];
             let mut vals = [0u64; 32];
-            let mut rspace = ResolvedSpace::Global;
-            for lane in lanes(exec, warp_size) {
-                let (rs, a) = dresolve_addr(w, lane, addr, space);
-                rspace = rs;
-                let v = value::trunc(ty, doperand_value(dims, w, lane, src));
-                addrs[lane as usize] = a;
-                vals[lane as usize] = v;
-                match rs {
-                    ResolvedSpace::Global => ctx.global.store(w.block, a, size, v)?,
-                    ResolvedSpace::Shared => ctx.shared.store(a, size, v)?,
-                    ResolvedSpace::Param => {
-                        return Err(SimError::Fault("store to param space".into()))
-                    }
-                    ResolvedSpace::Local => {
-                        store_bytes(ctx.locals.lane(w.warp, lane), a as usize, size, v, "local")?;
+            let mut direct = resolve_global_lanes(w, exec, warp_size, addr, space, &mut addrs);
+            if direct {
+                for lane in lanes(exec, warp_size) {
+                    vals[lane as usize] = value::trunc(ty, doperand_value(dims, w, lane, src));
+                }
+                let elems = std::slice::from_ref(&vals);
+                direct = ctx.global.try_store_lanes(exec, &addrs, size, elems);
+            }
+            let rspace = if direct {
+                ResolvedSpace::Global
+            } else {
+                let mut rspace = ResolvedSpace::Global;
+                for lane in lanes(exec, warp_size) {
+                    let (rs, a) = dresolve_addr(w, lane, addr, space);
+                    rspace = rs;
+                    let v = value::trunc(ty, doperand_value(dims, w, lane, src));
+                    addrs[lane as usize] = a;
+                    vals[lane as usize] = v;
+                    match rs {
+                        ResolvedSpace::Global => ctx.global.store(w.block, a, size, v)?,
+                        ResolvedSpace::Shared => ctx.shared.store(a, size, v)?,
+                        ResolvedSpace::Param => {
+                            return Err(SimError::Fault("store to param space".into()))
+                        }
+                        ResolvedSpace::Local => {
+                            let buf = ctx.locals.lane(w.warp, lane);
+                            store_bytes(buf, a as usize, size, v, "local")?;
+                        }
                     }
                 }
-            }
+                rspace
+            };
             log_native_access(ctx, w, AccessKind::Write, rspace, exec, &addrs, &vals, size);
             advance(w);
             Ok(StepOutcome::Continue)
@@ -1058,6 +1196,44 @@ fn exec_call(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// `filter_same_value` against its specification: a lane is kept
+        /// iff no lower active lane writes the same value to the same
+        /// address. Addresses are mostly increasing, mostly decreasing
+        /// (both with runs of equal neighbours), drawn from a pool of four
+        /// (interleaved), or all equal; values come from a pool of three.
+        #[test]
+        fn same_value_filter_keeps_the_lowest_lane_of_each_pair(
+            mask in any::<u32>(),
+            order in 0u8..4,
+            lanes_in in prop::collection::vec((0u64..4, 0u64..3), 32..33),
+        ) {
+            let mut addrs = [0u64; 32];
+            let mut vals = [0u64; 32];
+            for (l, &(a, v)) in lanes_in.iter().enumerate() {
+                let step = match order {
+                    0 => l as u64,
+                    1 => 31 - l as u64,
+                    2 => a,
+                    _ => 0,
+                };
+                addrs[l] = if order < 2 && a == 0 && l > 0 {
+                    addrs[l - 1]
+                } else {
+                    0x1000 + 4 * step
+                };
+                vals[l] = v;
+            }
+            let active = |l: usize| mask & (1 << l) != 0;
+            let want = (0..32).filter(|&l| {
+                active(l) && !(0..l).any(|m| active(m) && (addrs[m], vals[m]) == (addrs[l], vals[l]))
+            });
+            let want = want.fold(0u32, |k, l| k | 1 << l);
+            prop_assert_eq!(filter_same_value(mask, &addrs, &vals), want);
+        }
+    }
 
     #[test]
     fn same_value_filter_collapses_identical_writes() {

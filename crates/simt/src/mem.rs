@@ -9,8 +9,20 @@
 //! either in random order (Kepler preset) or FIFO (Maxwell preset), except
 //! that two pending stores to the same location always commit in program
 //! order (hardware store buffers never reorder same-address stores).
+//!
+//! A warp's global `ld`/`st` (scalar or vector) first tries
+//! [`GlobalMemory::try_load_lanes`] / [`GlobalMemory::try_store_lanes`].
+//! They serve the warp only when the model is SC and every active lane's
+//! bytes lie inside one allocated page: the element width is matched once
+//! per warp and each lane is one fixed-width copy. In any other case (a
+//! buffered model, a lane below [`crate::GLOBAL_BASE`], past the last page
+//! or straddling a page end) they touch nothing and return `false`, and
+//! the executor runs its per-lane [`GlobalMemory::load`] /
+//! [`GlobalMemory::store`] loop, which owns every fault and store-buffer
+//! case.
 
 use crate::config::{MemoryModel, SimError};
+use crate::exec::lanes;
 use rand::rngs::StdRng;
 use rand::RngExt;
 use std::ops::Range;
@@ -33,7 +45,7 @@ fn overlaps(a: &PendingStore, addr: u64, size: u8) -> bool {
 }
 
 /// Device global memory.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GlobalMemory {
     model: MemoryModel,
     /// Page `i` starts at `GLOBAL_BASE + (i << PAGE_SHIFT)`. Allocation bumps
@@ -171,6 +183,113 @@ impl GlobalMemory {
         let _ = Self::chunks(self.pages.len(), addr, 1)?;
         self.buffers[block as usize].push(PendingStore { addr, size, value });
         Ok(())
+    }
+
+    /// Loads `out.len()` consecutive `size`-byte elements at every `mask`
+    /// lane's address in one pass, if the warp can be served directly:
+    /// lane `l`'s element `i` is read from `addrs[l] + i * size` into
+    /// `out[i][l]`, the values a [`load`](Self::load) loop would return.
+    /// Returns `false` and writes nothing unless the model is SC, `size` is
+    /// 1, 2, 4 or 8, and every lane's `size * out.len()` bytes lie inside
+    /// one allocated page.
+    pub fn try_load_lanes(
+        &self,
+        mask: u32,
+        addrs: &[u64; 32],
+        size: u8,
+        out: &mut [[u64; 32]],
+    ) -> bool {
+        if !self.lanes_fit(mask, addrs, u64::from(size) * out.len() as u64) {
+            return false;
+        }
+        match size {
+            1 => self.read_lanes::<1>(mask, addrs, out),
+            2 => self.read_lanes::<2>(mask, addrs, out),
+            4 => self.read_lanes::<4>(mask, addrs, out),
+            8 => self.read_lanes::<8>(mask, addrs, out),
+            _ => return false,
+        }
+        true
+    }
+
+    /// Stores `vals.len()` consecutive `size`-byte elements at every
+    /// `mask` lane's address in one pass, if the warp can be served
+    /// directly: lane `l`'s element `i` is `vals[i][l]` at
+    /// `addrs[l] + i * size`, in lane order, so where lanes overlap the
+    /// highest lane's bytes win, as in a [`store`](Self::store) loop.
+    /// Returns `false` and stores nothing unless the model is SC, `size` is
+    /// 1, 2, 4 or 8, and every lane's `size * vals.len()` bytes lie inside
+    /// one allocated page.
+    pub fn try_store_lanes(
+        &mut self,
+        mask: u32,
+        addrs: &[u64; 32],
+        size: u8,
+        vals: &[[u64; 32]],
+    ) -> bool {
+        if !self.lanes_fit(mask, addrs, u64::from(size) * vals.len() as u64) {
+            return false;
+        }
+        match size {
+            1 => self.write_lanes::<1>(mask, addrs, vals),
+            2 => self.write_lanes::<2>(mask, addrs, vals),
+            4 => self.write_lanes::<4>(mask, addrs, vals),
+            8 => self.write_lanes::<8>(mask, addrs, vals),
+            _ => return false,
+        }
+        true
+    }
+
+    /// Whether a warp access of `len` bytes per lane may copy directly:
+    /// the model is SC (no store buffer to forward from or fill) and every
+    /// `mask` lane's `[addr, addr + len)` lies inside one allocated page.
+    fn lanes_fit(&self, mask: u32, addrs: &[u64; 32], len: u64) -> bool {
+        if self.model.buffered() {
+            return false;
+        }
+        let mapped = (self.pages.len() as u64) << PAGE_SHIFT;
+        lanes(mask, 32).all(|l| {
+            addrs[l as usize]
+                .checked_sub(crate::GLOBAL_BASE)
+                .is_some_and(|o| {
+                    o < mapped && (o & (PAGE_SIZE as u64 - 1)) + len <= PAGE_SIZE as u64
+                })
+        })
+    }
+
+    /// The `(page, offset)` of an address [`lanes_fit`](Self::lanes_fit)
+    /// accepted.
+    fn page_offset(addr: u64) -> (usize, usize) {
+        let o = addr - crate::GLOBAL_BASE;
+        (
+            (o >> PAGE_SHIFT) as usize,
+            (o & (PAGE_SIZE as u64 - 1)) as usize,
+        )
+    }
+
+    /// [`try_load_lanes`](Self::try_load_lanes) at element width `N`.
+    fn read_lanes<const N: usize>(&self, mask: u32, addrs: &[u64; 32], out: &mut [[u64; 32]]) {
+        for l in lanes(mask, 32).map(|l| l as usize) {
+            let (p, off) = Self::page_offset(addrs[l]);
+            let page = &self.pages[p][off..];
+            for (i, o) in out.iter_mut().enumerate() {
+                let mut b = [0u8; 8];
+                b[..N].copy_from_slice(&page[i * N..(i + 1) * N]);
+                o[l] = u64::from_le_bytes(b);
+            }
+        }
+    }
+
+    /// [`try_store_lanes`](Self::try_store_lanes) at element width `N`, in
+    /// lane order.
+    fn write_lanes<const N: usize>(&mut self, mask: u32, addrs: &[u64; 32], vals: &[[u64; 32]]) {
+        for l in lanes(mask, 32).map(|l| l as usize) {
+            let (p, off) = Self::page_offset(addrs[l]);
+            let page = &mut self.pages[p][off..];
+            for (i, v) in vals.iter().enumerate() {
+                page[i * N..(i + 1) * N].copy_from_slice(&v[l].to_le_bytes()[..N]);
+            }
+        }
     }
 
     /// An atomic read-modify-write by `block`. Atomics are coherent: all
@@ -786,6 +905,140 @@ mod tests {
         let mut all = vec![0u8; len as usize];
         m.read_bytes(BASE, &mut all).unwrap();
         assert_eq!(Ok(all), r.read(BASE, len), "{model:?} final contents");
+    }
+
+    /// Lane `l`'s address in the warp entry-point test, by class: a pool
+    /// of eight words (lanes collide), anywhere with room for the access,
+    /// ending exactly at the first page's end, within 40 bytes of either
+    /// page's end (fits, straddles, or runs off the last page), below
+    /// the first page, past the last page, or at the top of the address
+    /// space. `len` is the lane's whole access.
+    fn lane_addr(class: u8, seed: u64, len: u64) -> u64 {
+        match class {
+            0 => BASE + 8 * (seed % 8),
+            1 => BASE + seed % (2 * PAGE - 32),
+            2 => BASE + PAGE - len,
+            3 => BASE + (1 + seed % 2) * PAGE - 1 - (seed >> 8) % 40,
+            4 => BASE - 1 - seed % 8,
+            5 => BASE + 2 * PAGE + seed % 64,
+            _ => u64::MAX - seed % 16,
+        }
+    }
+
+    /// A warp store then load on `m` as the executor runs them (the
+    /// `try_` entry point, else the `store`/`load` loop), against the loop
+    /// alone on a clone. The entry points must be taken exactly when the
+    /// model is SC and every lane's access fits one of the two mapped
+    /// pages, and results, loaded values, pending stores and final bytes
+    /// must agree.
+    fn check_lane_entry_points(
+        mut m: GlobalMemory,
+        mask: u32,
+        addrs: &[u64; 32],
+        size: u8,
+        vals: &[[u64; 32]],
+    ) {
+        let mut want = m.clone();
+        let step = u64::from(size);
+        let len = step * vals.len() as u64;
+        let ctx = format!(
+            "mask {mask:#x} size {size} n {} addrs {addrs:x?}",
+            vals.len()
+        );
+        let lanes = || (0..32).filter(|l| mask & (1 << l) != 0);
+        let direct = !m.model.buffered()
+            && lanes().all(|l| {
+                addrs[l]
+                    .checked_sub(BASE)
+                    .is_some_and(|o| o < 2 * PAGE && o % PAGE + len <= PAGE)
+            });
+        let store_loop = |g: &mut GlobalMemory| {
+            lanes().try_for_each(|l| {
+                (0..vals.len())
+                    .try_for_each(|i| g.store(0, addrs[l] + i as u64 * step, size, vals[i][l]))
+            })
+        };
+        let load_loop = |g: &GlobalMemory, out: &mut [[u64; 32]]| -> Result<(), SimError> {
+            lanes().try_for_each(|l| {
+                (0..vals.len()).try_for_each(|i| {
+                    out[i][l] = g.load(0, addrs[l] + i as u64 * step, size)?;
+                    Ok(())
+                })
+            })
+        };
+
+        let expect = store_loop(&mut want);
+        let taken = m.try_store_lanes(mask, addrs, size, vals);
+        assert_eq!(taken, direct, "store taken {ctx}");
+        let got = if taken { Ok(()) } else { store_loop(&mut m) };
+        assert_eq!(got, expect, "store {ctx}");
+        assert_eq!(m.pending_stores(), want.pending_stores(), "store {ctx}");
+
+        let mut expect_out = vec![[0u64; 32]; vals.len()];
+        let expect = load_loop(&want, &mut expect_out);
+        let mut out = vec![[0u64; 32]; vals.len()];
+        let taken = m.try_load_lanes(mask, addrs, size, &mut out);
+        assert_eq!(taken, direct, "load taken {ctx}");
+        let got = if taken {
+            Ok(())
+        } else {
+            load_loop(&m, &mut out)
+        };
+        assert_eq!((got, out), (expect, expect_out), "load {ctx}");
+
+        m.end_kernel();
+        want.end_kernel();
+        let mut bytes = vec![0u8; 2 * PAGE as usize];
+        let mut want_bytes = bytes.clone();
+        m.read_bytes(BASE, &mut bytes).unwrap();
+        want.read_bytes(BASE, &mut want_bytes).unwrap();
+        assert!(bytes == want_bytes, "final bytes {ctx}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The warp entry points plus the per-lane fallback equal the
+        /// per-lane loop under SC (where most warps take the fixed-width
+        /// copy) and a buffered model (where none do), with duplicate lane
+        /// addresses, page-end fits and straddles, and faulting lanes
+        /// anywhere in the mask.
+        #[test]
+        fn lane_entry_points_match_a_per_lane_loop(
+            mask in any::<u32>(),
+            spread in 0usize..3,
+            classes in prop::collection::vec((0u8..8, any::<u64>()), 32..33),
+            log_size in 0u32..4,
+            n in 1usize..5,
+            seed in any::<u64>(),
+            pre in prop::collection::vec((any::<u64>(), any::<u64>()), 0..6),
+        ) {
+            // Only pool and in-page lanes, then page ends, then everything.
+            let limit = [2u8, 4, 8][spread];
+            let size = 1u8 << log_size;
+            let len = u64::from(size) * n as u64;
+            let addrs: [u64; 32] =
+                std::array::from_fn(|l| lane_addr(classes[l].0 % limit, classes[l].1, len));
+            let vals: Vec<[u64; 32]> = (0..n)
+                .map(|i| {
+                    std::array::from_fn(|l| {
+                        (seed ^ (i * 32 + l) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                    })
+                })
+                .collect();
+            for model in [MemoryModel::SequentiallyConsistent, MemoryModel::KeplerK520] {
+                let mut m = GlobalMemory::new(model);
+                m.malloc(PAGE + PAGE / 2);
+                m.begin_kernel(1);
+                // Earlier stores to the pool: committed under SC, pending
+                // (and forwarded to exact-match loads) under Kepler.
+                for &(at, v) in &pre {
+                    let size = [1u8, 2, 4, 8][(v % 4) as usize];
+                    m.store(0, BASE + 8 * (at % 8), size, v).unwrap();
+                }
+                check_lane_entry_points(m, mask, &addrs, size, &vals);
+            }
+        }
     }
 
     #[test]

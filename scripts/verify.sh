@@ -21,8 +21,8 @@ cargo test -q --workspace
 echo "==> benchmark: build perfbench and run its self-test"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> lint: cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> lint: cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> docs: cargo doc --no-deps (warnings denied, first-party crates)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
@@ -65,6 +65,12 @@ cargo test -q -p barracuda-suite --test engine_backcompat
 
 echo "==> simulation digest: record streams, launch stats, final memory and Fig. 4 counts vs the checked-in golden"
 cargo test -q -p barracuda-suite --test sim_digest
+
+echo "==> simulator warp paths: warp-wide global ld/st vs the per-lane loop, same-value filter vs its spec"
+cargo test -q -p barracuda-simt --lib -- --exact \
+  mem::tests::lane_entry_points_match_a_per_lane_loop
+cargo test -q -p barracuda-simt --lib -- --exact \
+  exec::tests::same_value_filter_keeps_the_lowest_lane_of_each_pair
 
 echo "==> interleave parity: 66 verdicts + 11 multi race sets under co-resident scheduling (all policies x seeds x pipelines)"
 cargo test -q -p barracuda-suite --test interleave_parity

@@ -353,6 +353,101 @@ fn decoded_matches_ast_walk_native_logging() {
     }
 }
 
+/// Global memory edges of the warp-wide `ld`/`st` path, as PTX text: full
+/// 32-lane warps over a two-page buffer. Vector and signed loads; stores
+/// and loads straddling the page boundary, all lanes at one address (the
+/// highest lane's store wins); generic accesses whose lanes split
+/// between shared and global memory; and, when `fault_stride` is set, a
+/// store whose lanes (`lane * fault_stride`) run off the last page
+/// mid-warp.
+fn edge_kernel(fault_stride: u32) -> barracuda_ptx::ast::Module {
+    let fault = if fault_stride == 0 {
+        String::new()
+    } else {
+        format!(
+            "mov.u32 %r8, %laneid;\n\
+             mul.wide.u32 %rd7, %r8, {fault_stride};\n\
+             add.s64 %rd7, %rd1, %rd7;\n\
+             st.global.u32 [%rd7], %r1;\n"
+        )
+    };
+    let src = format!(
+        ".version 4.3\n.target sm_35\n.address_size 64\n\
+         .visible .entry edge(.param .u64 buf)\n{{\n\
+         .reg .pred %p<2>;\n.reg .b32 %r<12>;\n.reg .b64 %rd<12>;\n\
+         .shared .align 8 .b8 sm[512];\n\
+         ld.param.u64 %rd1, [buf];\n\
+         mov.u32 %r1, %tid.x;\n\
+         mul.lo.u32 %r2, %r1, 3;\n\
+         sub.s32 %r3, 0, %r1;\n\
+         mul.wide.u32 %rd2, %r1, 16;\n\
+         add.s64 %rd3, %rd1, %rd2;\n\
+         st.global.v4.u32 [%rd3], {{%r1, %r2, %r3, %r1}};\n\
+         ld.global.v2.s8 {{%r4, %r5}}, [%rd3+8];\n\
+         ld.global.s16 %r6, [%rd3+8];\n\
+         st.global.v4.u32 [%rd3], {{%r4, %r5, %r6, %r2}};\n\
+         st.global.u32 [%rd1+65534], %r3;\n\
+         ld.global.u64 %rd4, [%rd1+65532];\n\
+         st.global.u64 [%rd3+1024], %rd4;\n\
+         mov.u64 %rd5, sm;\n\
+         mul.wide.u32 %rd6, %r1, 4;\n\
+         add.s64 %rd5, %rd5, %rd6;\n\
+         add.s64 %rd6, %rd3, 2048;\n\
+         setp.lt.u32 %p1, %r1, 16;\n\
+         selp.b64 %rd8, %rd5, %rd6, %p1;\n\
+         st.u32 [%rd8], %r2;\n\
+         ld.u32 %r7, [%rd8];\n\
+         st.global.u32 [%rd3+12], %r7;\n\
+         {fault}\
+         ret;\n}}"
+    );
+    barracuda_ptx::parse(&src).expect("edge kernel parses")
+}
+
+#[test]
+fn warp_memory_edges_match_ast_walk() {
+    for fault_stride in [0u32, 4096, 8192] {
+        let module = edge_kernel(fault_stride);
+        for model in [MemoryModel::SequentiallyConsistent, MemoryModel::KeplerK520] {
+            let run = |mode: ExecMode| {
+                let mut gpu = Gpu::new(GpuConfig {
+                    seed: 3,
+                    slice: 3,
+                    memory_model: model,
+                    exec_mode: mode,
+                    native_access_logging: true,
+                    ..GpuConfig::default()
+                });
+                let size = (1 << 17) - 64;
+                let buf = gpu.malloc(size);
+                let sink = VecSink::new();
+                let dims = GridDims::new(2u32, 64u32);
+                let res =
+                    gpu.launch_with_sink(&module, "edge", dims, &[ParamValue::Ptr(buf)], &sink);
+                let mut mem = vec![0u8; size as usize];
+                gpu.read_bytes(buf, &mut mem);
+                let recs: Vec<RecordKey> = sink
+                    .take()
+                    .iter()
+                    .map(|r| (r.warp, r.kind, r.space, r.size, r.mask, r.addrs))
+                    .collect();
+                (res, mem, recs)
+            };
+            let decoded = run(ExecMode::Decoded);
+            assert_eq!(
+                fault_stride == 8192,
+                decoded.0.is_err(),
+                "stride {fault_stride}, {model:?}: {:?}",
+                decoded.0
+            );
+            assert!(
+                decoded == run(ExecMode::AstWalk),
+                "stride {fault_stride}, {model:?}: modes diverge"
+            );
+        }
+    }
+}
+
 #[test]
 fn malformed_kernels_fail_identically_at_load() {
     // Load-time validation is shared by both modes: a kernel with an
