@@ -1,9 +1,7 @@
 //! Interpreter perf regression harness.
 //!
-//! Times the SIMT interpreter in both execution modes — the decoded
-//! micro-op hot loop (`ExecMode::Decoded`) and the AST-walking reference
-//! (`ExecMode::AstWalk`) — on four workload shapes that stress different
-//! parts of the dispatch path:
+//! Times the SIMT interpreter — the decoded micro-op hot loop — on four
+//! workload shapes that stress different parts of the dispatch path:
 //!
 //! * `alu_loop` — converged ALU-heavy loop (pure dispatch throughput);
 //! * `divergent_loop` — per-iteration warp divergence (SIMT stack churn);
@@ -12,23 +10,24 @@
 //!
 //! Writes machine-readable results to `BENCH_interp.json` (current
 //! directory unless `--out <path>` is given), reporting warp-instructions
-//! per second for both modes and the speedup ratio. `--quick` runs one
-//! launch per measurement for CI smoke.
+//! per second per workload. `--quick` runs one launch per measurement for
+//! CI smoke.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use barracuda_ptx::ast::Module;
-use barracuda_simt::{ExecMode, Gpu, GpuConfig, LoadedKernel, ParamValue};
+use barracuda_simt::{Gpu, GpuConfig, LoadedKernel, ParamValue};
 use barracuda_trace::GridDims;
 
 /// Minimum wall-clock time per measurement round in full mode.
 const MIN_MEASURE_SECS: f64 = 0.3;
 
-/// Measurement rounds per mode in full mode; the best round is reported.
-/// Throughput noise on a shared machine is one-sided (interference only
-/// slows a run down), so max-of-N is the noise-robust estimator, and the
-/// two modes' rounds are interleaved so both see similar conditions.
+/// Measurement rounds per workload in full mode; the best round is
+/// reported. Throughput noise on a shared machine is one-sided
+/// (interference only slows a run down), so max-of-N is the noise-robust
+/// estimator, and the workloads' rounds are interleaved so all see
+/// similar conditions.
 const ROUNDS: usize = 8;
 
 struct Workload {
@@ -153,19 +152,12 @@ fn workloads() -> Vec<Workload> {
     ]
 }
 
-struct Measurement {
-    instructions_per_launch: u64,
-    ips: f64,
-}
-
 /// One timed round: repeated launches until the measurement window
-/// elapses, returning warp-instructions per second.
-fn round(w: &Workload, lk: &LoadedKernel, mode: ExecMode, quick: bool) -> (u64, f64) {
+/// elapses, returning (warp-instructions per launch, warp-instructions
+/// per second).
+fn round(w: &Workload, lk: &LoadedKernel, quick: bool) -> (u64, f64) {
     let run = || {
-        let mut gpu = Gpu::new(GpuConfig {
-            exec_mode: mode,
-            ..GpuConfig::default()
-        });
+        let mut gpu = Gpu::new(GpuConfig::default());
         let out = gpu.malloc(4 * u64::from(w.dims.block.x) * 4);
         gpu.launch_loaded(lk, w.dims, &[ParamValue::Ptr(out)], None)
             .expect("workload runs")
@@ -185,29 +177,6 @@ fn round(w: &Workload, lk: &LoadedKernel, mode: ExecMode, quick: bool) -> (u64, 
     (instructions_per_launch, ips)
 }
 
-/// Measures both modes with interleaved rounds, reporting each mode's best.
-fn measure(w: &Workload, quick: bool) -> (Measurement, Measurement) {
-    let lk = LoadedKernel::load(&w.module, "k").expect("workload loads");
-    let rounds = if quick { 1 } else { ROUNDS };
-    let mut ast = Measurement {
-        instructions_per_launch: 0,
-        ips: 0.0,
-    };
-    let mut dec = Measurement {
-        instructions_per_launch: 0,
-        ips: 0.0,
-    };
-    for _ in 0..rounds {
-        let (n, ips) = round(w, &lk, ExecMode::AstWalk, quick);
-        ast.instructions_per_launch = n;
-        ast.ips = ast.ips.max(ips);
-        let (n, ips) = round(w, &lk, ExecMode::Decoded, quick);
-        dec.instructions_per_launch = n;
-        dec.ips = dec.ips.max(ips);
-    }
-    (ast, dec)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -217,28 +186,41 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .map_or("BENCH_interp.json", |s| s.as_str());
 
+    let workloads = workloads();
+    let loaded: Vec<LoadedKernel> = workloads
+        .iter()
+        .map(|w| LoadedKernel::load(&w.module, "k").expect("workload loads"))
+        .collect();
+    // (instructions per launch, best ips) per workload.
+    let mut best = vec![(0u64, 0.0f64); workloads.len()];
+    let rounds = if quick { 1 } else { ROUNDS };
+    for _ in 0..rounds {
+        for ((w, lk), b) in workloads.iter().zip(&loaded).zip(&mut best) {
+            let (n, ips) = round(w, lk, quick);
+            *b = (n, b.1.max(ips));
+        }
+    }
+
     let mut rows = String::new();
-    for (i, w) in workloads().iter().enumerate() {
-        let (ast, dec) = measure(w, quick);
-        let speedup = dec.ips / ast.ips;
+    for (i, (w, (n, ips))) in workloads.iter().zip(&best).enumerate() {
         println!(
-            "{:<18} {:>9} instr/launch   ast {:>12.0} ips   decoded {:>12.0} ips   speedup {:.2}x",
-            w.name, ast.instructions_per_launch, ast.ips, dec.ips, speedup
+            "{:<18} {n:>9} instr/launch   decoded {ips:>12.0} ips",
+            w.name
         );
         if i > 0 {
             rows.push_str(",\n");
         }
         write!(
             rows,
-            "    {{\n      \"workload\": \"{}\",\n      \"instructions_per_launch\": {},\n      \
-             \"ast_walk_ips\": {:.0},\n      \"decoded_ips\": {:.0},\n      \"speedup\": {:.3}\n    }}",
-            w.name, ast.instructions_per_launch, ast.ips, dec.ips, speedup
+            "    {{\n      \"workload\": \"{}\",\n      \"instructions_per_launch\": {n},\n      \
+             \"decoded_ips\": {ips:.0}\n    }}",
+            w.name
         )
         .expect("write to string");
     }
     let json = format!(
         "{{\n  \"bench\": \"interp\",\n  \"description\": \"SIMT interpreter throughput: \
-         decoded micro-op IR (after) vs AST walk (before)\",\n  \"unit\": \
+         decoded micro-op IR, best of {rounds} interleaved rounds\",\n  \"unit\": \
          \"warp-instructions per second\",\n  \"quick\": {quick},\n  \"workloads\": [\n{rows}\n  ]\n}}\n"
     );
     std::fs::write(out_path, &json).expect("write BENCH_interp.json");

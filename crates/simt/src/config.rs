@@ -35,25 +35,6 @@ impl MemoryModel {
     }
 }
 
-/// Which interpreter executes kernel instructions.
-///
-/// Both modes run the same machine model and must produce identical
-/// results, statistics and event streams (enforced by the differential
-/// property tests in `tests/decode_differential.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Dispatch on the pre-decoded micro-op IR built at kernel load time:
-    /// fixed-size `Copy` instructions with branch targets, register
-    /// indices, parameter offsets and shared-memory bases all resolved up
-    /// front. No per-step allocation, no string lookups. The default.
-    #[default]
-    Decoded,
-    /// Walk the PTX AST directly, resolving labels and symbols by name at
-    /// every step. Slower; kept as the reference semantics the decoded
-    /// interpreter is validated against.
-    AstWalk,
-}
-
 /// Simulator configuration.
 #[derive(Debug, Clone)]
 pub struct GpuConfig {
@@ -85,8 +66,6 @@ pub struct GpuConfig {
     /// device-side logger (§3.3.1). Comparator tools without the filter
     /// (CUDA-Racecheck) run with this off.
     pub filter_same_value: bool,
-    /// Which interpreter runs kernel code (see [`ExecMode`]).
-    pub exec_mode: ExecMode,
 }
 
 impl Default for GpuConfig {
@@ -100,7 +79,6 @@ impl Default for GpuConfig {
             max_steps: 500_000_000,
             native_access_logging: false,
             filter_same_value: true,
-            exec_mode: ExecMode::Decoded,
         }
     }
 }
@@ -233,11 +211,5 @@ mod tests {
         }
         .to_string()
         .contains("index 4"));
-    }
-
-    #[test]
-    fn default_exec_mode_is_decoded() {
-        assert_eq!(GpuConfig::default().exec_mode, ExecMode::Decoded);
-        assert_eq!(ExecMode::default(), ExecMode::Decoded);
     }
 }

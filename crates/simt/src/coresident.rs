@@ -38,15 +38,14 @@ use barracuda_trace::{CancelToken, GridDims, HostOp, Record};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
-use crate::config::{ExecMode, SimError};
-use crate::exec::{ExecCtx, StepOutcome};
+use crate::config::SimError;
+use crate::exec::{self, ExecCtx, StepOutcome};
 use crate::kernel::LoadedKernel;
 use crate::locals::LocalStore;
 use crate::machine::{Gpu, LaunchStats, ParamValue};
 use crate::mem::SharedMemory;
 use crate::sink::EventSink;
 use crate::warp::{WarpState, WarpStatus};
-use crate::{exec, exec_ast};
 
 /// Most launches one group can hold: the slot tag is a single byte in
 /// every record.
@@ -263,13 +262,31 @@ impl Gpu {
     ///
     /// Panics if the group exceeds [`MAX_GROUP_SLOTS`] launches or a
     /// `dep` does not name an earlier group member.
-    #[allow(clippy::too_many_lines)]
     pub fn launch_group(
         &mut self,
         launches: &[GroupLaunch<'_>],
         policy: SchedPolicy,
         sink: Option<&dyn EventSink>,
     ) -> Result<GroupOutcome, SimError> {
+        self.run_group(launches, policy, sink, exec::step)
+    }
+
+    /// [`Gpu::launch_group`] with the interpreter's step function as a
+    /// parameter. The product instantiates it only with the decoded
+    /// interpreter's `exec::step`; the AST-walking test oracle passes its
+    /// own, so both run under the same scheduler and must agree step for
+    /// step.
+    #[allow(clippy::too_many_lines)]
+    pub(crate) fn run_group<S>(
+        &mut self,
+        launches: &[GroupLaunch<'_>],
+        policy: SchedPolicy,
+        sink: Option<&dyn EventSink>,
+        step: S,
+    ) -> Result<GroupOutcome, SimError>
+    where
+        S: Fn(&mut ExecCtx, &mut WarpState) -> Result<StepOutcome, SimError>,
+    {
         let nslots = launches.len();
         assert!(
             nslots <= MAX_GROUP_SLOTS,
@@ -348,13 +365,6 @@ impl Gpu {
 
         global.begin_kernel(total_blocks);
         let buffered = config.memory_model.buffered();
-        // Both interpreters share ExecCtx and must agree step for step;
-        // pick the dispatch function once, outside the hot loop.
-        let step: fn(&mut ExecCtx, &mut WarpState) -> Result<StepOutcome, SimError> =
-            match config.exec_mode {
-                ExecMode::Decoded => exec::step,
-                ExecMode::AstWalk => exec_ast::step,
-            };
 
         let mut pool = ReadyPool::new(nslots, policy);
         let mut pending_deps = 0usize;

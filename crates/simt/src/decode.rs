@@ -242,7 +242,7 @@ pub(crate) struct DecodedKernel {
 impl DecodedKernel {
     /// Lowers a flattened kernel. `recon[i]` is the precomputed
     /// reconvergence entry for instruction `i` (see
-    /// `LoadedKernel::reconvergence_entry`).
+    /// [`crate::kernel::reconvergence_table`]).
     ///
     /// # Errors
     ///

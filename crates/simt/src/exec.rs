@@ -5,10 +5,10 @@
 //! ([`crate::decode`]): every instruction is a fixed-size `Copy` value
 //! with branch targets, parameter offsets and shared-memory bases already
 //! resolved, so a step performs **no allocation and no string lookups**.
-//! The original AST-walking interpreter lives in [`crate::exec_ast`] as
-//! the reference semantics; both share the helpers defined here and must
-//! produce byte-identical event streams (see
-//! `tests/decode_differential.rs`).
+//! It is the only interpreter the product runs. The original AST-walking
+//! interpreter (`exec_ast.rs`) is the test-only oracle: it shares the
+//! helpers defined here, runs under the same scheduler, and must produce
+//! byte-identical event streams (see `tests/decode_differential.rs`).
 //!
 //! A global `ld`/`st`/`ld.vN`/`st.vN` whose active lanes all resolve to
 //! global memory first tries to run as one warp operation through

@@ -1,28 +1,84 @@
-//! The reference AST-walking interpreter ([`crate::config::ExecMode::AstWalk`]).
+//! The AST-walking reference interpreter: the simulator's test oracle.
 //!
 //! This is the original interpreter: it executes [`barracuda_ptx::ast::Op`]
 //! values directly, resolving branch labels and memory symbols by name on
-//! every step. It is kept as the executable specification the decoded
-//! interpreter ([`crate::exec`]) is differentially tested against — both
-//! must produce identical results, statistics and event streams for every
-//! loadable kernel. It shares the SIMT-stack, guard, logging and
-//! byte-access helpers with the hot path; only instruction dispatch and
-//! operand/address evaluation differ.
+//! every step. It is the executable specification the decoded interpreter
+//! ([`crate::exec`]) is differentially tested against — both must produce
+//! identical results, statistics and event streams for every loadable
+//! kernel — just as the detector's dense reference is the oracle of its
+//! shadow checks. It shares the scheduler and the SIMT-stack, guard,
+//! logging and byte-access helpers with the hot path; only instruction
+//! dispatch and operand/address evaluation differ, and it keeps the
+//! per-lane memory path where the decoded loop takes the warp-wide one.
+//!
+//! The module only compiles for the crate's own tests and under the
+//! `ast-oracle` feature, which only `[dev-dependencies]` entries enable;
+//! the product never links it. Its one entry point is
+//! [`launch_with_sink`], re-exported as
+//! `barracuda_simt::ast_oracle::launch_with_sink`.
 
-use barracuda_ptx::ast::{AddrBase, Address, FenceLevel, Op, Operand, Space, Type};
+use barracuda_ptx::ast::{AddrBase, Address, FenceLevel, Module, Op, Operand, Space, Type};
+use barracuda_ptx::cfg::FlatKernel;
 use barracuda_trace::ops::{AccessKind, Event, MemSpace};
+use barracuda_trace::GridDims;
 
 use crate::config::SimError;
+use crate::coresident::{GroupLaunch, SchedPolicy};
 use crate::exec::{
     access_kind, advance, filter_same_value, guard_mask, lanes, load_bytes, log_native_access,
     pop_emit, special_value, store_bytes, ExecCtx, ResolvedSpace, StepOutcome,
 };
+use crate::kernel::{reconvergence_table, LoadedKernel, ReconTable};
+use crate::machine::{Gpu, LaunchStats, ParamValue};
+use crate::sink::EventSink;
 use crate::value;
 use crate::warp::{EntryKind, StackEntry, WarpState, WarpStatus};
 
+/// Launches `kernel` from `module` on `gpu` under the AST walker, with the
+/// same scheduler, launch statistics and event stream as
+/// [`Gpu::launch_with_sink`] runs the decoded interpreter under.
+///
+/// The kernel is loaded (and validated) as the product loads it; the flat
+/// instruction list and reconvergence table the walker reads are rebuilt
+/// from the module for this launch.
+///
+/// # Errors
+///
+/// Same as [`Gpu::launch_with_sink`].
+pub fn launch_with_sink(
+    gpu: &mut Gpu,
+    module: &Module,
+    kernel: &str,
+    dims: GridDims,
+    params: &[ParamValue],
+    sink: &dyn EventSink,
+) -> Result<LaunchStats, SimError> {
+    let lk = LoadedKernel::load(module, kernel)?;
+    let flat = FlatKernel::from_kernel(&lk.kernel);
+    let recon = reconvergence_table(&flat)?;
+    let launch = GroupLaunch {
+        lk: &lk,
+        dims,
+        params,
+        dep: None,
+    };
+    let outcome = gpu.run_group(
+        &[launch],
+        SchedPolicy::RoundRobin,
+        Some(sink),
+        |ctx: &mut ExecCtx, w: &mut WarpState| step(&flat, &recon, ctx, w),
+    )?;
+    Ok(outcome.stats[0])
+}
+
 /// Executes one instruction (or performs pending stack pops) for warp `w`,
-/// walking the PTX AST.
-pub(crate) fn step(ctx: &mut ExecCtx, w: &mut WarpState) -> Result<StepOutcome, SimError> {
+/// walking the flattened PTX AST.
+fn step(
+    flat: &FlatKernel,
+    recon: &ReconTable,
+    ctx: &mut ExecCtx,
+    w: &mut WarpState,
+) -> Result<StepOutcome, SimError> {
     loop {
         let Some(top) = w.stack.last().copied() else {
             if w.status != WarpStatus::Done {
@@ -46,18 +102,18 @@ pub(crate) fn step(ctx: &mut ExecCtx, w: &mut WarpState) -> Result<StepOutcome, 
             pop_emit(ctx, w);
             continue;
         }
-        if top.pc >= ctx.kernel.len() {
+        let Some(instr) = flat.instrs.get(top.pc) else {
             // Ran past the end: implicit exit for this path's lanes.
             w.exited |= eff;
             pop_emit(ctx, w);
             continue;
-        }
+        };
         // See `exec::step`: log_access fuses with the covered instruction.
         let fused = matches!(
-            &ctx.kernel.flat.instrs[top.pc].op,
+            &instr.op,
             Op::Call { target, .. } if target == "__barracuda_log_access"
         );
-        let out = exec_instr(ctx, w, top.pc, eff)?;
+        let out = exec_instr(flat, recon, ctx, w, top.pc, eff)?;
         if fused && out == StepOutcome::Continue {
             continue;
         }
@@ -136,12 +192,14 @@ fn resolve_addr(
 
 #[allow(clippy::too_many_lines)]
 fn exec_instr(
+    flat: &FlatKernel,
+    recon: &ReconTable,
     ctx: &mut ExecCtx,
     w: &mut WarpState,
     pc: usize,
     eff: u32,
 ) -> Result<StepOutcome, SimError> {
-    let instr = ctx.kernel.flat.instrs[pc].clone();
+    let instr = &flat.instrs[pc];
     let exec = guard_mask(w, eff, instr.guard);
     let warp_size = ctx.dims.warp_size;
 
@@ -154,9 +212,7 @@ fn exec_instr(
 
     match instr.op {
         Op::Bra { ref target, .. } => {
-            let tgt = ctx
-                .kernel
-                .flat
+            let tgt = flat
                 .target(target)
                 .ok_or_else(|| SimError::Fault(format!("unknown label {target}")))?;
             if instr.guard.is_none() {
@@ -182,7 +238,7 @@ fn exec_instr(
                 let top = w.stack.last_mut().expect("non-empty");
                 top.pc = if not_taken == 0 { tgt } else { pc + 1 };
             } else {
-                let rpc = ctx.kernel.reconvergence_entry(pc).unwrap_or(None);
+                let rpc = recon[pc].unwrap_or(None);
                 let top = w.stack.last_mut().expect("non-empty");
                 // Current entry becomes the reconvergence continuation.
                 top.pc = rpc.unwrap_or(usize::MAX);
@@ -701,5 +757,73 @@ fn exec_call(
         other => Err(SimError::Fault(format!(
             "call to undefined function {other}"
         ))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::GpuConfig;
+    use crate::sink::VecSink;
+
+    #[test]
+    fn oracle_agrees_with_the_decoded_loop_on_a_divergent_kernel() {
+        // Odd lanes take a shared-memory detour, then every lane stores
+        // through the reconvergence point; native logging records both.
+        let module = barracuda_ptx::parse(
+            r#"
+            .version 4.3
+            .target sm_35
+            .address_size 64
+            .visible .entry k(.param .u64 out)
+            {
+                .reg .pred %p;
+                .reg .b32 %r<6>;
+                .reg .b64 %rd<4>;
+                .shared .align 4 .b8 sm[256];
+                mov.u32 %r1, %tid.x;
+                and.b32 %r2, %r1, 1;
+                setp.eq.u32 %p, %r2, 0;
+                mov.u32 %r3, 5;
+                @%p bra L_join;
+                st.shared.u32 [sm], %r1;
+                ld.shared.u32 %r3, [sm];
+            L_join:
+                ld.param.u64 %rd1, [out];
+                mul.wide.u32 %rd2, %r1, 4;
+                add.s64 %rd3, %rd1, %rd2;
+                st.global.u32 [%rd3], %r3;
+                ret;
+            }
+            "#,
+        )
+        .unwrap();
+        let dims = GridDims::with_warp_size(2u32, 16u32, 8);
+        let run = |oracle: bool| {
+            let mut gpu = Gpu::new(GpuConfig {
+                native_access_logging: true,
+                slice: 2,
+                ..GpuConfig::default()
+            });
+            let out = gpu.malloc(16 * 4);
+            let sink = VecSink::new();
+            let params = [ParamValue::Ptr(out)];
+            let stats = if oracle {
+                launch_with_sink(&mut gpu, &module, "k", dims, &params, &sink)
+            } else {
+                gpu.launch_with_sink(&module, "k", dims, &params, &sink)
+            }
+            .unwrap();
+            let records: Vec<_> = sink
+                .take()
+                .iter()
+                .map(|r| (r.warp, r.kind, r.space, r.mask, r.addrs))
+                .collect();
+            (stats, gpu.read_u32s(out, 16), records)
+        };
+        let decoded = run(false);
+        assert_eq!(decoded.1[0], 5);
+        assert!(decoded.2.len() > 4, "{:?}", decoded.2.len());
+        assert_eq!(decoded, run(true));
     }
 }

@@ -1,6 +1,6 @@
 //! Kernel loading: flattening, CFG construction, reconvergence-point
 //! precomputation and micro-op decoding (the "JIT" step of the paper's
-//! pipeline).
+//! pipeline). Only the decoded IR outlives the load.
 
 use std::sync::Arc;
 
@@ -11,27 +11,50 @@ use crate::config::SimError;
 use crate::decode::DecodedKernel;
 use crate::machine::ParamValue;
 
-/// A kernel prepared for execution: flattened instructions, CFG, the
-/// per-branch reconvergence points the SIMT stack uses, and the decoded
-/// micro-op IR the interpreter hot loop dispatches on.
+/// A kernel prepared for execution: the source kernel and the decoded
+/// micro-op IR the interpreter dispatches on.
 ///
-/// All components are behind [`Arc`]s, so cloning a `LoadedKernel` (e.g.
-/// to hand one to each thread of a threaded session) is a few reference
+/// Both components are behind [`Arc`]s, so cloning a `LoadedKernel` (e.g.
+/// to hand one to each thread of a threaded session) is two reference
 /// count bumps — the kernel AST is shared, never re-cloned per launch.
+/// The flat instruction list and the CFG the decoder is built from are
+/// dropped once decoding is done.
 #[derive(Debug, Clone)]
 pub struct LoadedKernel {
     /// The source kernel.
     pub kernel: Arc<Kernel>,
-    /// Flattened instruction list with resolved labels.
-    pub flat: Arc<FlatKernel>,
-    /// Control-flow graph with post-dominators.
-    pub cfg: Arc<Cfg>,
     /// Pre-decoded micro-op IR (see [`crate::decode`]).
     pub(crate) decoded: Arc<DecodedKernel>,
-    /// For each instruction index ending a block with a conditional
-    /// branch: the reconvergence instruction index (`None` = paths only
-    /// rejoin at kernel exit).
-    recon: Arc<Vec<Option<Option<usize>>>>,
+}
+
+/// Per-instruction reconvergence entries of a flattened kernel: `None`
+/// when the instruction is not a conditional branch; `Some(None)` for a
+/// conditional branch whose paths only rejoin at kernel exit;
+/// `Some(Some(r))` for reconvergence at instruction index `r`.
+pub(crate) type ReconTable = Vec<Option<Option<usize>>>;
+
+/// Builds the CFG of `flat` and returns the reconvergence entry of every
+/// instruction (see [`ReconTable`]). The CFG itself is not kept.
+///
+/// # Errors
+///
+/// Returns [`SimError::UnknownLabel`] if a branch targets a label the
+/// kernel does not define.
+pub(crate) fn reconvergence_table(flat: &FlatKernel) -> Result<ReconTable, SimError> {
+    let cfg = Cfg::try_build(flat).map_err(SimError::UnknownLabel)?;
+    let mut recon = vec![None; flat.instrs.len()];
+    for (b, block) in cfg.blocks.iter().enumerate() {
+        if block.end == 0 {
+            continue;
+        }
+        let last = block.end - 1;
+        if let Op::Bra { .. } = flat.instrs[last].op {
+            if flat.instrs[last].guard.is_some() {
+                recon[last] = Some(cfg.reconvergence_point(b));
+            }
+        }
+    }
+    Ok(recon)
 }
 
 impl LoadedKernel {
@@ -61,45 +84,22 @@ impl LoadedKernel {
     pub fn from_kernel(kernel: Kernel) -> Result<Self, SimError> {
         let kernel = Arc::new(kernel);
         let flat = FlatKernel::from_kernel(&kernel);
-        let cfg = Cfg::try_build(&flat).map_err(SimError::UnknownLabel)?;
-        let mut recon = vec![None; flat.instrs.len()];
-        for (b, block) in cfg.blocks.iter().enumerate() {
-            if block.end == 0 {
-                continue;
-            }
-            let last = block.end - 1;
-            if let Op::Bra { .. } = flat.instrs[last].op {
-                if flat.instrs[last].guard.is_some() {
-                    recon[last] = Some(cfg.reconvergence_point(b));
-                }
-            }
-        }
+        let recon = reconvergence_table(&flat)?;
         let decoded = DecodedKernel::decode(&kernel, &flat, &recon)?;
         Ok(LoadedKernel {
             kernel,
-            flat: Arc::new(flat),
-            cfg: Arc::new(cfg),
             decoded: Arc::new(decoded),
-            recon: Arc::new(recon),
         })
-    }
-
-    /// Reconvergence entry for instruction `i`: `None` when `i` is not a
-    /// conditional branch; `Some(None)` for a conditional branch whose
-    /// paths only rejoin at kernel exit; `Some(Some(r))` for reconvergence
-    /// at instruction index `r`.
-    pub fn reconvergence_entry(&self, i: usize) -> Option<Option<usize>> {
-        self.recon.get(i).copied().unwrap_or(None)
     }
 
     /// Number of instructions.
     pub fn len(&self) -> usize {
-        self.flat.instrs.len()
+        self.decoded.instrs.len()
     }
 
     /// True for an empty kernel body.
     pub fn is_empty(&self) -> bool {
-        self.flat.instrs.is_empty()
+        self.decoded.instrs.is_empty()
     }
 
     /// Builds the parameter block bytes for a launch: each parameter
@@ -188,11 +188,12 @@ mod tests {
     #[test]
     fn reconvergence_for_conditional_branch() {
         let m = module();
-        let lk = LoadedKernel::load(&m, "k").unwrap();
+        let recon = reconvergence_table(&FlatKernel::from_kernel(&m.kernels[0])).unwrap();
+        assert_eq!(recon.len(), 5);
         // Instruction 2 is the conditional branch; reconvergence at the
         // `ret` (instruction 4).
-        assert_eq!(lk.reconvergence_entry(2), Some(Some(4)));
-        assert_eq!(lk.reconvergence_entry(0), None);
+        assert_eq!(recon[2], Some(Some(4)));
+        assert_eq!(recon[0], None);
     }
 
     #[test]

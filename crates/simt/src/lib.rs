@@ -24,9 +24,11 @@
 //! * **decode-once execution** — at load time kernels are lowered to a
 //!   dense micro-op IR with branch targets, symbols and parameter offsets
 //!   resolved, so the interpreter hot loop performs no allocation and no
-//!   string lookups; the original AST-walking interpreter is retained as
-//!   [`ExecMode::AstWalk`] and differentially tested against the decoded
-//!   path.
+//!   string lookups. This is the only interpreter the product runs. The
+//!   original AST-walking interpreter survives as the test oracle the
+//!   decoded path is differentially tested against; it compiles only for
+//!   this crate's tests and under the `ast-oracle` feature, which only
+//!   `[dev-dependencies]` entries enable (see `ast_oracle`).
 //!
 //! # Example
 //!
@@ -66,6 +68,7 @@ pub mod config;
 pub mod coresident;
 mod decode;
 mod exec;
+#[cfg(any(test, feature = "ast-oracle"))]
 mod exec_ast;
 pub mod kernel;
 pub mod litmus;
@@ -76,11 +79,21 @@ pub mod sink;
 pub mod value;
 pub mod warp;
 
-pub use config::{ExecMode, GpuConfig, MemoryModel, SimError};
+pub use config::{GpuConfig, MemoryModel, SimError};
 pub use coresident::{GroupLaunch, GroupOutcome, SchedPolicy, MAX_GROUP_SLOTS};
 pub use kernel::LoadedKernel;
 pub use machine::{DevicePtr, Gpu, LaunchStats, ParamValue};
 pub use sink::{EventSink, VecSink};
+
+/// The AST-walking reference interpreter, as a test oracle for the decoded
+/// one: [`ast_oracle::launch_with_sink`] runs a kernel under the same
+/// scheduler as [`Gpu::launch_with_sink`]. Test-only: compiled for this
+/// crate's tests and under the `ast-oracle` feature, which only
+/// `[dev-dependencies]` entries may enable.
+#[cfg(any(test, feature = "ast-oracle"))]
+pub mod ast_oracle {
+    pub use crate::exec_ast::launch_with_sink;
+}
 
 /// First valid global-memory address handed out by [`Gpu::malloc`].
 /// Addresses below this value in the *generic* space resolve to shared

@@ -74,10 +74,15 @@ impl Queue {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
-        let slots = (0..capacity)
-            .map(|_| UnsafeCell::new(Record::default()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+        // Zeroed, not written: the allocator hands back untouched pages,
+        // which the OS maps only as the ring first reaches them, so an idle
+        // queue costs no resident memory.
+        // SAFETY: `Record` is `repr(C)` and all integers (arrays of
+        // integers included) with no implicit padding, and `UnsafeCell`
+        // is `repr(transparent)`, so all-zero bytes are a valid slot; they
+        // are the same value `Record::default()` builds.
+        let slots =
+            unsafe { Box::<[UnsafeCell<Record>]>::new_zeroed_slice(capacity).assume_init() };
         Queue {
             slots,
             write_head: AtomicU64::new(0),
@@ -491,6 +496,28 @@ mod tests {
             addrs: [warp; 32],
             size: 4,
         })
+    }
+
+    #[test]
+    fn fresh_slots_hold_default_records() {
+        // The zeroed allocation must be bit for bit the record `Default`
+        // builds.
+        fn bytes(r: &Record) -> &[u8] {
+            // SAFETY: `Record` is `repr(C)` integers without padding.
+            unsafe {
+                std::slice::from_raw_parts(
+                    (r as *const Record).cast::<u8>(),
+                    std::mem::size_of::<Record>(),
+                )
+            }
+        }
+        let q = Queue::new(3);
+        for slot in q.slots.iter() {
+            // SAFETY: no producer or consumer runs, so nothing writes the
+            // slot while it is read.
+            let r = unsafe { &*slot.get() };
+            assert_eq!(bytes(r), bytes(&Record::default()));
+        }
     }
 
     #[test]

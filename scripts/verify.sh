@@ -24,6 +24,20 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 echo "==> lint: cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> lint: the simulator library without the ast-oracle feature (no exec.rs helper left that only the AST walker uses)"
+cargo clippy -p barracuda-simt --lib -- -D warnings
+
+echo "==> product builds link no AST walker: no normal dependency edge enables barracuda-simt/ast-oracle"
+for MANIFEST in Cargo.toml perfbench/Cargo.toml; do
+  TREE=$(cargo tree --offline --manifest-path "$MANIFEST" --workspace -e normal \
+    -i barracuda-simt -f '{p} {f}')
+  if grep -q 'ast-oracle' <<< "$TREE"; then
+    echo "verify: a normal dependency of $MANIFEST enables barracuda-simt/ast-oracle:"
+    echo "$TREE"
+    exit 1
+  fi
+done
+
 echo "==> docs: cargo doc --no-deps (warnings denied, first-party crates)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
   -p barracuda -p barracuda-core -p barracuda-trace -p barracuda-simt \

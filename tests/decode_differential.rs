@@ -1,9 +1,11 @@
 //! Differential testing of the two interpreters: the decoded micro-op hot
-//! loop (`ExecMode::Decoded`, the default) against the AST-walking
-//! reference interpreter (`ExecMode::AstWalk`, the seed semantics).
+//! loop (`Gpu::launch_with_sink`, the product's only interpreter) against
+//! the AST-walking reference interpreter
+//! (`barracuda_simt::ast_oracle::launch_with_sink`, the seed semantics,
+//! compiled only for tests through the `ast-oracle` feature).
 //!
 //! For random instrumented kernels executed under identical scheduler
-//! seeds and memory presets, both modes must produce:
+//! seeds and memory presets, both interpreters must produce:
 //!
 //! * identical [`LaunchStats`] (instruction/barrier counts — equality also
 //!   pins the RNG draw sequence, so the weak-memory drains align),
@@ -14,9 +16,10 @@ use barracuda_repro::instrument::{instrument_module, InstrumentOptions};
 use barracuda_repro::ptx::ast::*;
 use barracuda_repro::ptx::KernelBuilder;
 use barracuda_repro::simt::{
-    ExecMode, Gpu, GpuConfig, LaunchStats, MemoryModel, ParamValue, VecSink,
+    EventSink, Gpu, GpuConfig, LaunchStats, MemoryModel, ParamValue, SimError, VecSink,
 };
 use barracuda_repro::trace::GridDims;
+use barracuda_simt::ast_oracle;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -245,11 +248,40 @@ fn random_kernel(seed: u64) -> barracuda_ptx::ast::Module {
 /// fixed-size struct without PartialEq).
 type RecordKey = (u64, u8, u8, u8, u32, [u64; 32]);
 
-/// Runs the instrumented kernel in one mode, returning (stats, final
-/// global memory, event stream).
+/// Which interpreter a run goes through.
+#[derive(Debug, Clone, Copy)]
+enum Interp {
+    /// The product's decoded micro-op loop.
+    Decoded,
+    /// The AST-walking oracle.
+    AstWalk,
+}
+
+impl Interp {
+    /// Launches `kernel` with a sink through this interpreter.
+    fn launch(
+        self,
+        gpu: &mut Gpu,
+        module: &Module,
+        kernel: &str,
+        dims: GridDims,
+        params: &[ParamValue],
+        sink: &dyn EventSink,
+    ) -> Result<LaunchStats, SimError> {
+        match self {
+            Interp::Decoded => gpu.launch_with_sink(module, kernel, dims, params, sink),
+            Interp::AstWalk => {
+                ast_oracle::launch_with_sink(gpu, module, kernel, dims, params, sink)
+            }
+        }
+    }
+}
+
+/// Runs the instrumented kernel through one interpreter, returning
+/// (stats, final global memory, event stream).
 fn run_mode(
-    module: &barracuda_ptx::ast::Module,
-    mode: ExecMode,
+    module: &Module,
+    mode: Interp,
     model: MemoryModel,
     sched_seed: u64,
 ) -> (LaunchStats, Vec<u8>, Vec<RecordKey>) {
@@ -259,14 +291,20 @@ fn run_mode(
         seed: sched_seed,
         slice: 3,
         memory_model: model,
-        exec_mode: mode,
         ..GpuConfig::default()
     });
     let size = WORDS as u64 * 4 + 8;
     let buf = gpu.malloc(size);
     let sink = VecSink::new();
-    let stats = gpu
-        .launch_with_sink(&instrumented, "diff", dims, &[ParamValue::Ptr(buf)], &sink)
+    let stats = mode
+        .launch(
+            &mut gpu,
+            &instrumented,
+            "diff",
+            dims,
+            &[ParamValue::Ptr(buf)],
+            &sink,
+        )
         .unwrap_or_else(|e| panic!("mode {mode:?}: simulation failed: {e}"));
     let mut mem = vec![0u8; size as usize];
     gpu.read_bytes(buf, &mut mem);
@@ -280,8 +318,8 @@ fn run_mode(
 
 fn assert_modes_agree(seed: u64, model: MemoryModel, sched_seed: u64) {
     let module = random_kernel(seed);
-    let (stats_d, mem_d, ev_d) = run_mode(&module, ExecMode::Decoded, model, sched_seed);
-    let (stats_a, mem_a, ev_a) = run_mode(&module, ExecMode::AstWalk, model, sched_seed);
+    let (stats_d, mem_d, ev_d) = run_mode(&module, Interp::Decoded, model, sched_seed);
+    let (stats_a, mem_a, ev_a) = run_mode(&module, Interp::AstWalk, model, sched_seed);
     assert_eq!(stats_d, stats_a, "seed {seed}: stats diverge");
     assert_eq!(mem_d, mem_a, "seed {seed}: memory diverges");
     assert_eq!(ev_d.len(), ev_a.len(), "seed {seed}: event count diverges");
@@ -321,20 +359,26 @@ fn decoded_matches_ast_walk_native_logging() {
     // itself emits the events, including same-value write filtering.
     for seed in 0..10u64 {
         let module = random_kernel(seed);
-        let run = |mode: ExecMode| {
+        let run = |mode: Interp| {
             let dims = GridDims::with_warp_size(2u32, 8u32, 4);
             let mut gpu = Gpu::new(GpuConfig {
                 seed: 5,
                 slice: 3,
-                exec_mode: mode,
                 native_access_logging: true,
                 ..GpuConfig::default()
             });
             let size = WORDS as u64 * 4 + 8;
             let buf = gpu.malloc(size);
             let sink = VecSink::new();
-            let stats = gpu
-                .launch_with_sink(&module, "diff", dims, &[ParamValue::Ptr(buf)], &sink)
+            let stats = mode
+                .launch(
+                    &mut gpu,
+                    &module,
+                    "diff",
+                    dims,
+                    &[ParamValue::Ptr(buf)],
+                    &sink,
+                )
                 .unwrap_or_else(|e| panic!("mode {mode:?}: simulation failed: {e}"));
             let mut mem = vec![0u8; size as usize];
             gpu.read_bytes(buf, &mut mem);
@@ -345,11 +389,7 @@ fn decoded_matches_ast_walk_native_logging() {
                 .collect();
             (stats, mem, recs)
         };
-        assert_eq!(
-            run(ExecMode::Decoded),
-            run(ExecMode::AstWalk),
-            "seed {seed}"
-        );
+        assert_eq!(run(Interp::Decoded), run(Interp::AstWalk), "seed {seed}");
     }
 }
 
@@ -409,12 +449,11 @@ fn warp_memory_edges_match_ast_walk() {
     for fault_stride in [0u32, 4096, 8192] {
         let module = edge_kernel(fault_stride);
         for model in [MemoryModel::SequentiallyConsistent, MemoryModel::KeplerK520] {
-            let run = |mode: ExecMode| {
+            let run = |mode: Interp| {
                 let mut gpu = Gpu::new(GpuConfig {
                     seed: 3,
                     slice: 3,
                     memory_model: model,
-                    exec_mode: mode,
                     native_access_logging: true,
                     ..GpuConfig::default()
                 });
@@ -422,8 +461,14 @@ fn warp_memory_edges_match_ast_walk() {
                 let buf = gpu.malloc(size);
                 let sink = VecSink::new();
                 let dims = GridDims::new(2u32, 64u32);
-                let res =
-                    gpu.launch_with_sink(&module, "edge", dims, &[ParamValue::Ptr(buf)], &sink);
+                let res = mode.launch(
+                    &mut gpu,
+                    &module,
+                    "edge",
+                    dims,
+                    &[ParamValue::Ptr(buf)],
+                    &sink,
+                );
                 let mut mem = vec![0u8; size as usize];
                 gpu.read_bytes(buf, &mut mem);
                 let recs: Vec<RecordKey> = sink
@@ -433,7 +478,7 @@ fn warp_memory_edges_match_ast_walk() {
                     .collect();
                 (res, mem, recs)
             };
-            let decoded = run(ExecMode::Decoded);
+            let decoded = run(Interp::Decoded);
             assert_eq!(
                 fault_stride == 8192,
                 decoded.0.is_err(),
@@ -441,7 +486,7 @@ fn warp_memory_edges_match_ast_walk() {
                 decoded.0
             );
             assert!(
-                decoded == run(ExecMode::AstWalk),
+                decoded == run(Interp::AstWalk),
                 "stride {fault_stride}, {model:?}: modes diverge"
             );
         }
@@ -450,26 +495,74 @@ fn warp_memory_edges_match_ast_walk() {
 
 #[test]
 fn malformed_kernels_fail_identically_at_load() {
-    // Load-time validation is shared by both modes: a kernel with an
-    // unknown call target never reaches either interpreter.
-    let mut b = KernelBuilder::new("bad");
-    b.push(Op::Call {
-        target: "mystery".into(),
-        args: vec![],
-    });
-    b.push(Op::Ret);
-    let module = b.build_module();
-    for mode in [ExecMode::Decoded, ExecMode::AstWalk] {
-        let mut gpu = Gpu::new(GpuConfig {
-            exec_mode: mode,
-            ..GpuConfig::default()
+    // Load-time validation is shared by both interpreters: a kernel with
+    // an unknown call target, an undefined branch label or an undeclared
+    // symbol never reaches either one, and both report the same error.
+    let call = {
+        let mut b = KernelBuilder::new("bad");
+        b.push(Op::Call {
+            target: "mystery".into(),
+            args: vec![],
         });
-        let err = gpu
-            .launch(&module, "bad", GridDims::new(1u32, 4u32), &[])
-            .unwrap_err();
-        assert!(
-            matches!(err, barracuda_repro::simt::SimError::BadInstruction { .. }),
-            "{mode:?}: {err:?}"
-        );
-    }
+        b.push(Op::Ret);
+        b.build_module()
+    };
+    // The parser rejects undefined labels and symbols itself, so these
+    // are injected into a parsed module.
+    let inject = |op: Op| {
+        let mut m = KernelBuilder::new("bad");
+        m.push(Op::Ret);
+        let mut m = m.build_module();
+        m.kernels[0]
+            .stmts
+            .insert(0, Statement::Instr(Instruction::new(op)));
+        m
+    };
+    let label = inject(Op::Bra {
+        uni: true,
+        target: "L_missing".into(),
+    });
+    let symbol = inject(Op::Ld {
+        space: Space::Shared,
+        cache: None,
+        volatile: false,
+        ty: Type::U32,
+        dst: Reg(1),
+        addr: Address {
+            base: AddrBase::Sym("no_such_sym".into()),
+            offset: 0,
+        },
+    });
+    // Both interpreters' launch errors, checked equal.
+    let load_error = |module: &Module| {
+        let [d, a] = [Interp::Decoded, Interp::AstWalk].map(|mode| {
+            let mut gpu = Gpu::new(GpuConfig::default());
+            mode.launch(
+                &mut gpu,
+                module,
+                "bad",
+                GridDims::new(1u32, 4u32),
+                &[],
+                &VecSink::new(),
+            )
+            .unwrap_err()
+        });
+        assert_eq!(d, a, "interpreters disagree");
+        d
+    };
+    let err = load_error(&call);
+    assert!(
+        matches!(err, SimError::BadInstruction { index: 0, .. }),
+        "{err:?}"
+    );
+    let err = load_error(&label);
+    assert!(
+        matches!(err, SimError::UnknownLabel(ref l) if l == "L_missing"),
+        "{err:?}"
+    );
+    let err = load_error(&symbol);
+    assert!(
+        matches!(err, SimError::UnknownSymbol(ref s) if s == "no_such_sym"),
+        "{err:?}"
+    );
 }
