@@ -79,10 +79,12 @@ fn bench_producer_consumer(c: &mut Criterion) {
     g.finish();
 }
 
-/// One queue vs several: the §4.2 multi-queue observation.
+/// One queue vs several: the §4.2 multi-queue observation. Producers
+/// route by `(launch epoch, block)` as the runtime does.
 fn bench_queue_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("queue/multi_queue_scaling");
     let total = 16 * 1024u64;
+    const EPOCH: u32 = 1;
     for queues in [1usize, 4, 8] {
         g.throughput(Throughput::Elements(total));
         g.bench_with_input(BenchmarkId::from_parameter(queues), &queues, |b, &nq| {
@@ -96,7 +98,7 @@ fn bench_queue_scaling(c: &mut Criterion) {
                         scope.spawn(move || {
                             let rec = sample_record(blk);
                             for _ in 0..per {
-                                qs.for_block(blk).push(rec);
+                                qs.queue(qs.index_for(EPOCH, blk)).push(rec);
                             }
                         });
                     }
@@ -106,7 +108,7 @@ fn bench_queue_scaling(c: &mut Criterion) {
                             let q = qs.queue(qi);
                             // Blocks mapped to this queue.
                             let mine = (0..producer_blocks)
-                                .filter(|b| (*b % nq as u64) == qi as u64)
+                                .filter(|&b| qs.index_for(EPOCH, b) == qi)
                                 .count() as u64
                                 * per;
                             let mut got = 0;

@@ -15,16 +15,16 @@
 //! * **streaming** — a slow racy kernel submitted with `stream: true`:
 //!   p50/p99 of the *first race event* versus the terminal verdict, the
 //!   number streaming exists to shrink.
-//! * **tcp** — the same race-free workload over the length-prefixed TCP
-//!   transport on loopback, measuring the framing + syscall overhead
-//!   against the in-process numbers.
+//! * **tcp** — the same race-free workload over the wire transport
+//!   (newline-delimited JSON) on loopback TCP, measuring the framing +
+//!   syscall overhead against the in-process numbers.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use barracuda_serve::{
-    serve_tcp_listener, CheckRequest, Client, ParamSpec, Response, RetryPolicy, Server,
-    ServerConfig, TcpClient,
+    serve_tcp_listener, CheckRequest, Client, Connection, Endpoint, ParamSpec, Response,
+    RetryPolicy, Server, ServerConfig, Transport,
 };
 
 /// Requests issued by each client in full mode (percentile resolution).
@@ -194,13 +194,14 @@ fn run_streaming(requests: usize, loop_iters: u32) -> StreamMeasurement {
 /// `requests` each.
 fn run_tcp(clients: usize, requests: usize) -> Measurement {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
+    let endpoint = Endpoint::Tcp(listener.local_addr().expect("addr"));
     let server = std::thread::spawn(move || serve_tcp_listener(listener, ServerConfig::default()));
     let start = Instant::now();
     let handles: Vec<_> = (0..clients)
         .map(|c| {
+            let endpoint = endpoint.clone();
             std::thread::spawn(move || {
-                let conn = TcpClient::connect(addr).expect("connect");
+                let conn = Connection::connect(&endpoint).expect("connect");
                 let mut client = Client::new(
                     conn,
                     RetryPolicy {
@@ -227,8 +228,7 @@ fn run_tcp(clients: usize, requests: usize) -> Measurement {
         .flat_map(|h| h.join().expect("client thread"))
         .collect();
     let wall = start.elapsed().as_secs_f64();
-    use barracuda_serve::Transport;
-    let mut conn = TcpClient::connect(addr).expect("connect for shutdown");
+    let mut conn = Connection::connect(&endpoint).expect("connect for shutdown");
     conn.shutdown_server().expect("shutdown");
     server.join().expect("server thread").expect("serve");
     summarize(latencies, wall)

@@ -27,7 +27,8 @@
 //! simulator and reports data races; `instrument` prints the rewritten
 //! PTX and the instrumentation statistics (the Fig. 9 numbers for one
 //! file). `serve` runs the detection server on a Unix socket
-//! (`--socket`) or a length-prefixed TCP endpoint (`--tcp`), with
+//! (`--socket`) or a TCP endpoint (`--tcp`), both speaking
+//! newline-delimited JSON, with
 //! `--pool`/`--max-engines` bounding the worker pool and warm-engine
 //! residency; `client` submits one request to it (with
 //! rejected-submission retry) and exits with the verdict's code.
@@ -823,10 +824,49 @@ fn cmd_fleet(args: &[String]) -> ExitCode {
     }
 }
 
+/// Splits the endpoint flags `serve` and `client` share — exactly one
+/// of `--socket <path>` or `--tcp <addr>` — from the rest of `args`.
+fn split_endpoint(
+    cmd: &str,
+    args: &[String],
+) -> Result<(barracuda_serve::Endpoint, Vec<String>), String> {
+    use barracuda_serve::Endpoint;
+    let (mut socket, mut tcp, mut rest) = (None, None, Vec::new());
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let slot = match a.as_str() {
+            "--socket" => &mut socket,
+            "--tcp" => &mut tcp,
+            _ => {
+                rest.push(a.clone());
+                continue;
+            }
+        };
+        *slot = Some(it.next().ok_or_else(|| format!("{a} requires a value"))?);
+    }
+    let endpoint = match (socket, tcp) {
+        (Some(path), None) => Endpoint::Unix(path.into()),
+        (None, Some(addr)) => {
+            Endpoint::tcp(addr.as_str()).map_err(|e| format!("bad --tcp address {addr}: {e}"))?
+        }
+        _ => {
+            return Err(format!(
+                "{cmd} requires exactly one of --socket <path> or --tcp <addr>"
+            ))
+        }
+    };
+    Ok((endpoint, rest))
+}
+
 fn cmd_serve(args: &[String]) -> ExitCode {
-    use barracuda_serve::{serve_socket, serve_tcp, ServerConfig};
-    let mut socket = String::new();
-    let mut tcp = String::new();
+    use barracuda_serve::ServerConfig;
+    let (endpoint, args) = match split_endpoint("serve", args) {
+        Ok(split) => split,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(exitcode::USAGE);
+        }
+    };
     let mut config = ServerConfig::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -837,8 +877,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         };
         let r: Result<(), String> = (|| {
             match a.as_str() {
-                "--socket" => socket = value("--socket")?,
-                "--tcp" => tcp = value("--tcp")?,
                 "--pool" => {
                     config.pool_workers = value("--pool")?
                         .parse()
@@ -878,16 +916,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             return ExitCode::from(exitcode::USAGE);
         }
     }
-    if socket.is_empty() == tcp.is_empty() {
-        eprintln!("error: serve requires exactly one of --socket <path> or --tcp <addr>");
-        return ExitCode::from(exitcode::USAGE);
-    }
-    let served = if tcp.is_empty() {
-        serve_socket(std::path::Path::new(&socket), config)
-    } else {
-        serve_tcp(tcp.as_str(), config)
-    };
-    match served {
+    match endpoint.serve(config) {
         Ok(stats) => {
             eprintln!(
                 "server: {} session(s), {} accepted, {} completed, {} rejected, \
@@ -916,10 +945,15 @@ fn cmd_serve(args: &[String]) -> ExitCode {
 
 fn cmd_client(args: &[String]) -> ExitCode {
     use barracuda_serve::{
-        CheckRequest, Client, ParamSpec, Response, RetryPolicy, SocketClient, TcpClient, Transport,
+        CheckRequest, Client, Connection, ParamSpec, Response, RetryPolicy, Transport,
     };
-    let mut socket = String::new();
-    let mut tcp = String::new();
+    let (endpoint, args) = match split_endpoint("client", args) {
+        Ok(split) => split,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(exitcode::USAGE);
+        }
+    };
     let mut shutdown = false;
     let mut stream = false;
     let mut deadline_ms: Option<u64> = None;
@@ -927,20 +961,6 @@ fn cmd_client(args: &[String]) -> ExitCode {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--socket" => match it.next() {
-                Some(v) => socket = v.clone(),
-                None => {
-                    eprintln!("error: --socket requires a value");
-                    return ExitCode::from(exitcode::USAGE);
-                }
-            },
-            "--tcp" => match it.next() {
-                Some(v) => tcp = v.clone(),
-                None => {
-                    eprintln!("error: --tcp requires a value");
-                    return ExitCode::from(exitcode::USAGE);
-                }
-            },
             "--shutdown" => shutdown = true,
             "--stream" => stream = true,
             "--deadline-ms" => match it.next().and_then(|v| v.parse().ok()) {
@@ -953,25 +973,11 @@ fn cmd_client(args: &[String]) -> ExitCode {
             other => rest.push(other.to_string()),
         }
     }
-    if socket.is_empty() == tcp.is_empty() {
-        eprintln!("error: client requires exactly one of --socket <path> or --tcp <addr>");
-        return ExitCode::from(exitcode::USAGE);
-    }
-    let mut conn: Box<dyn Transport> = if tcp.is_empty() {
-        match SocketClient::connect(std::path::Path::new(&socket)) {
-            Ok(c) => Box::new(c),
-            Err(e) => {
-                eprintln!("error: cannot connect to {socket}: {e}");
-                return ExitCode::from(exitcode::USAGE);
-            }
-        }
-    } else {
-        match TcpClient::connect(tcp.as_str()) {
-            Ok(c) => Box::new(c),
-            Err(e) => {
-                eprintln!("error: cannot connect to {tcp}: {e}");
-                return ExitCode::from(exitcode::USAGE);
-            }
+    let mut conn = match Connection::connect(&endpoint) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("error: cannot connect to {endpoint}: {e}");
+            return ExitCode::from(exitcode::USAGE);
         }
     };
     if shutdown {

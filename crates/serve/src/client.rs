@@ -3,14 +3,14 @@
 //!
 //! [`Response::Rejected`] is the server shedding load; a well-behaved
 //! client backs off and resubmits rather than hammering the admission
-//! queue. [`Client`] wraps any transport (an in-process [`Session`], a
-//! Unix-socket or a TCP connection) and retries rejected submissions
-//! under a [`RetryPolicy`]: delay `max(retry_after, base × 2^attempt)`
-//! capped at `cap`, plus up to 50% deterministic jitter derived from the
-//! policy seed and the attempt number (SplitMix64, the repo's standard
-//! PRNG), so a fleet of clients born at the same instant does not retry
-//! in lockstep — and a test replaying the same seed sees the same
-//! delays.
+//! queue. [`Client`] wraps any transport (an in-process [`Session`] or a
+//! wire connection over a Unix socket or TCP) and retries rejected
+//! submissions under a [`RetryPolicy`]: delay `max(retry_after, base ×
+//! 2^attempt)` capped at `cap`, plus up to 50% deterministic jitter
+//! derived from the policy seed and the attempt number (SplitMix64, the
+//! repo's standard PRNG), so a fleet of clients born at the same instant
+//! does not retry in lockstep — and a test replaying the same seed sees
+//! the same delays.
 //!
 //! Streamed checks ([`Client::check_streamed`]) add **resume**: every
 //! streamed request carries a launch id (client-assigned when absent),
@@ -31,8 +31,8 @@ use barracuda_trace::backoff::splitmix;
 /// so existing `barracuda_serve::RetryPolicy` callers keep working.
 pub use barracuda_trace::backoff::RetryPolicy;
 
-/// Anything a request can be submitted to: the in-process session, a
-/// Unix-socket connection, or a TCP connection.
+/// Anything a request can be submitted to: the in-process session or a
+/// wire [`Connection`](crate::Connection) over a Unix socket or TCP.
 pub trait Transport {
     /// Submits one request and blocks for its verdict.
     fn submit(&mut self, req: &CheckRequest) -> Response;
@@ -76,28 +76,6 @@ pub trait Transport {
             std::io::ErrorKind::Unsupported,
             "this transport cannot request server shutdown",
         ))
-    }
-}
-
-impl Transport for Box<dyn Transport> {
-    fn submit(&mut self, req: &CheckRequest) -> Response {
-        (**self).submit(req)
-    }
-
-    fn submit_streamed(
-        &mut self,
-        req: &CheckRequest,
-        on_event: &mut dyn FnMut(&Response),
-    ) -> std::io::Result<Response> {
-        (**self).submit_streamed(req, on_event)
-    }
-
-    fn reconnect(&mut self) -> bool {
-        (**self).reconnect()
-    }
-
-    fn shutdown_server(&mut self) -> std::io::Result<()> {
-        (**self).shutdown_server()
     }
 }
 

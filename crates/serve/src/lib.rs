@@ -14,11 +14,10 @@
 //!   newline-JSON wire encoding (no external dependencies).
 //! * [`client`] — retry with exponential backoff and deterministic
 //!   jitter for rejected submissions.
-//! * [`socket`] — a Unix-socket transport (one connection = one
-//!   session) used by the `barracuda serve` / `barracuda client`
-//!   subcommands.
-//! * [`tcp`] — a TCP transport with length-prefixed frames and explicit
-//!   backpressure (bounded admission, frame caps, blocking writes).
+//! * [`wire`] — the one wire transport, newline-delimited JSON over a
+//!   Unix socket or TCP (one connection = one session), with explicit
+//!   backpressure (bounded admission, a line cap, blocking writes); used
+//!   by the `barracuda serve` / `barracuda client` subcommands.
 //!
 //! v2 of the serving layer multiplexes N sessions over a bounded pool
 //! of M engines (LRU-evicted, rebuilt from a process-wide shared module
@@ -38,11 +37,9 @@
 pub mod client;
 pub mod proto;
 pub mod server;
-pub mod socket;
-pub mod tcp;
+pub mod wire;
 
 pub use client::{Client, RetryPolicy, Transport};
 pub use proto::{CheckRequest, DoneBody, ParamSpec, Request, Response};
 pub use server::{Server, ServerConfig, ServerStats, Session};
-pub use socket::{serve_socket, SocketClient};
-pub use tcp::{serve_tcp, serve_tcp_listener, TcpClient, MAX_FRAME};
+pub use wire::{serve_tcp_listener, Connection, Endpoint, MAX_FRAME};

@@ -7,7 +7,7 @@
 //! the server never answers with a bare error string for conditions a
 //! client is expected to handle programmatically.
 //!
-//! The wire encoding (used by the Unix-socket and TCP transports and the
+//! The wire encoding (used by both transports of [`crate::wire`] and the
 //! CLI client) is newline-delimited JSON. Each message is built as a
 //! [`Json`] tree and written by [`Json::dump`]; lines are read back with
 //! [`barracuda::statsjson::parse`], which bounds nesting depth and keeps
@@ -736,6 +736,51 @@ mod tests {
                 (Some(ids.0), Some(ids.1), Some(ids.2), Some(ids.3));
             let req = Request::Check(req);
             prop_assert_eq!(decode_request(&encode_request(&req)), Ok(req));
+        }
+
+        /// The wire frames each message as one line, so no encoding may
+        /// contain a raw newline — whatever the text it carries.
+        #[test]
+        fn every_encoding_is_one_line_for_any_text(
+            text in prop::collection::vec((0u8..4, any::<u32>()), 0..200).prop_map(|cs| {
+                // Line breaks, printable ASCII and any other scalar value.
+                cs.into_iter()
+                    .map(|(kind, c)| match kind {
+                        0 => '\n',
+                        1 => '\r',
+                        2 => char::from(b' ' + (c % 95) as u8),
+                        _ => char::from_u32(c % 0x11_0000).unwrap_or('\u{fffd}'),
+                    })
+                    .collect::<String>()
+            }),
+        ) {
+            let mut req = full_request();
+            req.source = format!(".version 4.3\n{text}\n");
+            req.kernel = text.clone();
+            let req = Request::Check(req);
+            let line = encode_request(&req);
+            prop_assert!(!line.contains('\n'), "raw newline in {line:?}");
+            prop_assert_eq!(decode_request(&line), Ok(req));
+            let done = Response::Done(DoneBody {
+                races: 1,
+                degraded: false,
+                reports: vec![text.clone(), text.clone()],
+                exit_code: 1,
+                records: 2,
+                events: 3,
+            });
+            let responses = [
+                Response::RaceEvent { launch_id: 1, seq: 0, report: text.clone() },
+                Response::LaunchDone { launch_id: 1, body: Box::new(done.clone()) },
+                done,
+                Response::Error { message: text.clone() },
+                Response::Degraded { message: text },
+            ];
+            for resp in responses {
+                let line = encode_response(&resp);
+                prop_assert!(!line.contains('\n'), "raw newline in {line:?}");
+                prop_assert_eq!(decode_response(&line), Ok(resp));
+            }
         }
     }
 }

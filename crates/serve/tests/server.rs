@@ -1,14 +1,22 @@
 //! Integration tests of the detection server: verdict parity with a
 //! direct engine, cooperative deadlines, step budgets, panic quarantine,
-//! admission control, graceful shutdown, and the Unix socket's line cap
-//! and nesting depth cap.
+//! admission control, graceful shutdown, and the wire's line cap and
+//! nesting depth cap over both transports.
+
+mod common;
 
 use barracuda::{BarracudaConfig, Engine, KernelRun};
 use barracuda_serve::{
-    CheckRequest, Client, ParamSpec, Response, RetryPolicy, Server, ServerConfig,
+    CheckRequest, Client, Connection, Endpoint, ParamSpec, Response, RetryPolicy, Server,
+    ServerConfig, ServerStats, Transport, MAX_FRAME,
 };
 use barracuda_simt::ParamValue;
 use barracuda_trace::GridDims;
+use common::{spawn_server, Wire};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
+use std::os::unix::net::UnixStream;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 const RACY: &str = r#"
@@ -302,55 +310,35 @@ fn graceful_shutdown_answers_queued_work_and_counts_it() {
     assert_eq!(session.submit(racy_request()), Response::ShuttingDown);
 }
 
-#[test]
-fn an_oversized_socket_line_is_refused_without_touching_other_sessions() {
-    use barracuda_serve::{serve_socket, SocketClient, Transport, MAX_FRAME};
-    use std::io::{BufRead, BufReader, Write};
-    use std::os::unix::net::UnixStream;
-
-    let dir = std::env::temp_dir().join(format!("barracuda-linecap-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmpdir");
-    let path = dir.join("serve.sock");
-    let server = {
-        let path = path.clone();
-        std::thread::spawn(move || serve_socket(&path, ServerConfig::default()).expect("serve"))
+/// A raw connection to `endpoint`, bypassing the client's framing. A
+/// server that never answers fails its reads after 30 s instead of
+/// hanging the test.
+fn raw_connect(endpoint: &Endpoint) -> (Box<dyn Write>, BufReader<Box<dyn Read>>) {
+    let timeout = Some(Duration::from_secs(30));
+    let (writer, reader): (Box<dyn Write>, Box<dyn Read>) = match endpoint {
+        Endpoint::Unix(path) => {
+            let stream = UnixStream::connect(path).expect("connect");
+            stream.set_read_timeout(timeout).expect("read timeout");
+            (
+                Box::new(stream.try_clone().expect("clone")),
+                Box::new(stream),
+            )
+        }
+        Endpoint::Tcp(addr) => {
+            let stream = TcpStream::connect(addr).expect("connect");
+            stream.set_read_timeout(timeout).expect("read timeout");
+            (
+                Box::new(stream.try_clone().expect("clone")),
+                Box::new(stream),
+            )
+        }
     };
-    for _ in 0..200 {
-        if path.exists() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    (writer, BufReader::new(reader))
+}
 
-    // A second session opened before the oversized line arrives.
-    let mut good = SocketClient::connect(&path).expect("connect");
-
-    let mut bad = UnixStream::connect(&path).expect("connect");
-    // A server without the cap would never answer: fail, don't hang.
-    bad.set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("read timeout");
-    let chunk = vec![b'x'; 1 << 20];
-    let mut sent = 0usize;
-    while sent <= MAX_FRAME as usize {
-        // The server hangs up once the cap is crossed; later writes may
-        // fail with a broken pipe.
-        if bad.write_all(&chunk).is_err() {
-            break;
-        }
-        sent += chunk.len();
-    }
-    let mut reply = String::new();
-    BufReader::new(&bad)
-        .read_line(&mut reply)
-        .expect("error line");
-    match barracuda_serve::proto::decode_response(reply.trim()) {
-        Ok(Response::Error { message }) => assert!(message.contains("exceeds cap"), "{message}"),
-        other => panic!("expected an error line, got {other:?}"),
-    }
-    let mut rest = String::new();
-    let eof = BufReader::new(&bad).read_line(&mut rest).expect("eof");
-    assert_eq!(eof, 0, "the oversized connection is closed");
-
+/// The racy request through `good` still gets the direct engine's
+/// verdict; then the server shuts down having completed just that one.
+fn assert_other_session_unharmed(mut good: Connection, server: JoinHandle<ServerStats>) {
     let (races, degraded, code) = direct_verdict(RACY);
     match good.submit(&racy_request()) {
         Response::Done(body) => {
@@ -363,36 +351,60 @@ fn an_oversized_socket_line_is_refused_without_touching_other_sessions() {
     good.shutdown_server().expect("shutdown");
     let stats = server.join().expect("server thread");
     assert_eq!(stats.completed, 1);
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn an_oversized_line_is_refused_without_touching_other_sessions(wire: Wire) {
+    let (endpoint, server) = spawn_server(wire, "linecap");
+    // A second session opened before the oversized line arrives.
+    let good = Connection::connect(&endpoint).expect("connect");
+
+    let (mut bad, mut reader) = raw_connect(&endpoint);
+    let chunk = vec![b'x'; 1 << 20];
+    let mut sent = 0usize;
+    while sent <= MAX_FRAME as usize {
+        // The server hangs up once the cap is crossed; later writes may
+        // fail with a broken pipe.
+        if bad.write_all(&chunk).is_err() {
+            break;
+        }
+        sent += chunk.len();
+    }
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("error line");
+    match barracuda_serve::proto::decode_response(reply.trim()) {
+        Ok(Response::Error { message }) => assert!(message.contains("exceeds cap"), "{message}"),
+        other => panic!("expected an error line, got {other:?}"),
+    }
+    // The oversized connection is closed. Over TCP the server closes
+    // with the rest of the line still unread, which TCP signals to the
+    // peer as a reset rather than an orderly end of stream.
+    let mut rest = String::new();
+    match (reader.read_line(&mut rest), wire) {
+        (Ok(0), _) => {}
+        (Err(e), Wire::Tcp) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        (other, _) => panic!("the oversized connection is closed, got {other:?}"),
+    }
+
+    assert_other_session_unharmed(good, server);
 }
 
 #[test]
-fn a_deeply_nested_socket_line_is_an_error_and_other_sessions_keep_their_verdicts() {
-    use barracuda_serve::{serve_socket, SocketClient, Transport};
-    use std::io::{BufRead, BufReader, Write};
-    use std::os::unix::net::UnixStream;
+fn an_oversized_socket_line_is_refused_without_touching_other_sessions() {
+    an_oversized_line_is_refused_without_touching_other_sessions(Wire::Unix);
+}
 
-    let dir = std::env::temp_dir().join(format!("barracuda-deepline-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmpdir");
-    let path = dir.join("serve.sock");
-    let server = {
-        let path = path.clone();
-        std::thread::spawn(move || serve_socket(&path, ServerConfig::default()).expect("serve"))
-    };
-    for _ in 0..200 {
-        if path.exists() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let mut good = SocketClient::connect(&path).expect("connect");
+#[test]
+fn an_oversized_tcp_line_is_refused_without_touching_other_sessions() {
+    an_oversized_line_is_refused_without_touching_other_sessions(Wire::Tcp);
+}
+
+fn a_deeply_nested_line_is_an_error_and_other_sessions_keep_their_verdicts(wire: Wire) {
+    let (endpoint, server) = spawn_server(wire, "deepline");
+    let good = Connection::connect(&endpoint).expect("connect");
 
     // 1 MiB of nesting: a recursive parser without a depth cap overflows
     // the connection handler's stack and aborts the whole server.
-    let mut bad = UnixStream::connect(&path).expect("connect");
-    bad.set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("read timeout");
-    let mut reader = BufReader::new(bad.try_clone().expect("clone"));
+    let (mut bad, mut reader) = raw_connect(&endpoint);
     for opener in ["[", "{\"a\":"] {
         let mut line = opener.repeat(1 << 20);
         line.push('\n');
@@ -405,17 +417,15 @@ fn a_deeply_nested_socket_line_is_an_error_and_other_sessions_keep_their_verdict
         }
     }
 
-    let (races, degraded, code) = direct_verdict(RACY);
-    match good.submit(&racy_request()) {
-        Response::Done(body) => {
-            assert_eq!(body.races, races);
-            assert_eq!(body.degraded, degraded);
-            assert_eq!(body.exit_code, code);
-        }
-        other => panic!("expected Done, got {other:?}"),
-    }
-    good.shutdown_server().expect("shutdown");
-    let stats = server.join().expect("server thread");
-    assert_eq!(stats.completed, 1);
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_other_session_unharmed(good, server);
+}
+
+#[test]
+fn a_deeply_nested_socket_line_is_an_error_and_other_sessions_keep_their_verdicts() {
+    a_deeply_nested_line_is_an_error_and_other_sessions_keep_their_verdicts(Wire::Unix);
+}
+
+#[test]
+fn a_deeply_nested_tcp_line_is_an_error_and_other_sessions_keep_their_verdicts() {
+    a_deeply_nested_line_is_an_error_and_other_sessions_keep_their_verdicts(Wire::Tcp);
 }

@@ -8,14 +8,26 @@
 //! resume fails the client must answer `Interrupted` (exit code 5),
 //! never a fabricated clean verdict.
 
+mod common;
+
 use barracuda::exitcode;
 use barracuda_serve::{
-    serve_tcp_listener, CheckRequest, Client, ParamSpec, Response, RetryPolicy, Server,
-    ServerConfig, TcpClient, Transport,
+    CheckRequest, Client, Connection, ParamSpec, Response, RetryPolicy, Server, ServerConfig,
+    Transport,
 };
+use common::{spawn_server, Wire};
 
-/// Races once at the top, then burns a long bounded loop: the race is
+/// Races once at the top, then burns a bounded loop: the race is
 /// visible to the streaming sidecar long before the verdict lands.
+///
+/// The loop is what lets events stream at all. The sidecar polls the
+/// race sink every 200 µs, and the end-of-launch drain takes every
+/// report and rewinds the sink's streaming cursor, so a report the
+/// sidecar has not polled before that drain never streams as an event
+/// (it still reaches the client in the terminal verdict). The launch
+/// must therefore outlast the poll by a wide margin even on a loaded
+/// host: 20,000 iterations take ~300 ms per launch in a debug build,
+/// some 1,500 polls.
 const SLOW_RACY: &str = r#"
 .version 4.3
 .target sm_35
@@ -29,7 +41,7 @@ const SLOW_RACY: &str = r#"
     ld.global.u32 %r1, [%rd1];
     add.s32 %r1, %r1, 1;
     st.global.u32 [%rd1], %r1;
-    mov.u32 %r2, 500000;
+    mov.u32 %r2, 20000;
 L:
     sub.s32 %r2, %r2, 1;
     setp.ne.s32 %p1, %r2, 0;
@@ -242,25 +254,23 @@ fn exit_codes_agree_between_streamed_and_plain_responses() {
     server.shutdown();
 }
 
-#[test]
-fn tcp_transport_streams_events_and_reconnects() {
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let server = std::thread::spawn(move || {
-        serve_tcp_listener(listener, ServerConfig::default()).expect("serve")
-    });
+fn transport_streams_events_and_reconnects(wire: Wire) {
+    let (endpoint, server) = spawn_server(wire, "stream");
 
-    let conn = TcpClient::connect(addr).expect("connect");
+    let conn = Connection::connect(&endpoint).expect("connect");
     let mut client = Client::new(conn, RetryPolicy::default());
     let mut events = 0u64;
     let resp = client.check_streamed(&slow_racy_request(), &mut |ev| {
         assert!(matches!(ev, Response::RaceEvent { .. }));
         events += 1;
     });
-    assert!(unwrap_done(&resp).races > 0, "verdict over TCP");
-    assert!(events > 0, "events streamed over TCP before the terminal");
+    assert!(unwrap_done(&resp).races > 0, "verdict over {wire:?}");
+    assert!(
+        events > 0,
+        "events streamed over {wire:?} before the terminal"
+    );
 
-    // A fresh connection to the same address works after a reconnect.
+    // A fresh connection to the same endpoint works after a reconnect.
     let mut conn = client.into_inner();
     assert!(conn.reconnect(), "server still up");
     let plain = conn.submit(&slow_racy_request());
@@ -273,38 +283,11 @@ fn tcp_transport_streams_events_and_reconnects() {
 }
 
 #[test]
+fn tcp_transport_streams_events_and_reconnects() {
+    transport_streams_events_and_reconnects(Wire::Tcp);
+}
+
+#[test]
 fn unix_socket_transport_streams_events_and_reconnects() {
-    use barracuda_serve::{serve_socket, SocketClient};
-
-    let dir = std::env::temp_dir().join(format!("barracuda-stream-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmpdir");
-    let path = dir.join("serve.sock");
-    let server = {
-        let path = path.clone();
-        std::thread::spawn(move || serve_socket(&path, ServerConfig::default()).expect("serve"))
-    };
-    // Wait for the socket to appear.
-    for _ in 0..200 {
-        if path.exists() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-
-    let conn = SocketClient::connect(&path).expect("connect");
-    let mut client = Client::new(conn, RetryPolicy::default());
-    let mut events = 0u64;
-    let resp = client.check_streamed(&slow_racy_request(), &mut |_| events += 1);
-    assert!(unwrap_done(&resp).races > 0, "verdict over the socket");
-    assert!(events > 0, "events streamed over the socket");
-
-    let mut conn = client.into_inner();
-    assert!(conn.reconnect(), "server still up");
-    let plain = conn.submit(&slow_racy_request());
-    assert!(matches!(plain, Response::Done(_)), "{plain:?}");
-
-    conn.shutdown_server().expect("shutdown");
-    let stats = server.join().expect("server thread");
-    assert!(stats.streamed_events > 0);
-    let _ = std::fs::remove_dir_all(&dir);
+    transport_streams_events_and_reconnects(Wire::Unix);
 }

@@ -1,11 +1,12 @@
 //! Event sinks: where the device-side logger sends its records.
 
 use barracuda_trace::record::Record;
-use barracuda_trace::{HostOp, QueueSet};
+use barracuda_trace::HostOp;
 use parking_lot::Mutex;
 
-/// Destination for device-side log records. The runtime passes the
-/// multi-queue [`QueueSet`]; tests use [`VecSink`].
+/// Destination for device-side log records. The runtime passes its
+/// pipeline sink, which routes each record to a trace queue; tests use
+/// [`VecSink`].
 pub trait EventSink: Sync {
     /// Delivers one record produced by a warp of thread block `block`.
     fn emit(&self, block: u64, record: Record);
@@ -15,12 +16,6 @@ pub trait EventSink: Sync {
     /// about device records (the default) ignore them.
     fn emit_host(&self, op: &HostOp) {
         let _ = op;
-    }
-}
-
-impl EventSink for QueueSet {
-    fn emit(&self, block: u64, record: Record) {
-        self.for_block(block).push(record);
     }
 }
 
@@ -74,16 +69,5 @@ mod tests {
         assert_eq!(recs[0].decode(), Event::Else { warp: 1 });
         assert_eq!(recs[1].decode(), Event::Fi { warp: 2 });
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn queue_set_sink_routes_by_block() {
-        let qs = QueueSet::new(2, 8);
-        let sink: &dyn EventSink = &qs;
-        sink.emit(0, Record::encode(&Event::Fi { warp: 0 }));
-        sink.emit(1, Record::encode(&Event::Fi { warp: 1 }));
-        sink.emit(2, Record::encode(&Event::Fi { warp: 2 }));
-        assert_eq!(qs.queue(0).len(), 2); // blocks 0 and 2
-        assert_eq!(qs.queue(1).len(), 1);
     }
 }

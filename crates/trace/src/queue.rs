@@ -28,8 +28,8 @@ use std::time::Duration;
 /// A fixed-capacity multi-producer / single-consumer ring of [`Record`]s.
 ///
 /// Any number of threads may [`Queue::push`]; at most one thread at a time
-/// may consume via [`Queue::try_pop`] / [`Queue::pop_batch`] (the runtime
-/// assigns one host thread per queue, as in the paper).
+/// may consume via [`Queue::try_pop`] (the runtime assigns one host
+/// thread per queue, as in the paper).
 pub struct Queue {
     slots: Box<[UnsafeCell<Record>]>,
     write_head: AtomicU64,
@@ -352,21 +352,6 @@ impl Queue {
         self.read_head.store(r + 1, Ordering::Release);
         Some(rec)
     }
-
-    /// Pops up to `max` records into `out`; returns the number popped.
-    pub fn pop_batch(&self, out: &mut Vec<Record>, max: usize) -> usize {
-        let mut n = 0;
-        while n < max {
-            match self.try_pop() {
-                Some(r) => {
-                    out.push(r);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        n
-    }
 }
 
 impl std::fmt::Debug for Queue {
@@ -420,11 +405,6 @@ impl QueueSet {
         self.queues.is_empty()
     }
 
-    /// The queue that thread block `block` logs to.
-    pub fn for_block(&self, block: u64) -> &Arc<Queue> {
-        &self.queues[(block % self.queues.len() as u64) as usize]
-    }
-
     /// Queue index for `block` of launch `epoch` — the serving-path
     /// affinity. Hashing `(epoch, block)` instead of `block` alone keeps
     /// the per-launch invariant (one block, one queue: shared-memory
@@ -436,12 +416,6 @@ impl QueueSet {
         (launch_block_hash(epoch, block) % self.queues.len() as u64) as usize
     }
 
-    /// The queue that `block` of launch `epoch` logs to (see
-    /// [`QueueSet::index_for`]).
-    pub fn for_launch_block(&self, epoch: u32, block: u64) -> &Arc<Queue> {
-        &self.queues[self.index_for(epoch, block)]
-    }
-
     /// Queue `i`.
     pub fn queue(&self, i: usize) -> &Arc<Queue> {
         &self.queues[i]
@@ -450,16 +424,6 @@ impl QueueSet {
     /// Iterates over all queues.
     pub fn iter(&self) -> impl Iterator<Item = &Arc<Queue>> {
         self.queues.iter()
-    }
-
-    /// True when every queue is drained.
-    pub fn all_empty(&self) -> bool {
-        self.queues.iter().all(|q| q.is_empty())
-    }
-
-    /// Total records ever committed across all queues.
-    pub fn total_committed(&self) -> u64 {
-        self.queues.iter().map(|q| q.committed()).sum()
     }
 
     /// Largest high-water mark across all queues.
@@ -621,15 +585,16 @@ mod tests {
     fn queue_set_block_affinity() {
         let qs = QueueSet::new(3, 16);
         assert_eq!(qs.len(), 3);
-        // Same block always maps to the same queue.
-        assert!(Arc::ptr_eq(qs.for_block(5), qs.for_block(5)));
-        assert!(Arc::ptr_eq(qs.for_block(2), qs.for_block(5)));
-        assert!(!Arc::ptr_eq(qs.for_block(0), qs.for_block(1)));
-        qs.for_block(4).push(rec(9));
-        assert!(!qs.all_empty());
-        assert_eq!(qs.total_committed(), 1);
-        assert_eq!(qs.queue(1).try_pop().unwrap().warp, 9);
-        assert!(qs.all_empty());
+        // Every record of one block reaches the one queue its index
+        // names, and no other.
+        let qi = qs.index_for(7, 4);
+        for w in 0..4 {
+            qs.queue(qs.index_for(7, 4)).push(rec(w));
+        }
+        for (i, q) in qs.iter().enumerate() {
+            assert_eq!(q.len(), if i == qi { 4 } else { 0 }, "queue {i}");
+        }
+        assert_eq!(qs.queue(qi).try_pop().unwrap().warp, 0);
     }
 
     #[test]
@@ -872,18 +837,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_respects_max() {
-        let q = Queue::new(16);
-        for i in 0..10 {
-            q.push(rec(i));
-        }
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(&mut out, 4), 4);
-        assert_eq!(q.pop_batch(&mut out, 100), 6);
-        assert_eq!(out.len(), 10);
-    }
-
-    #[test]
     fn launch_affinity_is_stable_within_a_launch() {
         // The per-launch invariant the detector depends on: one block,
         // one queue — every lookup of (epoch, block) must agree.
@@ -893,10 +846,6 @@ mod tests {
                 let qi = qs.index_for(epoch, block);
                 assert!(qi < 3);
                 assert_eq!(qi, qs.index_for(epoch, block));
-                assert!(Arc::ptr_eq(
-                    qs.for_launch_block(epoch, block),
-                    &qs.queues[qi]
-                ));
             }
         }
     }

@@ -211,6 +211,23 @@ rm -f "$RACY_PTX" "$CLEAN_PTX"
 [ "$TCP_CLEAN_CODE" -eq 0 ] || { echo "verify: tcp streamed clean exit $TCP_CLEAN_CODE, want 0"; exit 1; }
 [ "$TCP_SHUTDOWN_CODE" -eq 0 ] || { echo "verify: tcp shutdown exit $TCP_SHUTDOWN_CODE, want 0"; exit 1; }
 
+echo "==> server smoke: one raw newline-delimited JSON line over loopback TCP (bash /dev/tcp)"
+timeout 60 ./target/release/barracuda serve --tcp "127.0.0.1:$TCP_PORT" &
+SERVER_PID=$!
+for _ in $(seq 1 100); do
+  if (exec 3<>"/dev/tcp/127.0.0.1/$TCP_PORT") 2>/dev/null; then exec 3>&-; break; fi
+  sleep 0.05
+done
+exec 3<>"/dev/tcp/127.0.0.1/$TCP_PORT"
+# A blank line first: both transports skip it.
+printf '\n{"op":"shutdown"}\n' >&3
+RAW_REPLY=""
+read -r -t 30 RAW_REPLY <&3 || true
+exec 3>&-
+wait "$SERVER_PID"
+grep -qF '"verdict":"shutting_down"' <<< "$RAW_REPLY" \
+  || { echo "verify: raw tcp shutdown line got '$RAW_REPLY', want a shutting_down line"; exit 1; }
+
 echo "==> epoch recycling: quick soak + verdict-parity suites (sync + threaded-sharded)"
 BARRACUDA_SOAK_LAUNCHES=200000 cargo test -q -p barracuda-core --test epoch_recycling
 cargo test -q -p barracuda-suite --test epoch_recycling_parity
@@ -219,7 +236,7 @@ echo "==> serve v2: multiplexing fairness/parity + streaming/resume suites"
 cargo test -q -p barracuda-serve --test multiplex
 cargo test -q -p barracuda-serve --test streaming
 
-echo "==> hostile wire frames: parser depth cap, exact u64 integers, linear-time strings, decoder proptests"
+echo "==> hostile wire frames: parser depth cap, exact u64 integers, linear-time strings, decoder proptests, line cap over both transports"
 cargo test -q -p barracuda --lib -- \
   statsjson::tests::nesting_past_the_depth_cap_is_an_error_not_a_stack_overflow \
   statsjson::tests::integers_parse_and_dump_exactly \
@@ -230,9 +247,15 @@ cargo test -q -p barracuda-serve --lib -- \
   proto::tests::a_deeply_nested_line_is_an_error_on_a_default_stack_thread \
   proto::tests::u64_fields_round_trip_exactly \
   proto::tests::decoders_never_panic_on_hostile_lines \
-  proto::tests::checks_round_trip_over_the_u64_range
-cargo test -q -p barracuda-serve --test server \
-  a_deeply_nested_socket_line_is_an_error_and_other_sessions_keep_their_verdicts
+  proto::tests::checks_round_trip_over_the_u64_range \
+  proto::tests::every_encoding_is_one_line_for_any_text \
+  wire::tests::a_line_split_across_read_timeouts_arrives_whole \
+  wire::tests::a_line_past_the_cap_is_refused_before_it_is_buffered
+cargo test -q -p barracuda-serve --test server -- \
+  an_oversized_socket_line_is_refused_without_touching_other_sessions \
+  an_oversized_tcp_line_is_refused_without_touching_other_sessions \
+  a_deeply_nested_socket_line_is_an_error_and_other_sessions_keep_their_verdicts \
+  a_deeply_nested_tcp_line_is_an_error_and_other_sessions_keep_their_verdicts
 cargo test -q -p barracuda-fleet --lib journal::tests::repro_seeds_survive_the_journal_exactly
 
 echo "==> chaos soak: fixed-seed server soak test"
