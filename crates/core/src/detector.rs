@@ -18,7 +18,7 @@
 //!
 //! There is one shadow-check path, `check_warp_access`. It visits a
 //! record's lane segments page-major and lane-minor, and consecutive
-//! lanes whose (windowed) byte spans are identical form a *lane group*:
+//! lanes whose byte spans are identical form a *lane group*:
 //! the Fig. 2–3 machine runs once per group over each run of identical
 //! cells, not once per lane. A group's lanes share the warp's own clock
 //! and its view of every other thread (one PTVC group state), so:
@@ -45,11 +45,10 @@ use crate::launch::{LaunchRegistry, HOST_TID_KEY};
 use crate::ptvc::{PtvcFormat, WarpClocks};
 use crate::report::{AccessType, Diagnostic, RaceClass, RaceReport, RaceSink};
 use crate::shadow::{
-    lanes_of, GlobalShadow, ReadMeta, ReaderSet, ShadowCell, ShadowPage, SharedShadow,
-    SHADOW_PAGE_SIZE,
+    lanes_of, GlobalShadow, ReadMeta, ReaderSet, ShadowCell, SharedShadow, SHADOW_PAGE_SIZE,
 };
 use barracuda_trace::ops::{AccessKind, Event, Scope};
-use barracuda_trace::record::{Record, RecordKind};
+use barracuda_trace::record::Record;
 use barracuda_trace::{CancelToken, GridDims, MemSpace, Tid};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -351,9 +350,6 @@ pub struct BlockState {
     shared_shadow: SharedShadow,
     arrived: Vec<Option<u32>>,
     exited: Vec<bool>,
-    /// Highest per-warp sequence stamp fast-forwarded so far (sharded
-    /// pipeline only; see [`Worker::process_sharded_record`]).
-    seen: Vec<Clock>,
 }
 
 impl BlockState {
@@ -371,7 +367,6 @@ impl BlockState {
             shared_shadow: SharedShadow::new(shared_size),
             arrived: vec![None; wpb as usize],
             exited: vec![false; wpb as usize],
-            seen: vec![0; wpb as usize],
         }
     }
 }
@@ -387,10 +382,6 @@ pub struct Worker<'d> {
     /// Shadow-check counters.
     path_stats: PathStats,
     events: u64,
-    /// `Some((index, count))` when this worker is the exclusive owner of
-    /// page partition `index` of `count` in the sharded pipeline (see
-    /// [`Self::process_sharded_record`]); `None` in unified mode.
-    shard: Option<(usize, usize)>,
 }
 
 impl<'d> Worker<'d> {
@@ -402,23 +393,7 @@ impl<'d> Worker<'d> {
             format_census: [0; 4],
             path_stats: PathStats::default(),
             events: 0,
-            shard: None,
         }
-    }
-
-    /// A worker owning global-shadow page partition `index` of `count`
-    /// in the sharded (page-hash-routed) pipeline. The caller must
-    /// guarantee the routing contract: every plain global access this
-    /// worker receives lands entirely on pages with
-    /// `page_partition(page_key, count) == index`, and no other thread
-    /// touches those pages' cells while the sharded run is live — the
-    /// worker then updates its partition's cells without taking page
-    /// locks.
-    pub fn new_sharded(det: &'d Detector, index: usize, count: usize) -> Self {
-        assert!(index < count, "shard index out of range");
-        let mut w = Worker::new(det);
-        w.shard = Some((index, count));
-        w
     }
 
     /// Events processed so far.
@@ -471,98 +446,12 @@ impl<'d> Worker<'d> {
                 addrs,
                 *size,
                 atype,
-                (0, 0),
-                false,
                 &mut self.path_stats,
             );
             bs.warps[wib].endi();
         } else {
-            apply_sync_or_control(det, bs, wib, ev, true);
+            apply_sync_or_control(det, bs, wib, ev);
         }
-    }
-
-    /// Decodes and processes one record of the sharded (page-hash-routed)
-    /// pipeline. Returns `false` when the record fails to decode
-    /// (corrupt) — the caller counts it and moves on.
-    ///
-    /// Differences from the unified [`Self::process_record`] path:
-    ///
-    /// * **Fast-forward instead of local `endi`.** A sharded worker sees
-    ///   only the plain accesses routed to its partition, but every
-    ///   record carries the warp's plain-access sequence stamp
-    ///   ([`Record::seq`]); before processing, the warp clock advances by
-    ///   the stamp gap, so each access is checked at exactly the clock
-    ///   the unified detector would use. Plain accesses therefore do
-    ///   *not* `endi` here (their increment is folded into the next
-    ///   record's gap); sync and control records are replicated to every
-    ///   worker and keep their local clock effects.
-    /// * **Fragment windows.** A plain global access that straddled a
-    ///   shadow-page boundary arrives as fragments carrying the original
-    ///   lane addresses plus a `(frag_off, frag_len)` byte window; only
-    ///   the windowed bytes are checked, and races still report at the
-    ///   lane base address.
-    /// * **Lock-free page access.** Plain global accesses touch this
-    ///   worker's own partition's cells through the owner fast path — no
-    ///   page mutex (see [`Self::new_sharded`]'s contract).
-    /// * **Owner-gated diagnostics.** Every worker replays control
-    ///   records, so barrier divergence is diagnosed only by the block's
-    ///   owner shard to avoid duplicate reports.
-    pub fn process_sharded_record(&mut self, rec: &Record) -> bool {
-        let (index, count) = self.shard.expect("worker was not created with new_sharded");
-        if rec.kind > RecordKind::Exit as u8 {
-            return false;
-        }
-        self.events += 1;
-        let det = self.det;
-        let (bs, wib) = block_entry(&mut self.blocks, det, rec.warp);
-        // Fast-forward: account for the warp's plain accesses that routed
-        // to other partitions. The stamp can also *trail* `seen`
-        // (fragments of one access share a stamp; benchmarks replay
-        // streams) — never rewind.
-        if rec.seq > bs.seen[wib] {
-            bs.warps[wib].advance(rec.seq - bs.seen[wib]);
-            bs.seen[wib] = rec.seq;
-        }
-        // Plain accesses are the hot path: handled straight off the wire
-        // (no `Event` materialization — the 32 lane address slots are
-        // borrowed from the record in place).
-        if rec.kind <= RecordKind::Atomic as u8 {
-            let atype = match rec.kind {
-                k if k == RecordKind::Read as u8 => AccessType::Read,
-                k if k == RecordKind::Write as u8 => AccessType::Write,
-                _ => AccessType::Atomic,
-            };
-            let space = if rec.space == 0 {
-                MemSpace::Global
-            } else {
-                MemSpace::Shared
-            };
-            self.format_census[census_slot(&bs.warps[wib])] += 1;
-            // Global plain accesses were routed here by page hash: this
-            // worker owns every covered page.
-            check_warp_access(
-                det,
-                &mut bs.shared_shadow,
-                &bs.warps[wib],
-                rec.mask,
-                space,
-                &rec.addrs,
-                rec.size,
-                atype,
-                (rec.frag_off, rec.frag_len),
-                space == MemSpace::Global,
-                &mut self.path_stats,
-            );
-            // No endi: the seq fast-forward accounts for it.
-            return true;
-        }
-        // This shard owns the block's control/shared stream (and its
-        // barrier diagnostics) iff the block hashes to it.
-        let owner = barracuda_trace::queue::launch_block_hash(det.scope.epoch, bs.block)
-            % count as u64
-            == index as u64;
-        apply_sync_or_control(det, bs, wib, &rec.decode(), owner);
-        true
     }
 }
 
@@ -593,15 +482,8 @@ fn census_slot(wc: &WarpClocks) -> usize {
 }
 
 /// Applies a sync access (Fig. 3 acquire/release rules) or a control
-/// event (branch, barrier, exit) to the warp's clocks. `diagnose` gates
-/// barrier-divergence reports; see [`try_barrier`].
-fn apply_sync_or_control(
-    det: &Detector,
-    bs: &mut BlockState,
-    wib: usize,
-    ev: &Event,
-    diagnose: bool,
-) {
+/// event (branch, barrier, exit) to the warp's clocks.
+fn apply_sync_or_control(det: &Detector, bs: &mut BlockState, wib: usize, ev: &Event) {
     match *ev {
         Event::Access {
             kind,
@@ -629,11 +511,11 @@ fn apply_sync_or_control(
         Event::Fi { .. } => bs.warps[wib].branch_fi(),
         Event::Bar { mask, .. } => {
             bs.arrived[wib] = Some(mask);
-            try_barrier(det, bs, diagnose);
+            try_barrier(det, bs);
         }
         Event::Exit { .. } => {
             bs.exited[wib] = true;
-            try_barrier(det, bs, diagnose);
+            try_barrier(det, bs);
         }
     }
 }
@@ -759,21 +641,15 @@ pub(crate) fn check_cells_run<F: Fn(u32, u32) -> Clock>(
 /// lane still meets its own bytes in ascending address order (a
 /// straddling lane's low page sorts first), and race reports are emitted
 /// in lane order after the sweep (reporting never feeds back into cell
-/// state). Consecutive lanes in that order whose (windowed, page-local)
-/// spans are identical form one [`LaneGroup`], checked in one pass over
+/// state). Consecutive lanes in that order whose page-local spans are
+/// identical form one [`LaneGroup`], checked in one pass over
 /// the span — the group's lanes still meet every cell in ascending lane
 /// order. On top of the batching it applies the word-granularity merge
 /// ([`check_cells_run`]) and, for converged warps, computes the
 /// structural component of `clock_of` once per record
 /// ([`WarpClocks::uniform_view`]).
 ///
-/// `window = (off, len)` restricts every lane's checked bytes to
-/// `[addr + off, addr + off + len)` (`len == 0` means the whole access);
-/// races still report at the lane base address, so sharded fragments
-/// agree with the unified verdicts. Bytes past `u64::MAX` do not exist
-/// and are never checked. `owned` selects the sharded owner fast path:
-/// pages are touched without locking (the caller guarantees partition
-/// exclusivity, see [`Worker::new_sharded`]).
+/// Bytes past `u64::MAX` do not exist and are never checked.
 #[allow(clippy::too_many_arguments)]
 fn check_warp_access(
     det: &Detector,
@@ -784,13 +660,9 @@ fn check_warp_access(
     addrs: &[u64; 32],
     size: u8,
     atype: AccessType,
-    window: (u8, u8),
-    owned: bool,
     stats: &mut PathStats,
 ) {
-    let woff = u64::from(window.0);
-    let wlen = if window.1 == 0 { size } else { window.1 };
-    if wlen == 0 {
+    if size == 0 {
         return;
     }
     let dims = &det.dims;
@@ -861,31 +733,27 @@ fn check_warp_access(
                     members |= 1 << lanes[i].lane;
                     i += 1;
                 }
-                let cells = shared_shadow.range_mut(addr.saturating_add(woff), u64::from(wlen));
+                let cells = shared_shadow.range_mut(addr, u64::from(size));
                 check_cells_run(cells, &group(members), atype, &mut races, stats);
             }
         }
         MemSpace::Global => {
-            // Split each lane's (windowed) access into page-local
-            // segments — at most two per lane, since accesses (≤ 8 bytes)
-            // are smaller than a shadow page — tagged with the owning
-            // lane. Sharded fragments are page-local already and always
-            // produce one segment.
+            // Split each lane's access into page-local segments — at most
+            // two per lane, since accesses (≤ 8 bytes) are smaller than a
+            // shadow page — tagged with the owning lane.
             let mut segs = [(0u64, 0u32, 0u64, 0u8); 64];
             let mut ns = 0usize;
             for la in lanes {
-                let Some(start) = la.addr.checked_add(woff) else {
-                    continue;
-                };
+                let start = la.addr;
                 let room = SHADOW_PAGE_SIZE - start % SHADOW_PAGE_SIZE;
-                #[allow(clippy::cast_possible_truncation)] // low ≤ wlen
-                let low = u64::from(wlen).min(room) as u8;
+                #[allow(clippy::cast_possible_truncation)] // low ≤ size
+                let low = u64::from(size).min(room) as u8;
                 segs[ns] = (start / SHADOW_PAGE_SIZE, la.lane, start, low);
                 ns += 1;
                 // The rest lies on the next page, unless the first segment
                 // already ends at the top of the address space.
-                if let Some(next) = start.checked_add(u64::from(low)).filter(|_| low < wlen) {
-                    segs[ns] = (next / SHADOW_PAGE_SIZE, la.lane, next, wlen - low);
+                if let Some(next) = start.checked_add(u64::from(low)).filter(|_| low < size) {
+                    segs[ns] = (next / SHADOW_PAGE_SIZE, la.lane, next, size - low);
                     ns += 1;
                 }
             }
@@ -894,19 +762,8 @@ fn check_warp_access(
             let mut i = 0;
             while i < ns {
                 let page_key = segs[i].0;
-                let slot = det.global_shadow.page_by_key(page_key);
-                let mut guard = if owned {
-                    None
-                } else {
-                    stats.page_locks += 1;
-                    Some(slot.lock())
-                };
-                let page: &mut ShadowPage = match guard.as_mut() {
-                    Some(g) => g,
-                    // SAFETY: sharded routing gives this worker exclusive
-                    // ownership of the page (see `Worker::new_sharded`).
-                    None => unsafe { slot.owned_mut() },
-                };
+                stats.page_locks += 1;
+                let mut page = det.global_shadow.page_by_key(page_key).lock();
                 while i < ns && segs[i].0 == page_key {
                     // Consecutive segments over one span form a group.
                     let (_, _, start, len) = segs[i];
@@ -1165,11 +1022,8 @@ fn process_sync(
 }
 
 /// Completes a block barrier once every live warp has arrived (BAR rule +
-/// §4.3.2 broadcast), diagnosing barrier divergence when `diagnose` is
-/// set — sharded workers replay every block's control stream, so only
-/// the block's owner shard diagnoses (clock effects still apply
-/// everywhere).
-fn try_barrier(det: &Detector, bs: &mut BlockState, diagnose: bool) {
+/// §4.3.2 broadcast), diagnosing barrier divergence.
+fn try_barrier(det: &Detector, bs: &mut BlockState) {
     let dims = &det.dims;
     let wpb = dims.warps_per_block() as usize;
     let complete = (0..wpb).all(|i| bs.exited[i] || bs.arrived[i].is_some());
@@ -1190,7 +1044,7 @@ fn try_barrier(det: &Detector, bs: &mut BlockState, diagnose: bool) {
             _ => {}
         }
     }
-    if divergence && diagnose {
+    if divergence {
         det.races
             .diagnose(Diagnostic::BarrierDivergence { block: bs.block });
     }
@@ -1631,39 +1485,19 @@ mod tests {
 
     /// An access running past `u64::MAX` checks only the bytes that
     /// exist: it races at the top of the address space and never touches
-    /// the cells of address 0, unified or as a sharded fragment.
+    /// the cells of address 0.
     #[test]
     fn accesses_stop_at_the_top_of_the_address_space() {
-        for sharded in [false, true] {
-            let det = Detector::new(dims(), 64);
-            let mut w = if sharded {
-                Worker::new_sharded(&det, 0, 1)
-            } else {
-                Worker::new(&det)
-            };
-            let mut run = |ev: Event| {
-                if sharded {
-                    let rec = Record::encode(&ev);
-                    barracuda_trace::route::split_global_access(&rec, 1, |_, frag| {
-                        assert!(w.process_sharded_record(&frag));
-                    });
-                } else {
-                    w.process_event(&ev);
-                }
-            };
-            let top = |warp| broadcast(warp, AccessKind::Write, 0b1, u64::MAX - 3, 8);
-            run(top(0));
-            run(broadcast(2, AccessKind::Write, 0b1, 0, 4));
-            assert_eq!(
-                det.races().race_count(),
-                0,
-                "sharded={sharded}: wrapped to 0"
-            );
-            run(top(2));
-            let races = det.races().reports();
-            assert_eq!(races.len(), 1, "sharded={sharded}");
-            assert_eq!(races[0].addr, u64::MAX - 3, "sharded={sharded}");
-        }
+        let det = Detector::new(dims(), 64);
+        let mut w = Worker::new(&det);
+        let top = |warp| broadcast(warp, AccessKind::Write, 0b1, u64::MAX - 3, 8);
+        w.process_event(&top(0));
+        w.process_event(&broadcast(2, AccessKind::Write, 0b1, 0, 4));
+        assert_eq!(det.races().race_count(), 0, "wrapped to 0");
+        w.process_event(&top(2));
+        let races = det.races().reports();
+        assert_eq!(races.len(), 1);
+        assert_eq!(races[0].addr, u64::MAX - 3);
     }
 
     /// One access of `size` bytes at `addr` by the lanes of `mask`, all

@@ -210,16 +210,6 @@ impl WarpClocks {
         self.active_mut().own += 1;
     }
 
-    /// Fast-forwards the active group's clock by `delta` instructions —
-    /// `delta` consecutive [`endi`](Self::endi) calls collapsed into one
-    /// addition. The sharded pipeline uses this to account for the plain
-    /// accesses a worker never sees because they routed to another
-    /// partition (each record carries a per-warp sequence stamp; the
-    /// worker advances by the stamp gap before processing).
-    pub fn advance(&mut self, delta: Clock) {
-        self.active_mut().own += delta;
-    }
-
     /// The IF rule: split the active group into then/else paths; the then
     /// path is joined-and-forked and starts executing.
     pub fn branch_if(&mut self, then_mask: u32, else_mask: u32) {

@@ -7,10 +7,8 @@
 //! launch); global-memory shadow is allocated on demand through a
 //! fixed-stripe sharded page table: lookups are lock-free (append-only
 //! atomic probe segments), a stripe-local mutex is taken only to insert a
-//! new page, and each page carries its own lock for callers that share
-//! pages across threads. Workers that *own* a page partition (the sharded
-//! page-hash pipeline) skip the page lock entirely via
-//! [`ShadowPageSlot::owned_mut`].
+//! new page, and each page carries its own lock, since any worker may
+//! touch any page.
 //!
 //! # Reader sets
 //!
@@ -28,9 +26,7 @@
 
 use crate::clock::{Clock, Epoch};
 use barracuda_trace::backoff::splitmix;
-use parking_lot::{Mutex, MutexGuard};
-use std::cell::UnsafeCell;
-use std::ops::{Deref, DerefMut};
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -255,10 +251,8 @@ impl Default for ShadowCell {
     }
 }
 
-/// Bytes of tracked memory per shadow page. Aliases the canonical
-/// constant in `barracuda-trace` so the producer-side page router and the
-/// detector-side shadow can never disagree on page geometry.
-pub const SHADOW_PAGE_SIZE: u64 = barracuda_trace::route::SHADOW_PAGE_SIZE;
+/// Bytes of tracked memory per shadow page.
+pub const SHADOW_PAGE_SIZE: u64 = 4096;
 
 /// One page of global-memory shadow.
 #[derive(Debug)]
@@ -280,89 +274,13 @@ impl ShadowPage {
     }
 }
 
-/// An allocated shadow page plus its lock. Pages live as long as the
+/// An allocated shadow page behind its lock. Pages live as long as the
 /// owning [`GlobalShadow`] (the table is append-only), so the table hands
 /// out plain `&ShadowPageSlot` borrows — no reference counting on the
-/// hot path.
-///
-/// Two access disciplines coexist:
-///
-/// * [`ShadowPageSlot::lock`] — mutual exclusion via the page lock, used
-///   by the host sweep, the single-threaded sync mode, and
-///   block-affinity threaded workers (any worker may touch any page
-///   there);
-/// * [`ShadowPageSlot::owned_mut`] — lock-free access for the sharded
-///   pipeline, where the page-hash router makes one worker the exclusive
-///   owner of every page in its partition.
-pub struct ShadowPageSlot {
-    lock: Mutex<()>,
-    data: UnsafeCell<ShadowPage>,
-}
-
-// SAFETY: all mutable access to `data` goes through either the page lock
-// (`lock()`) or the partition-ownership contract of `owned_mut()`; both
-// guarantee exclusive access (see `owned_mut` for the contract).
-unsafe impl Send for ShadowPageSlot {}
-unsafe impl Sync for ShadowPageSlot {}
-
-impl ShadowPageSlot {
-    fn new() -> Self {
-        ShadowPageSlot {
-            lock: Mutex::new(()),
-            data: UnsafeCell::new(ShadowPage::new()),
-        }
-    }
-
-    /// Locks the page for exclusive access.
-    pub fn lock(&self) -> PageGuard<'_> {
-        PageGuard {
-            _guard: self.lock.lock(),
-            page: self.data.get(),
-        }
-    }
-
-    /// Lock-free exclusive access for the page's partition owner.
-    ///
-    /// # Safety
-    ///
-    /// The caller must be the sole thread accessing this page's cells for
-    /// the duration of the borrow. The sharded pipeline guarantees this
-    /// by construction: every plain global access is routed to the worker
-    /// owning the page (`page_partition`), sync records never touch
-    /// shadow cells, and host sweeps never overlap a running launch (the
-    /// engine API is sequential `&mut self`).
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn owned_mut(&self) -> &mut ShadowPage {
-        &mut *self.data.get()
-    }
-}
-
-impl std::fmt::Debug for ShadowPageSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShadowPageSlot").finish_non_exhaustive()
-    }
-}
-
-/// RAII guard for a locked [`ShadowPageSlot`]; derefs to the page.
-pub struct PageGuard<'a> {
-    _guard: MutexGuard<'a, ()>,
-    page: *mut ShadowPage,
-}
-
-impl Deref for PageGuard<'_> {
-    type Target = ShadowPage;
-    fn deref(&self) -> &ShadowPage {
-        // SAFETY: the page lock is held for the guard's lifetime.
-        unsafe { &*self.page }
-    }
-}
-
-impl DerefMut for PageGuard<'_> {
-    fn deref_mut(&mut self) -> &mut ShadowPage {
-        // SAFETY: the page lock is held for the guard's lifetime.
-        unsafe { &mut *self.page }
-    }
-}
+/// hot path. Every access locks the page: the host sweep, the
+/// synchronous pipeline and the threaded workers alike, since any worker
+/// may touch any page.
+pub type ShadowPageSlot = Mutex<ShadowPage>;
 
 /// One slot of a probe segment: `key + 1` (0 = empty) and the page
 /// pointer, published page-first so a reader that observes the key also
@@ -526,7 +444,7 @@ impl GlobalShadow {
     /// inserted while we allocated), grow the head segment if needed, and
     /// publish the new page.
     fn insert<'s>(&'s self, stripe: &'s Stripe, key: u64, h: u64) -> &'s ShadowPageSlot {
-        let fresh = Box::new(ShadowPageSlot::new());
+        let fresh = Box::new(ShadowPageSlot::new(ShadowPage::new()));
         let mut inner = stripe.writer.lock();
         if let Some(p) = Self::probe(stripe, key, h) {
             return p; // lost the race; `fresh` is dropped
@@ -848,17 +766,6 @@ mod tests {
             );
         }
         assert_eq!(g.page_count(), keys.len(), "lookups never re-insert");
-    }
-
-    #[test]
-    fn owned_mut_sees_locked_writes() {
-        let g = GlobalShadow::new();
-        let slot = page_of(&g, 0x5000);
-        slot.lock().cell_mut(0x5000).write = Epoch::new(9, 2);
-        // Exclusive-owner access observes the same cells.
-        // SAFETY: single-threaded test — trivially the sole accessor.
-        let page = unsafe { slot.owned_mut() };
-        assert_eq!(page.cell_mut(0x5000).write, Epoch::new(9, 2));
     }
 
     #[test]

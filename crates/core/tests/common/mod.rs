@@ -1,6 +1,6 @@
 //! Shared generators for the detector differential tests: well-formed
 //! multi-warp event streams whose accesses cluster around shadow-page
-//! boundaries (the place where batching, splitting and routing can go
+//! boundaries (the place where batching and page splitting can go
 //! wrong), plus the race-set extraction used for verdict comparison.
 #![allow(dead_code)]
 

@@ -9,9 +9,9 @@
 //! schedule and under many random interleavings, and requires identical
 //! race sets from the production detector and the dense vector-clock
 //! reference.
-
-//! As in the sharded-routing differential, exact race-key equality only
-//! holds when lane windows are equal or disjoint: with *overlapping*
+//!
+//! Exact race-key equality only holds when lane windows are equal or
+//! disjoint: with *overlapping*
 //! windows (unaligned, or different sizes over the same bytes) the
 //! racing pair is always reported but may be attributed to either
 //! window's base address depending on processing order. The proptest

@@ -42,13 +42,8 @@ pub struct BarracudaConfig {
     /// Deterministic fault injection for the threaded pipeline
     /// (chaos testing); `None` injects nothing.
     pub fault_plan: Option<FaultPlan>,
-    /// Sharded (page-hash) record routing for [`DetectionMode::Threaded`]
-    /// (off by default). Plain global accesses route to workers by shadow
-    ///-page hash — splitting page-straddling accesses into per-page
-    /// fragments — and each worker updates its exclusive page partition
-    /// without page locks; sync and control records are replicated to
-    /// every queue so each worker keeps an exact copy of every warp's
-    /// clocks. Ignored in [`DetectionMode::Synchronous`].
+    /// Ignored: the threaded pipeline always routes a block's records to
+    /// one queue (paper §4.2). Kept only because the benchmark sets it.
     pub sharded_routing: bool,
     /// Co-resident kernel interleaving (off by default). Every launch
     /// executes as a co-resident group; this decides only *when* the group

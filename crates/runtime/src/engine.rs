@@ -147,9 +147,6 @@ struct LaunchCmd {
     plan: Option<Arc<FaultPlan>>,
     order: Arc<SyncOrder>,
     done: Arc<AtomicBool>,
-    /// Page-hash routing for this launch (see
-    /// [`BarracudaConfig::sharded_routing`]).
-    sharded: bool,
 }
 
 /// Long-lived detector workers, one per queue, reused across launches.
@@ -189,7 +186,6 @@ impl WorkerPool {
                             cmd.plan.as_deref(),
                             &cmd.done,
                             &cmd.order,
-                            cmd.sharded,
                         )
                     }));
                     let outcome = match r {
@@ -893,7 +889,6 @@ impl Engine {
                     plan: plan.clone(),
                     order: Arc::clone(&order),
                     done: Arc::clone(&done),
-                    sharded: self.config.sharded_routing,
                 })
                 .expect("pool worker alive");
             }
@@ -905,7 +900,6 @@ impl Engine {
             self.config.push_stall_budget,
             &order,
             dets[0].epoch(),
-            self.config.sharded_routing,
         );
         let end_of_group = EndOfGroup {
             done: &done,
@@ -1043,7 +1037,6 @@ mod tests {
                     plan: None,
                     order: Arc::clone(&order),
                     done: Arc::clone(&done),
-                    sharded: false,
                 })
                 .expect("pool worker alive");
             }

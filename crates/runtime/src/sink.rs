@@ -4,41 +4,19 @@
 
 use barracuda_core::{Detector, PathStats, Worker};
 use barracuda_simt::EventSink;
-use barracuda_trace::route::{route_class, split_global_access, RouteClass, SeqStamper};
 use barracuda_trace::{FaultPlan, HostOp, PushOutcome, QueueSet, Record, SyncOrder};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Producer-side state of the sharded (page-hash) routing mode.
-struct ShardedRouting {
-    /// Per-warp plain-access sequence stamps (the fast-forward trailer).
-    stamper: Mutex<SeqStamper>,
-    /// Held across *stamp → push-to-every-queue → issue ticket* for sync
-    /// records, so each queue's FIFO receives ticketed sync records in
-    /// ticket-issue order — the consumer pairs the k-th sync record it
-    /// pops with the k-th ticket naming its queue, which deadlocks if two
-    /// broadcasts can cross on the way in.
-    broadcast: Mutex<()>,
-}
-
 /// The producer-side sink of the threaded pipeline: routes records to
 /// their block's queue with bounded-stall backpressure, and applies the
 /// producer-side faults of a [`FaultPlan`] (drops, corruption).
-///
-/// In sharded mode ([`BarracudaConfig::sharded_routing`]) records route
-/// by *shadow-page hash* instead: plain global accesses split into
-/// page-local fragments, each sent to the page's owner queue; plain
-/// shared accesses go to their block's queue; sync and control records
-/// are replicated to every queue so each worker keeps an exact copy of
-/// every warp's clock state.
 ///
 /// A queue whose bounded push ever times out is marked *wedged*: its
 /// consumer is presumed dead or badly stalled, and later records for it
 /// pay at most one fast full-check instead of the whole stall budget
 /// again, so a single dead worker cannot slow the simulation to a crawl.
-///
-/// [`BarracudaConfig::sharded_routing`]: crate::BarracudaConfig::sharded_routing
 pub(crate) struct PipelineSink<'a> {
     queues: &'a QueueSet,
     plan: Option<&'a FaultPlan>,
@@ -51,8 +29,6 @@ pub(crate) struct PipelineSink<'a> {
     /// issued for every sync record that actually enqueues, so workers
     /// apply them in emission order.
     order: &'a SyncOrder,
-    /// `Some` when page-hash routing is on.
-    sharded: Option<ShardedRouting>,
     /// Per-queue producer sequence numbers (fault-decision coordinates).
     seq: Vec<AtomicU64>,
     /// Queues that exhausted a stall budget once.
@@ -72,7 +48,6 @@ impl<'a> PipelineSink<'a> {
         stall_budget: u64,
         order: &'a SyncOrder,
         epoch: u32,
-        sharded: bool,
     ) -> Self {
         PipelineSink {
             queues,
@@ -80,10 +55,6 @@ impl<'a> PipelineSink<'a> {
             stall_budget,
             epoch,
             order,
-            sharded: sharded.then(|| ShardedRouting {
-                stamper: Mutex::new(SeqStamper::new()),
-                broadcast: Mutex::new(()),
-            }),
             seq: (0..queues.len()).map(|_| AtomicU64::new(0)).collect(),
             wedged: (0..queues.len()).map(|_| AtomicBool::new(false)).collect(),
             injected_drops: AtomicU64::new(0),
@@ -132,51 +103,10 @@ impl<'a> PipelineSink<'a> {
         }
         Some(record)
     }
-
-    /// Sharded emission: stamp the fast-forward trailer, then route by
-    /// class (see the type docs).
-    fn emit_sharded(&self, sh: &ShardedRouting, block: u64, mut record: Record) {
-        let n = self.queues.len();
-        sh.stamper
-            .lock()
-            .expect("seq stamper poisoned")
-            .stamp(&mut record);
-        match route_class(&record) {
-            RouteClass::PlainShared => {
-                let _ = self.try_push(self.queues.index_for(self.epoch, block), record);
-            }
-            RouteClass::PlainGlobal => {
-                split_global_access(&record, n, |qi, frag| {
-                    let _ = self.try_push(qi, frag);
-                });
-            }
-            RouteClass::Sync => {
-                // All pushes and the ticket are one atomic step w.r.t.
-                // other sync broadcasts (see `ShardedRouting::broadcast`).
-                let _b = sh.broadcast.lock().expect("broadcast lock poisoned");
-                // A copy is a ticket member iff it enqueued *and* still
-                // classifies as sync after per-queue corruption — exactly
-                // the test its consumer applies when pairing tickets.
-                let mask: Vec<bool> = (0..n)
-                    .map(|qi| self.try_push(qi, record).is_some_and(|r| r.is_sync()))
-                    .collect();
-                self.order.issue_broadcast(&mask);
-            }
-            RouteClass::Control => {
-                for qi in 0..n {
-                    let _ = self.try_push(qi, record);
-                }
-            }
-        }
-    }
 }
 
 impl EventSink for PipelineSink<'_> {
     fn emit(&self, block: u64, record: Record) {
-        if let Some(sh) = &self.sharded {
-            self.emit_sharded(sh, block, record);
-            return;
-        }
         let qi = self.queues.index_for(self.epoch, block);
         if let Some(rec) = self.try_push(qi, record) {
             if rec.is_global_sync() {
@@ -238,15 +168,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// synchronization map in device emission order no matter how consumers
 /// are scheduled (or chaos-stalled).
 ///
-/// In sharded mode every sync record is broadcast to every queue and
-/// ticketed once with per-queue membership: the worker pairs the k-th
-/// sync record it pops with the k-th ticket naming its queue, waits for
-/// its *sub-turn* (sub-turns of one ticket ascend by queue index),
-/// applies the record — every replica performs the full sync-map
-/// transaction; the writes are idempotent because replicas hold
-/// identical clock state — and completes the sub-turn. All other records
-/// go through [`Worker::process_sharded_record`] directly.
-///
 /// A worker whose queue is empty parks on it until the next commit or the
 /// end of the launch. Spinning instead would take CPU time from the
 /// simulating thread whenever workers outnumber free cores, and how much
@@ -266,7 +187,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// nothing. A record whose slot byte is out of range counts as corrupt,
 /// but a *sync* record still pairs and completes its ticket so the
 /// cross-queue ordering never wedges on it.
-#[allow(clippy::too_many_arguments)] // one call site, in WorkerPool::spawn
 pub(crate) fn drain_queue(
     qi: usize,
     nworkers: usize,
@@ -275,7 +195,6 @@ pub(crate) fn drain_queue(
     plan: Option<&FaultPlan>,
     done: &AtomicBool,
     order: &SyncOrder,
-    sharded: bool,
 ) -> WorkerTallies {
     let q = queues.queue(qi);
     // Every detector of a group shares the engine's cancel token, so
@@ -301,46 +220,7 @@ pub(crate) fn drain_queue(
                     at = panic_at.unwrap_or(0)
                 )));
             }
-            let si = usize::from(rec.slot);
-            let known_slot = si < workers.len();
-            if sharded {
-                if rec.is_sync() {
-                    // Same pairing as the unified branch below, but on the
-                    // broadcast ticket's per-queue sub-turn.
-                    let ticket = loop {
-                        if let Some(t) = order.ticket(qi, sync_idx) {
-                            break t;
-                        }
-                        if cancel.is_cancelled() {
-                            order.mark_dead(qi);
-                            break 'drain;
-                        }
-                        std::hint::spin_loop();
-                        std::thread::yield_now();
-                    };
-                    sync_idx += 1;
-                    while !order.is_sub_turn(ticket, qi) {
-                        if cancel.is_cancelled() {
-                            order.mark_dead(qi);
-                            break 'drain;
-                        }
-                        std::hint::spin_loop();
-                        std::thread::yield_now();
-                    }
-                    if !known_slot
-                        || !slot_worker(&mut workers, dets, si, qi, nworkers, sharded)
-                            .process_sharded_record(&rec)
-                    {
-                        corrupt += 1;
-                    }
-                    order.complete_sub(ticket, qi);
-                } else if !known_slot
-                    || !slot_worker(&mut workers, dets, si, qi, nworkers, sharded)
-                        .process_sharded_record(&rec)
-                {
-                    corrupt += 1;
-                }
-            } else if rec.is_global_sync() {
+            let ticket = if rec.is_global_sync() {
                 // The producer issues the ticket right after the push;
                 // spin out the tiny window where it is not visible yet.
                 let ticket = loop {
@@ -365,22 +245,19 @@ pub(crate) fn drain_queue(
                     std::hint::spin_loop();
                     std::thread::yield_now();
                 }
-                match (known_slot, rec.try_decode()) {
-                    (true, Some(ev)) => {
-                        slot_worker(&mut workers, dets, si, qi, nworkers, sharded)
-                            .process_event(&ev);
-                    }
-                    _ => corrupt += 1,
-                }
-                order.complete(ticket);
+                Some(ticket)
             } else {
-                match (known_slot, rec.try_decode()) {
-                    (true, Some(ev)) => {
-                        slot_worker(&mut workers, dets, si, qi, nworkers, sharded)
-                            .process_event(&ev);
-                    }
-                    _ => corrupt += 1,
-                }
+                None
+            };
+            let si = usize::from(rec.slot);
+            match (workers.get_mut(si), rec.try_decode()) {
+                (Some(w), Some(ev)) => w
+                    .get_or_insert_with(|| Worker::new(&dets[si]))
+                    .process_event(&ev),
+                _ => corrupt += 1,
+            }
+            if let Some(t) = ticket {
+                order.complete(t);
             }
             if let Some(p) = plan {
                 for _ in 0..p.consumer_stall_yields(qi, processed) {
@@ -413,24 +290,6 @@ pub(crate) fn drain_queue(
         tallies.paths.merge(&w.path_stats());
     }
     tallies
-}
-
-/// The lazily-created worker for group slot `si` (see [`drain_queue`]).
-fn slot_worker<'w, 'd>(
-    workers: &'w mut [Option<Worker<'d>>],
-    dets: &'d [Arc<Detector>],
-    si: usize,
-    qi: usize,
-    nworkers: usize,
-    sharded: bool,
-) -> &'w mut Worker<'d> {
-    workers[si].get_or_insert_with(|| {
-        if sharded {
-            Worker::new_sharded(&dets[si], qi, nworkers)
-        } else {
-            Worker::new(&dets[si])
-        }
-    })
 }
 
 /// An [`EventSink`] that captures only host-side operations: the engine

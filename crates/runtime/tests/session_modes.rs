@@ -47,7 +47,7 @@ fn racy_counter_detected_in_both_modes() {
 
 /// A store whose 8 bytes would run past `u64::MAX` is logged before it
 /// faults. Every pipeline must return the fault promptly, without
-/// overflowing on the address in the detector or the sharded router.
+/// overflowing on the address in the detector.
 #[test]
 fn store_past_the_top_of_the_address_space_faults_in_every_mode() {
     let source = src(
@@ -57,14 +57,9 @@ fn store_past_the_top_of_the_address_space_faults_in_every_mode() {
          ret;",
         "",
     );
-    for (mode, sharded_routing) in [
-        (DetectionMode::Synchronous, false),
-        (DetectionMode::Threaded, false),
-        (DetectionMode::Threaded, true),
-    ] {
+    for mode in [DetectionMode::Synchronous, DetectionMode::Threaded] {
         let mut bar = Barracuda::with_config(BarracudaConfig {
             mode,
-            sharded_routing,
             ..BarracudaConfig::default()
         });
         let start = Instant::now();
@@ -74,14 +69,13 @@ fn store_past_the_top_of_the_address_space_faults_in_every_mode() {
             dims: GridDims::new(1u32, 32u32),
             params: &[],
         });
-        let what = format!("{mode:?}, sharded_routing={sharded_routing}");
         assert!(
             matches!(r, Err(Error::Sim(SimError::InvalidAccess { .. }))),
-            "{what}: {r:?}"
+            "{mode:?}: {r:?}"
         );
         assert!(
             start.elapsed() < Duration::from_secs(20),
-            "{what}: slow fault"
+            "{mode:?}: slow fault"
         );
     }
 }
@@ -100,14 +94,9 @@ fn shared_store_past_the_segment_faults_in_every_mode() {
          ret;",
         "",
     );
-    for (mode, sharded_routing) in [
-        (DetectionMode::Synchronous, false),
-        (DetectionMode::Threaded, false),
-        (DetectionMode::Threaded, true),
-    ] {
+    for mode in [DetectionMode::Synchronous, DetectionMode::Threaded] {
         let mut bar = Barracuda::with_config(BarracudaConfig {
             mode,
-            sharded_routing,
             ..BarracudaConfig::default()
         });
         let r = bar.check(&KernelRun {
@@ -118,7 +107,7 @@ fn shared_store_past_the_segment_faults_in_every_mode() {
         });
         assert!(
             matches!(r, Err(Error::Sim(SimError::SharedOutOfBounds { .. }))),
-            "{mode:?}, sharded_routing={sharded_routing}: {r:?}"
+            "{mode:?}: {r:?}"
         );
     }
 }

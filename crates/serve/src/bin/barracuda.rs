@@ -3,7 +3,7 @@
 //! ```text
 //! barracuda check <file.ptx> --kernel <name> [--grid X[,Y[,Z]]] [--block X[,Y[,Z]]]
 //!                 [--param buf:<bytes> | --param u32:<value>]...
-//!                 [--warp-size N] [--warp-sweep] [--threaded] [--sharded]
+//!                 [--warp-size N] [--warp-sweep] [--threaded]
 //!                 [--memory-model sc|kepler|maxwell] [--seed N]
 //!                 [--max-steps N] [--stats-json] [--chaos-stalls SEED]
 //!                 [--interleave] [--sched-policy rr|random|starve] [--sched-seed N]
@@ -47,8 +47,6 @@
 //! telemetry. `--chaos-stalls SEED` enables stall-only fault injection in
 //! the threaded pipeline (implies `--threaded`): verdicts must match the
 //! synchronous mode, making it a quick self-check of pipeline robustness.
-//! `--sharded` (implies `--threaded`) routes records by shadow-page hash
-//! to owner-partitioned lock-free detector workers instead of by block.
 //! `--interleave` defers launches into the co-resident warp scheduler
 //! (they execute as one interleaved group at the next synchronization
 //! point); `--sched-policy` picks the deterministic schedule — `rr`
@@ -129,7 +127,6 @@ struct CheckArgs {
     warp_size: u32,
     warp_sweep: bool,
     threaded: bool,
-    sharded: bool,
     model: MemoryModel,
     seed: u64,
     max_steps: Option<u64>,
@@ -153,7 +150,6 @@ fn parse_check_args(args: &[String]) -> Result<CheckArgs, String> {
         warp_size: 32,
         warp_sweep: false,
         threaded: false,
-        sharded: false,
         model: MemoryModel::SequentiallyConsistent,
         seed: 0x0be5_11e5,
         max_steps: None,
@@ -185,10 +181,6 @@ fn parse_check_args(args: &[String]) -> Result<CheckArgs, String> {
             }
             "--warp-sweep" => out.warp_sweep = true,
             "--threaded" => out.threaded = true,
-            "--sharded" => {
-                out.sharded = true;
-                out.threaded = true;
-            }
             "--stats-json" => out.stats_json = true,
             "--max-steps" => {
                 out.max_steps = Some(
@@ -375,7 +367,6 @@ fn cmd_check(args: &[String], trace: bool) -> ExitCode {
         } else {
             DetectionMode::Synchronous
         },
-        sharded_routing: cfg.sharded,
         fault_plan: cfg.chaos_stalls.map(FaultPlan::stalls_only),
         interleave_kernels: cfg.interleave,
         scheduler: match cfg.sched_policy.as_str() {

@@ -24,9 +24,11 @@
 //!    `rejected` with a retry hint, not buffered.
 //! 2. **Line cap**: a line longer than [`MAX_FRAME`] is refused with
 //!    one `error` line before more of it is buffered, and that
-//!    connection is closed (the stream cannot be resynchronised) — no
-//!    other session is touched, and read-side memory per connection is
-//!    bounded.
+//!    connection is closed (the stream cannot be resynchronised): the
+//!    handler half-closes it and discards what the peer already sent
+//!    (up to 4 MiB, until a read times out), so the peer reads the error
+//!    line and then the end of the stream, not a TCP reset. No other session is touched,
+//!    and read-side memory per connection is bounded.
 //! 3. **Blocking writes**: event lines are written synchronously to the
 //!    connection; a client that stops reading eventually fills the
 //!    kernel's send buffer and stalls only *its own* handler thread —
@@ -37,6 +39,7 @@ use crate::client::Transport;
 use crate::proto::{self, CheckRequest, Request, Response};
 use crate::server::{Server, ServerConfig, ServerStats, Session};
 use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -55,6 +58,12 @@ const MAX_LINE: usize = MAX_FRAME as usize + 1;
 /// Read timeout of a connection handler: how often an idle handler
 /// looks at the stop flag.
 const READ_POLL: Duration = Duration::from_millis(50);
+
+/// Most bytes a handler discards from a refused connection before it
+/// closes it. Closing a TCP stream with unread bytes queued sends a
+/// reset, which the peer may see before the error line; past this cap
+/// (or the first read that times out) the handler closes anyway.
+const DRAIN_CAP: u64 = 4 * 1024 * 1024;
 
 /// Appends to `line` up to and including the next newline, stopping at
 /// EOF or a read error; bytes read before an error (a read timeout)
@@ -84,7 +93,7 @@ fn send_line(w: &mut impl Write, mut json: String) -> std::io::Result<()> {
 trait Stream: Read + Write + Send + Sized + 'static {
     fn try_clone(&self) -> std::io::Result<Self>;
     fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()>;
-    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()>;
+    fn shutdown(&self, how: Shutdown) -> std::io::Result<()>;
     /// Sends each line as soon as it is written (`TCP_NODELAY`), so a
     /// line never waits on the acknowledgement of the one before it; a
     /// Unix socket has nothing to set.
@@ -95,11 +104,12 @@ trait Stream: Read + Write + Send + Sized + 'static {
 trait Listener {
     type Stream: Stream;
     fn accept(&self) -> std::io::Result<Self::Stream>;
-    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()>;
+    /// The endpoint a client connects to to reach this listener.
+    fn endpoint(&self) -> std::io::Result<Endpoint>;
 }
 
 macro_rules! wire_stream {
-    ($stream:ty, $listener:ty, $set_nodelay:expr) => {
+    ($stream:ty, $listener:ty, $set_nodelay:expr, $endpoint:expr) => {
         impl Stream for $stream {
             fn try_clone(&self) -> std::io::Result<Self> {
                 <$stream>::try_clone(self)
@@ -107,8 +117,8 @@ macro_rules! wire_stream {
             fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
                 <$stream>::set_read_timeout(self, timeout)
             }
-            fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
-                <$stream>::set_nonblocking(self, nonblocking)
+            fn shutdown(&self, how: Shutdown) -> std::io::Result<()> {
+                <$stream>::shutdown(self, how)
             }
             fn set_nodelay(&self) -> std::io::Result<()> {
                 $set_nodelay(self)
@@ -120,27 +130,49 @@ macro_rules! wire_stream {
             fn accept(&self) -> std::io::Result<$stream> {
                 <$listener>::accept(self).map(|(stream, _)| stream)
             }
-            fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
-                <$listener>::set_nonblocking(self, nonblocking)
+            fn endpoint(&self) -> std::io::Result<Endpoint> {
+                $endpoint(self)
             }
         }
     };
 }
 
-wire_stream!(UnixStream, UnixListener, |_| Ok(()));
-wire_stream!(TcpStream, TcpListener, |s: &TcpStream| s.set_nodelay(true));
+wire_stream!(UnixStream, UnixListener, |_| Ok(()), |l: &UnixListener| {
+    l.local_addr()?
+        .as_pathname()
+        .map(|p| Endpoint::Unix(p.to_path_buf()))
+        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "unnamed socket"))
+});
+wire_stream!(
+    TcpStream,
+    TcpListener,
+    |s: &TcpStream| s.set_nodelay(true),
+    |l: &TcpListener| {
+        // A listener on the unspecified address is reached on loopback.
+        let mut addr = l.local_addr()?;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        Ok(Endpoint::Tcp(addr))
+    }
+);
 
+/// Serves one connection until the peer hangs up or the server stops.
+/// A `{"op":"shutdown"}` line sets `stop` and connects once to
+/// `listener`, which wakes the accept loop blocked on it.
 fn handle_connection(
     stream: impl Stream,
     session: &Session,
     stop: &AtomicBool,
+    listener: &Endpoint,
 ) -> std::io::Result<()> {
-    // Accepted from a non-blocking listener; reads block with a timeout
-    // so an idle handler notices a shutdown initiated on another
-    // connection instead of blocking in read forever. A timeout mid-line
-    // leaves the partial line accumulated in `line`; the next read
-    // appends the rest.
-    stream.set_nonblocking(false)?;
+    // Reads block with a timeout so an idle handler notices a shutdown
+    // initiated on another connection instead of blocking in read
+    // forever. A timeout mid-line leaves the partial line accumulated in
+    // `line`; the next read appends the rest.
     stream.set_read_timeout(Some(READ_POLL))?;
     stream.set_nodelay()?;
     let mut reader = BufReader::new(stream.try_clone()?);
@@ -161,12 +193,16 @@ fn handle_connection(
                 continue;
             }
             Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                // Oversized line: refuse explicitly, then drop the
-                // connection (the stream cannot be resynchronised).
+                // Oversized line: refuse explicitly, then close the
+                // connection (the stream cannot be resynchronised). The
+                // peer's pending bytes are read first, so the close is
+                // an end of stream and not a reset.
                 let resp = Response::Error {
                     message: e.to_string(),
                 };
                 let _ = send_line(&mut writer, proto::encode_response(&resp));
+                let _ = writer.shutdown(Shutdown::Write);
+                let _ = std::io::copy(&mut reader.take(DRAIN_CAP), &mut std::io::sink());
                 return Ok(());
             }
             Err(e) => return Err(e),
@@ -177,6 +213,7 @@ fn handle_connection(
             let resp = match proto::decode_request(trimmed) {
                 Ok(Request::Shutdown) => {
                     stop.store(true, Ordering::Release);
+                    let _ = listener.poke();
                     Response::ShuttingDown
                 }
                 Ok(Request::Check(req)) if req.stream => {
@@ -205,29 +242,25 @@ fn handle_connection(
 /// Serves connections on `listener` until a client sends
 /// `{"op":"shutdown"}`, then shuts the server down gracefully.
 fn serve_listener(listener: impl Listener, config: ServerConfig) -> std::io::Result<ServerStats> {
-    // Poll-accept so the loop notices the stop flag set by a handler
-    // thread; a blocking accept would wait for a connection that may
-    // never come.
-    listener.set_nonblocking(true)?;
+    // The handler that receives a shutdown connects here once, so the
+    // blocking accept below returns and sees the stop flag.
+    let endpoint = Arc::new(listener.endpoint()?);
     let server = Server::new(config);
     let stop = Arc::new(AtomicBool::new(false));
     let mut handlers = Vec::new();
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok(stream) => {
-                let Some(session) = server.session() else {
-                    break;
-                };
-                let stop = Arc::clone(&stop);
-                handlers.push(std::thread::spawn(move || {
-                    let _ = handle_connection(stream, &session, &stop);
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => return Err(e),
+    loop {
+        let stream = listener.accept()?;
+        if stop.load(Ordering::Acquire) {
+            break;
         }
+        let Some(session) = server.session() else {
+            break;
+        };
+        let stop = Arc::clone(&stop);
+        let endpoint = Arc::clone(&endpoint);
+        handlers.push(std::thread::spawn(move || {
+            let _ = handle_connection(stream, &session, &stop, &endpoint);
+        }));
     }
     for h in handlers {
         let _ = h.join();
@@ -291,6 +324,14 @@ impl Endpoint {
                 served
             }
             Endpoint::Tcp(addr) => serve_listener(TcpListener::bind(addr)?, config),
+        }
+    }
+
+    /// Opens a plain connection to this endpoint and closes it again.
+    fn poke(&self) -> std::io::Result<()> {
+        match self {
+            Endpoint::Unix(path) => UnixStream::connect(path).map(drop),
+            Endpoint::Tcp(addr) => TcpStream::connect(addr).map(drop),
         }
     }
 }

@@ -375,14 +375,13 @@ fn an_oversized_line_is_refused_without_touching_other_sessions(wire: Wire) {
         Ok(Response::Error { message }) => assert!(message.contains("exceeds cap"), "{message}"),
         other => panic!("expected an error line, got {other:?}"),
     }
-    // The oversized connection is closed. Over TCP the server closes
-    // with the rest of the line still unread, which TCP signals to the
-    // peer as a reset rather than an orderly end of stream.
+    // The oversized connection ends in an orderly end of stream on both
+    // transports: the server reads the rest of the line before it
+    // closes, so TCP does not reset.
     let mut rest = String::new();
-    match (reader.read_line(&mut rest), wire) {
-        (Ok(0), _) => {}
-        (Err(e), Wire::Tcp) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
-        (other, _) => panic!("the oversized connection is closed, got {other:?}"),
+    match reader.read_line(&mut rest) {
+        Ok(0) => {}
+        other => panic!("the oversized connection ends with EOF, got {other:?}"),
     }
 
     assert_other_session_unharmed(good, server);

@@ -624,12 +624,10 @@ mod tests {
     }
 
     /// Everything that identifies a record, for byte-level comparisons.
-    type Sig = (u8, u64, u8, u8, u8, u32, u32, [u64; 32]);
+    type Sig = (u8, u64, u8, u8, u8, u32, [u64; 32]);
 
     fn sig(r: &Record) -> Sig {
-        (
-            r.slot, r.warp, r.kind, r.space, r.size, r.mask, r.seq, r.addrs,
-        )
+        (r.slot, r.warp, r.kind, r.space, r.size, r.mask, r.addrs)
     }
 
     /// Runs a two-launch group of `multi_store` kernels over disjoint

@@ -66,12 +66,10 @@ fn prog_strategy() -> impl Strategy<Value = Prog> {
 }
 
 /// Everything that identifies a record, for byte-level comparison.
-type Sig = (u8, u64, u8, u8, u8, u32, u32, [u64; 32]);
+type Sig = (u8, u64, u8, u8, u8, u32, [u64; 32]);
 
 fn sig(r: &Record) -> Sig {
-    (
-        r.slot, r.warp, r.kind, r.space, r.size, r.mask, r.seq, r.addrs,
-    )
+    (r.slot, r.warp, r.kind, r.space, r.size, r.mask, r.addrs)
 }
 
 /// Runs the pair as one co-resident group under `policy` and returns the

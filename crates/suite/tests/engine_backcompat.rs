@@ -1,8 +1,8 @@
 //! Back-compat pinning: the persistent engine behind `Barracuda::check`
 //! must reproduce the exact verdict of every one of the 66 single-kernel
-//! suite programs in each pipeline (synchronous, threaded, and threaded
-//! with sharded page-hash routing), and sequential independent launches
-//! on one engine must not contaminate each other's reports.
+//! suite programs in each pipeline (synchronous and threaded), and
+//! sequential independent launches on one engine must not contaminate
+//! each other's reports.
 
 use barracuda::{Barracuda, BarracudaConfig, DetectionMode, GpuConfig, KernelRun};
 use barracuda_simt::ParamValue;
@@ -10,14 +10,13 @@ use barracuda_suite::{
     all_programs, check_program, program, run_program_with, ArgSpec, SuiteProgram, KERNEL,
 };
 
-fn pin_all(mode: DetectionMode, sharded_routing: bool) {
+fn pin_all(mode: DetectionMode) {
     let ps = all_programs();
     assert_eq!(ps.len(), 66);
     let mut failures = Vec::new();
     for p in &ps {
         let config = BarracudaConfig {
             mode,
-            sharded_routing,
             ..BarracudaConfig::default()
         };
         let got = run_program_with(p, config);
@@ -30,7 +29,7 @@ fn pin_all(mode: DetectionMode, sharded_routing: bool) {
     }
     assert!(
         failures.is_empty(),
-        "engine changed {} suite verdicts ({mode:?}, sharded_routing={sharded_routing}):\n{}",
+        "engine changed {} suite verdicts ({mode:?}):\n{}",
         failures.len(),
         failures.join("\n")
     );
@@ -38,28 +37,21 @@ fn pin_all(mode: DetectionMode, sharded_routing: bool) {
 
 #[test]
 fn all_66_verdicts_unchanged_through_engine_sync() {
-    pin_all(DetectionMode::Synchronous, false);
+    pin_all(DetectionMode::Synchronous);
 }
 
 #[test]
 fn all_66_verdicts_unchanged_through_engine_threaded() {
-    pin_all(DetectionMode::Threaded, false);
-}
-
-#[test]
-fn all_66_verdicts_unchanged_through_engine_threaded_sharded() {
-    pin_all(DetectionMode::Threaded, true);
+    pin_all(DetectionMode::Threaded);
 }
 
 #[test]
 fn records_count_device_emissions_in_every_pipeline() {
-    // `AnalysisStats::records` is what the device logger emitted: the
-    // sharded router's page fragments and sync/control broadcast copies
-    // are queue traffic, not extra records.
-    let records = |p, mode, sharded_routing| {
+    // `AnalysisStats::records` is what the device logger emitted, in
+    // either pipeline.
+    let records = |p, mode| {
         let config = BarracudaConfig {
             mode,
-            sharded_routing,
             gpu: GpuConfig {
                 num_sms: 3,
                 ..GpuConfig::default()
@@ -72,17 +64,10 @@ fn records_count_device_emissions_in_every_pipeline() {
     let ps = all_programs();
     assert_eq!(ps.len(), 66);
     for p in &ps {
-        let sync = records(p, DetectionMode::Synchronous, false);
         assert_eq!(
-            records(p, DetectionMode::Threaded, false),
-            sync,
+            records(p, DetectionMode::Threaded),
+            records(p, DetectionMode::Synchronous),
             "{}",
-            p.name
-        );
-        assert_eq!(
-            records(p, DetectionMode::Threaded, true),
-            sync,
-            "{} (sharded)",
             p.name
         );
     }

@@ -2,7 +2,7 @@
 //!
 //! Runs the full 66-program verdict suite and the multi-launch /
 //! host-interaction family with `epoch_recycling` on and off, in both
-//! the synchronous and the threaded+sharded pipelines, and demands
+//! the synchronous and the threaded pipelines, and demands
 //! identical verdicts — and, for the multi family (where recycling
 //! actually fires at the host synchronization steps), identical race
 //! *sets*, not just counts. A history cap small enough to trigger
@@ -15,10 +15,9 @@ use barracuda_suite::{
 };
 use std::collections::BTreeSet;
 
-fn config(mode: DetectionMode, sharded: bool, recycling: bool) -> BarracudaConfig {
+fn config(mode: DetectionMode, recycling: bool) -> BarracudaConfig {
     BarracudaConfig {
         mode,
-        sharded_routing: sharded,
         epoch_recycling: recycling,
         // Small enough that multi-program host timelines trim history.
         history_cap: 8,
@@ -26,13 +25,13 @@ fn config(mode: DetectionMode, sharded: bool, recycling: bool) -> BarracudaConfi
     }
 }
 
-fn pin_suite(mode: DetectionMode, sharded: bool) {
+fn pin_suite(mode: DetectionMode) {
     let ps = all_programs();
     assert_eq!(ps.len(), 66);
     let mut failures = Vec::new();
     for p in &ps {
-        let with = run_program_with(p, config(mode, sharded, true));
-        let without = run_program_with(p, config(mode, sharded, false));
+        let with = run_program_with(p, config(mode, true));
+        let without = run_program_with(p, config(mode, false));
         if with != without {
             failures.push(format!(
                 "{}: recycling {with:?}, baseline {without:?}",
@@ -48,7 +47,7 @@ fn pin_suite(mode: DetectionMode, sharded: bool) {
     }
     assert!(
         failures.is_empty(),
-        "epoch recycling changed {} verdicts ({mode:?}, sharded={sharded}):\n{}",
+        "epoch recycling changed {} verdicts ({mode:?}):\n{}",
         failures.len(),
         failures.join("\n")
     );
@@ -64,12 +63,12 @@ fn race_set(races: &[barracuda::RaceReport]) -> BTreeSet<String> {
         .collect()
 }
 
-fn pin_multi(mode: DetectionMode, sharded: bool) {
+fn pin_multi(mode: DetectionMode) {
     let mut failures = Vec::new();
     for p in multi_programs() {
-        let with = run_multi_races_with(&p, config(mode, sharded, true))
+        let with = run_multi_races_with(&p, config(mode, true))
             .unwrap_or_else(|e| panic!("{}: {e}", p.name));
-        let without = run_multi_races_with(&p, config(mode, sharded, false))
+        let without = run_multi_races_with(&p, config(mode, false))
             .unwrap_or_else(|e| panic!("{}: {e}", p.name));
         if race_set(&with) != race_set(&without) {
             failures.push(format!(
@@ -89,7 +88,7 @@ fn pin_multi(mode: DetectionMode, sharded: bool) {
     }
     assert!(
         failures.is_empty(),
-        "epoch recycling changed {} multi-launch race sets ({mode:?}, sharded={sharded}):\n{}",
+        "epoch recycling changed {} multi-launch race sets ({mode:?}):\n{}",
         failures.len(),
         failures.join("\n")
     );
@@ -97,22 +96,22 @@ fn pin_multi(mode: DetectionMode, sharded: bool) {
 
 #[test]
 fn all_66_verdicts_unchanged_by_recycling_sync() {
-    pin_suite(DetectionMode::Synchronous, false);
+    pin_suite(DetectionMode::Synchronous);
 }
 
 #[test]
-fn all_66_verdicts_unchanged_by_recycling_threaded_sharded() {
-    pin_suite(DetectionMode::Threaded, true);
+fn all_66_verdicts_unchanged_by_recycling_threaded() {
+    pin_suite(DetectionMode::Threaded);
 }
 
 #[test]
 fn multi_family_race_sets_unchanged_by_recycling_sync() {
-    pin_multi(DetectionMode::Synchronous, false);
+    pin_multi(DetectionMode::Synchronous);
 }
 
 #[test]
-fn multi_family_race_sets_unchanged_by_recycling_threaded_sharded() {
-    pin_multi(DetectionMode::Threaded, true);
+fn multi_family_race_sets_unchanged_by_recycling_threaded() {
+    pin_multi(DetectionMode::Threaded);
 }
 
 /// Recycling must actually fire on a long stream-ordered timeline: this

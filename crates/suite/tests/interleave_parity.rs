@@ -4,7 +4,7 @@
 //! and all 11 multi-launch programs produce *exactly* the eager race
 //! set, under every scheduling policy (round-robin, seeded random,
 //! adversarial starve-one × 3 seeds), through both the synchronous and
-//! the threaded (sharded) detection pipelines.
+//! the threaded detection pipelines.
 //!
 //! This is the headline guarantee of the co-resident scheduler: verdicts
 //! are a function of the program and its happens-before structure —
@@ -35,9 +35,6 @@ fn interleave_config(policy: SchedPolicy, mode: DetectionMode) -> BarracudaConfi
         scheduler: policy,
         ..BarracudaConfig::default()
     };
-    if mode == DetectionMode::Threaded {
-        config.sharded_routing = true;
-    }
     // Small worker pool: this harness spins up hundreds of engines.
     config.gpu.num_sms = 4;
     config
@@ -72,7 +69,7 @@ fn all_66_verdicts_unchanged_under_interleaving_sync() {
 }
 
 #[test]
-fn all_66_verdicts_unchanged_under_interleaving_threaded_sharded() {
+fn all_66_verdicts_unchanged_under_interleaving_threaded() {
     pin_all_verdicts(DetectionMode::Threaded);
 }
 
@@ -131,6 +128,6 @@ fn all_11_multi_race_sets_equal_eager_sync() {
 }
 
 #[test]
-fn all_11_multi_race_sets_equal_eager_threaded_sharded() {
+fn all_11_multi_race_sets_equal_eager_threaded() {
     pin_multi_race_sets(DetectionMode::Threaded);
 }

@@ -7,12 +7,11 @@
 //!   globally-unique 64-bit TID of paper §4.1;
 //! * [`ops`] — the abstract trace operations of paper §3.1 and their
 //!   warp-level [`ops::Event`] encoding;
-//! * [`record`] — the fixed-size log record of paper §4.2 (Fig. 6): the 272-byte paper payload plus an 8-byte routing trailer;
+//! * [`record`] — the fixed-size 272-byte log record of paper §4.2
+//!   (Fig. 6);
 //! * [`queue`] — the lock-free ring queue with write head / commit index /
 //!   read head (Fig. 6), plus the multi-queue set with block→queue
 //!   affinity of §4.2;
-//! * [`route`] — page-hash partitioning, fragment splitting and seq
-//!   stamping for the sharded (owner-partitioned) detection pipeline;
 //! * [`order`] — the ticketed total order over cross-queue
 //!   synchronization records (§4.3): consumer timing must never change
 //!   which happens-before edges the detector sees;
@@ -34,7 +33,6 @@ pub mod ops;
 pub mod order;
 pub mod queue;
 pub mod record;
-pub mod route;
 
 pub use backoff::RetryPolicy;
 pub use cancel::CancelToken;
@@ -44,4 +42,3 @@ pub use ops::{AccessKind, Event, HostOp, MemSpace, Scope, TraceOp};
 pub use order::SyncOrder;
 pub use queue::{PushOutcome, Queue, QueueSet};
 pub use record::Record;
-pub use route::{page_key_of, page_partition, route_class, RouteClass, SeqStamper};

@@ -19,65 +19,29 @@
 //! ticket; [`SyncOrder::mark_dead`] skips the pending and future tickets
 //! of its queue so the surviving workers keep draining (the lost edges
 //! are covered by the session's degradation diagnostics).
-//!
-//! The sharded page-hash pipeline broadcasts every sync record to every
-//! queue (each worker keeps a full clock replica) and needs *every*
-//! participating worker to apply its copy before the next sync record is
-//! applied anywhere. [`SyncOrder::issue_broadcast`] creates such a
-//! ticket; within it, workers take sequential *sub-turns* in ascending
-//! queue order ([`SyncOrder::is_sub_turn`] /
-//! [`SyncOrder::complete_sub`]). The participant set is the queues whose
-//! copy was actually enqueued intact, so a dropped or corrupted copy can
-//! never wedge the order.
 
 use std::sync::Mutex;
 
-/// Sentinel queue id for broadcast tickets in `queue_of`.
-const BROADCAST: u32 = u32::MAX;
-
 #[derive(Debug)]
 struct Inner {
-    /// Ticket → queue it was issued to (append-only, producer order);
-    /// [`BROADCAST`] for broadcast tickets.
+    /// Ticket → queue it was issued to (append-only, producer order).
     queue_of: Vec<u32>,
-    /// Ticket → participant set for broadcast tickets, `None` for
-    /// unicast ones.
-    members: Vec<Option<Box<[bool]>>>,
     /// Queue → its tickets, in queue order.
     per_queue: Vec<Vec<u64>>,
     /// The next ticket to apply.
     next: u64,
     /// Queues whose worker died; their tickets are skipped.
     dead: Vec<bool>,
-    /// Per-queue sub-turn completion of the *current* broadcast ticket
-    /// (reset whenever `next` advances).
-    cur_done: Vec<bool>,
 }
 
 impl Inner {
-    fn bump(&mut self) {
-        self.next += 1;
-        self.cur_done.fill(false);
-    }
-
-    /// Advances `next` past tickets owned by dead queues and broadcast
-    /// tickets whose live participants have all taken their sub-turn.
+    /// Advances `next` past tickets owned by dead queues.
     fn advance(&mut self) {
         while let Some(&q) = self.queue_of.get(self.next as usize) {
-            let finished = if q == BROADCAST {
-                let m = self.members[self.next as usize]
-                    .as_deref()
-                    .expect("broadcast ticket has members");
-                m.iter()
-                    .enumerate()
-                    .all(|(i, &inq)| !inq || self.dead[i] || self.cur_done[i])
-            } else {
-                self.dead[q as usize]
-            };
-            if !finished {
+            if !self.dead[q as usize] {
                 break;
             }
-            self.bump();
+            self.next += 1;
         }
     }
 }
@@ -95,11 +59,9 @@ impl SyncOrder {
         SyncOrder {
             inner: Mutex::new(Inner {
                 queue_of: Vec::new(),
-                members: Vec::new(),
                 per_queue: vec![Vec::new(); nqueues],
                 next: 0,
                 dead: vec![false; nqueues],
-                cur_done: vec![false; nqueues],
             }),
         }
     }
@@ -112,33 +74,8 @@ impl SyncOrder {
         let mut g = self.inner.lock().unwrap();
         let t = g.queue_of.len() as u64;
         g.queue_of.push(queue as u32);
-        g.members.push(None);
         g.per_queue[queue].push(t);
         g.advance(); // a dead queue's ticket is skipped immediately
-        t
-    }
-
-    /// Producer: assigns the next ticket to *every* queue in `mask` — a
-    /// broadcast sync record in the sharded pipeline. Pass `true` only
-    /// for queues whose copy was enqueued intact (pushed and not
-    /// corrupted), so a shed or damaged copy can never wedge the order.
-    /// Like [`SyncOrder::issue`], call after the copies were enqueued.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mask.len()` differs from the queue count.
-    pub fn issue_broadcast(&self, mask: &[bool]) -> u64 {
-        let mut g = self.inner.lock().unwrap();
-        assert_eq!(mask.len(), g.per_queue.len(), "mask covers every queue");
-        let t = g.queue_of.len() as u64;
-        g.queue_of.push(BROADCAST);
-        g.members.push(Some(mask.to_vec().into_boxed_slice()));
-        for (q, &inq) in mask.iter().enumerate() {
-            if inq {
-                g.per_queue[q].push(t);
-            }
-        }
-        g.advance(); // an empty/all-dead membership completes immediately
         t
     }
 
@@ -162,37 +99,6 @@ impl SyncOrder {
         let mut g = self.inner.lock().unwrap();
         debug_assert_eq!(g.next, ticket, "tickets complete in order");
         g.next = ticket + 1;
-        g.advance();
-    }
-
-    /// Consumer: true when `ticket` is the next to apply *and* it is
-    /// `queue`'s sub-turn — i.e. `queue` is the first live participant
-    /// that has not yet applied its copy. Sub-turns run in ascending
-    /// queue order; replica determinism relies on that order being the
-    /// same for every broadcast ticket.
-    pub fn is_sub_turn(&self, ticket: u64, queue: usize) -> bool {
-        let mut g = self.inner.lock().unwrap();
-        g.advance();
-        if g.next != ticket {
-            return false;
-        }
-        match g.members[ticket as usize].as_deref() {
-            // Unicast ticket: the owning queue's (only) sub-turn.
-            None => g.queue_of[ticket as usize] as usize == queue,
-            Some(m) => {
-                let first = (0..m.len()).find(|&q| m[q] && !g.dead[q] && !g.cur_done[q]);
-                first == Some(queue)
-            }
-        }
-    }
-
-    /// Consumer: marks `queue`'s sub-turn of broadcast `ticket` done;
-    /// the ticket completes (unblocking the next one) once every live
-    /// participant has applied its copy.
-    pub fn complete_sub(&self, ticket: u64, queue: usize) {
-        let mut g = self.inner.lock().unwrap();
-        debug_assert_eq!(g.next, ticket, "sub-turns complete in ticket order");
-        g.cur_done[queue] = true;
         g.advance();
     }
 
@@ -248,64 +154,6 @@ mod tests {
         let c = o.issue(0);
         assert!(o.is_turn(c));
         let _ = a;
-    }
-
-    #[test]
-    fn broadcast_sub_turns_run_in_ascending_queue_order() {
-        let o = SyncOrder::new(3);
-        let t = o.issue_broadcast(&[true, true, true]);
-        assert_eq!(o.ticket(0, 0), Some(t));
-        assert_eq!(o.ticket(2, 0), Some(t));
-        assert!(o.is_sub_turn(t, 0));
-        assert!(!o.is_sub_turn(t, 1), "queue 1 waits for queue 0");
-        o.complete_sub(t, 0);
-        assert!(o.is_sub_turn(t, 1));
-        assert!(!o.is_sub_turn(t, 2));
-        o.complete_sub(t, 1);
-        assert!(o.is_sub_turn(t, 2));
-        o.complete_sub(t, 2);
-        // Ticket complete: the next unicast ticket is unblocked.
-        let u = o.issue(1);
-        assert!(o.is_turn(u));
-        assert!(o.is_sub_turn(u, 1), "unicast sub-turn is the owner's");
-    }
-
-    #[test]
-    fn broadcast_membership_excludes_shed_copies() {
-        let o = SyncOrder::new(3);
-        // Queue 1's copy was dropped: it is not a participant and gets
-        // no per-queue ticket.
-        let t = o.issue_broadcast(&[true, false, true]);
-        assert_eq!(o.ticket(1, 0), None);
-        o.complete_sub(t, 0);
-        assert!(o.is_sub_turn(t, 2), "skips the non-member queue");
-        o.complete_sub(t, 2);
-        let next = o.issue(0);
-        assert!(o.is_turn(next));
-    }
-
-    #[test]
-    fn dead_queue_does_not_wedge_a_broadcast_ticket() {
-        let o = SyncOrder::new(3);
-        let t = o.issue_broadcast(&[true, true, true]);
-        o.complete_sub(t, 0);
-        o.mark_dead(1);
-        assert!(o.is_sub_turn(t, 2), "dead participant is skipped");
-        o.complete_sub(t, 2);
-        // A later broadcast never waits on the dead queue either.
-        let t2 = o.issue_broadcast(&[true, true, true]);
-        assert!(o.is_sub_turn(t2, 0));
-        o.complete_sub(t2, 0);
-        o.complete_sub(t2, 2);
-        assert!(o.is_turn(o.issue(0)));
-    }
-
-    #[test]
-    fn empty_broadcast_membership_completes_immediately() {
-        let o = SyncOrder::new(2);
-        let _t = o.issue_broadcast(&[false, false]);
-        let u = o.issue(0);
-        assert!(o.is_turn(u), "all-shed broadcast must not block");
     }
 
     #[test]

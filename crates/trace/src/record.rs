@@ -4,15 +4,6 @@
 //! > 32-bit mask of active threads, and 32 entries for the addresses
 //! > accessed by each thread in the warp (for memory operations). Records
 //! > are a fixed 16 + 8 × 32 = 272 bytes in size."
-//!
-//! Our record carries the paper's 272-byte payload plus an 8-byte pipeline
-//! trailer ([`Record::seq`], [`Record::frag_off`], [`Record::frag_len`])
-//! used by the sharded page-hash routing mode: `seq` replicates each
-//! warp's instruction count so every detector worker can reconstruct the
-//! warp's logical clock without seeing the records routed elsewhere, and
-//! the fragment window restricts a routed copy of a page-straddling access
-//! to the bytes owned by the receiving worker. Both fields are zero (and
-//! ignored) in the classic block-affinity pipeline.
 
 use crate::ops::{AccessKind, Event, MemSpace, Scope};
 
@@ -37,10 +28,9 @@ pub enum RecordKind {
     Exit = 13,
 }
 
-/// A warp-level log record: the paper's 272-byte payload (a 16-byte
-/// header and 32 × 8-byte address slots) plus an 8-byte pipeline
-/// trailer. Branch records reuse address slot 0 to carry the else-path
-/// mask.
+/// A warp-level log record: the paper's 272 bytes, a 16-byte header and
+/// 32 × 8-byte address slots. Branch records reuse address slot 0 to
+/// carry the else-path mask.
 #[derive(Clone, Copy)]
 #[repr(C)]
 #[derive(Default)]
@@ -63,18 +53,6 @@ pub struct Record {
     pub mask: u32,
     /// Per-lane addresses for memory operations.
     pub addrs: [u64; 32],
-    /// Sharded-routing sequence stamp: the number of plain accesses this
-    /// warp emitted *before* this record. Lets every worker fast-forward
-    /// its replica of the warp's logical clock past accesses that were
-    /// routed to other workers. Zero/ignored in block-affinity mode.
-    pub seq: u32,
-    /// Fragment window start (bytes from each lane's base address) for a
-    /// page-split copy of a plain global access. Zero for whole accesses.
-    pub frag_off: u8,
-    /// Fragment window length in bytes; `0` means "the whole access"
-    /// (`size` bytes from each lane's base address).
-    pub frag_len: u8,
-    _pad2: [u8; 2],
 }
 
 impl std::fmt::Debug for Record {
@@ -91,8 +69,8 @@ impl std::fmt::Debug for Record {
 }
 
 const _: () = assert!(
-    std::mem::size_of::<Record>() == 280,
-    "record must be the paper's 16 + 8*32 payload + 8-byte pipeline trailer"
+    std::mem::size_of::<Record>() == 272,
+    "record must be the paper's 16 + 8*32 bytes"
 );
 
 impl Record {
@@ -166,16 +144,9 @@ impl Record {
     /// [`SyncOrder`](crate::SyncOrder) ticket. Shared-memory
     /// synchronization is per-block (one queue) and needs no ordering.
     pub fn is_global_sync(&self) -> bool {
-        self.space == 0 && self.is_sync()
-    }
-
-    /// True for synchronization records in *either* memory space. The
-    /// sharded page-hash pipeline broadcasts every sync record to every
-    /// worker (each maintains a full clock replica), so all of them — not
-    /// just the global-memory ones — go through a broadcast
-    /// [`SyncOrder`](crate::SyncOrder) ticket there.
-    pub fn is_sync(&self) -> bool {
-        self.kind >= RecordKind::AcqBlk as u8 && self.kind <= RecordKind::AcqRelGlb as u8
+        self.space == 0
+            && self.kind >= RecordKind::AcqBlk as u8
+            && self.kind <= RecordKind::AcqRelGlb as u8
     }
 
     /// Decodes a record back to an [`Event`], or `None` when the kind
@@ -249,10 +220,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn record_is_paper_payload_plus_pipeline_trailer() {
-        // 16-byte header + 32 × 8-byte address slots (the paper's 272
-        // bytes) + 8-byte routing trailer (seq stamp + fragment window).
-        assert_eq!(std::mem::size_of::<Record>(), 272 + 8);
+    fn record_is_the_papers_272_bytes() {
+        // 16-byte header + 32 × 8-byte address slots.
+        assert_eq!(std::mem::size_of::<Record>(), 16 + 8 * 32);
     }
 
     #[test]
@@ -352,31 +322,6 @@ mod tests {
         let mut r = Record::encode(&sync);
         r.kind = 0xC3;
         assert!(!r.is_global_sync());
-        assert!(!r.is_sync());
-    }
-
-    #[test]
-    fn is_sync_covers_both_memory_spaces() {
-        for space in [MemSpace::Global, MemSpace::Shared] {
-            let sync = Event::Access {
-                warp: 0,
-                kind: AccessKind::Acquire(Scope::Block),
-                space,
-                mask: 1,
-                addrs: [0; 32],
-                size: 4,
-            };
-            assert!(Record::encode(&sync).is_sync(), "{space:?}");
-            let plain = Event::Access {
-                warp: 0,
-                kind: AccessKind::Write,
-                space,
-                mask: 1,
-                addrs: [0; 32],
-                size: 4,
-            };
-            assert!(!Record::encode(&plain).is_sync(), "{space:?}");
-        }
     }
 
     #[test]

@@ -61,7 +61,7 @@ echo "==> bench smoke: bench_detector --quick"
 ./target/release/bench_detector --quick --out /tmp/bench_detector_smoke.json
 rm -f /tmp/bench_detector_smoke.json
 
-echo "==> detector gates: bench_detector --gate (zero-alloc steady state on coalesced/strided/atomic/broadcast; sharded threaded >= sync on coalesced)"
+echo "==> detector gates: bench_detector --gate (zero-alloc steady state on coalesced/strided/atomic/broadcast)"
 ./target/release/bench_detector --gate
 
 echo "==> detector gates: lowest racing reader TID (determinism) and the chunked reader-set model"
@@ -73,8 +73,7 @@ cargo test -q -p barracuda-core --lib -- --exact \
 echo "==> shadow-check differential: core proptests against the dense reference detector"
 cargo test -q -p barracuda-core --test shadow_fastpath
 
-echo "==> sharded routing differential: core proptests + 66-program parity (sync, threaded, sharded pipelines)"
-cargo test -q -p barracuda-core --test sharded_routing
+echo "==> pipeline parity: 66-program verdicts and device record counts (sync and threaded pipelines)"
 cargo test -q -p barracuda-suite --test engine_backcompat
 
 echo "==> simulation digest: record streams, launch stats, final memory and Fig. 4 counts vs the checked-in golden"
@@ -86,7 +85,7 @@ cargo test -q -p barracuda-simt --lib -- --exact \
 cargo test -q -p barracuda-simt --lib -- --exact \
   exec::tests::same_value_filter_keeps_the_lowest_lane_of_each_pair
 
-echo "==> interleave parity: 66 verdicts + 11 multi race sets under co-resident scheduling (all policies x seeds x pipelines)"
+echo "==> interleave parity: 66 verdicts + 11 multi race sets under co-resident scheduling (all policies x seeds, sync and threaded pipelines)"
 cargo test -q -p barracuda-suite --test interleave_parity
 cargo test -q -p barracuda-core --test two_stream_diff
 cargo test -q -p barracuda-simt --test coresident_props
@@ -127,7 +126,7 @@ set -e
 [ "$CODE" -eq 1 ] || { echo "verify: interleave round-robin exit $CODE, want 1 (racy)"; exit 1; }
 rm -f "$INTERLEAVE_PTX"
 
-echo "==> server smoke: serve/client over a unix socket"
+echo "==> threaded CLI smoke: barracuda check --threaded on a racy and an atomic kernel"
 SOCK="/tmp/barracuda_verify_$$.sock"
 RACY_PTX="/tmp/barracuda_verify_racy_$$.ptx"
 CLEAN_PTX="/tmp/barracuda_verify_clean_$$.ptx"
@@ -148,6 +147,18 @@ cat > "$RACY_PTX" <<'EOF'
 EOF
 sed 's/ld.global.u32 %r1, \[%rd1\];/atom.global.add.u32 %r1, [%rd1], 1;/; /add.s32 %r1, %r1, 1;/d; /st.global.u32 \[%rd1\], %r1;/d' \
   "$RACY_PTX" > "$CLEAN_PTX"
+set +e
+./target/release/barracuda check "$RACY_PTX" --kernel k --grid 2 --block 32 \
+  --param buf:4 --threaded > /dev/null
+THREADED_RACY_CODE=$?
+./target/release/barracuda check "$CLEAN_PTX" --kernel k --grid 2 --block 32 \
+  --param buf:4 --threaded > /dev/null
+THREADED_CLEAN_CODE=$?
+set -e
+[ "$THREADED_RACY_CODE" -eq 1 ] || { echo "verify: threaded racy check exit $THREADED_RACY_CODE, want 1"; exit 1; }
+[ "$THREADED_CLEAN_CODE" -eq 0 ] || { echo "verify: threaded atomic check exit $THREADED_CLEAN_CODE, want 0"; exit 1; }
+
+echo "==> server smoke: serve/client over a unix socket"
 timeout 60 ./target/release/barracuda serve --socket "$SOCK" &
 SERVER_PID=$!
 for _ in $(seq 1 100); do [ -S "$SOCK" ] && break; sleep 0.05; done
@@ -228,7 +239,7 @@ wait "$SERVER_PID"
 grep -qF '"verdict":"shutting_down"' <<< "$RAW_REPLY" \
   || { echo "verify: raw tcp shutdown line got '$RAW_REPLY', want a shutting_down line"; exit 1; }
 
-echo "==> epoch recycling: quick soak + verdict-parity suites (sync + threaded-sharded)"
+echo "==> epoch recycling: quick soak + verdict-parity suites (sync + threaded)"
 BARRACUDA_SOAK_LAUNCHES=200000 cargo test -q -p barracuda-core --test epoch_recycling
 cargo test -q -p barracuda-suite --test epoch_recycling_parity
 

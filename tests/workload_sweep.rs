@@ -1,18 +1,21 @@
 //! Full Table-1 sweep: all 26 synthetic benchmarks run under detection at
-//! quick scale; every race count and memory space must match the paper's
-//! Table 1.
+//! quick scale, in the synchronous and the threaded pipeline (at the
+//! default queue count); every race count and memory space must match
+//! the paper's Table 1.
 
-use barracuda_repro::barracuda::Barracuda;
+use barracuda_repro::barracuda::{Barracuda, BarracudaConfig, DetectionMode};
 use barracuda_repro::trace::MemSpace;
 use barracuda_repro::workloads::{all_workloads, Scale};
 
-#[test]
-fn all_26_workloads_match_table1_race_content() {
+fn pin_table1(mode: DetectionMode) {
     let scale = Scale::quick();
     let mut failures = Vec::new();
     for w in all_workloads() {
         let inst = w.generate(&scale);
-        let mut bar = Barracuda::new();
+        let mut bar = Barracuda::with_config(BarracudaConfig {
+            mode,
+            ..BarracudaConfig::default()
+        });
         let params = inst.alloc_params(bar.gpu_mut());
         let analysis = match bar.check_module(&inst.module, &inst.kernel, inst.dims, &params) {
             Ok(a) => a,
@@ -50,7 +53,17 @@ fn all_26_workloads_match_table1_race_content() {
             ));
         }
     }
-    assert!(failures.is_empty(), "{}", failures.join("\n"));
+    assert!(failures.is_empty(), "{mode:?}:\n{}", failures.join("\n"));
+}
+
+#[test]
+fn all_26_workloads_match_table1_race_content() {
+    pin_table1(DetectionMode::Synchronous);
+}
+
+#[test]
+fn all_26_workloads_match_table1_race_content_threaded() {
+    pin_table1(DetectionMode::Threaded);
 }
 
 #[test]
