@@ -95,41 +95,55 @@ pub struct Fig10Row {
     pub overhead: f64,
 }
 
+/// Runs per side of a Fig. 10 bar: each side's time is the fastest of
+/// them, so one host stall cannot decide the ratio.
+const FIG10_RUNS: usize = 3;
+
 /// Runs one workload natively and under detection, returning the timings.
+/// Each run, native or detected, gets a fresh engine: a reused one would
+/// report no race on a repeated check (its race sink keeps only new
+/// races).
 ///
 /// # Panics
 ///
 /// Panics if the workload fails to execute (generator bug).
 pub fn measure_workload(w: &Workload, scale: &Scale, mode: DetectionMode) -> Fig10Row {
     let inst = w.generate(scale);
-    // Native baseline.
-    let mut bar = Barracuda::with_config(BarracudaConfig {
-        mode,
-        ..BarracudaConfig::default()
-    });
-    let params = inst.alloc_params(bar.gpu_mut());
     let text = barracuda_ptx::printer::print_module(&inst.module);
-    let run = KernelRun {
-        source: &text,
-        kernel: &inst.kernel,
-        dims: inst.dims,
-        params: &params,
+    let engine = || {
+        let mut bar = Barracuda::with_config(BarracudaConfig {
+            mode,
+            ..BarracudaConfig::default()
+        });
+        let params = inst.alloc_params(bar.gpu_mut());
+        (bar, params)
     };
-    let t0 = Instant::now();
-    bar.run_native(&run)
-        .unwrap_or_else(|e| panic!("{}: native run failed: {e}", w.name));
-    let native = t0.elapsed();
-    let t1 = Instant::now();
-    let analysis = bar
-        .check_module(&inst.module, &inst.kernel, inst.dims, &params)
-        .unwrap_or_else(|e| panic!("{}: detection failed: {e}", w.name));
-    let detected = t1.elapsed();
-    assert_eq!(
-        analysis.race_count() as u32,
-        inst.expected_races(),
-        "{}: race count drifted",
-        w.name
-    );
+    let (mut native, mut detected) = (Duration::MAX, Duration::MAX);
+    for _ in 0..FIG10_RUNS {
+        let (mut bar, params) = engine();
+        let run = KernelRun {
+            source: &text,
+            kernel: &inst.kernel,
+            dims: inst.dims,
+            params: &params,
+        };
+        let t0 = Instant::now();
+        bar.run_native(&run)
+            .unwrap_or_else(|e| panic!("{}: native run failed: {e}", w.name));
+        native = native.min(t0.elapsed());
+        let (mut bar, params) = engine();
+        let t1 = Instant::now();
+        let analysis = bar
+            .check_module(&inst.module, &inst.kernel, inst.dims, &params)
+            .unwrap_or_else(|e| panic!("{}: detection failed: {e}", w.name));
+        detected = detected.min(t1.elapsed());
+        assert_eq!(
+            analysis.race_count() as u32,
+            inst.expected_races(),
+            "{}: race count drifted",
+            w.name
+        );
+    }
     let overhead = detected.as_secs_f64() / native.as_secs_f64().max(1e-9);
     Fig10Row {
         name: w.name.to_string(),

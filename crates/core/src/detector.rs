@@ -763,7 +763,8 @@ fn check_warp_access(
             while i < ns {
                 let page_key = segs[i].0;
                 stats.page_locks += 1;
-                let mut page = det.global_shadow.page_by_key(page_key).lock();
+                let slot = det.global_shadow.page_by_key(page_key);
+                let mut page = slot.lock();
                 while i < ns && segs[i].0 == page_key {
                     // Consecutive segments over one span form a group.
                     let (_, _, start, len) = segs[i];
@@ -1521,10 +1522,8 @@ mod tests {
         len: usize,
         f: impl FnOnce(&[ShadowCell]) -> R,
     ) -> R {
-        let page = det
-            .global_shadow
-            .page_by_key(addr / SHADOW_PAGE_SIZE)
-            .lock();
+        let slot = det.global_shadow.page_by_key(addr / SHADOW_PAGE_SIZE);
+        let page = slot.lock();
         #[allow(clippy::cast_possible_truncation)] // page offsets < 4096
         let off = (addr % SHADOW_PAGE_SIZE) as usize;
         f(&page.cells[off..off + len])

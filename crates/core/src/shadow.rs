@@ -4,10 +4,9 @@
 //! last-write epoch with an atomic bit, a last-read epoch that inflates to
 //! a [`ReaderSet`] under concurrent readers, and attribute flags.
 //! Shared-memory shadow is preallocated per block (its size is known at
-//! launch); global-memory shadow is allocated on demand through a
-//! fixed-stripe sharded page table: lookups are lock-free (append-only
-//! atomic probe segments), a stripe-local mutex is taken only to insert a
-//! new page, and each page carries its own lock, since any worker may
+//! launch); global-memory shadow is allocated on demand, a page at a
+//! time, in a page map behind one read-write lock (the paper's page-table
+//! root lock), and each page carries its own mutex, since any worker may
 //! touch any page.
 //!
 //! # Reader sets
@@ -25,9 +24,8 @@
 //! lowest racing TID.
 
 use crate::clock::{Clock, Epoch};
-use barracuda_trace::backoff::splitmix;
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use parking_lot::{Mutex, RwLock};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One entry of a [`ReaderSet`]: the threads `chunk * 32 + b` for every
@@ -274,97 +272,19 @@ impl ShadowPage {
     }
 }
 
-/// An allocated shadow page behind its lock. Pages live as long as the
-/// owning [`GlobalShadow`] (the table is append-only), so the table hands
-/// out plain `&ShadowPageSlot` borrows — no reference counting on the
-/// hot path. Every access locks the page: the host sweep, the
-/// synchronous pipeline and the threaded workers alike, since any worker
-/// may touch any page.
+/// An allocated shadow page behind its lock: the paper's per-location
+/// lock, taken once per page a warp access touches (§4.3.3). Every access
+/// locks the page: the host sweep, the synchronous pipeline and the
+/// threaded workers alike, since any worker may touch any page.
 pub type ShadowPageSlot = Mutex<ShadowPage>;
 
-/// One slot of a probe segment: `key + 1` (0 = empty) and the page
-/// pointer, published page-first so a reader that observes the key also
-/// observes the page.
-struct TableSlot {
-    key: AtomicU64,
-    page: AtomicPtr<ShadowPageSlot>,
-}
-
-/// A fixed-capacity open-addressed probe array. Segments are append-only:
-/// once superseded by a larger head they are frozen (no further inserts),
-/// but remain in the lookup chain — entries are never migrated or
-/// removed, which is what makes lock-free reads safe without any
-/// reclamation scheme.
-struct Segment {
-    mask: u64,
-    slots: Box<[TableSlot]>,
-    prev: *mut Segment,
-}
-
-impl Segment {
-    fn alloc(capacity: usize, prev: *mut Segment) -> *mut Segment {
-        let slots = (0..capacity)
-            .map(|_| TableSlot {
-                key: AtomicU64::new(0),
-                page: AtomicPtr::new(std::ptr::null_mut()),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Box::into_raw(Box::new(Segment {
-            mask: capacity as u64 - 1,
-            slots,
-            prev,
-        }))
-    }
-}
-
-/// Number of independent stripes; inserts in different stripes never
-/// contend, and lookups take no lock at all.
-const STRIPES: usize = 64;
-/// Slots in a stripe's first probe segment (doubles on growth).
-const FIRST_SEGMENT_SLOTS: usize = 8;
-/// Grow the head segment when it would exceed 3/4 occupancy — keeps an
-/// empty slot in every segment, which terminates lock-free probes.
-const MAX_FILL_NUM: usize = 3;
-const MAX_FILL_DEN: usize = 4;
-
-/// Insert-side state of one stripe, guarded by the stripe mutex.
-struct StripeInner {
-    /// Owning storage for this stripe's pages (box addresses are stable;
-    /// the probe slots hold raw pointers into these boxes).
-    #[allow(clippy::vec_box)] // the Box is what makes addresses stable
-    pages: Vec<Box<ShadowPageSlot>>,
-    /// Filled slots in the current head segment.
-    head_len: usize,
-}
-
-struct Stripe {
-    /// Lock-free lookup chain: newest (largest) segment first.
-    head: AtomicPtr<Segment>,
-    writer: Mutex<StripeInner>,
-}
-
 /// On-demand paged shadow for global memory, safe for concurrent detector
-/// threads. The paper uses a page-table root lock and per-location
-/// spinlocks; we sharpen that to a fixed-stripe table whose *lookups* are
-/// lock-free (append-only atomic probe segments) and whose stripe mutex
-/// is taken only to insert a page that does not exist yet — page lookup
-/// never serializes workers.
+/// threads: the paper's page table behind a root lock, here a read-write
+/// lock over a key → page map. A lookup takes the read lock and clones the
+/// page's `Arc`; only a first touch takes the write lock.
+#[derive(Default)]
 pub struct GlobalShadow {
-    stripes: Box<[Stripe]>,
-    count: AtomicUsize,
-}
-
-// SAFETY: `Segment` raw pointers are published via Release stores and
-// only ever freed in `Drop` (exclusive access); slots and pages are
-// individually synchronized as documented on their types.
-unsafe impl Send for GlobalShadow {}
-unsafe impl Sync for GlobalShadow {}
-
-impl Default for GlobalShadow {
-    fn default() -> Self {
-        Self::new()
-    }
+    pages: RwLock<HashMap<u64, Arc<ShadowPageSlot>>>,
 }
 
 impl std::fmt::Debug for GlobalShadow {
@@ -378,113 +298,20 @@ impl std::fmt::Debug for GlobalShadow {
 impl GlobalShadow {
     /// An empty shadow.
     pub fn new() -> Self {
-        let stripes = (0..STRIPES)
-            .map(|_| Stripe {
-                head: AtomicPtr::new(std::ptr::null_mut()),
-                writer: Mutex::new(StripeInner {
-                    pages: Vec::new(),
-                    head_len: 0,
-                }),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        GlobalShadow {
-            stripes,
-            count: AtomicUsize::new(0),
-        }
+        Self::default()
     }
 
-    /// The page with table key `key` (`addr / SHADOW_PAGE_SIZE`),
-    /// allocating it on first touch. The fast path is a lock-free probe
-    /// of the stripe's segment chain; only a miss takes the stripe mutex,
-    /// and the (large) zero-filled page is allocated *before* the lock so
-    /// concurrent inserts in the same stripe are never stalled behind a
-    /// page zero-fill. Every caller observes the same page for a key —
-    /// entries are never moved or replaced.
-    pub fn page_by_key(&self, key: u64) -> &ShadowPageSlot {
-        let h = splitmix(key);
-        let stripe = &self.stripes[(h as usize) % STRIPES];
-        if let Some(p) = Self::probe(stripe, key, h) {
-            return p;
+    /// The page with key `key` (`addr / SHADOW_PAGE_SIZE`), allocating it
+    /// on first touch. Every caller gets the same page for a key: pages
+    /// are never replaced or removed. A new page is filled before the
+    /// write lock is taken, so lookups of other pages never wait behind
+    /// a page fill; a thread that loses the insert race drops its copy.
+    pub fn page_by_key(&self, key: u64) -> Arc<ShadowPageSlot> {
+        if let Some(page) = self.pages.read().get(&key) {
+            return Arc::clone(page);
         }
-        self.insert(stripe, key, h)
-    }
-
-    /// Lock-free lookup: walk the segment chain newest-first, probing
-    /// each segment linearly from the key's hash position. An empty slot
-    /// ends the probe of a segment (segments never exceed 3/4 fill, and
-    /// frozen segments never gain entries).
-    fn probe(stripe: &Stripe, key: u64, h: u64) -> Option<&ShadowPageSlot> {
-        let mut seg = stripe.head.load(Ordering::Acquire);
-        while !seg.is_null() {
-            // SAFETY: segments are freed only in Drop (`&self` borrows
-            // outlive no drop) and published fully initialized.
-            let s = unsafe { &*seg };
-            let mut idx = h & s.mask;
-            loop {
-                let k = s.slots[idx as usize].key.load(Ordering::Acquire);
-                if k == key + 1 {
-                    let p = s.slots[idx as usize].page.load(Ordering::Acquire);
-                    // SAFETY: a published key implies a published page
-                    // (stored before the key with Release ordering);
-                    // pages live until the table drops.
-                    return Some(unsafe { &*p });
-                }
-                if k == 0 {
-                    break;
-                }
-                idx = (idx + 1) & s.mask;
-            }
-            seg = s.prev;
-        }
-        None
-    }
-
-    /// Miss path: take the stripe lock, re-probe (another thread may have
-    /// inserted while we allocated), grow the head segment if needed, and
-    /// publish the new page.
-    fn insert<'s>(&'s self, stripe: &'s Stripe, key: u64, h: u64) -> &'s ShadowPageSlot {
-        let fresh = Box::new(ShadowPageSlot::new(ShadowPage::new()));
-        let mut inner = stripe.writer.lock();
-        if let Some(p) = Self::probe(stripe, key, h) {
-            return p; // lost the race; `fresh` is dropped
-        }
-        let mut head = stripe.head.load(Ordering::Relaxed);
-        let capacity = if head.is_null() {
-            0
-        } else {
-            // SAFETY: head segments are freed only in Drop.
-            unsafe { (*head).mask as usize + 1 }
-        };
-        if capacity == 0 || (inner.head_len + 1) * MAX_FILL_DEN > capacity * MAX_FILL_NUM {
-            let grown = Segment::alloc(capacity.max(FIRST_SEGMENT_SLOTS / 2) * 2, head);
-            stripe.head.store(grown, Ordering::Release);
-            inner.head_len = 0;
-            head = grown;
-        }
-        let page_ptr: *mut ShadowPageSlot = {
-            inner.pages.push(fresh);
-            let stable: &ShadowPageSlot = inner.pages.last().unwrap();
-            stable as *const ShadowPageSlot as *mut ShadowPageSlot
-        };
-        // SAFETY: `head` is this stripe's live head segment; we hold the
-        // stripe lock, so no other thread writes slots concurrently.
-        let s = unsafe { &*head };
-        let mut idx = h & s.mask;
-        while s.slots[idx as usize].key.load(Ordering::Relaxed) != 0 {
-            idx = (idx + 1) & s.mask;
-        }
-        // Publish page before key: a reader that sees the key must see
-        // the page.
-        s.slots[idx as usize]
-            .page
-            .store(page_ptr, Ordering::Release);
-        s.slots[idx as usize].key.store(key + 1, Ordering::Release);
-        inner.head_len += 1;
-        self.count.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the box address is stable in `inner.pages` and lives
-        // until the table drops.
-        unsafe { &*page_ptr }
+        let fresh = Arc::new(Mutex::new(ShadowPage::new()));
+        Arc::clone(self.pages.write().entry(key).or_insert(fresh))
     }
 
     /// The pages covering `len` bytes starting at `addr`, in ascending
@@ -492,12 +319,12 @@ impl GlobalShadow {
     /// key (`addr / SHADOW_PAGE_SIZE`) with the page, so callers can lock
     /// each page exactly once and sweep every byte of the range that
     /// lands on it under the single guard. Returns a lazy iterator — no
-    /// allocation per call, no matter how many pages the range covers.
+    /// allocation per call beyond first-touch pages.
     pub fn pages_for_range(
         &self,
         addr: u64,
         len: u64,
-    ) -> impl Iterator<Item = (u64, &ShadowPageSlot)> + '_ {
+    ) -> impl Iterator<Item = (u64, Arc<ShadowPageSlot>)> + '_ {
         let (first, last) = if len == 0 {
             (1, 0) // empty range
         } else {
@@ -508,23 +335,7 @@ impl GlobalShadow {
 
     /// Number of allocated pages.
     pub fn page_count(&self) -> usize {
-        self.count.load(Ordering::Relaxed)
-    }
-}
-
-impl Drop for GlobalShadow {
-    fn drop(&mut self) {
-        for stripe in self.stripes.iter() {
-            let mut seg = stripe.head.load(Ordering::Acquire);
-            while !seg.is_null() {
-                // SAFETY: `&mut self` — no concurrent readers; each
-                // segment was created by `Segment::alloc` and is freed
-                // exactly once.
-                let boxed = unsafe { Box::from_raw(seg) };
-                seg = boxed.prev;
-            }
-            // Pages are dropped with the stripe's `pages` vector.
-        }
+        self.pages.read().len()
     }
 }
 
@@ -574,7 +385,7 @@ mod tests {
     use std::collections::BTreeMap;
 
     /// The page covering `addr`, allocated on first touch.
-    fn page_of(g: &GlobalShadow, addr: u64) -> &ShadowPageSlot {
+    fn page_of(g: &GlobalShadow, addr: u64) -> Arc<ShadowPageSlot> {
         g.page_by_key(addr / SHADOW_PAGE_SIZE)
     }
 
@@ -753,15 +564,14 @@ mod tests {
     #[test]
     fn page_identity_is_stable_across_lookups_and_growth() {
         let g = GlobalShadow::new();
-        // Force several head-segment growths in each stripe and check
-        // that every key keeps resolving to the very same slot.
+        // Force several rehashes of the map and check that every key
+        // keeps resolving to the very same page.
         let keys: Vec<u64> = (0..2048u64).collect();
-        let first: Vec<*const ShadowPageSlot> =
-            keys.iter().map(|&k| g.page_by_key(k) as *const _).collect();
+        let first: Vec<Arc<ShadowPageSlot>> = keys.iter().map(|&k| g.page_by_key(k)).collect();
         assert_eq!(g.page_count(), keys.len());
         for (i, &k) in keys.iter().enumerate() {
             assert!(
-                std::ptr::eq(g.page_by_key(k), first[i]),
+                Arc::ptr_eq(&g.page_by_key(k), &first[i]),
                 "key {k} moved after growth"
             );
         }
@@ -786,7 +596,7 @@ mod tests {
         assert!(g.page_count() >= 1);
     }
 
-    /// Satellite: N threads hammering `page_by_key` insertions must all
+    /// N threads hammering `page_by_key` insertions must all
     /// observe the same `ShadowPage` identity for every key.
     #[test]
     fn concurrent_inserts_agree_on_page_identity() {
@@ -801,7 +611,7 @@ mod tests {
                         (0..512u64)
                             .map(|i| {
                                 let k = (i * 31 + t * 7) % 512;
-                                (k, g.page_by_key(k) as *const ShadowPageSlot as usize)
+                                (k, Arc::as_ptr(&g.page_by_key(k)) as usize)
                             })
                             .collect()
                     })

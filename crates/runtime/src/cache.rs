@@ -8,15 +8,15 @@
 //! to the cached rewrite instead of re-instrumenting the fleet's whole
 //! working set. The cache is keyed by tagged source/AST hash (the
 //! engine's `hash_key`); entries are never evicted — the key space is
-//! the set of distinct programs a server has seen. Entries are not
-//! small: for the 26 Table-1 kernels at the benchmark's scale, the loaded
-//! kernels (a kernel AST plus its decoded micro-ops each) hold 18.5 MB of
-//! heap, dwt2d's alone 6.5 MB, beside 18.3 MB of instrumented modules.
+//! the set of distinct programs a server has seen. Each kernel AST is held
+//! once: a module's kernels wait in the entry as the instrumenter emitted
+//! them until first requested, then move into their [`LoadedKernel`]
+//! (the AST beside its decoded micro-ops).
 
 use crate::Error;
 use barracuda_instrument::InstrumentStats;
-use barracuda_ptx::ast::Module;
-use barracuda_simt::LoadedKernel;
+use barracuda_ptx::ast::{Kernel, Module};
+use barracuda_simt::{LoadedKernel, SimError};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,9 +26,12 @@ use std::sync::{Arc, Mutex};
 /// reuse the rewrite and the per-kernel load (CFG construction, decode).
 #[derive(Debug)]
 struct CachedModule {
-    module: Arc<Module>,
     stats: InstrumentStats,
-    kernels: HashMap<String, LoadedKernel>,
+    /// The instrumented kernels no request has named yet.
+    unloaded: Vec<Kernel>,
+    /// Each requested kernel's load outcome, errors included, so a
+    /// malformed kernel fails with the same error on every request.
+    loaded: HashMap<String, Result<LoadedKernel, SimError>>,
 }
 
 /// A thread-safe instrumented-module cache, shareable across engines.
@@ -96,30 +99,38 @@ impl ModuleCache {
             Entry::Vacant(v) => {
                 let (module, stats) = build()?;
                 v.insert(CachedModule {
-                    module: Arc::new(module),
                     stats,
-                    kernels: HashMap::new(),
+                    unloaded: module.kernels,
+                    loaded: HashMap::new(),
                 });
                 false
             }
         };
         let cm = g.get_mut(&key).expect("cached above");
-        let stats = cm.stats;
-        let lk = match cm.kernels.get(kernel) {
-            Some(lk) => lk.clone(),
+        let loaded = match cm.loaded.get(kernel) {
+            Some(loaded) => loaded.clone(),
             None => {
-                let lk = LoadedKernel::load(&cm.module, kernel)?;
-                cm.kernels.insert(kernel.to_string(), lk.clone());
-                lk
+                // The first kernel of that name, as `Module::kernel` finds.
+                let i = cm
+                    .unloaded
+                    .iter()
+                    .position(|k| k.name == kernel)
+                    .ok_or_else(|| SimError::UnknownKernel(kernel.to_string()))?;
+                let loaded = LoadedKernel::from_kernel(cm.unloaded.remove(i));
+                cm.loaded.insert(kernel.to_string(), loaded.clone());
+                loaded
             }
         };
-        Ok((lk, stats, hit))
+        Ok((loaded?, cm.stats, hit))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BarracudaConfig, Engine, KernelRun, ParamValue};
+    use barracuda_ptx::ast::Op;
+    use barracuda_trace::GridDims;
 
     const PTX: &str = r#"
 .version 4.3
@@ -163,5 +174,86 @@ mod tests {
         t.join().expect("join");
         assert_eq!(cache.len(), 1, "one module despite two consumers");
         assert_eq!(cache.hits(), 1, "exactly one of the two was a hit");
+    }
+
+    /// A kernel that fails load-time validation fails with the same error
+    /// on every request: the cache keeps the load's outcome, not the AST.
+    #[test]
+    fn a_malformed_kernel_fails_the_same_way_twice() {
+        let mut b = barracuda_ptx::builder::KernelBuilder::new("bad");
+        b.push(Op::Call {
+            target: "mystery".into(),
+            args: vec![],
+        });
+        b.push(Op::Ret);
+        let module = b.build_module();
+        let cache = ModuleCache::shared();
+        let mut engine = Engine::with_shared_cache(BarracudaConfig::default(), Arc::clone(&cache));
+        let mut check = || match engine.check_module(&module, "bad", GridDims::new(1u32, 4u32), &[])
+        {
+            Err(Error::Sim(e)) => e,
+            other => panic!("expected a load error, got {other:?}"),
+        };
+        let first = check();
+        assert!(
+            matches!(first, SimError::BadInstruction { ref reason, .. } if reason.contains("mystery")),
+            "{first:?}"
+        );
+        assert_eq!(check(), first);
+        assert_eq!(cache.hits(), 1, "the second request reuses the entry");
+    }
+
+    /// Two kernels of one module: each loads from the one cached
+    /// instrumentation and keeps its own verdict, and an unknown name
+    /// fails without disturbing either.
+    #[test]
+    fn two_kernels_of_one_module_load_from_one_entry() {
+        let source = r#"
+.version 4.3
+.target sm_35
+.address_size 64
+.visible .entry racy(.param .u64 buf)
+{
+    .reg .b64 %rd<2>;
+    .reg .b32 %r<2>;
+    ld.param.u64 %rd1, [buf];
+    mov.u32 %r1, %tid.x;
+    st.global.u32 [%rd1], %r1;
+    ret;
+}
+.visible .entry clean(.param .u64 buf)
+{
+    .reg .b64 %rd<4>;
+    .reg .b32 %r<2>;
+    ld.param.u64 %rd1, [buf];
+    mov.u32 %r1, %tid.x;
+    mul.wide.u32 %rd2, %r1, 4;
+    add.s64 %rd3, %rd1, %rd2;
+    st.global.u32 [%rd3], %r1;
+    ret;
+}
+"#;
+        let cache = ModuleCache::shared();
+        let mut engine = Engine::with_shared_cache(BarracudaConfig::default(), Arc::clone(&cache));
+        let buf = engine.gpu_mut().malloc(4 * 64);
+        let mut check = |kernel| {
+            engine.check(&KernelRun {
+                source,
+                kernel,
+                dims: GridDims::new(1u32, 64u32),
+                params: &[ParamValue::Ptr(buf)],
+            })
+        };
+        for _ in 0..2 {
+            assert!(check("racy").expect("racy runs").race_count() > 0);
+            assert_eq!(check("clean").expect("clean runs").race_count(), 0);
+        }
+        assert!(matches!(
+            check("missing"),
+            Err(Error::Sim(SimError::UnknownKernel(ref k))) if k == "missing"
+        ));
+        assert!(check("racy").expect("racy still runs").race_count() > 0);
+        assert_eq!(cache.len(), 1, "one module for both kernels");
+        assert_eq!(cache.hits(), 5, "only the first check instruments");
     }
 }

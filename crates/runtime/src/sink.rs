@@ -4,7 +4,7 @@
 
 use barracuda_core::{Detector, PathStats, Worker};
 use barracuda_simt::EventSink;
-use barracuda_trace::{FaultPlan, HostOp, PushOutcome, QueueSet, Record, SyncOrder};
+use barracuda_trace::{FaultPlan, HostOp, QueueSet, Record, SyncOrder};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -96,7 +96,7 @@ impl<'a> PipelineSink<'a> {
         } else {
             self.stall_budget
         };
-        if q.push_bounded(record, budget) == PushOutcome::Dropped {
+        if !q.push_bounded(record, budget) {
             self.wedged[qi].store(true, Ordering::Relaxed);
             self.dropped_per_slot[usize::from(record.slot)].fetch_add(1, Ordering::Relaxed);
             return None;

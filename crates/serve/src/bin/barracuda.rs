@@ -6,7 +6,6 @@
 //!                 [--warp-size N] [--warp-sweep] [--threaded]
 //!                 [--memory-model sc|kepler|maxwell] [--seed N]
 //!                 [--max-steps N] [--stats-json] [--chaos-stalls SEED]
-//!                 [--interleave] [--sched-policy rr|random|starve] [--sched-seed N]
 //!                 [--timeout-ms N] [--chaos-abort] [--chaos-hang]
 //! barracuda fleet [--gen all|NAME,...] [--seeds S,...] [--warp-sizes W,...]
 //!                 [--presets sc,kepler,maxwell] [--scale quick|default]
@@ -47,13 +46,6 @@
 //! telemetry. `--chaos-stalls SEED` enables stall-only fault injection in
 //! the threaded pipeline (implies `--threaded`): verdicts must match the
 //! synchronous mode, making it a quick self-check of pipeline robustness.
-//! `--interleave` defers launches into the co-resident warp scheduler
-//! (they execute as one interleaved group at the next synchronization
-//! point); `--sched-policy` picks the deterministic schedule — `rr`
-//! round-robin (default), `random` a seeded uniform pick, `starve` the
-//! adversarial starve-one-kernel policy — and `--sched-seed` seeds the
-//! seeded policies (both imply `--interleave`). Verdicts are
-//! schedule-independent; the flags only change the trace interleaving.
 //!
 //! `--timeout-ms` arms a wall-clock deadline on the one-shot check (the
 //! serve watchdog's cooperative-cancellation semantics, exit code 3).
@@ -68,7 +60,7 @@
 
 use barracuda::{
     exitcode, Barracuda, BarracudaConfig, DetectionMode, FaultPlan, GpuConfig, InstrumentOptions,
-    KernelRun, MemoryModel, SchedPolicy,
+    KernelRun, MemoryModel,
 };
 use barracuda_simt::ParamValue;
 use barracuda_trace::{Dim3, GridDims};
@@ -132,9 +124,6 @@ struct CheckArgs {
     max_steps: Option<u64>,
     stats_json: bool,
     chaos_stalls: Option<u64>,
-    interleave: bool,
-    sched_policy: String,
-    sched_seed: u64,
     timeout_ms: Option<u64>,
     chaos_abort: bool,
     chaos_hang: bool,
@@ -155,9 +144,6 @@ fn parse_check_args(args: &[String]) -> Result<CheckArgs, String> {
         max_steps: None,
         stats_json: false,
         chaos_stalls: None,
-        interleave: false,
-        sched_policy: "rr".to_string(),
-        sched_seed: 0,
         timeout_ms: None,
         chaos_abort: false,
         chaos_hang: false,
@@ -210,23 +196,6 @@ fn parse_check_args(args: &[String]) -> Result<CheckArgs, String> {
                 out.seed = value("--seed")?
                     .parse()
                     .map_err(|e| format!("bad seed: {e}"))?
-            }
-            "--interleave" => out.interleave = true,
-            "--sched-policy" => {
-                out.sched_policy = value("--sched-policy")?;
-                if !matches!(out.sched_policy.as_str(), "rr" | "random" | "starve") {
-                    return Err(format!(
-                        "unknown scheduling policy '{}' (expected rr, random or starve)",
-                        out.sched_policy
-                    ));
-                }
-                out.interleave = true;
-            }
-            "--sched-seed" => {
-                out.sched_seed = value("--sched-seed")?
-                    .parse()
-                    .map_err(|e| format!("bad scheduler seed: {e}"))?;
-                out.interleave = true;
             }
             "--memory-model" => {
                 out.model = match value("--memory-model")?.as_str() {
@@ -368,12 +337,6 @@ fn cmd_check(args: &[String], trace: bool) -> ExitCode {
             DetectionMode::Synchronous
         },
         fault_plan: cfg.chaos_stalls.map(FaultPlan::stalls_only),
-        interleave_kernels: cfg.interleave,
-        scheduler: match cfg.sched_policy.as_str() {
-            "random" => SchedPolicy::Random(cfg.sched_seed),
-            "starve" => SchedPolicy::StarveOne(cfg.sched_seed),
-            _ => SchedPolicy::RoundRobin,
-        },
         ..BarracudaConfig::default()
     });
     let mut params = Vec::new();

@@ -40,5 +40,5 @@ pub use chaos::{ConsumerStall, FaultPlan, WorkerPanic};
 pub use ids::{Dim3, GridDims, Tid};
 pub use ops::{AccessKind, Event, HostOp, MemSpace, Scope, TraceOp};
 pub use order::SyncOrder;
-pub use queue::{PushOutcome, Queue, QueueSet};
+pub use queue::{Queue, QueueSet};
 pub use record::Record;

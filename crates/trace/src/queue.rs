@@ -27,9 +27,10 @@ use std::time::Duration;
 
 /// A fixed-capacity multi-producer / single-consumer ring of [`Record`]s.
 ///
-/// Any number of threads may [`Queue::push`]; at most one thread at a time
-/// may consume via [`Queue::try_pop`] (the runtime assigns one host
-/// thread per queue, as in the paper).
+/// Any number of threads may append through the one push,
+/// [`Queue::push_bounded`]; at most one thread at a time may consume via
+/// [`Queue::try_pop`] (the runtime assigns one host thread per queue, as
+/// in the paper).
 pub struct Queue {
     slots: Box<[UnsafeCell<Record>]>,
     write_head: AtomicU64,
@@ -43,19 +44,6 @@ pub struct Queue {
     parked: AtomicBool,
     /// The thread that last waited, unparked by a commit or a wake.
     consumer: Mutex<Option<Thread>>,
-}
-
-/// Outcome of a bounded-stall push ([`Queue::push_bounded`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PushOutcome {
-    /// The record was committed after `stalled` spin-yield cycles.
-    Pushed {
-        /// Cycles spent waiting for space or earlier commits.
-        stalled: u64,
-    },
-    /// The stall budget ran out; the record was dropped and counted in
-    /// [`Queue::dropped`].
-    Dropped,
 }
 
 // SAFETY: slot access is mediated by the write-head / commit / read-head
@@ -113,11 +101,6 @@ impl Queue {
         self.len() == 0
     }
 
-    /// Total records ever committed (monotonic virtual index).
-    pub fn committed(&self) -> u64 {
-        self.commit.load(Ordering::Acquire)
-    }
-
     fn slot(&self, virt: u64) -> *mut Record {
         self.slots[(virt % self.slots.len() as u64) as usize].get()
     }
@@ -140,28 +123,22 @@ impl Queue {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Publishes slot `idx` (which this thread reserved and filled) once
-    /// every earlier slot has committed, counting stall cycles, and
-    /// updates the high-water mark.
-    fn publish(&self, idx: u64, stalled: &mut u64) {
-        // Publish in order: wait until all earlier slots are committed.
-        // Yield while waiting — on oversubscribed machines a pure spin can
-        // starve the producer holding the earlier slot.
-        while self.commit.load(Ordering::Acquire) != idx {
-            std::hint::spin_loop();
-            std::thread::yield_now();
-            *stalled += 1;
-        }
-        self.commit.store(idx + 1, Ordering::Release);
-        self.notify();
-        // read_head may already have raced past idx+1; saturate to zero.
-        let depth = (idx + 1).saturating_sub(self.read_head.load(Ordering::Relaxed));
-        self.high_water.fetch_max(depth, Ordering::Relaxed);
-    }
-
     /// Appends a record, spinning while the queue is full (the GPU logger
-    /// "waits for the CPU to drain queue entries if necessary", §4.2).
-    pub fn push(&self, record: Record) {
+    /// "waits for the CPU to drain queue entries if necessary", §4.2), but
+    /// for at most `max_stalls` spin-yield cycles (spent waiting either for
+    /// space or for earlier producers to commit). A record that cannot be
+    /// committed within the budget is dropped, counted in
+    /// [`Queue::dropped`], and `false` is returned — the degradation path
+    /// for a dead or wedged consumer, instead of deadlocking the producer.
+    /// `u64::MAX` waits for the consumer as long as it takes.
+    ///
+    /// Note the budget is only consulted *before* the slot reservation:
+    /// once the reservation CAS succeeds the slot must be committed (a
+    /// reservation cannot be rolled back), so the publish wait runs to
+    /// completion and may overshoot the budget while earlier producers
+    /// finish. That wait is bounded by the other producers' progress, not
+    /// the consumer's, so it cannot deadlock on a dead consumer.
+    pub fn push_bounded(&self, record: Record, max_stalls: u64) -> bool {
         let cap = self.slots.len() as u64;
         let mut stalled = 0u64;
         // Reserve a slot.
@@ -171,6 +148,11 @@ impl Queue {
             // moved past it since it was read. Then the CAS below fails
             // and the loop reads it again.
             if w.saturating_sub(self.read_head.load(Ordering::Acquire)) >= cap {
+                if stalled >= max_stalls {
+                    self.stall_cycles.fetch_add(stalled, Ordering::Relaxed);
+                    self.dropped.fetch_add(1, Ordering::Relaxed);
+                    return false;
+                }
                 std::hint::spin_loop();
                 std::thread::yield_now();
                 stalled += 1;
@@ -189,118 +171,23 @@ impl Queue {
         unsafe {
             *self.slot(idx) = record;
         }
-        self.publish(idx, &mut stalled);
-        if stalled > 0 {
-            self.stall_cycles.fetch_add(stalled, Ordering::Relaxed);
+        // Publish in order: wait until all earlier slots are committed.
+        // Yield while waiting — on oversubscribed machines a pure spin can
+        // starve the producer holding the earlier slot.
+        while self.commit.load(Ordering::Acquire) != idx {
+            std::hint::spin_loop();
+            std::thread::yield_now();
+            stalled += 1;
         }
-    }
-
-    /// Like [`Queue::push`], but gives up after `max_stalls` spin-yield
-    /// cycles (spent waiting either for space or for earlier producers to
-    /// commit). A record that cannot be committed within the budget is
-    /// dropped and counted in [`Queue::dropped`] — the degradation path
-    /// for a dead or wedged consumer, instead of deadlocking the
-    /// producer.
-    ///
-    /// Note the budget is only consulted *before* the slot reservation:
-    /// once the reservation CAS succeeds the slot must be committed (a
-    /// reservation cannot be rolled back), so the publish wait runs to
-    /// completion and may overshoot the budget while earlier producers
-    /// finish. That wait is bounded by the other producers' progress, not
-    /// the consumer's, so it cannot deadlock on a dead consumer.
-    pub fn push_bounded(&self, record: Record, max_stalls: u64) -> PushOutcome {
-        let cap = self.slots.len() as u64;
-        let mut stalled = 0u64;
-        let idx = loop {
-            let w = self.write_head.load(Ordering::Relaxed);
-            if w.saturating_sub(self.read_head.load(Ordering::Acquire)) >= cap {
-                if stalled >= max_stalls {
-                    self.stall_cycles.fetch_add(stalled, Ordering::Relaxed);
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                    return PushOutcome::Dropped;
-                }
-                std::hint::spin_loop();
-                std::thread::yield_now();
-                stalled += 1;
-                continue;
-            }
-            if self
-                .write_head
-                .compare_exchange_weak(w, w + 1, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-            {
-                break w;
-            }
-        };
-        unsafe {
-            *self.slot(idx) = record;
-        }
-        self.publish(idx, &mut stalled);
-        if stalled > 0 {
-            self.stall_cycles.fetch_add(stalled, Ordering::Relaxed);
-        }
-        PushOutcome::Pushed { stalled }
-    }
-
-    /// Attempts to append without blocking: returns `false` when the queue
-    /// is full *or* another producer holds an uncommitted earlier slot
-    /// (i.e. the call would otherwise have to wait). Never spins.
-    ///
-    /// The reserve-then-publish protocol cannot roll a reservation back,
-    /// so the only way to stay non-blocking is to reserve *only when this
-    /// push can also publish immediately* — that is, when the commit index
-    /// has caught up with the write head. Concurrent `push` callers may
-    /// make this fail spuriously; callers must treat `false` as "retry or
-    /// drop", not "full".
-    pub fn try_push(&self, record: Record) -> bool {
-        let cap = self.slots.len() as u64;
-        // Read commit BEFORE write_head: commit is monotonic and never
-        // exceeds write_head, so observing c == w here and winning the CAS
-        // below proves commit == w for the whole window (any later
-        // reservation would have bumped write_head and failed our CAS).
-        let c = self.commit.load(Ordering::Acquire);
-        let w = self.write_head.load(Ordering::Relaxed);
-        if w != c {
-            return false; // an earlier slot is reserved but uncommitted
-        }
-        if w.saturating_sub(self.read_head.load(Ordering::Acquire)) >= cap {
-            return false;
-        }
-        if self
-            .write_head
-            .compare_exchange(w, w + 1, Ordering::AcqRel, Ordering::Relaxed)
-            .is_err()
-        {
-            return false;
-        }
-        unsafe {
-            *self.slot(w) = record;
-        }
-        // No earlier uncommitted slot can exist (see above): publish
-        // immediately, without waiting.
-        self.commit.store(w + 1, Ordering::Release);
+        self.commit.store(idx + 1, Ordering::Release);
         self.notify();
-        let depth = (w + 1).saturating_sub(self.read_head.load(Ordering::Relaxed));
+        // read_head may already have raced past idx+1; saturate to zero.
+        let depth = (idx + 1).saturating_sub(self.read_head.load(Ordering::Relaxed));
         self.high_water.fetch_max(depth, Ordering::Relaxed);
-        true
-    }
-
-    /// Test-only: reserves a slot without committing it, simulating a
-    /// producer paused between reservation and publish.
-    #[cfg(test)]
-    fn reserve_uncommitted(&self) -> u64 {
-        self.write_head.fetch_add(1, Ordering::AcqRel)
-    }
-
-    /// Test-only: fills and publishes a slot taken by
-    /// [`Queue::reserve_uncommitted`].
-    #[cfg(test)]
-    fn commit_reserved(&self, idx: u64, record: Record) {
-        unsafe {
-            *self.slot(idx) = record;
+        if stalled > 0 {
+            self.stall_cycles.fetch_add(stalled, Ordering::Relaxed);
         }
-        let mut stalled = 0u64;
-        self.publish(idx, &mut stalled);
+        true
     }
 
     /// Wakes a parked consumer after a commit. The fence orders the
@@ -359,7 +246,6 @@ impl std::fmt::Debug for Queue {
         f.debug_struct("Queue")
             .field("capacity", &self.capacity())
             .field("len", &self.len())
-            .field("committed", &self.committed())
             .finish()
     }
 }
@@ -488,7 +374,7 @@ mod tests {
     fn fifo_single_thread() {
         let q = Queue::new(8);
         for i in 0..5 {
-            q.push(rec(i));
+            q.push_bounded(rec(i), u64::MAX);
         }
         assert_eq!(q.len(), 5);
         for i in 0..5 {
@@ -503,23 +389,13 @@ mod tests {
         let q = Queue::new(4);
         for round in 0..10u64 {
             for i in 0..4 {
-                q.push(rec(round * 4 + i));
+                q.push_bounded(rec(round * 4 + i), u64::MAX);
             }
             for i in 0..4 {
                 assert_eq!(q.try_pop().unwrap().warp, round * 4 + i);
             }
         }
-        assert_eq!(q.committed(), 40);
-    }
-
-    #[test]
-    fn try_push_reports_full() {
-        let q = Queue::new(2);
-        assert!(q.try_push(rec(0)));
-        assert!(q.try_push(rec(1)));
-        assert!(!q.try_push(rec(2)));
-        q.try_pop().unwrap();
-        assert!(q.try_push(rec(2)));
+        assert_eq!(q.commit.load(Ordering::Acquire), 40);
     }
 
     #[test]
@@ -532,7 +408,7 @@ mod tests {
             let q = Arc::clone(&q);
             handles.push(std::thread::spawn(move || {
                 for i in 0..per {
-                    q.push(rec(u64::from(p) * per + i));
+                    q.push_bounded(rec(u64::from(p) * per + i), u64::MAX);
                 }
             }));
         }
@@ -567,7 +443,7 @@ mod tests {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
                 for i in 0..100 {
-                    q.push(rec(i));
+                    q.push_bounded(rec(i), u64::MAX);
                 }
             })
         };
@@ -589,7 +465,7 @@ mod tests {
         // names, and no other.
         let qi = qs.index_for(7, 4);
         for w in 0..4 {
-            qs.queue(qs.index_for(7, 4)).push(rec(w));
+            qs.queue(qs.index_for(7, 4)).push_bounded(rec(w), u64::MAX);
         }
         for (i, q) in qs.iter().enumerate() {
             assert_eq!(q.len(), if i == qi { 4 } else { 0 }, "queue {i}");
@@ -598,43 +474,19 @@ mod tests {
     }
 
     #[test]
-    fn try_push_does_not_wait_for_uncommitted_producers() {
-        // Simulate a producer paused between its reservation CAS and its
-        // publish. The old try_push would spin forever here waiting for
-        // the earlier slot to commit; the contract says it never blocks.
-        let q = Queue::new(8);
-        let idx = q.reserve_uncommitted();
-        assert!(!q.try_push(rec(1)), "must bail instead of waiting");
-        assert!(q.is_empty(), "nothing may be committed");
-        // Once the paused producer publishes, try_push works again.
-        q.commit_reserved(idx, rec(0));
-        assert!(q.try_push(rec(1)));
-        assert_eq!(q.try_pop().unwrap().warp, 0);
-        assert_eq!(q.try_pop().unwrap().warp, 1);
-    }
-
-    #[test]
     fn push_bounded_drops_when_consumer_is_dead() {
         let q = Queue::new(2);
-        assert_eq!(
-            q.push_bounded(rec(0), 16),
-            PushOutcome::Pushed { stalled: 0 }
-        );
-        assert_eq!(
-            q.push_bounded(rec(1), 16),
-            PushOutcome::Pushed { stalled: 0 }
-        );
+        assert!(q.push_bounded(rec(0), 16));
+        assert!(q.push_bounded(rec(1), 16));
+        assert_eq!(q.stall_cycles(), 0, "room to spare: no stall");
         // Queue full, nobody draining: the budget runs out and the record
         // is dropped instead of deadlocking.
-        assert_eq!(q.push_bounded(rec(2), 16), PushOutcome::Dropped);
+        assert!(!q.push_bounded(rec(2), 16));
         assert_eq!(q.dropped(), 1);
         assert!(q.stall_cycles() >= 16);
         // Draining restores the push path.
         q.try_pop().unwrap();
-        assert!(matches!(
-            q.push_bounded(rec(3), 16),
-            PushOutcome::Pushed { .. }
-        ));
+        assert!(q.push_bounded(rec(3), 16));
         assert_eq!(q.len(), 2);
     }
 
@@ -643,14 +495,14 @@ mod tests {
         let q = Queue::new(8);
         assert_eq!(q.high_water(), 0);
         for i in 0..5 {
-            q.push(rec(i));
+            q.push_bounded(rec(i), u64::MAX);
         }
         assert_eq!(q.high_water(), 5);
         for _ in 0..5 {
             q.try_pop().unwrap();
         }
         // Draining does not lower the mark; shallow refills do not raise it.
-        q.push(rec(9));
+        q.push_bounded(rec(9), u64::MAX);
         assert_eq!(q.high_water(), 5);
     }
 
@@ -668,7 +520,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..per {
                         // warp field carries (producer, sequence).
-                        q.push(rec(p * per + i));
+                        q.push_bounded(rec(p * per + i), u64::MAX);
                     }
                 })
             })
@@ -700,63 +552,21 @@ mod tests {
             next.iter().all(|&n| n == per),
             "loss or duplication: {next:?}"
         );
-        assert_eq!(q.committed(), producers * per);
+        assert_eq!(q.commit.load(Ordering::Acquire), producers * per);
         assert!(q.is_empty());
         assert!(q.high_water() <= 8);
-    }
-
-    #[test]
-    fn try_push_under_contention_completes_without_blocking_calls() {
-        // Producers use only try_push (retrying on false); the whole run
-        // finishing proves no call ever wedged on another producer's
-        // uncommitted slot.
-        let q = Arc::new(Queue::new(4));
-        let producers = 4u64;
-        let per = 500u64;
-        let handles: Vec<_> = (0..producers)
-            .map(|p| {
-                let q = Arc::clone(&q);
-                std::thread::spawn(move || {
-                    for i in 0..per {
-                        while !q.try_push(rec(p * per + i)) {
-                            std::thread::yield_now();
-                        }
-                    }
-                })
-            })
-            .collect();
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut seen = Vec::new();
-                while seen.len() < (producers * per) as usize {
-                    match q.try_pop() {
-                        Some(r) => seen.push(r.warp),
-                        None => std::thread::yield_now(),
-                    }
-                }
-                seen
-            })
-        };
-        for h in handles {
-            h.join().unwrap();
-        }
-        let mut seen = consumer.join().unwrap();
-        seen.sort_unstable();
-        let expect: Vec<u64> = (0..producers * per).collect();
-        assert_eq!(seen, expect);
     }
 
     #[test]
     fn queue_set_aggregates_telemetry() {
         let qs = QueueSet::new(2, 4);
         for i in 0..4 {
-            qs.queue(0).push(rec(i));
+            qs.queue(0).push_bounded(rec(i), u64::MAX);
         }
-        qs.queue(1).push(rec(9));
+        qs.queue(1).push_bounded(rec(9), u64::MAX);
         assert_eq!(qs.max_high_water(), 4);
         assert_eq!(qs.total_dropped(), 0);
-        assert_eq!(qs.queue(0).push_bounded(rec(5), 4), PushOutcome::Dropped);
+        assert!(!qs.queue(0).push_bounded(rec(5), 4));
         assert_eq!(qs.total_dropped(), 1);
         assert!(qs.total_stall_cycles() >= 4);
     }
@@ -793,13 +603,7 @@ mod tests {
             while taken.load(Ordering::Acquire) < i {
                 std::thread::yield_now();
             }
-            if i % 2 == 0 {
-                q.push(rec(i));
-            } else {
-                while !q.try_push(rec(i)) {
-                    std::thread::yield_now();
-                }
-            }
+            q.push_bounded(rec(i), u64::MAX);
         }
         consumer.join().unwrap();
         assert!(
