@@ -26,17 +26,24 @@
 //! fails the bench. This runs in every mode; `--gate` runs only it (the
 //! gate `verify.sh` runs).
 //!
+//! A second section is the PTVC compression ablation (paper §4.3.1): one
+//! access stream at 64, 256 and 1024 threads through the compressed
+//! detector and through the dense `ReferenceDetector`, each pass building
+//! a fresh detector. Every pass asserts both report the same race set,
+//! which includes one planted race, so the timing never compares a
+//! detector that skipped work.
+//!
 //! Writes machine-readable results to `BENCH_detector.json` (current
 //! directory unless `--out <path>` is given), reporting access records
-//! per second per pattern. `--quick` runs one pass per measurement for
-//! CI smoke.
+//! per second per pattern and milliseconds per ablation stream. `--quick`
+//! runs one pass per measurement for CI smoke.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use barracuda_core::{Detector, Worker};
+use barracuda_core::{Detector, RaceReport, ReferenceDetector, Worker};
 use barracuda_trace::ops::{AccessKind, Event, MemSpace};
 use barracuda_trace::GridDims;
 
@@ -280,6 +287,79 @@ fn assert_zero_alloc_steady_state(dims: GridDims, p: &Pattern) {
     );
 }
 
+/// Events in each ablation stream.
+const ABLATION_EVENTS: usize = 400;
+
+/// The ablation stream: warps in turn, each lane touching its own word
+/// (one write, then three reads), then one planted race: lane 0 of the
+/// first and of the last warp write one shared word, unordered.
+fn ablation_stream(dims: &GridDims) -> Vec<Event> {
+    let access = |warp: u64, kind, mask, addrs| Event::Access {
+        warp,
+        kind,
+        space: MemSpace::Global,
+        mask,
+        addrs,
+        size: 4,
+    };
+    let mut out: Vec<Event> = (0..ABLATION_EVENTS - 2)
+        .map(|i| {
+            let warp = i as u64 % dims.num_warps();
+            let mut addrs = [0u64; 32];
+            for l in 0..dims.warp_size {
+                addrs[l as usize] = 0x1000 + dims.tid_of_lane(warp, l).0 * 8;
+            }
+            let kind = if i % 4 == 0 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            access(warp, kind, dims.initial_mask(warp), addrs)
+        })
+        .collect();
+    for warp in [0, dims.num_warps() - 1] {
+        out.push(access(warp, AccessKind::Write, 1, [0x10; 32]));
+    }
+    out
+}
+
+/// One ablation measurement: repeated passes, each through a fresh
+/// detector of the given kind, until the deadline. Every pass's race set
+/// must equal `want`. Returns streams per second.
+fn run_ablation(
+    dims: GridDims,
+    stream: &[Event],
+    dense: bool,
+    want: &[RaceReport],
+    quick: bool,
+) -> f64 {
+    let start = Instant::now();
+    let mut passes = 0u64;
+    loop {
+        let got = if dense {
+            let mut r = ReferenceDetector::new(dims);
+            stream.iter().for_each(|ev| r.process_event(ev));
+            r.races().reports()
+        } else {
+            let det = Detector::new(dims, 0);
+            let mut w = Worker::new(&det);
+            stream.iter().for_each(|ev| w.process_event(ev));
+            det.races().reports()
+        };
+        assert_eq!(
+            got,
+            want,
+            "{} threads: the compressed and dense detectors disagree",
+            dims.total_threads()
+        );
+        passes += 1;
+        let elapsed = start.elapsed().as_secs_f64();
+        if quick || elapsed >= MIN_MEASURE_SECS {
+            break passes as f64 / elapsed;
+        }
+    }
+}
+
 fn measure_best(rounds: usize, mut f: impl FnMut() -> f64) -> f64 {
     (0..rounds).map(|_| f()).fold(0.0, f64::max)
 }
@@ -323,6 +403,47 @@ fn main() {
         .expect("write to string");
     }
 
+    // Per thread count: dims, stream, the dense oracle's race set, and the
+    // best rate of the compressed and of the dense detector.
+    let mut cases = Vec::new();
+    for threads in [64u32, 256, 1024] {
+        let dims = GridDims::new(threads / 64, 64u32);
+        let stream = ablation_stream(&dims);
+        let mut oracle = ReferenceDetector::new(dims);
+        stream.iter().for_each(|ev| oracle.process_event(ev));
+        let want = oracle.races().reports();
+        assert!(!want.is_empty(), "the planted race must be reported");
+        cases.push((dims, stream, want, [0f64; 2]));
+    }
+    // Rounds interleave across the cases, so a burst of host load slows
+    // one round of each rather than every round of one.
+    for _ in 0..rounds {
+        for (dims, stream, want, best) in &mut cases {
+            for (i, dense) in [false, true].into_iter().enumerate() {
+                best[i] = best[i].max(run_ablation(*dims, stream, dense, want, quick));
+            }
+        }
+    }
+    let mut ablation = String::new();
+    for (dims, stream, want, best) in &cases {
+        let threads = dims.total_threads();
+        for (detector, rate) in ["compressed", "dense"].into_iter().zip(best) {
+            let ms = 1e3 / rate;
+            println!("ablation {threads:>5} threads {detector:<10} {ms:>8.3} ms/stream");
+            if !ablation.is_empty() {
+                ablation.push_str(",\n");
+            }
+            write!(
+                ablation,
+                "    {{ \"threads\": {threads}, \"detector\": \"{detector}\", \"events\": {}, \
+                 \"races\": {}, \"ms_per_stream\": {ms:.3} }}",
+                stream.len(),
+                want.len()
+            )
+            .expect("write to string");
+        }
+    }
+
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         "{{\n  \"bench\": \"detector\",\n  \"description\": \"warp-level access records \
@@ -330,7 +451,9 @@ fn main() {
          run per lane group and word run, reader sets by warp chunk, converged-warp clock \
          views)\",\n  \
          \"unit\": \"records per second\",\n  \"nproc\": {nproc},\n  \"quick\": {quick},\n  \"patterns\": [\n{rows}\n  \
-         ]\n}}\n"
+         ],\n  \"ablation_description\": \"PTVC compression ablation: one access stream through \
+         a fresh compressed detector and a fresh dense reference detector, same race set asserted \
+         per pass\",\n  \"ablation\": [\n{ablation}\n  ]\n}}\n"
     );
     std::fs::write(out_path, &json).expect("write BENCH_detector.json");
     println!("wrote {out_path}");

@@ -183,10 +183,11 @@ fn main() {
         )
         .expect("write to string");
     }
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         "{{\n  \"bench\": \"engine\",\n  \"description\": \"full detection launches: one \
          persistent engine reused across launches (after) vs a fresh session per launch \
-         (before)\",\n  \"unit\": \"launches per second\",\n  \"quick\": {quick},\n  \
+         (before)\",\n  \"unit\": \"launches per second\",\n  \"nproc\": {nproc},\n  \"quick\": {quick},\n  \
          \"shapes\": [\n{rows}\n  ]\n}}\n"
     );
     std::fs::write(out_path, &json).expect("write BENCH_engine.json");

@@ -218,10 +218,11 @@ fn main() {
         )
         .expect("write to string");
     }
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         "{{\n  \"bench\": \"interp\",\n  \"description\": \"SIMT interpreter throughput: \
          decoded micro-op IR, best of {rounds} interleaved rounds\",\n  \"unit\": \
-         \"warp-instructions per second\",\n  \"quick\": {quick},\n  \"workloads\": [\n{rows}\n  ]\n}}\n"
+         \"warp-instructions per second\",\n  \"nproc\": {nproc},\n  \"quick\": {quick},\n  \"workloads\": [\n{rows}\n  ]\n}}\n"
     );
     std::fs::write(out_path, &json).expect("write BENCH_interp.json");
     println!("wrote {out_path}");

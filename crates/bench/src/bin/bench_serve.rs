@@ -313,12 +313,13 @@ fn main() {
         t.requests_per_sec, t.p50_us, t.p99_us
     );
 
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         "{{\n  \"bench\": \"serve\",\n  \"description\": \"in-process detection server: \
          concurrent sessions submitting race-free launches, with and without per-request \
          stall-fault injection; engine-pool sweep, streamed first-race latency and loopback \
          TCP transport\",\n  \"unit\": \"requests per second; latency in \
-         microseconds\",\n  \"quick\": {quick},\n  \"requests_per_client\": {requests},\n  \
+         microseconds\",\n  \"nproc\": {nproc},\n  \"quick\": {quick},\n  \"requests_per_client\": {requests},\n  \
          \"scenarios\": [\n{rows}\n  ],\n  \"pool_sweep\": [\n{sweep_rows}\n  ],\n  \
          \"streaming\": {{\n    \"loop_iters\": {loop_iters},\n    \
          \"first_event_p50_us\": {},\n    \"first_event_p99_us\": {},\n    \

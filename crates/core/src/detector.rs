@@ -238,11 +238,13 @@ pub struct Detector {
 impl Detector {
     /// Creates a standalone single-launch detector with the given
     /// dimensions and per-block shared-memory segment size.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the launch has more than
+    /// [`MAX_LAUNCH_THREADS`](barracuda_trace::MAX_LAUNCH_THREADS)
+    /// threads, the bound [`GridDims::try_with_warp_size`] checks.
     pub fn new(dims: GridDims, shared_size: u64) -> Self {
-        assert!(
-            dims.total_threads() <= u64::from(u32::MAX),
-            "TIDs must fit in u32"
-        );
         let mut reg = LaunchRegistry::new();
         let epoch = reg.register(dims);
         Detector::scoped(

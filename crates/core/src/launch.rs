@@ -31,11 +31,14 @@
 //!   block ids from zero — genuine TID reuse, sound because no metadata
 //!   naming the old generation survives the reset.
 
-use barracuda_trace::{GridDims, Tid};
+use barracuda_trace::{GridDims, Tid, MAX_LAUNCH_THREADS};
 
 /// Sentinel TID for the host thread (never a device thread: the registry
 /// caps cumulative device TIDs below it).
 pub const HOST_TID: u32 = u32::MAX;
+
+// Device TIDs `0..MAX_LAUNCH_THREADS` end just below the host's.
+const _: () = assert!(MAX_LAUNCH_THREADS == HOST_TID as u64);
 
 /// [`HOST_TID`] widened to the `u64` key space used by [`HClock`]
 /// entries and race reports.
@@ -103,13 +106,15 @@ impl LaunchRegistry {
     ///
     /// # Panics
     ///
-    /// Panics when the cumulative thread count would no longer fit the
-    /// 32-bit shadow TID space (reserving [`HOST_TID`]). Generation
-    /// resets reclaim the space before a long-lived session gets there.
+    /// Panics when the cumulative thread count would pass
+    /// [`MAX_LAUNCH_THREADS`], the device TIDs below [`HOST_TID`]: one
+    /// launch that passed [`GridDims::try_with_warp_size`] always fits an
+    /// empty registry. Generation resets reclaim the space before a
+    /// long-lived session gets there.
     pub fn register(&mut self, dims: GridDims) -> u32 {
         let threads = dims.total_threads();
         assert!(
-            self.next_tid + threads < HOST_TID_KEY,
+            self.next_tid + threads <= MAX_LAUNCH_THREADS,
             "cumulative launch TIDs must fit in u32 (engine epoch space exhausted)"
         );
         let epoch = self.next_epoch;
@@ -267,10 +272,14 @@ mod tests {
     #[should_panic(expected = "epoch space exhausted")]
     fn tid_overflow_panics() {
         let mut r = LaunchRegistry::new();
-        // 2^16 blocks × 2^16 threads = 2^32 threads: one launch already
-        // exceeds the reserved space.
-        let d = GridDims::new(65536u32, 65536u32);
+        // 65,537 × 65,535 = u32::MAX threads: the largest launch fits an
+        // empty registry, and its TIDs end just below the host's.
+        let d = GridDims::new(65537u32, 65535u32);
         r.register(d);
+        assert_eq!(r.lookup(HOST_TID_KEY - 1).map(|l| l.epoch), Some(0));
+        assert!(r.lookup(HOST_TID_KEY).is_none());
+        // One more thread no longer fits.
+        r.register(GridDims::new(1u32, 1u32));
     }
 
     #[test]

@@ -114,9 +114,8 @@ fn parse_dim3(s: &str) -> Result<Dim3, String> {
 struct CheckArgs {
     file: String,
     kernel: String,
-    grid: Dim3,
-    block: Dim3,
-    warp_size: u32,
+    /// Checked by [`GridDims::try_with_warp_size`] at parse time.
+    dims: GridDims,
     warp_sweep: bool,
     threaded: bool,
     model: MemoryModel,
@@ -134,9 +133,7 @@ fn parse_check_args(args: &[String]) -> Result<CheckArgs, String> {
     let mut out = CheckArgs {
         file: String::new(),
         kernel: String::new(),
-        grid: Dim3::linear(1),
-        block: Dim3::linear(32),
-        warp_size: 32,
+        dims: GridDims::new(1u32, 32u32),
         warp_sweep: false,
         threaded: false,
         model: MemoryModel::SequentiallyConsistent,
@@ -149,6 +146,7 @@ fn parse_check_args(args: &[String]) -> Result<CheckArgs, String> {
         chaos_hang: false,
         params: Vec::new(),
     };
+    let (mut grid, mut block, mut warp_size) = (Dim3::linear(1), Dim3::linear(32), 32);
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut value = |name: &str| -> Result<String, String> {
@@ -158,10 +156,10 @@ fn parse_check_args(args: &[String]) -> Result<CheckArgs, String> {
         };
         match a.as_str() {
             "--kernel" => out.kernel = value("--kernel")?,
-            "--grid" => out.grid = parse_dim3(&value("--grid")?)?,
-            "--block" => out.block = parse_dim3(&value("--block")?)?,
+            "--grid" => grid = parse_dim3(&value("--grid")?)?,
+            "--block" => block = parse_dim3(&value("--block")?)?,
             "--warp-size" => {
-                out.warp_size = value("--warp-size")?
+                warp_size = value("--warp-size")?
                     .parse()
                     .map_err(|e| format!("bad warp size: {e}"))?;
             }
@@ -215,6 +213,7 @@ fn parse_check_args(args: &[String]) -> Result<CheckArgs, String> {
     if out.file.is_empty() {
         return Err("missing PTX file".to_string());
     }
+    out.dims = GridDims::try_with_warp_size(grid, block, warp_size)?;
     Ok(out)
 }
 
@@ -363,14 +362,14 @@ fn cmd_check(args: &[String], trace: bool) -> ExitCode {
         }
     }
 
-    let dims = GridDims::with_warp_size(cfg.grid, cfg.block, cfg.warp_size);
+    let dims = cfg.dims;
     let run = KernelRun {
         source: &source,
         kernel: &kernel,
         dims,
         params: &params,
     };
-    let repro = barracuda::statsjson::ReproInfo::from_config(bar.config(), cfg.warp_size);
+    let repro = barracuda::statsjson::ReproInfo::from_config(bar.config(), dims.warp_size);
 
     // Wall-clock deadline: the one-shot analog of the serve watchdog.
     // After `--timeout-ms` the timer fires the engine's CancelToken; the
@@ -405,7 +404,7 @@ fn cmd_check(args: &[String], trace: bool) -> ExitCode {
     if cfg.warp_sweep {
         let sizes: Vec<u32> = [32u32, 16, 8, 4]
             .into_iter()
-            .filter(|&s| s <= cfg.warp_size)
+            .filter(|&s| s <= dims.warp_size)
             .collect();
         match bar.check_warp_sizes(&run, &sizes) {
             Ok(results) => {
@@ -984,8 +983,8 @@ fn cmd_client(args: &[String]) -> ExitCode {
     let req = CheckRequest {
         source,
         kernel: cfg.kernel,
-        grid: (cfg.grid.x, cfg.grid.y, cfg.grid.z),
-        block: (cfg.block.x, cfg.block.y, cfg.block.z),
+        grid: (cfg.dims.grid.x, cfg.dims.grid.y, cfg.dims.grid.z),
+        block: (cfg.dims.block.x, cfg.dims.block.y, cfg.dims.block.z),
         params,
         max_steps: cfg.max_steps,
         deadline_ms,

@@ -59,7 +59,7 @@
 use crate::proto::{CheckRequest, DoneBody, ParamSpec, Response};
 use barracuda::{BarracudaConfig, Engine, Error, FaultPlan, KernelRun, ModuleCache, SimError};
 use barracuda_simt::ParamValue;
-use barracuda_trace::{CancelToken, Dim3, GridDims};
+use barracuda_trace::{CancelToken, GridDims};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -465,6 +465,11 @@ fn run_check(engine: &mut Engine, shared: &Shared, req: &CheckRequest) -> Respon
     {
         panic!("chaos: injected server panic for kernel '{}'", req.kernel);
     }
+    // Checked before anything below touches the engine.
+    let dims = match GridDims::try_with_warp_size(req.grid, req.block, 32) {
+        Ok(d) => d,
+        Err(message) => return Response::Error { message },
+    };
     let kernel = if req.kernel.is_empty() {
         match barracuda_ptx::parse(&req.source) {
             Ok(m) => match m.kernels.first() {
@@ -491,20 +496,6 @@ fn run_check(engine: &mut Engine, shared: &Shared, req: &CheckRequest) -> Respon
             ParamSpec::U32(v) => params.push(ParamValue::U32(*v)),
         }
     }
-    let (gx, gy, gz) = req.grid;
-    let (bx, by, bz) = req.block;
-    let dims = GridDims::new(
-        Dim3 {
-            x: gx,
-            y: gy,
-            z: gz,
-        },
-        Dim3 {
-            x: bx,
-            y: by,
-            z: bz,
-        },
-    );
     let run = KernelRun {
         source: &req.source,
         kernel: &kernel,

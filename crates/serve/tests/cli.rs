@@ -170,6 +170,29 @@ fn bad_arguments_exit_2() {
 }
 
 #[test]
+fn bad_launch_geometry_exits_2_without_a_panic() {
+    let ptx = write_temp("geometry", RACY);
+    for (flags, want) in [
+        (["--grid", "0", "--block", "32"], "grid must be non-empty"),
+        (["--warp-size", "3", "--block", "32"], "warp size"),
+        (
+            ["--grid", "65536,65536", "--block", "32"],
+            "thread-id space",
+        ),
+    ] {
+        let out = Command::new(BIN)
+            .args(["check", ptx.to_str().expect("utf8"), "--param", "buf:4"])
+            .args(flags)
+            .output()
+            .expect("run cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");
+        assert!(stderr.contains(want), "{flags:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flags:?}: {stderr}");
+    }
+}
+
+#[test]
 fn unparseable_ptx_exits_2() {
     let ptx = write_temp("garbage", ".version 4.3\nthis is not ptx at all {{{");
     let out = Command::new(BIN)

@@ -337,8 +337,11 @@ fn raw_connect(endpoint: &Endpoint) -> (Box<dyn Write>, BufReader<Box<dyn Read>>
 }
 
 /// The racy request through `good` still gets the direct engine's
-/// verdict; then the server shuts down having completed just that one.
-fn assert_other_session_unharmed(mut good: Connection, server: JoinHandle<ServerStats>) {
+/// verdict; then the server shuts down with no engine quarantined.
+fn assert_other_session_unharmed(
+    mut good: Connection,
+    server: JoinHandle<ServerStats>,
+) -> ServerStats {
     let (races, degraded, code) = direct_verdict(RACY);
     match good.submit(&racy_request()) {
         Response::Done(body) => {
@@ -350,7 +353,8 @@ fn assert_other_session_unharmed(mut good: Connection, server: JoinHandle<Server
     }
     good.shutdown_server().expect("shutdown");
     let stats = server.join().expect("server thread");
-    assert_eq!(stats.completed, 1);
+    assert_eq!(stats.quarantines, 0);
+    stats
 }
 
 fn an_oversized_line_is_refused_without_touching_other_sessions(wire: Wire) {
@@ -384,7 +388,7 @@ fn an_oversized_line_is_refused_without_touching_other_sessions(wire: Wire) {
         other => panic!("the oversized connection ends with EOF, got {other:?}"),
     }
 
-    assert_other_session_unharmed(good, server);
+    assert_eq!(assert_other_session_unharmed(good, server).completed, 1);
 }
 
 #[test]
@@ -416,7 +420,7 @@ fn a_deeply_nested_line_is_an_error_and_other_sessions_keep_their_verdicts(wire:
         }
     }
 
-    assert_other_session_unharmed(good, server);
+    assert_eq!(assert_other_session_unharmed(good, server).completed, 1);
 }
 
 #[test]
@@ -427,4 +431,26 @@ fn a_deeply_nested_socket_line_is_an_error_and_other_sessions_keep_their_verdict
 #[test]
 fn a_deeply_nested_tcp_line_is_an_error_and_other_sessions_keep_their_verdicts() {
     a_deeply_nested_line_is_an_error_and_other_sessions_keep_their_verdicts(Wire::Tcp);
+}
+
+/// A launch with no blocks is refused before it reaches the engine: an
+/// error answer, not a panic that quarantines the engine.
+#[test]
+fn a_zero_grid_socket_request_is_an_error_and_no_engine_is_quarantined() {
+    let (endpoint, server) = spawn_server(Wire::Unix, "zerogrid");
+    let good = Connection::connect(&endpoint).expect("connect");
+
+    let mut bad = Connection::connect(&endpoint).expect("connect");
+    let mut req = racy_request();
+    req.grid = (0, 1, 1);
+    match bad.submit(&req) {
+        Response::Error { message } => {
+            assert!(message.contains("grid must be non-empty"), "{message}")
+        }
+        other => panic!("expected Error, got {other:?}"),
+    }
+    drop(bad);
+
+    let stats = assert_other_session_unharmed(good, server);
+    assert_eq!(stats.completed, 2, "the refused request still completed");
 }

@@ -71,6 +71,11 @@ impl fmt::Display for Tid {
     }
 }
 
+/// Most threads one launch may have. Shadow memory keys threads by a
+/// 32-bit TID and reserves `u32::MAX` for the host, so device TIDs run
+/// `0..u32::MAX`.
+pub const MAX_LAUNCH_THREADS: u64 = u32::MAX as u64;
+
 /// Launch dimensions plus the architecture warp size; the single source of
 /// truth for mapping between TIDs, warps, blocks and lanes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,33 +93,59 @@ impl GridDims {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero.
+    /// Panics where [`GridDims::try_with_warp_size`] returns an error.
     pub fn new(grid: impl Into<Dim3>, block: impl Into<Dim3>) -> Self {
         Self::with_warp_size(grid, block, 32)
     }
 
-    /// Creates launch dimensions with an explicit warp size (must be a
-    /// power of two in `1..=32`). The paper notes warp size varies across
-    /// architectures and BARRACUDA checks races "based on the warp size of
-    /// the current architecture"; small warps keep tests readable.
+    /// Creates launch dimensions with an explicit warp size. The paper
+    /// notes warp size varies across architectures and BARRACUDA checks
+    /// races "based on the warp size of the current architecture"; small
+    /// warps keep tests readable.
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero or the warp size is invalid.
+    /// Panics where [`GridDims::try_with_warp_size`] returns an error.
     pub fn with_warp_size(grid: impl Into<Dim3>, block: impl Into<Dim3>, warp_size: u32) -> Self {
-        let grid = grid.into();
-        let block = block.into();
-        assert!(grid.count() > 0, "grid must be non-empty");
-        assert!(block.count() > 0, "block must be non-empty");
-        assert!(
-            warp_size.is_power_of_two() && warp_size <= 32,
-            "warp size must be a power of two ≤ 32"
-        );
-        GridDims {
+        Self::try_with_warp_size(grid, block, warp_size).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The one check of launch geometry, for dimensions from untrusted
+    /// input: every grid and block extent is non-zero, the warp size is a
+    /// power of two in `1..=32`, and the launch has at most
+    /// [`MAX_LAUNCH_THREADS`] threads.
+    pub fn try_with_warp_size(
+        grid: impl Into<Dim3>,
+        block: impl Into<Dim3>,
+        warp_size: u32,
+    ) -> Result<Self, String> {
+        let (grid, block) = (grid.into(), block.into());
+        let extents = [grid.x, grid.y, grid.z, block.x, block.y, block.z];
+        if extents[..3].contains(&0) {
+            return Err("grid must be non-empty".to_string());
+        }
+        if extents[3..].contains(&0) {
+            return Err("block must be non-empty".to_string());
+        }
+        if !(warp_size.is_power_of_two() && warp_size <= 32) {
+            return Err(format!(
+                "warp size must be a power of two ≤ 32, got {warp_size}"
+            ));
+        }
+        // Capped at one past the limit, so the product never overflows.
+        let threads = extents.iter().fold(1u64, |n, &d| {
+            n.saturating_mul(u64::from(d)).min(MAX_LAUNCH_THREADS + 1)
+        });
+        if threads > MAX_LAUNCH_THREADS {
+            return Err(format!(
+                "launch exceeds the 32-bit thread-id space ({MAX_LAUNCH_THREADS} threads)"
+            ));
+        }
+        Ok(GridDims {
             grid,
             block,
             warp_size,
-        }
+        })
     }
 
     /// Threads per block.
@@ -274,5 +305,24 @@ mod tests {
     #[should_panic(expected = "warp size")]
     fn bad_warp_size_panics() {
         GridDims::with_warp_size(1u32, 1u32, 3);
+    }
+
+    #[test]
+    fn geometry_errors_are_values() {
+        let err = |g: (u32, u32, u32), b: u32, ws: u32| {
+            GridDims::try_with_warp_size(g, b, ws).expect_err("geometry must be refused")
+        };
+        assert!(err((0, 1, 1), 32, 32).contains("grid"));
+        assert!(err((1, 1, 0), 32, 32).contains("grid"));
+        assert!(err((1, 1, 1), 0, 32).contains("block"));
+        assert!(err((1, 1, 1), 32, 0).contains("warp size"));
+        assert!(err((1, 1, 1), 32, 64).contains("warp size"));
+        // 2^32 threads: one past the limit.
+        assert!(err((65536, 1, 1), 65536, 32).contains("thread-id space"));
+        // Extents whose product overflows u64 are refused, not wrapped.
+        assert!(err((u32::MAX, u32::MAX, u32::MAX), u32::MAX, 32).contains("thread-id space"));
+        // 65,537 × 65,535 = u32::MAX threads: exactly the limit.
+        let most = GridDims::try_with_warp_size(65537u32, 65535u32, 32).expect("at the limit");
+        assert_eq!(most.total_threads(), MAX_LAUNCH_THREADS);
     }
 }

@@ -37,7 +37,7 @@ pub mod record;
 pub use backoff::RetryPolicy;
 pub use cancel::CancelToken;
 pub use chaos::{ConsumerStall, FaultPlan, WorkerPanic};
-pub use ids::{Dim3, GridDims, Tid};
+pub use ids::{Dim3, GridDims, Tid, MAX_LAUNCH_THREADS};
 pub use ops::{AccessKind, Event, HostOp, MemSpace, Scope, TraceOp};
 pub use order::SyncOrder;
 pub use queue::{Queue, QueueSet};

@@ -214,7 +214,7 @@ echo "==> serve v2: multiplexing fairness/parity + streaming/resume suites"
 cargo test -q -p barracuda-serve --test multiplex
 cargo test -q -p barracuda-serve --test streaming
 
-echo "==> hostile wire frames: parser depth cap, exact u64 integers, linear-time strings, decoder proptests, line cap over both transports"
+echo "==> hostile wire frames: parser depth cap, exact u64 integers, linear-time strings, decoder proptests, line cap over both transports, bad launch geometry refused without a quarantine"
 cargo test -q -p barracuda --lib -- \
   statsjson::tests::nesting_past_the_depth_cap_is_an_error_not_a_stack_overflow \
   statsjson::tests::integers_parse_and_dump_exactly \
@@ -233,7 +233,8 @@ cargo test -q -p barracuda-serve --test server -- \
   an_oversized_socket_line_is_refused_without_touching_other_sessions \
   an_oversized_tcp_line_is_refused_without_touching_other_sessions \
   a_deeply_nested_socket_line_is_an_error_and_other_sessions_keep_their_verdicts \
-  a_deeply_nested_tcp_line_is_an_error_and_other_sessions_keep_their_verdicts
+  a_deeply_nested_tcp_line_is_an_error_and_other_sessions_keep_their_verdicts \
+  a_zero_grid_socket_request_is_an_error_and_no_engine_is_quarantined
 cargo test -q -p barracuda-fleet --lib journal::tests::repro_seeds_survive_the_journal_exactly
 
 echo "==> chaos soak: fixed-seed server soak test"
