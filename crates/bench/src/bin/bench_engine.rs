@@ -6,7 +6,7 @@
 //! * `reuse` — one persistent [`Engine`], repeated launches: the module
 //!   cache eliminates re-parsing/re-instrumentation and the worker pool,
 //!   shadow memory, and queues persist across launches;
-//! * `fresh` — a brand-new `Barracuda` session per launch, the pre-engine
+//! * `fresh` — a brand-new [`Engine`] per launch, the pre-reuse
 //!   cost model.
 //!
 //! Two kernel shapes are measured: `tiny` (launch overhead dominates) and
@@ -19,7 +19,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use barracuda::{Barracuda, Engine, KernelRun, ParamValue, StreamId};
+use barracuda::{Engine, KernelRun, ParamValue, StreamId};
 use barracuda_trace::GridDims;
 
 /// Minimum wall-clock time per measurement round in full mode.
@@ -121,11 +121,11 @@ fn round_reuse(s: &Shape, quick: bool) -> f64 {
     }
 }
 
-/// One timed round of fresh-session launches: a new `Barracuda` per
+/// One timed round of fresh-session launches: a new `Engine` per
 /// launch, paying parse, instrumentation, and pipeline setup every time.
 fn round_fresh(s: &Shape, quick: bool) -> f64 {
     let run_once = || {
-        let mut bar = Barracuda::new();
+        let mut bar = Engine::new();
         let buf = bar.gpu_mut().malloc(s.buf_bytes);
         let params = [ParamValue::Ptr(buf)];
         let run = KernelRun {

@@ -23,8 +23,8 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use barracuda_serve::{
-    serve_tcp_listener, CheckRequest, Client, Connection, Endpoint, ParamSpec, Response,
-    RetryPolicy, Server, ServerConfig, Transport,
+    serve_tcp_listener, ArgSpec, CheckRequest, Client, Connection, Endpoint, Response, RetryPolicy,
+    Server, ServerConfig, Transport,
 };
 
 /// Requests issued by each client in full mode (percentile resolution).
@@ -71,7 +71,7 @@ fn slow_racy_source(loop_iters: u32) -> String {
 
 fn request(chaos_seed: Option<u64>) -> CheckRequest {
     let mut req = CheckRequest::new(&source(), "k", 1, 32);
-    req.params.push(ParamSpec::Buf(32 * 4));
+    req.params.push(ArgSpec::Buf(32 * 4));
     req.chaos_stalls = chaos_seed;
     req
 }
@@ -161,7 +161,7 @@ fn run_streaming(requests: usize, loop_iters: u32) -> StreamMeasurement {
     let mut terminal = Vec::with_capacity(requests);
     for i in 0..requests {
         let mut req = CheckRequest::new(&src, "k", 2, 32);
-        req.params.push(ParamSpec::Buf(4));
+        req.params.push(ArgSpec::Buf(4));
         req.stream = true;
         req.launch_id = Some(1 + i as u64);
         let t = Instant::now();

@@ -4,7 +4,7 @@
 
 #![warn(missing_docs)]
 
-use barracuda::{Barracuda, BarracudaConfig, DetectionMode, KernelRun};
+use barracuda::{BarracudaConfig, DetectionMode, Engine, KernelRun};
 use barracuda_instrument::{instrument_module, InstrumentOptions};
 use barracuda_simt::litmus::{mp_table, Fence, MpTableRow};
 use barracuda_simt::MemoryModel;
@@ -111,7 +111,7 @@ pub fn measure_workload(w: &Workload, scale: &Scale, mode: DetectionMode) -> Fig
     let inst = w.generate(scale);
     let text = barracuda_ptx::printer::print_module(&inst.module);
     let engine = || {
-        let mut bar = Barracuda::with_config(BarracudaConfig {
+        let mut bar = Engine::with_config(BarracudaConfig {
             mode,
             ..BarracudaConfig::default()
         });
@@ -187,7 +187,7 @@ pub fn table1(scale: &Scale) -> Vec<Table1Row> {
         .iter()
         .map(|w| {
             let inst = w.generate(scale);
-            let mut bar = Barracuda::new();
+            let mut bar = Engine::new();
             let params = inst.alloc_params(bar.gpu_mut());
             let analysis = bar
                 .check_module(&inst.module, &inst.kernel, inst.dims, &params)

@@ -27,8 +27,8 @@
 #![warn(missing_docs)]
 
 use barracuda_ptx::ast::{AtomOp, Module, Op, Space, Statement};
-use barracuda_simt::{Gpu, GpuConfig, ParamValue, SimError, VecSink};
-use barracuda_suite::{ArgSpec, Expectation, SuiteProgram, KERNEL};
+use barracuda_simt::{Gpu, GpuConfig, SimError, VecSink};
+use barracuda_suite::{Expectation, SuiteProgram, KERNEL};
 use barracuda_trace::ops::{AccessKind, Event, MemSpace};
 use barracuda_trace::GridDims;
 use std::collections::HashMap;
@@ -205,13 +205,7 @@ pub fn check_program(p: &SuiteProgram) -> RcVerdict {
         filter_same_value: false,
         ..GpuConfig::default()
     });
-    let mut params = Vec::new();
-    for a in &p.args {
-        match a {
-            ArgSpec::Buf(bytes) => params.push(ParamValue::Ptr(gpu.malloc(*bytes))),
-            ArgSpec::U32(v) => params.push(ParamValue::U32(*v)),
-        }
-    }
+    let params = gpu.alloc_args(&p.args);
     let sink = VecSink::new();
     match gpu.launch_with_sink(&module, KERNEL, p.dims, &params, &sink) {
         Ok(_) => {}

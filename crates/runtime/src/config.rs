@@ -1,4 +1,4 @@
-//! Session and engine configuration.
+//! Engine configuration.
 
 use barracuda_instrument::InstrumentOptions;
 use barracuda_simt::{GpuConfig, SchedPolicy};
@@ -16,7 +16,7 @@ pub enum DetectionMode {
     Threaded,
 }
 
-/// Session configuration.
+/// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct BarracudaConfig {
     /// Simulator configuration.

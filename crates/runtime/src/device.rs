@@ -13,8 +13,7 @@
 //! * **`stream_synchronize`** / **`device_synchronize`** join the waited
 //!   work into the host's view, cutting later host-device races.
 
-use crate::engine::{hash_key, Engine};
-use crate::session::KernelRun;
+use crate::engine::{hash_key, Engine, KernelRun};
 use crate::sink::HostOpBuffer;
 use crate::{Analysis, Error};
 use barracuda_core::RaceReport;

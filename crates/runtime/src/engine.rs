@@ -15,15 +15,13 @@
 //!   [`LaunchSummary`] telemetry.
 //!
 //! The CUDA-style host API (streams, `launch_async`, `memcpy_h2d`/`d2h`,
-//! synchronization) lives in the [`device`](crate::StreamId) layer; the
-//! one-shot [`Barracuda`](crate::Barracuda) session is a thin facade over
-//! an engine's default stream.
+//! synchronization) lives in the [`device`](crate::StreamId) layer;
+//! [`Engine::check`] runs one [`KernelRun`] on the default stream.
 
 use crate::analysis::{Analysis, AnalysisStats, PipelineStats, StreamTelemetry, WorkerTelemetry};
 use crate::cache::ModuleCache;
 use crate::config::{BarracudaConfig, DetectionMode};
 use crate::device::{StreamId, StreamState};
-use crate::session::KernelRun;
 use crate::sink::{drain_queue, panic_message, PipelineSink, WorkerOutcome};
 use crate::Error;
 use barracuda_core::{
@@ -42,6 +40,19 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
+
+/// One kernel launch to check.
+#[derive(Debug, Clone, Copy)]
+pub struct KernelRun<'a> {
+    /// PTX module source.
+    pub source: &'a str,
+    /// Entry name.
+    pub kernel: &'a str,
+    /// Launch dimensions.
+    pub dims: GridDims,
+    /// Kernel arguments.
+    pub params: &'a [ParamValue],
+}
 
 /// Per-launch summary of a device-lifetime run (the `--stats-json`
 /// `launches` array).

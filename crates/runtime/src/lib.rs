@@ -15,7 +15,7 @@
 //! # Quick start
 //!
 //! ```
-//! use barracuda::{Barracuda, KernelRun};
+//! use barracuda::{Engine, KernelRun};
 //! use barracuda_simt::ParamValue;
 //! use barracuda_trace::GridDims;
 //!
@@ -36,9 +36,9 @@
 //!         ret;
 //!     }
 //! "#;
-//! let mut bar = Barracuda::new();
-//! let ctr = bar.gpu_mut().malloc(4);
-//! let analysis = bar.check(&KernelRun {
+//! let mut engine = Engine::new();
+//! let ctr = engine.gpu_mut().malloc(4);
+//! let analysis = engine.check(&KernelRun {
 //!     source: ptx,
 //!     kernel: "racy",
 //!     dims: GridDims::new(2u32, 1u32),
@@ -57,7 +57,6 @@ mod config;
 mod device;
 mod engine;
 pub mod exitcode;
-mod session;
 mod sink;
 pub mod statsjson;
 
@@ -65,8 +64,7 @@ pub use analysis::{Analysis, AnalysisStats, PipelineStats, StreamTelemetry, Work
 pub use cache::ModuleCache;
 pub use config::{BarracudaConfig, DetectionMode};
 pub use device::StreamId;
-pub use engine::{Engine, LaunchSummary, RaceStream};
-pub use session::{Barracuda, KernelRun};
+pub use engine::{Engine, KernelRun, LaunchSummary, RaceStream};
 pub use statsjson::ReproInfo;
 
 pub use barracuda_core::{Diagnostic, EngineFootprint, RaceClass, RaceReport};

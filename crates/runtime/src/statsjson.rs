@@ -384,7 +384,7 @@ pub struct ReproInfo {
 }
 
 impl ReproInfo {
-    /// Builds the repro block from a session configuration plus the
+    /// Builds the repro block from an engine configuration plus the
     /// per-run warp size.
     pub fn from_config(config: &crate::BarracudaConfig, warp_size: u32) -> Self {
         use barracuda_simt::{MemoryModel, SchedPolicy};

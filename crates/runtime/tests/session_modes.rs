@@ -1,10 +1,8 @@
-//! Behavior of the session facade across detection modes, including the
-//! chaos-hardening guarantees of the threaded pipeline. These were the
-//! in-file `session.rs` tests before the engine refactor; they pin the
-//! facade's behavior through the persistent engine.
+//! Behavior of one-shot `Engine::check` calls across detection modes,
+//! including the chaos-hardening guarantees of the threaded pipeline.
 
 use barracuda::{
-    Barracuda, BarracudaConfig, DetectionMode, Error, FaultPlan, GridDims, KernelRun, ParamValue,
+    BarracudaConfig, DetectionMode, Engine, Error, FaultPlan, GridDims, KernelRun, ParamValue,
     RaceClass, SimError,
 };
 use std::time::{Duration, Instant};
@@ -27,7 +25,7 @@ fn racy_counter_detected_in_both_modes() {
         ".param .u64 ctr",
     );
     for mode in [DetectionMode::Synchronous, DetectionMode::Threaded] {
-        let mut bar = Barracuda::with_config(BarracudaConfig {
+        let mut bar = Engine::with_config(BarracudaConfig {
             mode,
             ..BarracudaConfig::default()
         });
@@ -58,7 +56,7 @@ fn store_past_the_top_of_the_address_space_faults_in_every_mode() {
         "",
     );
     for mode in [DetectionMode::Synchronous, DetectionMode::Threaded] {
-        let mut bar = Barracuda::with_config(BarracudaConfig {
+        let mut bar = Engine::with_config(BarracudaConfig {
             mode,
             ..BarracudaConfig::default()
         });
@@ -95,7 +93,7 @@ fn shared_store_past_the_segment_faults_in_every_mode() {
         "",
     );
     for mode in [DetectionMode::Synchronous, DetectionMode::Threaded] {
-        let mut bar = Barracuda::with_config(BarracudaConfig {
+        let mut bar = Engine::with_config(BarracudaConfig {
             mode,
             ..BarracudaConfig::default()
         });
@@ -127,7 +125,7 @@ fn disjoint_writes_clean() {
          ret;",
         ".param .u64 buf",
     );
-    let mut bar = Barracuda::new();
+    let mut bar = Engine::new();
     let buf = bar.gpu_mut().malloc(64 * 4);
     let a = bar
         .check(&KernelRun {
@@ -148,7 +146,7 @@ fn native_run_produces_no_detection() {
         ".reg .b64 %rd<4>;\nld.param.u64 %rd1, [b];\nst.global.u32 [%rd1], 1;\nret;",
         ".param .u64 b",
     );
-    let mut bar = Barracuda::new();
+    let mut bar = Engine::new();
     let b = bar.gpu_mut().malloc(4);
     let stats = bar
         .run_native(&KernelRun {
@@ -181,7 +179,7 @@ fn threaded_and_sync_agree() {
         ".param .u64 buf",
     );
     let run_with = |mode| {
-        let mut bar = Barracuda::with_config(BarracudaConfig {
+        let mut bar = Engine::with_config(BarracudaConfig {
             mode,
             ..Default::default()
         });
@@ -213,7 +211,7 @@ fn barrier_divergence_surfaces_as_sim_error() {
          ret;",
         "",
     );
-    let mut bar = Barracuda::new();
+    let mut bar = Engine::new();
     let err = bar
         .check(&KernelRun {
             source: &source,
@@ -230,7 +228,7 @@ fn barrier_divergence_surfaces_as_sim_error() {
 
 #[test]
 fn parse_errors_propagate() {
-    let mut bar = Barracuda::new();
+    let mut bar = Engine::new();
     let err = bar
         .check(&KernelRun {
             source: "this is not ptx",
@@ -283,7 +281,7 @@ fn injected_worker_panic_degrades_instead_of_aborting() {
     // budget and sheds records.
     cfg.queue_capacity = 8;
     cfg.push_stall_budget = 512;
-    let mut bar = Barracuda::with_config(cfg);
+    let mut bar = Engine::with_config(cfg);
     let ctr = bar.gpu_mut().malloc(4);
     let a = bar
         .check(&KernelRun {
@@ -328,7 +326,7 @@ fn full_queue_stall_window_counts_pressure_without_losing_records() {
     let mut cfg = chaos_config(plan);
     cfg.queue_capacity = 4;
     cfg.push_stall_budget = 1 << 20;
-    let mut bar = Barracuda::with_config(cfg);
+    let mut bar = Engine::with_config(cfg);
     let ctr = bar.gpu_mut().malloc(4);
     let a = bar
         .check(&KernelRun {
@@ -371,7 +369,7 @@ fn injected_drops_and_corruption_are_accounted() {
         corrupt_rate: 0.2,
         ..FaultPlan::none()
     };
-    let mut bar = Barracuda::with_config(chaos_config(plan));
+    let mut bar = Engine::with_config(chaos_config(plan));
     let ctr = bar.gpu_mut().malloc(4);
     let a = bar
         .check(&KernelRun {
@@ -397,7 +395,7 @@ fn injected_drops_and_corruption_are_accounted() {
 fn stall_only_chaos_agrees_with_synchronous_verdict() {
     let source = racy_counter_src();
     let race_count = |cfg: BarracudaConfig| {
-        let mut bar = Barracuda::with_config(cfg);
+        let mut bar = Engine::with_config(cfg);
         let ctr = bar.gpu_mut().malloc(4);
         bar.check(&KernelRun {
             source: &source,
@@ -435,9 +433,9 @@ fn persistent_pool_survives_a_panicked_launch() {
     let mut cfg = chaos_config(plan);
     cfg.queue_capacity = 8;
     cfg.push_stall_budget = BarracudaConfig::default().push_stall_budget;
-    let mut bar = Barracuda::with_config(cfg);
+    let mut bar = Engine::with_config(cfg);
     let ctr = bar.gpu_mut().malloc(4);
-    let run = |bar: &mut Barracuda, ctr| {
+    let run = |bar: &mut Engine, ctr| {
         bar.check(&KernelRun {
             source: &source,
             kernel: "k",
@@ -460,7 +458,7 @@ fn persistent_pool_survives_a_panicked_launch() {
     // panicked launches left no queue residue, no stale sync tickets and
     // no poisoned shadow behind. (A fresh buffer avoids carryover from
     // the degraded launches; same-stream ordering covers the rest.)
-    bar.engine_mut().set_fault_plan(None);
+    bar.set_fault_plan(None);
     let fresh_ctr = bar.gpu_mut().malloc(4);
     let healed = bar
         .check(&KernelRun {
@@ -478,7 +476,7 @@ fn persistent_pool_survives_a_panicked_launch() {
     baseline_cfg.fault_plan = None;
     baseline_cfg.queue_capacity = 8;
     baseline_cfg.push_stall_budget = BarracudaConfig::default().push_stall_budget;
-    let mut fresh = Barracuda::with_config(baseline_cfg);
+    let mut fresh = Engine::with_config(baseline_cfg);
     let ctr2 = fresh.gpu_mut().malloc(4);
     let baseline = fresh
         .check(&KernelRun {

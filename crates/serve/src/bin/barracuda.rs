@@ -1,12 +1,14 @@
 //! BARRACUDA command-line interface.
 //!
 //! ```text
-//! barracuda check <file.ptx> --kernel <name> [--grid X[,Y[,Z]]] [--block X[,Y[,Z]]]
+//! barracuda check <file.ptx> [--kernel <name>] [--grid X[,Y[,Z]]] [--block X[,Y[,Z]]]
 //!                 [--param buf:<bytes> | --param u32:<value>]...
+//!                 [--max-steps N] [--chaos-stalls SEED] [--timeout-ms N]
 //!                 [--warp-size N] [--warp-sweep] [--threaded]
 //!                 [--memory-model sc|kepler|maxwell] [--seed N]
-//!                 [--max-steps N] [--stats-json] [--chaos-stalls SEED]
-//!                 [--timeout-ms N] [--chaos-abort] [--chaos-hang]
+//!                 [--stats-json] [--chaos-abort] [--chaos-hang]
+//! barracuda trace <file.ptx> [check options except --threaded, --stats-json,
+//!                 --warp-sweep and --chaos-stalls]
 //! barracuda fleet [--gen all|NAME,...] [--seeds S,...] [--warp-sizes W,...]
 //!                 [--presets sc,kepler,maxwell] [--scale quick|default]
 //!                 [--ptx-dir DIR]... [--ptx-grid X[,Y[,Z]]] [--ptx-block X[,Y[,Z]]]
@@ -18,15 +20,19 @@
 //! barracuda serve (--socket <path> | --tcp <addr>) [--queue-depth N]
 //!                 [--retry-after-ms N] [--default-deadline-ms N]
 //!                 [--chaos-panic-kernel NAME] [--pool N] [--max-engines N]
-//! barracuda client (--socket <path> | --tcp <addr>) (<file.ptx> [check options]
-//!                 [--deadline-ms N] [--stream] | --shutdown)
+//! barracuda client (--socket <path> | --tcp <addr>)
+//!                 (<file.ptx> [--kernel <name>] [--grid X[,Y[,Z]]] [--block X[,Y[,Z]]]
+//!                  [--param buf:<bytes> | --param u32:<value>]...
+//!                  [--max-steps N] [--timeout-ms N] [--stream]
+//!                  | --shutdown)
 //! ```
 //!
 //! `check` instruments the module, executes the kernel on the SIMT
-//! simulator and reports data races; `instrument` prints the rewritten
-//! PTX and the instrumentation statistics (the Fig. 9 numbers for one
-//! file). `serve` runs the detection server on a Unix socket
-//! (`--socket`) or a TCP endpoint (`--tcp`), both speaking
+//! simulator and reports data races; `trace` prints the decoded
+//! warp-level trace operations of the same launch; `instrument` prints
+//! the rewritten PTX and the instrumentation statistics (the Fig. 9
+//! numbers for one file). `serve` runs the detection server on a Unix
+//! socket (`--socket`) or a TCP endpoint (`--tcp`), both speaking
 //! newline-delimited JSON, with
 //! `--pool`/`--max-engines` bounding the worker pool and warm-engine
 //! residency; `client` submits one request to it (with
@@ -34,6 +40,16 @@
 //! `client --stream` streams incremental race events as they are found
 //! (resuming idempotently by launch id if the connection drops) instead
 //! of blocking until the launch completes.
+//!
+//! `check`, `trace` and `client` share one parser, which turns the flags
+//! into a [`CheckRequest`], and `check`, `trace` and the server run it
+//! through one function, [`barracuda_serve::run_request`]. The flags a
+//! served request does not honour — `--warp-size`, `--warp-sweep`,
+//! `--threaded`, `--memory-model`, `--seed`, `--stats-json`,
+//! `--chaos-stalls` (stall injection needs the threaded pipeline, and
+//! `serve` runs synchronous engines), `--chaos-abort` and `--chaos-hang` —
+//! only a local run honours: `client` refuses each with exit 2 and sends
+//! nothing, and `trace` refuses the ones it would ignore.
 //!
 //! Exit codes follow the [`barracuda::exitcode`] taxonomy in **every**
 //! mode — `0` clean, `1` races/diagnostics, `2` usage error, `3`
@@ -44,14 +60,15 @@
 //! `--stats-json` prints one machine-readable JSON object (see
 //! `barracuda::statsjson`) with the verdict and the full pipeline
 //! telemetry. `--chaos-stalls SEED` enables stall-only fault injection in
-//! the threaded pipeline (implies `--threaded`): verdicts must match the
-//! synchronous mode, making it a quick self-check of pipeline robustness.
+//! the threaded pipeline (implies `--threaded` in `check`): verdicts must
+//! match the synchronous mode, making it a quick self-check of pipeline
+//! robustness.
 //!
-//! `--timeout-ms` arms a wall-clock deadline on the one-shot check (the
-//! serve watchdog's cooperative-cancellation semantics, exit code 3).
-//! `--chaos-abort` / `--chaos-hang` are fault-injection points for fleet
-//! robustness testing: the former crashes the process before the
-//! verdict, the latter wedges it while ignoring cooperative
+//! `--timeout-ms` is the request's wall-clock deadline (cooperative
+//! cancellation, exit code 3), the same in `check`, `client` and
+//! `fleet`. `--chaos-abort` / `--chaos-hang` are fault-injection points
+//! for fleet robustness testing: the former crashes the process before
+//! the verdict, the latter wedges it while ignoring cooperative
 //! cancellation, forcing a coordinator's hard kill. `fleet` shards a
 //! generated corpus (workloads × seeds × weak-memory presets × warp
 //! sizes, plus `--ptx-dir` files) across crash-isolated child processes
@@ -59,11 +76,10 @@
 //! emits a deduplicated triage report — see `barracuda-fleet`.
 
 use barracuda::{
-    exitcode, Barracuda, BarracudaConfig, DetectionMode, FaultPlan, GpuConfig, InstrumentOptions,
-    KernelRun, MemoryModel,
+    exitcode, BarracudaConfig, DetectionMode, Engine, GpuConfig, InstrumentOptions, KernelRun,
+    MemoryModel,
 };
-use barracuda_simt::ParamValue;
-use barracuda_trace::{Dim3, GridDims};
+use barracuda_serve::{run_request, CheckRequest, Response};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -76,13 +92,14 @@ fn main() -> ExitCode {
         Some("serve") => cmd_serve(&args[1..]),
         Some("client") => cmd_client(&args[1..]),
         _ => {
-            eprintln!("usage: barracuda <check|trace|instrument|serve|client> [options]");
+            eprintln!("usage: barracuda <check|trace|instrument|fleet|serve|client> [options]");
             eprintln!(
                 "       barracuda check k.ptx --kernel k --grid 2 --block 64 --param buf:1024"
             );
             eprintln!(
                 "       barracuda trace k.ptx ...   # print the decoded trace-operation stream"
             );
+            eprintln!("       barracuda fleet --gen all --journal fleet.jsonl");
             eprintln!("       barracuda serve --socket /tmp/barracuda.sock");
             eprintln!("       barracuda client --socket /tmp/barracuda.sock k.ptx --kernel k");
             eprintln!("       barracuda client --socket /tmp/barracuda.sock --shutdown");
@@ -91,7 +108,12 @@ fn main() -> ExitCode {
     }
 }
 
-fn parse_dim3(s: &str) -> Result<Dim3, String> {
+fn usage(e: impl std::fmt::Display) -> ExitCode {
+    eprintln!("error: {e}");
+    ExitCode::from(exitcode::USAGE)
+}
+
+fn parse_dim3(s: &str) -> Result<(u32, u32, u32), String> {
     let parts: Vec<u32> = s
         .split(',')
         .map(|p| {
@@ -100,143 +122,168 @@ fn parse_dim3(s: &str) -> Result<Dim3, String> {
         })
         .collect::<Result<_, _>>()?;
     match parts.as_slice() {
-        [x] => Ok(Dim3 { x: *x, y: 1, z: 1 }),
-        [x, y] => Ok(Dim3 { x: *x, y: *y, z: 1 }),
-        [x, y, z] => Ok(Dim3 {
-            x: *x,
-            y: *y,
-            z: *z,
-        }),
+        [x] => Ok((*x, 1, 1)),
+        [x, y] => Ok((*x, *y, 1)),
+        [x, y, z] => Ok((*x, *y, *z)),
         _ => Err(format!("bad dim3 '{s}' (expected X[,Y[,Z]])")),
     }
 }
 
-struct CheckArgs {
-    file: String,
-    kernel: String,
-    /// Checked by [`GridDims::try_with_warp_size`] at parse time.
-    dims: GridDims,
+/// The settings only a local run honours: a [`CheckRequest`] does not
+/// carry them.
+struct LocalArgs {
+    warp_size: u32,
     warp_sweep: bool,
     threaded: bool,
     model: MemoryModel,
     seed: u64,
-    max_steps: Option<u64>,
     stats_json: bool,
-    chaos_stalls: Option<u64>,
-    timeout_ms: Option<u64>,
     chaos_abort: bool,
     chaos_hang: bool,
-    params: Vec<String>,
 }
 
-fn parse_check_args(args: &[String]) -> Result<CheckArgs, String> {
-    let mut out = CheckArgs {
-        file: String::new(),
-        kernel: String::new(),
-        dims: GridDims::new(1u32, 32u32),
+/// Flags a server would not honour, so `client` refuses every one: those
+/// that set a [`LocalArgs`] field, and `--chaos-stalls`, whose stall plan
+/// only the threaded pipeline reads.
+const LOCAL_ONLY: [&str; 9] = [
+    "--warp-size",
+    "--warp-sweep",
+    "--threaded",
+    "--memory-model",
+    "--seed",
+    "--stats-json",
+    "--chaos-stalls",
+    "--chaos-abort",
+    "--chaos-hang",
+];
+
+/// Flags `trace` would ignore: it prints one synchronous launch.
+const TRACE_IGNORES: [&str; 4] = [
+    "--threaded",
+    "--stats-json",
+    "--warp-sweep",
+    "--chaos-stalls",
+];
+
+fn num<T: std::str::FromStr>(v: String, what: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    v.parse().map_err(|e| format!("bad {what}: {e}"))
+}
+
+/// The one parser of `check`, `trace` and `client` (`cmd`) arguments:
+/// reads the PTX file into the request and refuses any flag `cmd` would
+/// ignore.
+fn parse_check_args(cmd: &str, args: &[String]) -> Result<(CheckRequest, LocalArgs), String> {
+    let mut req = CheckRequest::new("", "", 1, 32);
+    let mut local = LocalArgs {
+        warp_size: 32,
         warp_sweep: false,
         threaded: false,
         model: MemoryModel::SequentiallyConsistent,
         seed: 0x0be5_11e5,
-        max_steps: None,
         stats_json: false,
-        chaos_stalls: None,
-        timeout_ms: None,
         chaos_abort: false,
         chaos_hang: false,
-        params: Vec::new(),
     };
-    let (mut grid, mut block, mut warp_size) = (Dim3::linear(1), Dim3::linear(32), 32);
+    let mut file = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        let refused = match cmd {
+            "client" => LOCAL_ONLY.contains(&a.as_str()),
+            "trace" => TRACE_IGNORES.contains(&a.as_str()),
+            _ => false,
+        };
+        if refused {
+            return Err(format!("{cmd} does not take {a}"));
+        }
         let mut value = |name: &str| -> Result<String, String> {
             it.next()
                 .cloned()
                 .ok_or_else(|| format!("{name} requires a value"))
         };
         match a.as_str() {
-            "--kernel" => out.kernel = value("--kernel")?,
-            "--grid" => grid = parse_dim3(&value("--grid")?)?,
-            "--block" => block = parse_dim3(&value("--block")?)?,
-            "--warp-size" => {
-                warp_size = value("--warp-size")?
-                    .parse()
-                    .map_err(|e| format!("bad warp size: {e}"))?;
-            }
-            "--warp-sweep" => out.warp_sweep = true,
-            "--threaded" => out.threaded = true,
-            "--stats-json" => out.stats_json = true,
-            "--max-steps" => {
-                out.max_steps = Some(
-                    value("--max-steps")?
-                        .parse()
-                        .map_err(|e| format!("bad max steps: {e}"))?,
-                );
-            }
-            "--timeout-ms" => {
-                out.timeout_ms = Some(
-                    value("--timeout-ms")?
-                        .parse()
-                        .map_err(|e| format!("bad timeout: {e}"))?,
-                );
-            }
-            "--chaos-abort" => out.chaos_abort = true,
-            "--chaos-hang" => out.chaos_hang = true,
+            "--kernel" => req.kernel = value("--kernel")?,
+            "--grid" => req.grid = parse_dim3(&value("--grid")?)?,
+            "--block" => req.block = parse_dim3(&value("--block")?)?,
+            "--param" => req.params.push(value("--param")?.parse()?),
+            "--max-steps" => req.max_steps = Some(num(value("--max-steps")?, "max steps")?),
+            "--timeout-ms" => req.deadline_ms = Some(num(value("--timeout-ms")?, "timeout")?),
             "--chaos-stalls" => {
-                out.chaos_stalls = Some(
-                    value("--chaos-stalls")?
-                        .parse()
-                        .map_err(|e| format!("bad chaos seed: {e}"))?,
-                );
-                out.threaded = true;
+                req.chaos_stalls = Some(num(value("--chaos-stalls")?, "chaos seed")?);
+                local.threaded = true;
             }
-            "--seed" => {
-                out.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?
-            }
+            "--warp-size" => local.warp_size = num(value("--warp-size")?, "warp size")?,
+            "--warp-sweep" => local.warp_sweep = true,
+            "--threaded" => local.threaded = true,
+            "--seed" => local.seed = num(value("--seed")?, "seed")?,
             "--memory-model" => {
-                out.model = match value("--memory-model")?.as_str() {
+                local.model = match value("--memory-model")?.as_str() {
                     "sc" => MemoryModel::SequentiallyConsistent,
                     "kepler" => MemoryModel::KeplerK520,
                     "maxwell" => MemoryModel::MaxwellTitanX,
                     other => return Err(format!("unknown memory model '{other}'")),
                 };
             }
-            "--param" => out.params.push(value("--param")?),
-            other if !other.starts_with("--") && out.file.is_empty() => {
-                out.file = other.to_string();
-            }
+            "--stats-json" => local.stats_json = true,
+            "--chaos-abort" => local.chaos_abort = true,
+            "--chaos-hang" => local.chaos_hang = true,
+            other if !other.starts_with("--") && file.is_none() => file = Some(other),
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    if out.file.is_empty() {
-        return Err("missing PTX file".to_string());
+    if local.warp_sweep && local.stats_json {
+        return Err("--warp-sweep prints a table and cannot be combined with --stats-json".into());
     }
-    out.dims = GridDims::try_with_warp_size(grid, block, warp_size)?;
-    Ok(out)
+    let file = file.ok_or("missing PTX file")?;
+    req.source = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
+    Ok((req, local))
+}
+
+/// Prints why a request ended without a verdict and returns its exit
+/// code — the same for a local run and a served one.
+fn fail(resp: &Response) -> ExitCode {
+    match resp {
+        Response::Timeout { deadline, steps } => eprintln!(
+            "error: timeout — {} after {steps} steps",
+            if *deadline {
+                "deadline exceeded"
+            } else {
+                "step budget exceeded"
+            }
+        ),
+        Response::Degraded { message } => eprintln!("error: engine quarantined: {message}"),
+        Response::Error { message } => eprintln!("error: {message}"),
+        Response::Rejected { retry_after_ms } => {
+            eprintln!("error: overloaded (retry after {retry_after_ms} ms)");
+        }
+        Response::ShuttingDown => eprintln!("error: server is shutting down"),
+        Response::Interrupted { events, .. } => eprintln!(
+            "error: stream interrupted after {events} event(s); \
+             the verdict never arrived (partial findings are a lower bound)"
+        ),
+        Response::Done(_) | Response::RaceEvent { .. } | Response::LaunchDone { .. } => {
+            unreachable!("not a failure")
+        }
+    }
+    ExitCode::from(resp.exit_code())
 }
 
 /// Runs the instrumented kernel and prints the decoded warp-level trace
 /// operations (the paper's Fig. 1(b) view of an execution).
-fn dump_trace(
-    bar: &mut Barracuda,
-    source: &str,
-    kernel: &str,
-    dims: GridDims,
-    params: &[ParamValue],
-) -> Result<(), barracuda::Error> {
+fn dump_trace(engine: &mut Engine, run: &KernelRun<'_>) -> Result<(), barracuda::Error> {
     use barracuda_simt::VecSink;
     use barracuda_trace::ops::Event;
-    let module = barracuda_ptx::parse(source)?;
-    let (instrumented, _) = barracuda_instrument::instrument_module(
-        &module,
-        &barracuda_instrument::InstrumentOptions::default(),
-    );
-    let lk = barracuda_simt::LoadedKernel::load(&instrumented, kernel)?;
+    let module = barracuda_ptx::parse(run.source)?;
+    let (instrumented, _) =
+        barracuda_instrument::instrument_module(&module, &InstrumentOptions::default());
+    let lk = barracuda_simt::LoadedKernel::load(&instrumented, run.kernel)?;
     let sink = VecSink::new();
-    bar.gpu_mut()
-        .launch_loaded(&lk, dims, params, Some(&sink))?;
+    let dims = run.dims;
+    engine
+        .gpu_mut()
+        .launch_loaded(&lk, dims, run.params, Some(&sink))?;
     for rec in sink.take() {
         match rec.decode() {
             Event::Access {
@@ -274,102 +321,38 @@ fn dump_trace(
 }
 
 fn cmd_check(args: &[String], trace: bool) -> ExitCode {
-    let cfg = match parse_check_args(args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(exitcode::USAGE);
-        }
-    };
-    let source = match std::fs::read_to_string(&cfg.file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot read {}: {e}", cfg.file);
-            return ExitCode::from(exitcode::USAGE);
-        }
-    };
-    let module = match barracuda_ptx::parse(&source) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(exitcode::USAGE);
-        }
+    let (req, local) = match parse_check_args(if trace { "trace" } else { "check" }, args) {
+        Ok(parsed) => parsed,
+        Err(e) => return usage(e),
     };
     // Fault-injection points for fleet robustness testing: a target that
     // crashes the whole process, and one that wedges while ignoring
     // cooperative cancellation (forcing the coordinator's hard kill).
-    if cfg.chaos_abort {
+    if local.chaos_abort {
         eprintln!("chaos: aborting process (--chaos-abort)");
         std::process::abort();
     }
-    if cfg.chaos_hang {
+    if local.chaos_hang {
         eprintln!("chaos: hanging process (--chaos-hang)");
         loop {
             std::thread::sleep(std::time::Duration::from_secs(1));
         }
     }
-    let kernel = if cfg.kernel.is_empty() {
-        match module.kernels.first() {
-            Some(k) => k.name.clone(),
-            None => {
-                eprintln!("error: module contains no kernels");
-                return ExitCode::from(exitcode::USAGE);
-            }
-        }
-    } else {
-        cfg.kernel.clone()
-    };
-
-    let mut gpu = GpuConfig {
-        memory_model: cfg.model,
-        seed: cfg.seed,
-        ..GpuConfig::default()
-    };
-    if let Some(steps) = cfg.max_steps {
-        gpu.max_steps = steps;
-    }
-    let mut bar = Barracuda::with_config(BarracudaConfig {
-        gpu,
-        mode: if cfg.threaded {
+    let mut engine = Engine::with_config(BarracudaConfig {
+        gpu: GpuConfig {
+            memory_model: local.model,
+            seed: local.seed,
+            ..GpuConfig::default()
+        },
+        mode: if local.threaded {
             DetectionMode::Threaded
         } else {
             DetectionMode::Synchronous
         },
-        fault_plan: cfg.chaos_stalls.map(FaultPlan::stalls_only),
         ..BarracudaConfig::default()
     });
-    let mut params = Vec::new();
-    for p in &cfg.params {
-        match p.split_once(':') {
-            Some(("buf", size)) => match size.parse::<u64>() {
-                Ok(bytes) => params.push(ParamValue::Ptr(bar.gpu_mut().malloc(bytes))),
-                Err(e) => {
-                    eprintln!("error: bad buffer size '{size}': {e}");
-                    return ExitCode::from(exitcode::USAGE);
-                }
-            },
-            Some(("u32", v)) => match v.parse::<u32>() {
-                Ok(v) => params.push(ParamValue::U32(v)),
-                Err(e) => {
-                    eprintln!("error: bad u32 '{v}': {e}");
-                    return ExitCode::from(exitcode::USAGE);
-                }
-            },
-            _ => {
-                eprintln!("error: bad --param '{p}' (expected buf:<bytes> or u32:<value>)");
-                return ExitCode::from(exitcode::USAGE);
-            }
-        }
-    }
-
-    let dims = cfg.dims;
-    let run = KernelRun {
-        source: &source,
-        kernel: &kernel,
-        dims,
-        params: &params,
-    };
-    let repro = barracuda::statsjson::ReproInfo::from_config(bar.config(), dims.warp_size);
+    let max_steps = engine.config().gpu.max_steps;
+    let ws = local.warp_size;
 
     // Wall-clock deadline: the one-shot analog of the serve watchdog.
     // After `--timeout-ms` the timer fires the engine's CancelToken; the
@@ -378,8 +361,8 @@ fn cmd_check(args: &[String], trace: bool) -> ExitCode {
     // launches that re-arm the token after the first shot lands — e.g.
     // each launch of a warp sweep — so the deadline binds the whole
     // command, not one launch.
-    if let Some(ms) = cfg.timeout_ms {
-        let token = bar.engine().cancel_token();
+    if let Some(ms) = req.deadline_ms {
+        let token = engine.cancel_token();
         let _ = std::thread::Builder::new()
             .name("deadline-watchdog".to_string())
             .spawn(move || {
@@ -392,96 +375,82 @@ fn cmd_check(args: &[String], trace: bool) -> ExitCode {
     }
 
     if trace {
-        return match dump_trace(&mut bar, &source, &kernel, dims, &params) {
+        return match run_request(&mut engine, &req, ws, max_steps, dump_trace) {
             Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::from(exitcode::USAGE)
-            }
+            Err(resp) => fail(&resp),
         };
     }
 
-    if cfg.warp_sweep {
-        let sizes: Vec<u32> = [32u32, 16, 8, 4]
-            .into_iter()
-            .filter(|&s| s <= dims.warp_size)
-            .collect();
-        match bar.check_warp_sizes(&run, &sizes) {
-            Ok(results) => {
-                println!("{:<12} {:>8}", "warp size", "races");
-                let mut any = false;
-                for (ws, analysis) in &results {
-                    println!("{ws:<12} {:>8}", analysis.race_count());
-                    any |= analysis.race_count() > 0;
-                }
-                return ExitCode::from(u8::from(any));
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(exitcode::USAGE);
-            }
+    if local.warp_sweep {
+        let swept = run_request(&mut engine, &req, ws, max_steps, |engine, run| {
+            let sizes: Vec<u32> = [32u32, 16, 8, 4]
+                .into_iter()
+                .filter(|&s| s <= run.dims.warp_size)
+                .collect();
+            engine.check_warp_sizes(run, &sizes)
+        });
+        let results = match swept {
+            Ok(results) => results,
+            Err(resp) => return fail(&resp),
+        };
+        println!("{:<12} {:>8}", "warp size", "races");
+        let mut any = false;
+        for (ws, analysis) in &results {
+            println!("{ws:<12} {:>8}", analysis.race_count());
+            any |= analysis.race_count() > 0;
         }
+        return ExitCode::from(u8::from(any));
     }
 
-    match bar.check(&run) {
-        Ok(analysis) => {
-            if cfg.stats_json {
-                // Machine-readable mode: exactly one JSON object on stdout,
-                // including the engine's per-launch race counts and the
-                // repro block (seeds, scheduler, chaos plan).
-                let launches = Some(bar.engine().launches());
-                let doc = barracuda::statsjson::document(&analysis, launches, Some(&repro));
-                println!("{}", doc.dump());
-                return ExitCode::from(exitcode::for_analysis(&analysis));
-            }
-            for d in analysis.diagnostics() {
-                println!("diagnostic: {d}");
-            }
-            if analysis.is_degraded() {
-                // A degraded verdict is only actionable if it can be
-                // replayed: print the full repro line with it.
-                println!("{}", repro.human_line());
-            }
-            for r in analysis.races() {
-                println!("{r}");
-            }
-            let s = analysis.stats();
-            println!(
-                "\n{} race(s) across {} threads; {} records, {} events, {} KiB shadow, {:?}",
-                analysis.race_count(),
-                dims.total_threads(),
-                s.records,
-                s.events,
-                s.shadow_bytes / 1024,
-                s.detection_time
-            );
-            if s.pipeline.queues > 0 {
-                println!(
-                    "pipeline: {} queue(s), high-water {}, {} stall cycle(s), \
-                     {} dropped, {} corrupt, {} worker panic(s)",
-                    s.pipeline.queues,
-                    s.pipeline.queue_high_water,
-                    s.pipeline.producer_stall_cycles,
-                    s.pipeline.records_dropped,
-                    s.pipeline.records_corrupt,
-                    s.pipeline.worker_panics
-                );
-            }
-            ExitCode::from(exitcode::for_analysis(&analysis))
-        }
-        Err(
-            e @ barracuda::Error::Sim(
-                barracuda::SimError::Timeout { .. } | barracuda::SimError::Cancelled { .. },
-            ),
-        ) => {
-            eprintln!("error: timeout — {e}");
-            ExitCode::from(exitcode::for_error(&e))
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(exitcode::USAGE)
-        }
+    let checked = run_request(&mut engine, &req, ws, max_steps, |engine, run| {
+        Ok((engine.check(run)?, run.dims.total_threads()))
+    });
+    let (analysis, threads) = match checked {
+        Ok(checked) => checked,
+        Err(resp) => return fail(&resp),
+    };
+    let repro = barracuda::statsjson::ReproInfo::from_config(engine.config(), ws);
+    if local.stats_json {
+        // Machine-readable mode: exactly one JSON object on stdout,
+        // including the engine's per-launch race counts and the repro
+        // block (seeds, scheduler, chaos plan).
+        let doc = barracuda::statsjson::document(&analysis, Some(engine.launches()), Some(&repro));
+        println!("{}", doc.dump());
+        return ExitCode::from(exitcode::for_analysis(&analysis));
     }
+    for d in analysis.diagnostics() {
+        println!("diagnostic: {d}");
+    }
+    if analysis.is_degraded() {
+        // A degraded verdict is only actionable if it can be replayed:
+        // print the full repro line with it.
+        println!("{}", repro.human_line());
+    }
+    for r in analysis.races() {
+        println!("{r}");
+    }
+    let s = analysis.stats();
+    println!(
+        "\n{} race(s) across {threads} threads; {} records, {} events, {} KiB shadow, {:?}",
+        analysis.race_count(),
+        s.records,
+        s.events,
+        s.shadow_bytes / 1024,
+        s.detection_time
+    );
+    if s.pipeline.queues > 0 {
+        println!(
+            "pipeline: {} queue(s), high-water {}, {} stall cycle(s), \
+             {} dropped, {} corrupt, {} worker panic(s)",
+            s.pipeline.queues,
+            s.pipeline.queue_high_water,
+            s.pipeline.producer_stall_cycles,
+            s.pipeline.records_dropped,
+            s.pipeline.records_corrupt,
+            s.pipeline.worker_panics
+        );
+    }
+    ExitCode::from(exitcode::for_analysis(&analysis))
 }
 
 fn cmd_instrument(args: &[String]) -> ExitCode {
@@ -897,100 +866,38 @@ fn cmd_serve(args: &[String]) -> ExitCode {
 }
 
 fn cmd_client(args: &[String]) -> ExitCode {
-    use barracuda_serve::{
-        CheckRequest, Client, Connection, ParamSpec, Response, RetryPolicy, Transport,
-    };
+    use barracuda_serve::{Client, Connection, RetryPolicy, Transport};
     let (endpoint, args) = match split_endpoint("client", args) {
         Ok(split) => split,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(exitcode::USAGE);
-        }
+        Err(e) => return usage(e),
     };
-    let mut shutdown = false;
-    let mut stream = false;
-    let mut deadline_ms: Option<u64> = None;
+    let (mut shutdown, mut stream) = (false, false);
     let mut rest: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    for a in args {
         match a.as_str() {
             "--shutdown" => shutdown = true,
             "--stream" => stream = true,
-            "--deadline-ms" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => deadline_ms = Some(v),
-                None => {
-                    eprintln!("error: --deadline-ms requires a number");
-                    return ExitCode::from(exitcode::USAGE);
-                }
-            },
-            other => rest.push(other.to_string()),
+            _ => rest.push(a),
         }
     }
+    // Parsed before connecting: a refused flag sends nothing.
+    let req = if shutdown {
+        None
+    } else {
+        match parse_check_args("client", &rest) {
+            Ok((req, _)) => Some(CheckRequest { stream, ..req }),
+            Err(e) => return usage(e),
+        }
+    };
     let mut conn = match Connection::connect(&endpoint) {
         Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: cannot connect to {endpoint}: {e}");
-            return ExitCode::from(exitcode::USAGE);
-        }
+        Err(e) => return usage(format!("cannot connect to {endpoint}: {e}")),
     };
-    if shutdown {
+    let Some(req) = req else {
         return match conn.shutdown_server() {
             Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::from(exitcode::USAGE)
-            }
+            Err(e) => usage(e),
         };
-    }
-    // Reuse the one-shot parser for the kernel/grid/param flags.
-    let cfg = match parse_check_args(&rest) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(exitcode::USAGE);
-        }
-    };
-    let source = match std::fs::read_to_string(&cfg.file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot read {}: {e}", cfg.file);
-            return ExitCode::from(exitcode::USAGE);
-        }
-    };
-    let mut params = Vec::new();
-    for p in &cfg.params {
-        match p.split_once(':') {
-            Some(("buf", size)) => match size.parse::<u64>() {
-                Ok(bytes) => params.push(ParamSpec::Buf(bytes)),
-                Err(e) => {
-                    eprintln!("error: bad buffer size '{size}': {e}");
-                    return ExitCode::from(exitcode::USAGE);
-                }
-            },
-            Some(("u32", v)) => match v.parse::<u32>() {
-                Ok(v) => params.push(ParamSpec::U32(v)),
-                Err(e) => {
-                    eprintln!("error: bad u32 '{v}': {e}");
-                    return ExitCode::from(exitcode::USAGE);
-                }
-            },
-            _ => {
-                eprintln!("error: bad --param '{p}' (expected buf:<bytes> or u32:<value>)");
-                return ExitCode::from(exitcode::USAGE);
-            }
-        }
-    }
-    let req = CheckRequest {
-        source,
-        kernel: cfg.kernel,
-        grid: (cfg.dims.grid.x, cfg.dims.grid.y, cfg.dims.grid.z),
-        block: (cfg.dims.block.x, cfg.dims.block.y, cfg.dims.block.z),
-        params,
-        max_steps: cfg.max_steps,
-        deadline_ms,
-        chaos_stalls: cfg.chaos_stalls,
-        stream,
-        launch_id: None,
     };
     let mut client = Client::new(conn, RetryPolicy::default());
     let resp = if stream {
@@ -1007,44 +914,18 @@ fn cmd_client(args: &[String]) -> ExitCode {
         Response::LaunchDone { body, .. } => body.as_ref(),
         other => other,
     };
-    match terminal {
-        Response::Done(b) => {
-            for r in &b.reports {
-                println!("{r}");
-            }
-            println!(
-                "{} race(s); {} records, {} events{}",
-                b.races,
-                b.records,
-                b.events,
-                if b.degraded { " (degraded)" } else { "" }
-            );
-        }
-        Response::Timeout { deadline, steps } => {
-            eprintln!(
-                "error: {} after {steps} steps",
-                if *deadline {
-                    "deadline exceeded"
-                } else {
-                    "step budget exceeded"
-                }
-            );
-        }
-        Response::Degraded { message } => {
-            eprintln!("error: engine quarantined: {message}");
-        }
-        Response::Error { message } => eprintln!("error: {message}"),
-        Response::Rejected { retry_after_ms } => {
-            eprintln!("error: overloaded (retry after {retry_after_ms} ms)");
-        }
-        Response::ShuttingDown => eprintln!("error: server is shutting down"),
-        Response::Interrupted { events, .. } => {
-            eprintln!(
-                "error: stream interrupted after {events} event(s); \
-                 the verdict never arrived (partial findings are a lower bound)"
-            );
-        }
-        Response::RaceEvent { .. } | Response::LaunchDone { .. } => unreachable!("terminal frame"),
+    let Response::Done(b) = terminal else {
+        return fail(terminal);
+    };
+    for r in &b.reports {
+        println!("{r}");
     }
+    println!(
+        "{} race(s); {} records, {} events{}",
+        b.races,
+        b.records,
+        b.events,
+        if b.degraded { " (degraded)" } else { "" }
+    );
     ExitCode::from(resp.exit_code())
 }

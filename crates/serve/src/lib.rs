@@ -9,7 +9,9 @@
 //!   bounded admission queues with `Retry-After`-style load shedding,
 //!   wall-clock deadlines enforced by a watchdog that cancels launches
 //!   *cooperatively*, panic quarantine that rebuilds a poisoned engine,
-//!   and graceful shutdown that reports dropped work honestly.
+//!   and graceful shutdown that reports dropped work honestly; and
+//!   [`run_request`], the one path from a [`CheckRequest`] to a launch,
+//!   which the `barracuda check` / `trace` subcommands share.
 //! * [`proto`] — the typed request/verdict protocol and its
 //!   newline-JSON wire encoding (no external dependencies).
 //! * [`client`] — retry with exponential backoff and deterministic
@@ -39,7 +41,10 @@ pub mod proto;
 pub mod server;
 pub mod wire;
 
+/// The kernel-argument type of [`CheckRequest::params`]; `ParamSpec` is
+/// its older name.
+pub use barracuda_simt::{ArgSpec, ArgSpec as ParamSpec};
 pub use client::{Client, RetryPolicy, Transport};
-pub use proto::{CheckRequest, DoneBody, ParamSpec, Request, Response};
-pub use server::{Server, ServerConfig, ServerStats, Session};
+pub use proto::{CheckRequest, DoneBody, Request, Response};
+pub use server::{run_request, Server, ServerConfig, ServerStats, Session};
 pub use wire::{serve_tcp_listener, Connection, Endpoint, MAX_FRAME};

@@ -16,16 +16,7 @@
 //! these types over channels.
 
 use barracuda::statsjson::{parse, Json};
-
-/// A kernel parameter, by value or as a server-allocated device buffer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ParamSpec {
-    /// Allocate a zero-initialized device buffer of this many bytes and
-    /// pass its address.
-    Buf(u64),
-    /// Pass a `u32` scalar.
-    U32(u32),
-}
+use barracuda_simt::ArgSpec;
 
 /// A request to check one kernel launch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,7 +30,7 @@ pub struct CheckRequest {
     /// Block dimensions `(x, y, z)`.
     pub block: (u32, u32, u32),
     /// Kernel parameters.
-    pub params: Vec<ParamSpec>,
+    pub params: Vec<ArgSpec>,
     /// Step budget for this request (`None` = the server's default).
     pub max_steps: Option<u64>,
     /// Wall-clock deadline in milliseconds (`None` = no deadline).
@@ -217,9 +208,9 @@ pub fn encode_request(req: &Request) -> String {
         Request::Check(c) => c,
     };
     let dim3 = |(x, y, z): (u32, u32, u32)| Json::from(vec![x.into(), y.into(), z.into()]);
-    let param = |p: &ParamSpec| match *p {
-        ParamSpec::Buf(bytes) => Json::obj([("buf", bytes.into())]),
-        ParamSpec::U32(v) => Json::obj([("u32", v.into())]),
+    let param = |p: &ArgSpec| match *p {
+        ArgSpec::Buf(bytes) => Json::obj([("buf", bytes.into())]),
+        ArgSpec::U32(v) => Json::obj([("u32", v.into())]),
     };
     // Unset options stay off the wire, so the line decodes on v1 peers.
     let options = [
@@ -340,10 +331,10 @@ pub fn decode_request(line: &str) -> Result<Request, String> {
             let mut params = Vec::new();
             for p in j.get("params").and_then(Json::as_arr).unwrap_or(&[]) {
                 if let Some(bytes) = p.get("buf").and_then(Json::as_u64) {
-                    params.push(ParamSpec::Buf(bytes));
+                    params.push(ArgSpec::Buf(bytes));
                 } else if let Some(v) = p.get("u32").and_then(Json::as_u64) {
                     let v = u32::try_from(v).map_err(|_| "u32 param out of range".to_string())?;
-                    params.push(ParamSpec::U32(v));
+                    params.push(ArgSpec::U32(v));
                 } else {
                     return Err("bad param (expected {\"buf\":N} or {\"u32\":N})".to_string());
                 }
@@ -468,7 +459,7 @@ mod tests {
             kernel: "k".to_string(),
             grid: (2, 1, 1),
             block: (64, 2, 1),
-            params: vec![ParamSpec::Buf(1024), ParamSpec::U32(7)],
+            params: vec![ArgSpec::Buf(1024), ArgSpec::U32(7)],
             max_steps: Some(10_000),
             deadline_ms: Some(250),
             chaos_stalls: Some(42),
@@ -731,7 +722,7 @@ mod tests {
             buf in any::<u64>(),
         ) {
             let mut req = full_request();
-            req.params.push(ParamSpec::Buf(buf));
+            req.params.push(ArgSpec::Buf(buf));
             (req.max_steps, req.deadline_ms, req.chaos_stalls, req.launch_id) =
                 (Some(ids.0), Some(ids.1), Some(ids.2), Some(ids.3));
             let req = Request::Check(req);

@@ -56,9 +56,9 @@
 //! [`Response::ShuttingDown`] and counts them in
 //! [`ServerStats::dropped_on_shutdown`] — never silently discarded.
 
-use crate::proto::{CheckRequest, DoneBody, ParamSpec, Response};
+use crate::proto::{CheckRequest, DoneBody, Response};
 use barracuda::{BarracudaConfig, Engine, Error, FaultPlan, KernelRun, ModuleCache, SimError};
-use barracuda_simt::ParamValue;
+use barracuda_simt::ArgSpec;
 use barracuda_trace::{CancelToken, GridDims};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -454,6 +454,82 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// The most bytes of `buf:` arguments one request may allocate. Device
+/// memory is host memory here, zeroed up front, and a server shares it
+/// between sessions.
+const MAX_REQUEST_BUF_BYTES: u64 = 1 << 30;
+
+/// The one path from a request to a launch, for `check`, `trace` and the
+/// server's workers: resolves the default kernel (parsing the module only
+/// when the request names none), checks the launch geometry at
+/// `warp_size`, caps and allocates the buffer arguments, applies the step
+/// budget (`default_max_steps` when the request sets none) and the chaos
+/// plan, then hands the launch to `op` — [`Engine::check`] for a verdict.
+/// Deadlines stay with the caller: they need a clock outside the launch.
+///
+/// # Errors
+///
+/// A request that cannot launch, or whose launch fails, comes back as the
+/// terminal response that says so: [`Response::Timeout`] for a step
+/// budget or a cancellation, [`Response::Error`] for everything else.
+pub fn run_request<T>(
+    engine: &mut Engine,
+    req: &CheckRequest,
+    warp_size: u32,
+    default_max_steps: u64,
+    op: impl FnOnce(&mut Engine, &KernelRun<'_>) -> Result<T, Error>,
+) -> Result<T, Response> {
+    let error = |message: String| Response::Error { message };
+    // Checked before anything below touches the engine.
+    let dims = GridDims::try_with_warp_size(req.grid, req.block, warp_size).map_err(error)?;
+    let buf_bytes = req
+        .params
+        .iter()
+        .map(|a| match *a {
+            ArgSpec::Buf(bytes) => bytes,
+            ArgSpec::U32(_) => 0,
+        })
+        .fold(0u64, u64::saturating_add);
+    if buf_bytes > MAX_REQUEST_BUF_BYTES {
+        return Err(error(format!(
+            "buffer arguments total {buf_bytes} bytes, over the {MAX_REQUEST_BUF_BYTES}-byte cap"
+        )));
+    }
+    let first_kernel;
+    let kernel = if req.kernel.is_empty() {
+        let module = barracuda_ptx::parse(&req.source).map_err(|e| error(e.to_string()))?;
+        first_kernel = module
+            .kernels
+            .into_iter()
+            .next()
+            .ok_or_else(|| error("module contains no kernels".to_string()))?
+            .name;
+        &first_kernel
+    } else {
+        &req.kernel
+    };
+    engine.set_max_steps(req.max_steps.unwrap_or(default_max_steps));
+    engine.set_fault_plan(req.chaos_stalls.map(FaultPlan::stalls_only));
+    let params = engine.gpu_mut().alloc_args(&req.params);
+    let run = KernelRun {
+        source: &req.source,
+        kernel,
+        dims,
+        params: &params,
+    };
+    op(engine, &run).map_err(|e| match e {
+        Error::Sim(SimError::Timeout { steps }) => Response::Timeout {
+            deadline: false,
+            steps,
+        },
+        Error::Sim(SimError::Cancelled { steps }) => Response::Timeout {
+            deadline: true,
+            steps,
+        },
+        e => error(e.to_string()),
+    })
+}
+
 /// Runs one admitted request on the session's engine. Never panics
 /// outward on its own: engine panics are the caller's `catch_unwind`.
 fn run_check(engine: &mut Engine, shared: &Shared, req: &CheckRequest) -> Response {
@@ -465,78 +541,40 @@ fn run_check(engine: &mut Engine, shared: &Shared, req: &CheckRequest) -> Respon
     {
         panic!("chaos: injected server panic for kernel '{}'", req.kernel);
     }
-    // Checked before anything below touches the engine.
-    let dims = match GridDims::try_with_warp_size(req.grid, req.block, 32) {
-        Ok(d) => d,
-        Err(message) => return Response::Error { message },
-    };
-    let kernel = if req.kernel.is_empty() {
-        match barracuda_ptx::parse(&req.source) {
-            Ok(m) => match m.kernels.first() {
-                Some(k) => k.name.clone(),
-                None => {
-                    return Response::Error {
-                        message: "module contains no kernels".to_string(),
-                    }
-                }
-            },
-            Err(e) => {
-                return Response::Error {
-                    message: e.to_string(),
-                }
-            }
-        }
-    } else {
-        req.kernel.clone()
-    };
-    let mut params = Vec::with_capacity(req.params.len());
-    for p in &req.params {
-        match p {
-            ParamSpec::Buf(bytes) => params.push(ParamValue::Ptr(engine.gpu_mut().malloc(*bytes))),
-            ParamSpec::U32(v) => params.push(ParamValue::U32(*v)),
-        }
-    }
-    let run = KernelRun {
-        source: &req.source,
-        kernel: &kernel,
-        dims,
-        params: &params,
-    };
-    match engine.check(&run) {
-        Ok(analysis) => {
+    let checked = run_request(
+        engine,
+        req,
+        32,
+        shared.config.default_max_steps,
+        |engine, run| {
+            let analysis = engine.check(run)?;
             // Join the completed launch into the host's view so the
             // engine's epoch recycling can reclaim it: this is what
             // keeps a device-lifetime session memory-bounded. Verdicts
             // are unaffected — checks are already ordered by the
             // default stream.
             let _ = engine.device_synchronize();
-            let mut reports: Vec<String> = analysis
-                .diagnostics()
-                .iter()
-                .map(|d| d.to_string())
-                .collect();
-            reports.extend(analysis.races().iter().map(|r| r.to_string()));
-            Response::Done(DoneBody {
-                races: analysis.race_count() as u64,
-                degraded: analysis.is_degraded(),
-                reports,
-                exit_code: barracuda::exitcode::for_analysis(&analysis),
-                records: analysis.stats().records,
-                events: analysis.stats().events,
-            })
-        }
-        Err(Error::Sim(SimError::Timeout { steps })) => Response::Timeout {
-            deadline: false,
-            steps,
+            Ok(analysis)
         },
-        Err(Error::Sim(SimError::Cancelled { steps })) => Response::Timeout {
-            deadline: true,
-            steps,
-        },
-        Err(e) => Response::Error {
-            message: e.to_string(),
-        },
-    }
+    );
+    let analysis = match checked {
+        Ok(analysis) => analysis,
+        Err(resp) => return resp,
+    };
+    let mut reports: Vec<String> = analysis
+        .diagnostics()
+        .iter()
+        .map(|d| d.to_string())
+        .collect();
+    reports.extend(analysis.races().iter().map(|r| r.to_string()));
+    Response::Done(DoneBody {
+        races: analysis.race_count() as u64,
+        degraded: analysis.is_degraded(),
+        reports,
+        exit_code: barracuda::exitcode::for_analysis(&analysis),
+        records: analysis.stats().records,
+        events: analysis.stats().events,
+    })
 }
 
 /// Runs one job end to end: deadline arming, the optional streaming
@@ -544,8 +582,6 @@ fn run_check(engine: &mut Engine, shared: &Shared, req: &CheckRequest) -> Respon
 /// terminal response (the caller sends and caches it).
 fn serve_job(engine: &mut Engine, shared: &Shared, watchdog: &Watchdog, job: &Job) -> Response {
     let req = &job.req;
-    engine.set_max_steps(req.max_steps.unwrap_or(shared.config.default_max_steps));
-    engine.set_fault_plan(req.chaos_stalls.map(FaultPlan::stalls_only));
     let deadline_ms = req.deadline_ms.or(shared.config.default_deadline_ms);
     let guard =
         deadline_ms.map(|ms| watchdog.arm(Duration::from_millis(ms), engine.cancel_token()));

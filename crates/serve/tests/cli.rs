@@ -167,6 +167,32 @@ fn bad_arguments_exit_2() {
         .output()
         .expect("run cli");
     assert_eq!(out.status.code(), Some(2));
+
+    // Flag combinations a subcommand would ignore, and buffer arguments
+    // past the per-request cap (refused before anything is allocated:
+    // `u64::MAX` bytes would panic the allocator).
+    let ptx = write_temp("badargs", RACY);
+    let ptx = ptx.to_str().expect("utf8");
+    let rows: &[(&[&str], &str)] = &[
+        (&["check", "--warp-sweep", "--stats-json"], "--stats-json"),
+        (&["trace", "--threaded"], "--threaded"),
+        (&["trace", "--stats-json"], "--stats-json"),
+        (&["trace", "--warp-sweep"], "--warp-sweep"),
+        (&["trace", "--chaos-stalls", "1"], "--chaos-stalls"),
+        (&["check", "--param", "buf:18446744073709551615"], "cap"),
+    ];
+    for (args, want) in rows {
+        let out = Command::new(BIN)
+            .args(&args[..1])
+            .arg(ptx)
+            .args(&args[1..])
+            .output()
+            .expect("run cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(want), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed output");
+    }
 }
 
 #[test]
@@ -220,17 +246,21 @@ L:
 }
 "#;
     let ptx = write_temp("spin", spin);
-    let out = Command::new(BIN)
-        .args(["check", ptx.to_str().expect("utf8"), "--max-steps", "10000"])
-        .output()
-        .expect("run cli");
-    assert_eq!(
-        out.status.code(),
-        Some(3),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(String::from_utf8_lossy(&out.stderr).contains("timeout"));
+    // A step budget, and a wall-clock deadline on `trace` (the watchdog
+    // cancels its launch as it does a `check`).
+    for (cmd, flags) in [
+        ("check", ["--max-steps", "10000"]),
+        ("trace", ["--timeout-ms", "150"]),
+    ] {
+        let out = Command::new(BIN)
+            .args([cmd, ptx.to_str().expect("utf8")])
+            .args(flags)
+            .output()
+            .expect("run cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{cmd} {flags:?}: {stderr}");
+        assert!(stderr.contains("timeout"), "{cmd} {flags:?}: {stderr}");
+    }
 }
 
 #[test]
@@ -323,8 +353,8 @@ fn chaos_stalls_flag_preserves_verdict_and_reports_telemetry() {
 fn serve_and_one_shot_exit_codes_agree() {
     // The exit-code taxonomy is one contract (barracuda::exitcode):
     // the same request must produce the same code whether it runs
-    // one-shot or through the server. Pinned for clean (0), races (1)
-    // and timeout (3).
+    // one-shot or through the server. Pinned for clean (0), races (1),
+    // a step budget and a wall-clock deadline (3).
     let spin = "\n.version 4.3\n.target sm_35\n.address_size 64\n.visible .entry k()\n{\nL:\n    bra L;\n}\n";
     let clean_src = RACY.replace(
         "ld.global.u32 %r1, [%rd1];\n    add.s32 %r1, %r1, 1;\n    st.global.u32 [%rd1], %r1;",
@@ -336,8 +366,9 @@ fn serve_and_one_shot_exit_codes_agree() {
     let sock = std::env::temp_dir().join(format!("barracuda_agree_{}.sock", std::process::id()));
     let sock_s = sock.to_str().expect("utf8").to_string();
 
-    let mut server = Command::new(BIN)
+    let server = Command::new(BIN)
         .args(["serve", "--socket", &sock_s])
+        .stderr(std::process::Stdio::piped())
         .spawn()
         .expect("spawn server");
     // Wait for the socket to come up.
@@ -349,14 +380,7 @@ fn serve_and_one_shot_exit_codes_agree() {
     }
     assert!(sock.exists(), "server socket never appeared");
 
-    let code = |args: &[&str]| {
-        Command::new(BIN)
-            .args(args)
-            .output()
-            .expect("run cli")
-            .status
-            .code()
-    };
+    let run = |args: &[&str]| Command::new(BIN).args(args).output().expect("run cli");
     let cases: &[(&std::path::PathBuf, &[&str], i32)] = &[
         (
             &racy_ptx,
@@ -369,6 +393,7 @@ fn serve_and_one_shot_exit_codes_agree() {
             0,
         ),
         (&spin_ptx, &["--max-steps", "10000"], 3),
+        (&spin_ptx, &["--timeout-ms", "150"], 3),
     ];
     for (ptx, extra, want) in cases {
         let p = ptx.to_str().expect("utf8");
@@ -376,20 +401,59 @@ fn serve_and_one_shot_exit_codes_agree() {
         one_shot.extend_from_slice(extra);
         let mut served = vec!["client", "--socket", &sock_s, p];
         served.extend_from_slice(extra);
-        let direct = code(&one_shot);
-        let via_server = code(&served);
-        assert_eq!(direct, Some(*want), "one-shot {p}");
-        assert_eq!(via_server, direct, "serve and one-shot disagree on {p}");
+        let direct = run(&one_shot).status.code();
+        let via_server = run(&served).status.code();
+        assert_eq!(direct, Some(*want), "one-shot {p} {extra:?}");
+        assert_eq!(
+            via_server, direct,
+            "serve and one-shot disagree on {p} {extra:?}"
+        );
+    }
+
+    // A served request honours no warp size, memory model, seed, stall
+    // plan or local hook: the client refuses each such flag (and the
+    // retired --deadline-ms)
+    // and sends nothing, rather than dropping it and reporting a verdict
+    // for a launch the user did not ask for.
+    let racy = racy_ptx.to_str().expect("utf8");
+    for flag in [
+        &["--warp-size", "4"][..],
+        &["--warp-sweep"],
+        &["--threaded"],
+        &["--memory-model", "kepler"],
+        &["--seed", "7"],
+        &["--stats-json"],
+        &["--chaos-stalls", "42"],
+        &["--chaos-abort"],
+        &["--chaos-hang"],
+        &["--deadline-ms", "150"],
+    ] {
+        let mut served = vec!["client", "--socket", &sock_s, racy, "--param", "buf:4"];
+        served.extend_from_slice(flag);
+        let out = run(&served);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag:?}: {stderr}");
+        assert!(stderr.contains(flag[0]), "{flag:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flag:?} printed a verdict");
     }
 
     assert_eq!(
-        code(&["client", "--socket", &sock_s, "--shutdown"]),
+        run(&["client", "--socket", &sock_s, "--shutdown"])
+            .status
+            .code(),
         Some(0)
     );
-    let status = server.wait().expect("server exits");
+    let out = server.wait_with_output().expect("server exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        status.success(),
-        "server must shut down cleanly: {status:?}"
+        out.status.success(),
+        "server must shut down cleanly: {:?}",
+        out.status
+    );
+    // Only the four agreeing requests (and the shutdown) reached it.
+    assert!(
+        stderr.contains(&format!(" {} accepted,", cases.len())),
+        "{stderr}"
     );
 }
 

@@ -13,9 +13,7 @@
 //! * a quarantine is isolated to the session that hit it.
 
 use barracuda::{BarracudaConfig, Engine, KernelRun};
-use barracuda_serve::{
-    CheckRequest, Client, ParamSpec, Response, RetryPolicy, Server, ServerConfig,
-};
+use barracuda_serve::{ArgSpec, CheckRequest, Client, Response, RetryPolicy, Server, ServerConfig};
 use barracuda_simt::ParamValue;
 use barracuda_trace::GridDims;
 use std::time::Duration;
@@ -60,7 +58,7 @@ fn baseline_races(source: &str) -> u64 {
 
 fn request(source: &str, kernel: &str, stall_seed: u64) -> CheckRequest {
     let mut req = CheckRequest::new(source, kernel, 2, 32);
-    req.params.push(ParamSpec::Buf(4));
+    req.params.push(ArgSpec::Buf(4));
     req.chaos_stalls = Some(stall_seed);
     req
 }

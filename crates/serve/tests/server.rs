@@ -7,7 +7,7 @@ mod common;
 
 use barracuda::{BarracudaConfig, Engine, KernelRun};
 use barracuda_serve::{
-    CheckRequest, Client, Connection, Endpoint, ParamSpec, Response, RetryPolicy, Server,
+    ArgSpec, CheckRequest, Client, Connection, Endpoint, Response, RetryPolicy, Server,
     ServerConfig, ServerStats, Transport, MAX_FRAME,
 };
 use barracuda_simt::ParamValue;
@@ -56,7 +56,7 @@ fn clean_ptx() -> String {
 
 fn racy_request() -> CheckRequest {
     let mut req = CheckRequest::new(RACY, "k", 2, 32);
-    req.params.push(ParamSpec::Buf(4));
+    req.params.push(ArgSpec::Buf(4));
     req
 }
 
@@ -90,7 +90,7 @@ fn served_verdicts_match_a_direct_engine() {
 
     for source in [RACY.to_string(), clean_ptx()] {
         let mut req = CheckRequest::new(&source, "k", 2, 32);
-        req.params.push(ParamSpec::Buf(4));
+        req.params.push(ArgSpec::Buf(4));
         let (races, degraded, code) = direct_verdict(&source);
         match session.submit(req) {
             Response::Done(body) => {
@@ -447,6 +447,28 @@ fn a_zero_grid_socket_request_is_an_error_and_no_engine_is_quarantined() {
         Response::Error { message } => {
             assert!(message.contains("grid must be non-empty"), "{message}")
         }
+        other => panic!("expected Error, got {other:?}"),
+    }
+    drop(bad);
+
+    let stats = assert_other_session_unharmed(good, server);
+    assert_eq!(stats.completed, 2, "the refused request still completed");
+}
+
+/// Buffer arguments past the per-request cap are refused before anything
+/// is allocated: an error answer, not a host-memory blow-up or a panic.
+/// Were the first buffer allocated, the second (`u64::MAX` bytes) would
+/// panic the allocator and quarantine the engine.
+#[test]
+fn an_oversized_buffer_socket_request_is_an_error_and_no_engine_is_quarantined() {
+    let (endpoint, server) = spawn_server(Wire::Unix, "bigbuf");
+    let good = Connection::connect(&endpoint).expect("connect");
+
+    let mut bad = Connection::connect(&endpoint).expect("connect");
+    let mut req = racy_request();
+    req.params = vec![ArgSpec::Buf(4), ArgSpec::Buf(u64::MAX)];
+    match bad.submit(&req) {
+        Response::Error { message } => assert!(message.contains("cap"), "{message}"),
         other => panic!("expected Error, got {other:?}"),
     }
     drop(bad);

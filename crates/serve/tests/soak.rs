@@ -6,9 +6,7 @@
 //! survives every seed and shuts down with consistent counters.
 
 use barracuda::{BarracudaConfig, Engine, KernelRun};
-use barracuda_serve::{
-    CheckRequest, Client, ParamSpec, Response, RetryPolicy, Server, ServerConfig,
-};
+use barracuda_serve::{ArgSpec, CheckRequest, Client, Response, RetryPolicy, Server, ServerConfig};
 use barracuda_simt::ParamValue;
 use barracuda_trace::GridDims;
 
@@ -97,7 +95,7 @@ fn chaos_soak_keeps_verdict_parity_under_faults_and_panics() {
                         (clean.as_str(), "k", clean_baseline)
                     };
                     let mut req = CheckRequest::new(source, kernel, 2, 32);
-                    req.params.push(ParamSpec::Buf(4));
+                    req.params.push(ArgSpec::Buf(4));
                     req.chaos_stalls = Some(0x5eed ^ (c << 8) ^ i);
                     outcomes.push((want_races, kernel == "boom", client.check(&req)));
                 }

@@ -12,7 +12,7 @@ mod common;
 
 use barracuda::exitcode;
 use barracuda_serve::{
-    CheckRequest, Client, Connection, ParamSpec, Response, RetryPolicy, Server, ServerConfig,
+    ArgSpec, CheckRequest, Client, Connection, Response, RetryPolicy, Server, ServerConfig,
     Transport,
 };
 use common::{spawn_server, Wire};
@@ -52,7 +52,7 @@ L:
 
 fn slow_racy_request() -> CheckRequest {
     let mut req = CheckRequest::new(SLOW_RACY, "k", 2, 32);
-    req.params.push(ParamSpec::Buf(4));
+    req.params.push(ArgSpec::Buf(4));
     req
 }
 

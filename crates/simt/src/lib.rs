@@ -82,7 +82,7 @@ pub mod warp;
 pub use config::{GpuConfig, MemoryModel, SimError};
 pub use coresident::{GroupLaunch, GroupOutcome, SchedPolicy, MAX_GROUP_SLOTS};
 pub use kernel::LoadedKernel;
-pub use machine::{DevicePtr, Gpu, LaunchStats, ParamValue};
+pub use machine::{ArgSpec, DevicePtr, Gpu, LaunchStats, ParamValue};
 pub use sink::{EventSink, VecSink};
 
 /// The AST-walking reference interpreter, as a test oracle for the decoded

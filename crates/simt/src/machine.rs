@@ -49,6 +49,48 @@ impl ParamValue {
     }
 }
 
+/// A kernel argument as a request describes it: a zeroed device buffer to
+/// allocate, or a scalar. Written `buf:<bytes>` / `u32:<value>` on the
+/// command line ([`FromStr`](std::str::FromStr) and
+/// [`Display`](std::fmt::Display) round-trip that syntax); turned into
+/// [`ParamValue`]s by [`Gpu::alloc_args`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArgSpec {
+    /// A zero-initialized device buffer of this many bytes.
+    Buf(u64),
+    /// A `u32` scalar.
+    U32(u32),
+}
+
+impl std::str::FromStr for ArgSpec {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.split_once(':') {
+            Some(("buf", n)) => n
+                .parse()
+                .map(ArgSpec::Buf)
+                .map_err(|e| format!("bad buffer size '{n}': {e}")),
+            Some(("u32", v)) => v
+                .parse()
+                .map(ArgSpec::U32)
+                .map_err(|e| format!("bad u32 '{v}': {e}")),
+            _ => Err(format!(
+                "bad argument '{s}' (expected buf:<bytes> or u32:<value>)"
+            )),
+        }
+    }
+}
+
+impl std::fmt::Display for ArgSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ArgSpec::Buf(n) => write!(f, "buf:{n}"),
+            ArgSpec::U32(v) => write!(f, "u32:{v}"),
+        }
+    }
+}
+
 /// Statistics from one kernel launch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaunchStats {
@@ -106,6 +148,17 @@ impl Gpu {
     /// Allocates `size` zeroed bytes of global memory.
     pub fn malloc(&mut self, size: u64) -> DevicePtr {
         DevicePtr(self.global.malloc(size))
+    }
+
+    /// Allocates a fresh zeroed buffer for each [`ArgSpec::Buf`] and
+    /// returns the launch arguments in order.
+    pub fn alloc_args(&mut self, args: &[ArgSpec]) -> Vec<ParamValue> {
+        args.iter()
+            .map(|a| match *a {
+                ArgSpec::Buf(bytes) => ParamValue::Ptr(self.malloc(bytes)),
+                ArgSpec::U32(v) => ParamValue::U32(v),
+            })
+            .collect()
     }
 
     /// Total global memory allocated so far (Table 1, column 4).
@@ -272,6 +325,23 @@ mod tests {
 
     fn gpu() -> Gpu {
         Gpu::new(GpuConfig::default())
+    }
+
+    #[test]
+    fn arg_specs_parse_print_and_allocate() {
+        for (text, spec) in [("buf:64", ArgSpec::Buf(64)), ("u32:7", ArgSpec::U32(7))] {
+            assert_eq!(text.parse::<ArgSpec>(), Ok(spec));
+            assert_eq!(spec.to_string(), text);
+        }
+        for bad in ["buf", "buf:-1", "u32:4294967296", "f32:1.0"] {
+            assert!(bad.parse::<ArgSpec>().is_err(), "{bad}");
+        }
+        let mut g = gpu();
+        let params = g.alloc_args(&[ArgSpec::Buf(8), ArgSpec::U32(3), ArgSpec::Buf(8)]);
+        assert!(
+            matches!(params[..], [ParamValue::Ptr(a), ParamValue::U32(3), ParamValue::Ptr(b)] if a != b)
+        );
+        assert_eq!(g.allocated_bytes(), 16);
     }
 
     #[test]

@@ -28,8 +28,8 @@ pub use multi::{
     MultiKernel, MultiProgram, MultiStep,
 };
 
-use barracuda::{Analysis, Barracuda, BarracudaConfig, Error, KernelRun, SimError};
-use barracuda_simt::ParamValue;
+use barracuda::{Analysis, BarracudaConfig, Engine, Error, KernelRun, SimError};
+pub use barracuda_simt::ArgSpec;
 use barracuda_trace::GridDims;
 
 /// Every suite kernel uses this entry name.
@@ -44,16 +44,6 @@ pub enum Expectation {
     NoRace,
     /// A barrier-divergence bug must be reported.
     BarrierDivergence,
-}
-
-/// Kernel argument specification; buffers are zero-initialized device
-/// allocations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArgSpec {
-    /// A device buffer of this many bytes.
-    Buf(u64),
-    /// A scalar.
-    U32(u32),
 }
 
 /// One suite program.
@@ -86,6 +76,30 @@ pub enum Verdict {
 }
 
 impl Verdict {
+    /// The verdict of one checked run. Degradation diagnostics
+    /// ([`barracuda::Diagnostic::WorkerPanic`],
+    /// [`barracuda::Diagnostic::LostRecords`]) do not affect it; only
+    /// barrier divergence does.
+    pub fn of(checked: &Result<Analysis, Error>) -> Verdict {
+        match checked {
+            Ok(analysis) => {
+                let diverged = analysis
+                    .diagnostics()
+                    .iter()
+                    .any(|d| matches!(d, barracuda::Diagnostic::BarrierDivergence { .. }));
+                if diverged {
+                    Verdict::BarrierDivergence
+                } else if analysis.race_count() > 0 {
+                    Verdict::Race
+                } else {
+                    Verdict::NoRace
+                }
+            }
+            Err(Error::Sim(SimError::BarrierDivergence { .. })) => Verdict::BarrierDivergence,
+            Err(e) => Verdict::Error(e.to_string()),
+        }
+    }
+
     /// True when this verdict is the one `e` expects (an `Error` never
     /// is).
     pub fn matches(&self, e: Expectation) -> bool {
@@ -146,46 +160,22 @@ pub fn run_program(p: &SuiteProgram) -> Verdict {
 
 /// Runs one program under BARRACUDA with an explicit configuration
 /// (detection mode, queue sizing, fault plan, …) and returns the observed
-/// verdict. Degradation diagnostics ([`barracuda::Diagnostic::WorkerPanic`],
-/// [`barracuda::Diagnostic::LostRecords`]) do not affect the verdict; only
-/// barrier divergence does.
+/// verdict (see [`Verdict::of`]).
 pub fn run_program_with(p: &SuiteProgram, config: BarracudaConfig) -> Verdict {
-    match check_program(p, config) {
-        Ok(analysis) => {
-            let diverged = analysis
-                .diagnostics()
-                .iter()
-                .any(|d| matches!(d, barracuda::Diagnostic::BarrierDivergence { .. }));
-            if diverged {
-                Verdict::BarrierDivergence
-            } else if analysis.race_count() > 0 {
-                Verdict::Race
-            } else {
-                Verdict::NoRace
-            }
-        }
-        Err(Error::Sim(SimError::BarrierDivergence { .. })) => Verdict::BarrierDivergence,
-        Err(e) => Verdict::Error(e.to_string()),
-    }
+    Verdict::of(&check_program(p, config))
 }
 
-/// Checks one program on a fresh session with an explicit configuration
+/// Checks one program on a fresh engine with an explicit configuration
 /// and returns the full analysis (stats included).
 ///
 /// # Errors
 ///
-/// Returns the session's [`Error`] when the launch fails (barrier
+/// Returns the engine's [`Error`] when the launch fails (barrier
 /// divergence, timeout).
 pub fn check_program(p: &SuiteProgram, config: BarracudaConfig) -> Result<Analysis, Error> {
-    let mut bar = Barracuda::with_config(config);
-    let mut params = Vec::with_capacity(p.args.len());
-    for a in &p.args {
-        match a {
-            ArgSpec::Buf(bytes) => params.push(ParamValue::Ptr(bar.gpu_mut().malloc(*bytes))),
-            ArgSpec::U32(v) => params.push(ParamValue::U32(*v)),
-        }
-    }
-    bar.check(&KernelRun {
+    let mut engine = Engine::with_config(config);
+    let params = engine.gpu_mut().alloc_args(&p.args);
+    engine.check(&KernelRun {
         source: &p.source,
         kernel: KERNEL,
         dims: p.dims,

@@ -59,21 +59,12 @@ fn every_program_agrees_between_sync_and_chaotic_threaded() {
 fn stall_only_chaos_is_lossless_on_a_representative_program() {
     // The differential test compares verdicts; this one pins the reason
     // the comparison is fair — a stall-only plan must not shed records.
-    use barracuda::{Barracuda, KernelRun};
-    use barracuda_simt::ParamValue;
+    use barracuda::{Engine, KernelRun};
     use barracuda_suite::{program, KERNEL};
 
     let p = program("global_ww_interblock_race").expect("suite program exists");
-    let mut bar = Barracuda::with_config(chaos_config(7));
-    let mut params = Vec::new();
-    for a in &p.args {
-        match a {
-            barracuda_suite::ArgSpec::Buf(bytes) => {
-                params.push(ParamValue::Ptr(bar.gpu_mut().malloc(*bytes)))
-            }
-            barracuda_suite::ArgSpec::U32(v) => params.push(ParamValue::U32(*v)),
-        }
-    }
+    let mut bar = Engine::with_config(chaos_config(7));
+    let params = bar.gpu_mut().alloc_args(&p.args);
     let a = bar
         .check(&KernelRun {
             source: &p.source,

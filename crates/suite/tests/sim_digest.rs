@@ -10,7 +10,7 @@
 
 use barracuda_instrument::{instrument_module, InstrumentOptions};
 use barracuda_simt::litmus::{mp_table, run_corr, run_sb, Fence};
-use barracuda_simt::{Gpu, GpuConfig, LoadedKernel, MemoryModel, ParamValue, VecSink};
+use barracuda_simt::{DevicePtr, Gpu, GpuConfig, LoadedKernel, MemoryModel, ParamValue, VecSink};
 use barracuda_suite::{all_programs, ArgSpec, KERNEL};
 use barracuda_trace::GridDims;
 use barracuda_workloads::{all_workloads, Scale};
@@ -68,16 +68,13 @@ fn digest_launch(
     // A pad puts the first buffer 1 KiB before the end of the first
     // 64 KiB page, so its accesses and the host read below cross pages.
     gpu.malloc(63 << 10);
-    let mut bufs = Vec::new();
-    let params: Vec<ParamValue> = args
+    let params = gpu.alloc_args(args);
+    let bufs: Vec<(DevicePtr, u64)> = params
         .iter()
-        .map(|a| match *a {
-            ArgSpec::Buf(bytes) => {
-                let p = gpu.malloc(bytes);
-                bufs.push((p, bytes));
-                ParamValue::Ptr(p)
-            }
-            ArgSpec::U32(v) => ParamValue::U32(v),
+        .zip(args)
+        .filter_map(|(p, a)| match (*p, *a) {
+            (ParamValue::Ptr(p), ArgSpec::Buf(bytes)) => Some((p, bytes)),
+            _ => None,
         })
         .collect();
     // Addresses inside a buffer are digested as (buffer, offset), so the

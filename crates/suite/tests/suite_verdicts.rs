@@ -34,8 +34,7 @@ fn barracuda_correct_on_all_66_programs() {
 /// right hierarchy bucket for representative programs.
 #[test]
 fn race_classes_match_program_structure() {
-    use barracuda::{Barracuda, KernelRun, RaceClass};
-    use barracuda_simt::ParamValue;
+    use barracuda::{Engine, KernelRun, RaceClass};
     let cases = [
         ("branch_ordering_race", RaceClass::Divergence),
         ("global_diffvalue_intrawarp_race", RaceClass::IntraWarp),
@@ -44,15 +43,8 @@ fn race_classes_match_program_structure() {
     ];
     for (name, expected_class) in cases {
         let p = barracuda_suite::program(name).expect("known program");
-        let mut bar = Barracuda::new();
-        let params: Vec<ParamValue> = p
-            .args
-            .iter()
-            .map(|a| match a {
-                barracuda_suite::ArgSpec::Buf(b) => ParamValue::Ptr(bar.gpu_mut().malloc(*b)),
-                barracuda_suite::ArgSpec::U32(v) => ParamValue::U32(*v),
-            })
-            .collect();
+        let mut bar = Engine::new();
+        let params = bar.gpu_mut().alloc_args(&p.args);
         let analysis = bar
             .check(&KernelRun {
                 source: &p.source,

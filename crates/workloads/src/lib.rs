@@ -88,7 +88,7 @@ impl Default for Scale {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use barracuda::{Barracuda, BarracudaConfig};
+    use barracuda::{BarracudaConfig, Engine};
 
     #[test]
     fn all_26_workloads_generate_and_parse() {
@@ -124,7 +124,7 @@ mod tests {
         for name in ["backprop", "hashtable", "pathfinder"] {
             let w = workload(name).unwrap();
             let inst = w.generate(&scale);
-            let mut bar = Barracuda::with_config(BarracudaConfig::default());
+            let mut bar = Engine::with_config(BarracudaConfig::default());
             let params = inst.alloc_params(bar.gpu_mut());
             let analysis = bar
                 .check_module(&inst.module, &inst.kernel, inst.dims, &params)

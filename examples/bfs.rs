@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example bfs`
 
-use barracuda_repro::barracuda::{Analysis, Barracuda, Error, KernelRun};
+use barracuda_repro::barracuda::{Analysis, Engine, Error, KernelRun};
 use barracuda_repro::simt::{DevicePtr, ParamValue};
 use barracuda_repro::trace::GridDims;
 
@@ -107,7 +107,7 @@ fn run_bfs(fixed: bool) -> Result<BfsRun, Error> {
     let n = 4u32;
     let src = kernel_src(fixed);
 
-    let mut bar = Barracuda::new();
+    let mut bar = Engine::new();
     let d_rows = bar.gpu_mut().malloc(u64::from(n + 1) * 4);
     let d_cols = bar.gpu_mut().malloc(cols.len() as u64 * 4);
     let d_dist = bar.gpu_mut().malloc(u64::from(n) * 4);

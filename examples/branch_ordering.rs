@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --example branch_ordering`
 
-use barracuda_repro::barracuda::{Barracuda, KernelRun, RaceClass};
+use barracuda_repro::barracuda::{Engine, KernelRun, RaceClass};
 use barracuda_repro::simt::ParamValue;
 use barracuda_repro::trace::GridDims;
 
@@ -39,7 +39,7 @@ L_end:
 "#;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut bar = Barracuda::new();
+    let mut bar = Engine::new();
     let x = bar.gpu_mut().malloc(4);
     let analysis = bar.check(&KernelRun {
         source: RACY,
@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The fixed version writes disjoint locations on each path.
     let fixed = RACY.replace("st.global.u32 [%rd1], 2;", "st.global.u32 [%rd1+4], 2;");
-    let mut bar2 = Barracuda::new();
+    let mut bar2 = Engine::new();
     let x2 = bar2.gpu_mut().malloc(8);
     let analysis2 = bar2.check(&KernelRun {
         source: &fixed,

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example hashtable`
 
-use barracuda_repro::barracuda::{Barracuda, RaceClass};
+use barracuda_repro::barracuda::{Engine, RaceClass};
 use barracuda_repro::workloads::{workload, Scale};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let inst = w.generate(&Scale::default_scale());
-    let mut bar = Barracuda::new();
+    let mut bar = Engine::new();
     let params = inst.alloc_params(bar.gpu_mut());
     let analysis = bar.check_module(&inst.module, &inst.kernel, inst.dims, &params)?;
 

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use barracuda_repro::barracuda::{Barracuda, KernelRun};
+use barracuda_repro::barracuda::{Engine, KernelRun};
 use barracuda_repro::simt::ParamValue;
 use barracuda_repro::trace::GridDims;
 
@@ -27,7 +27,7 @@ const PTX: &str = r#"
 "#;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut bar = Barracuda::new();
+    let mut bar = Engine::new();
     let ctr = bar.gpu_mut().malloc(4);
 
     let analysis = bar.check(&KernelRun {
@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "ld.global.u32 %r1, [%rd1];\n    add.s32 %r1, %r1, 1;\n    st.global.u32 [%rd1], %r1;",
         "atom.global.add.u32 %r1, [%rd1], 1;",
     );
-    let mut bar2 = Barracuda::new();
+    let mut bar2 = Engine::new();
     let ctr2 = bar2.gpu_mut().malloc(4);
     let analysis2 = bar2.check(&KernelRun {
         source: &fixed,

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example warp_portability`
 
-use barracuda_repro::barracuda::{Barracuda, KernelRun};
+use barracuda_repro::barracuda::{Engine, KernelRun};
 use barracuda_repro::simt::ParamValue;
 use barracuda_repro::trace::GridDims;
 
@@ -41,7 +41,7 @@ const WARP_SYNC: &str = r#"
 "#;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut bar = Barracuda::new();
+    let mut bar = Engine::new();
     let out = bar.gpu_mut().malloc(32 * 4);
     let run = KernelRun {
         source: WARP_SYNC,

@@ -73,8 +73,8 @@ cargo test -q -p barracuda-core --lib -- --exact \
 echo "==> shadow-check differential: core proptests against the dense reference detector"
 cargo test -q -p barracuda-core --test shadow_fastpath
 
-echo "==> pipeline parity: 66-program verdicts and device record counts (sync and threaded pipelines)"
-cargo test -q -p barracuda-suite --test engine_backcompat
+echo "==> pipeline parity matrix: 66 verdicts, device record counts and 11 multi-launch race sets over mode x interleaving (eager + 7 schedules) x epoch recycling, at the default config, a trimming history cap and 3 queues"
+cargo test -q -p barracuda-suite --test pipeline_parity
 
 echo "==> simulation digest: record streams, launch stats, final memory and Fig. 4 counts vs the checked-in golden"
 cargo test -q -p barracuda-suite --test sim_digest
@@ -85,8 +85,7 @@ cargo test -q -p barracuda-simt --lib -- --exact \
 cargo test -q -p barracuda-simt --lib -- --exact \
   exec::tests::same_value_filter_keeps_the_lowest_lane_of_each_pair
 
-echo "==> interleave parity: 66 verdicts + 11 multi race sets under co-resident scheduling (all policies x seeds, sync and threaded pipelines)"
-cargo test -q -p barracuda-suite --test interleave_parity
+echo "==> co-resident scheduling: two-stream differential and scheduler properties"
 cargo test -q -p barracuda-core --test two_stream_diff
 cargo test -q -p barracuda-simt --test coresident_props
 
@@ -206,15 +205,14 @@ wait "$SERVER_PID"
 grep -qF '"verdict":"shutting_down"' <<< "$RAW_REPLY" \
   || { echo "verify: raw tcp shutdown line got '$RAW_REPLY', want a shutting_down line"; exit 1; }
 
-echo "==> epoch recycling: quick soak + verdict-parity suites (sync + threaded)"
+echo "==> epoch recycling: quick soak (its verdict parity is a pipeline-parity matrix axis)"
 BARRACUDA_SOAK_LAUNCHES=200000 cargo test -q -p barracuda-core --test epoch_recycling
-cargo test -q -p barracuda-suite --test epoch_recycling_parity
 
 echo "==> serve v2: multiplexing fairness/parity + streaming/resume suites"
 cargo test -q -p barracuda-serve --test multiplex
 cargo test -q -p barracuda-serve --test streaming
 
-echo "==> hostile wire frames: parser depth cap, exact u64 integers, linear-time strings, decoder proptests, line cap over both transports, bad launch geometry refused without a quarantine"
+echo "==> hostile wire frames: parser depth cap, exact u64 integers, linear-time strings, decoder proptests, line cap over both transports, bad launch geometry and oversized buffers refused without a quarantine"
 cargo test -q -p barracuda --lib -- \
   statsjson::tests::nesting_past_the_depth_cap_is_an_error_not_a_stack_overflow \
   statsjson::tests::integers_parse_and_dump_exactly \
@@ -234,7 +232,8 @@ cargo test -q -p barracuda-serve --test server -- \
   an_oversized_tcp_line_is_refused_without_touching_other_sessions \
   a_deeply_nested_socket_line_is_an_error_and_other_sessions_keep_their_verdicts \
   a_deeply_nested_tcp_line_is_an_error_and_other_sessions_keep_their_verdicts \
-  a_zero_grid_socket_request_is_an_error_and_no_engine_is_quarantined
+  a_zero_grid_socket_request_is_an_error_and_no_engine_is_quarantined \
+  an_oversized_buffer_socket_request_is_an_error_and_no_engine_is_quarantined
 cargo test -q -p barracuda-fleet --lib journal::tests::repro_seeds_survive_the_journal_exactly
 
 echo "==> chaos soak: fixed-seed server soak test"

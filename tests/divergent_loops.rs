@@ -3,7 +3,7 @@
 //! stack. The paper treats loops as implicitly unrolled (§3.1); each
 //! divergent iteration still produces balanced if/else/fi events.
 
-use barracuda_repro::barracuda::{Barracuda, KernelRun};
+use barracuda_repro::barracuda::{Engine, KernelRun};
 use barracuda_repro::simt::{Gpu, GpuConfig, ParamValue};
 use barracuda_repro::trace::GridDims;
 
@@ -49,7 +49,7 @@ fn variable_trip_counts_compute_correctly() {
 #[test]
 fn divergent_loop_is_race_free_under_detection() {
     let src = variable_trip_src();
-    let mut bar = Barracuda::new();
+    let mut bar = Engine::new();
     let out = bar.gpu_mut().malloc(32 * 4);
     let a = bar
         .check(&KernelRun {
@@ -83,7 +83,7 @@ fn divergent_loop_writes_same_location_race() {
          @%p bra L_loop;\n\
          ret;\n}}"
     );
-    let mut bar = Barracuda::new();
+    let mut bar = Engine::new();
     let out = bar.gpu_mut().malloc(4);
     let a = bar
         .check(&KernelRun {
@@ -123,7 +123,7 @@ fn nested_divergent_loops_terminate_and_stay_balanced() {
          st.global.u32 [%rd3], %r5;\n\
          ret;\n}}"
     );
-    let mut bar = Barracuda::new();
+    let mut bar = Engine::new();
     let out = bar.gpu_mut().malloc(32 * 4);
     let a = bar
         .check(&KernelRun {

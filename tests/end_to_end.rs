@@ -3,22 +3,13 @@
 //! robustness of verdicts under the weak memory models.
 
 use barracuda_repro::barracuda::{
-    Barracuda, BarracudaConfig, DetectionMode, GpuConfig, KernelRun, MemoryModel,
+    BarracudaConfig, DetectionMode, Engine, GpuConfig, KernelRun, MemoryModel,
 };
-use barracuda_repro::simt::ParamValue;
-use barracuda_repro::suite::{
-    all_programs, program, run_program, ArgSpec, SuiteProgram, Verdict, KERNEL,
-};
+use barracuda_repro::suite::{all_programs, program, run_program, SuiteProgram, Verdict, KERNEL};
 
 fn run_with_config(p: &SuiteProgram, config: BarracudaConfig) -> Verdict {
-    let mut bar = Barracuda::with_config(config);
-    let mut params = Vec::new();
-    for a in &p.args {
-        match a {
-            ArgSpec::Buf(bytes) => params.push(ParamValue::Ptr(bar.gpu_mut().malloc(*bytes))),
-            ArgSpec::U32(v) => params.push(ParamValue::U32(*v)),
-        }
-    }
+    let mut bar = Engine::with_config(config);
+    let params = bar.gpu_mut().alloc_args(&p.args);
     match bar.check(&KernelRun {
         source: &p.source,
         kernel: KERNEL,
@@ -115,21 +106,14 @@ fn weak_memory_models_preserve_verdicts() {
 fn race_counts_are_deterministic_for_fixed_seed() {
     let p = program("reduction_missing_initial_barrier_race").expect("known program");
     let count = |seed: u64| {
-        let mut bar = Barracuda::with_config(BarracudaConfig {
+        let mut bar = Engine::with_config(BarracudaConfig {
             gpu: GpuConfig {
                 seed,
                 ..GpuConfig::default()
             },
             ..BarracudaConfig::default()
         });
-        let params: Vec<ParamValue> = p
-            .args
-            .iter()
-            .map(|a| match a {
-                ArgSpec::Buf(b) => ParamValue::Ptr(bar.gpu_mut().malloc(*b)),
-                ArgSpec::U32(v) => ParamValue::U32(*v),
-            })
-            .collect();
+        let params = bar.gpu_mut().alloc_args(&p.args);
         bar.check(&KernelRun {
             source: &p.source,
             kernel: KERNEL,
@@ -163,15 +147,8 @@ fn warp_size_sweep_finds_latent_races() {
     // The §3.1 future-work extension: warp-synchronous code that is safe
     // at the hardware warp size races at smaller simulated warp sizes.
     let p = program("warp_synchronous_shuffle_norace").expect("known program");
-    let mut bar = Barracuda::new();
-    let params: Vec<ParamValue> = p
-        .args
-        .iter()
-        .map(|a| match a {
-            ArgSpec::Buf(b) => ParamValue::Ptr(bar.gpu_mut().malloc(*b)),
-            ArgSpec::U32(v) => ParamValue::U32(*v),
-        })
-        .collect();
+    let mut bar = Engine::new();
+    let params = bar.gpu_mut().alloc_args(&p.args);
     let run = KernelRun {
         source: &p.source,
         kernel: KERNEL,

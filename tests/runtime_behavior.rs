@@ -1,9 +1,9 @@
 //! Runtime-level behaviours: queue back-pressure, multi-kernel sessions,
 //! and the paper's PTVC format-distribution claim.
 
-use barracuda_repro::barracuda::{Barracuda, BarracudaConfig, DetectionMode, KernelRun};
+use barracuda_repro::barracuda::{BarracudaConfig, DetectionMode, Engine, KernelRun};
 use barracuda_repro::simt::ParamValue;
-use barracuda_repro::suite::{program, ArgSpec, KERNEL};
+use barracuda_repro::suite::{program, KERNEL};
 use barracuda_repro::trace::GridDims;
 use barracuda_repro::workloads::{workload, Scale};
 
@@ -14,7 +14,7 @@ fn tiny_queues_back_pressure_but_stay_correct() {
     // drain queue entries if necessary"); verdicts must be unaffected.
     let w = workload("pathfinder").expect("known workload");
     let inst = w.generate(&Scale::quick());
-    let mut bar = Barracuda::with_config(BarracudaConfig {
+    let mut bar = Engine::with_config(BarracudaConfig {
         mode: DetectionMode::Threaded,
         queue_capacity: 8,
         ..BarracudaConfig::default()
@@ -64,7 +64,7 @@ fn multiple_kernels_share_one_session() {
     ret;
 }
 "#;
-    let mut bar = Barracuda::new();
+    let mut bar = Engine::new();
     let buf = bar.gpu_mut().malloc(32 * 4);
     let out = bar.gpu_mut().malloc(4);
     let dims = GridDims::new(1u32, 32u32);
@@ -107,15 +107,8 @@ fn ptvc_formats_are_mostly_cheap() {
         "branch_after_fi_norace",
     ] {
         let p = program(name).expect("known program");
-        let mut bar = Barracuda::new();
-        let params: Vec<ParamValue> = p
-            .args
-            .iter()
-            .map(|a| match a {
-                ArgSpec::Buf(b) => ParamValue::Ptr(bar.gpu_mut().malloc(*b)),
-                ArgSpec::U32(v) => ParamValue::U32(*v),
-            })
-            .collect();
+        let mut bar = Engine::new();
+        let params = bar.gpu_mut().alloc_args(&p.args);
         let analysis = bar
             .check(&KernelRun {
                 source: &p.source,

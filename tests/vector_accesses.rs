@@ -1,7 +1,7 @@
 //! Vector loads/stores (`ld.v2`/`st.v4`): parsing, execution, logging and
 //! race detection at byte granularity.
 
-use barracuda_repro::barracuda::{Barracuda, KernelRun};
+use barracuda_repro::barracuda::{Engine, KernelRun};
 use barracuda_repro::simt::{Gpu, GpuConfig, ParamValue};
 use barracuda_repro::trace::GridDims;
 
@@ -62,7 +62,7 @@ fn vector_store_races_with_overlapping_scalar_write() {
          L_end:\n\
          ret;\n}}"
     );
-    let mut bar = Barracuda::new();
+    let mut bar = Engine::new();
     let p = bar.gpu_mut().malloc(16);
     let a = bar
         .check(&KernelRun {
@@ -89,7 +89,7 @@ fn disjoint_vector_stores_are_clean() {
          ld.global.v2.u32 {{%r2, %r3}}, [%rd3];\n\
          ret;\n}}"
     );
-    let mut bar = Barracuda::new();
+    let mut bar = Engine::new();
     let p = bar.gpu_mut().malloc(32 * 8);
     let a = bar
         .check(&KernelRun {

@@ -4,7 +4,7 @@
 //! reduction is the canonical race-free alternative to shared-memory
 //! warp code.
 
-use barracuda_repro::barracuda::{Barracuda, KernelRun};
+use barracuda_repro::barracuda::{Engine, KernelRun};
 use barracuda_repro::simt::{Gpu, GpuConfig, ParamValue};
 use barracuda_repro::trace::GridDims;
 
@@ -68,7 +68,7 @@ fn butterfly_reduction_computes_warp_sum() {
 #[test]
 fn shfl_reduction_is_race_free_under_detection() {
     let src = butterfly_reduce_src();
-    let mut bar = Barracuda::new();
+    let mut bar = Engine::new();
     let out = bar.gpu_mut().malloc(32 * 4);
     let a = bar
         .check(&KernelRun {

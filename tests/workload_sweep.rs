@@ -3,7 +3,7 @@
 //! default queue count); every race count and memory space must match
 //! the paper's Table 1.
 
-use barracuda_repro::barracuda::{Barracuda, BarracudaConfig, DetectionMode};
+use barracuda_repro::barracuda::{BarracudaConfig, DetectionMode, Engine};
 use barracuda_repro::trace::MemSpace;
 use barracuda_repro::workloads::{all_workloads, Scale};
 
@@ -12,7 +12,7 @@ fn pin_table1(mode: DetectionMode) {
     let mut failures = Vec::new();
     for w in all_workloads() {
         let inst = w.generate(&scale);
-        let mut bar = Barracuda::with_config(BarracudaConfig {
+        let mut bar = Engine::with_config(BarracudaConfig {
             mode,
             ..BarracudaConfig::default()
         });
