@@ -5,21 +5,41 @@ use crate::error::PtxError;
 use crate::lexer::{lex, Tok, Token};
 use std::collections::HashSet;
 
+/// Most registers one module may declare, summed over its kernels. The
+/// kernels in this repository declare at most 1,256 each; the cap refuses a
+/// declaration such as `%r<4000000000>`, or many kernels that each declare
+/// the cap, before any register is allocated.
+pub const MAX_DECLARED_REGS: usize = 1 << 16;
+
+/// Most bytes of static `.shared` memory one kernel may declare: CUDA's
+/// 48 KiB static shared-memory limit per block. Every block of a launch
+/// allocates this much.
+pub const MAX_STATIC_SHARED_BYTES: u64 = 48 << 10;
+
 /// Parses a complete PTX module.
 ///
 /// # Errors
 ///
 /// Returns [`PtxError`] on syntax errors, references to undeclared
-/// registers/labels, duplicate labels, or guards on non-predicate registers.
+/// registers/labels, duplicate labels, guards on non-predicate registers,
+/// more than [`MAX_DECLARED_REGS`] registers in the module, or a kernel
+/// declaring more than [`MAX_STATIC_SHARED_BYTES`] of static shared memory.
 pub fn parse_module(source: &str) -> Result<Module, PtxError> {
     let toks = lex(source)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        declared_regs: 0,
+    };
     p.module()
 }
 
 struct Parser {
     toks: Vec<Token>,
     pos: usize,
+    /// Registers declared so far by every kernel of the module; never
+    /// above [`MAX_DECLARED_REGS`].
+    declared_regs: usize,
 }
 
 impl Parser {
@@ -231,10 +251,12 @@ impl Parser {
             if self.eat(&Tok::LAngle) {
                 let count = self.expect_int("register count")?;
                 self.expect(&Tok::RAngle, "'>'")?;
+                self.count_regs(count)?;
                 for i in 0..count {
                     regs.declare(format!("{base}{i}"), class);
                 }
             } else {
+                self.count_regs(1)?;
                 regs.declare(base, class);
             }
             if !self.eat(&Tok::Comma) {
@@ -242,6 +264,18 @@ impl Parser {
             }
         }
         self.expect(&Tok::Semi, "';' after .reg")?;
+        Ok(())
+    }
+
+    /// Counts `n` more declared registers against [`MAX_DECLARED_REGS`].
+    fn count_regs(&mut self, n: i64) -> Result<(), PtxError> {
+        let n = n.max(0) as usize;
+        if n > MAX_DECLARED_REGS - self.declared_regs {
+            return Err(self.err(format!(
+                "register declarations exceed {MAX_DECLARED_REGS} per module"
+            )));
+        }
+        self.declared_regs += n;
         Ok(())
     }
 
@@ -259,9 +293,10 @@ impl Parser {
         let ty = parse_type(&word).ok_or_else(|| self.err(format!("bad shared type .{word}")))?;
         let name = self.expect_ident("shared variable name")?;
         let size = if self.eat(&Tok::LBracket) {
-            let n = self.expect_int("array length")? as u64;
+            let n = self.expect_int("array length")?;
             self.expect(&Tok::RBracket, "']'")?;
-            n * ty.size()
+            // A negative length is as unsatisfiable as an oversized one.
+            u64::try_from(n).map_or(u64::MAX, |n| n.saturating_mul(ty.size()))
         } else {
             ty.size()
         };
@@ -269,6 +304,11 @@ impl Parser {
         let prev_end = shared.iter().map(|s| s.offset + s.size).max().unwrap_or(0);
         let align64 = u64::from(align.max(1));
         let offset = prev_end.div_ceil(align64) * align64;
+        if offset.saturating_add(size) > MAX_STATIC_SHARED_BYTES {
+            return Err(self.err(format!(
+                "static .shared declarations exceed {MAX_STATIC_SHARED_BYTES} bytes per kernel"
+            )));
+        }
         shared.push(SharedDecl {
             name,
             align,
@@ -949,6 +989,52 @@ mod tests {
         assert_eq!(k.shared_offset("b"), Some(16)); // 10 rounded up to 8-align
         assert_eq!(k.shared_offset("c"), Some(24));
         assert_eq!(k.shared_size(), 40);
+    }
+
+    #[test]
+    fn register_declarations_past_the_cap_are_refused() {
+        let at_cap = format!(".reg .b32 %r<{MAX_DECLARED_REGS}>;\nret;");
+        let m = parse_kernel_body(&at_cap).unwrap();
+        assert_eq!(m.kernels[0].regs.len(), MAX_DECLARED_REGS);
+        for body in [
+            ".reg .b32 %r<4000000000>;\nret;".to_string(),
+            format!(".reg .b32 %r<{}>;\nret;", MAX_DECLARED_REGS + 1),
+            format!("{at_cap}\n.reg .pred %p;"),
+            format!(".reg .pred %p;\n{at_cap}"),
+        ] {
+            let e = parse_kernel_body(&body).unwrap_err();
+            assert!(e.message().contains("65536 per module"), "{body}: {e}");
+        }
+        // The cap counts the whole module: two kernels of half the cap
+        // parse, and a third kernel of one register is refused.
+        let half = format!(".reg .b32 %r<{}>;\nret;", MAX_DECLARED_REGS / 2);
+        let two = format!("{HEADER}.entry a{{\n{half}\n}}\n.entry b{{\n{half}\n}}\n");
+        assert_eq!(parse_module(&two).unwrap().kernels.len(), 2);
+        let three = format!("{two}.entry c{{\n.reg .pred %p;\nret;\n}}\n");
+        let e = parse_module(&three).unwrap_err();
+        assert!(e.message().contains("65536 per module"), "{e}");
+        assert_eq!(e.line(), 13);
+    }
+
+    #[test]
+    fn static_shared_past_the_cap_is_refused() {
+        let m =
+            parse_kernel_body(".shared .b8 a[49000];\n.shared .align 8 .u64 b[19];\nret;").unwrap();
+        assert_eq!(m.kernels[0].shared_size(), MAX_STATIC_SHARED_BYTES);
+        for body in [
+            ".shared .b8 sm[4000000000];\nret;",
+            ".shared .b8 sm[49153];\nret;",
+            ".shared .b8 a[49152];\n.shared .b8 b;\nret;",
+            ".shared .u64 sm[2305843009213693952];\nret;",
+            ".shared .b8 a;\n.shared .align 65536 .b8 b;\nret;",
+        ] {
+            let e = parse_kernel_body(body).unwrap_err();
+            assert!(
+                e.message().contains("49152 bytes per kernel"),
+                "{body}: {e}"
+            );
+        }
+        assert!(parse_kernel_body(".shared .u32 sm[-1];\nret;").is_err());
     }
 
     #[test]

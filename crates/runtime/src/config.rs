@@ -45,23 +45,20 @@ pub struct BarracudaConfig {
     /// Ignored: the threaded pipeline always routes a block's records to
     /// one queue (paper §4.2). Kept only because the benchmark sets it.
     pub sharded_routing: bool,
-    /// Co-resident kernel interleaving (off by default). Every launch
-    /// executes as a co-resident group; this decides only *when* the group
-    /// flushes. Off, each launch is a group of one, flushed at once. On,
-    /// [`launch_async`](crate::Engine::launch_async) *defers* the launch:
-    /// kernels accumulate until a synchronization point (a memcpy,
-    /// `stream_synchronize`, `device_synchronize`, or an explicit
-    /// [`flush_pending`](crate::Engine::flush_pending)) and then execute as
-    /// one co-resident group whose warps genuinely interleave under
-    /// [`scheduler`](BarracudaConfig::scheduler). Same-stream launches keep
+    /// Co-resident kernel interleaving: `None` (the default) runs every
+    /// launch eagerly, `Some(policy)` interleaves under `policy`. Every
+    /// launch executes as a co-resident group; this decides only *when*
+    /// the group flushes. Eager, each launch is a group of one, flushed at
+    /// once. Interleaved, [`launch_async`](crate::Engine::launch_async)
+    /// *defers* the launch: kernels accumulate until a synchronization
+    /// point (a memcpy, `stream_synchronize`, `device_synchronize`, or an
+    /// explicit [`flush_pending`](crate::Engine::flush_pending)) and then
+    /// execute as one co-resident group whose warps genuinely interleave,
+    /// the policy picking which launch runs next. Same-stream launches keep
     /// their order inside the group; verdicts are schedule-independent
     /// because happens-before edges are fixed at registration time, before
     /// any schedule is chosen.
-    pub interleave_kernels: bool,
-    /// Launch-selection policy for co-resident groups. It never orders
-    /// the warps within a launch, so it has no effect unless
-    /// [`interleave_kernels`](BarracudaConfig::interleave_kernels) is on.
-    pub scheduler: SchedPolicy,
+    pub interleave: Option<SchedPolicy>,
     /// Epoch-space recycling (on by default): at host synchronization
     /// points the engine compacts launch-registry entries and
     /// predecessor clocks proven dead by the host-view watermark, and —
@@ -94,8 +91,7 @@ impl Default for BarracudaConfig {
             push_stall_budget: 1 << 18,
             fault_plan: None,
             sharded_routing: false,
-            interleave_kernels: false,
-            scheduler: SchedPolicy::RoundRobin,
+            interleave: None,
             epoch_recycling: true,
             history_cap: 4096,
         }

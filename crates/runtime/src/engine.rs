@@ -31,7 +31,7 @@ use barracuda_core::{
 use barracuda_instrument::{instrument_module, InstrumentStats};
 use barracuda_ptx::ast::Module;
 use barracuda_simt::{
-    Gpu, GroupLaunch, LaunchStats, LoadedKernel, ParamValue, VecSink, MAX_GROUP_SLOTS,
+    Gpu, GroupLaunch, LaunchStats, LoadedKernel, ParamValue, SchedPolicy, VecSink, MAX_GROUP_SLOTS,
 };
 use barracuda_trace::{CancelToken, FaultPlan, GridDims, HostOp, QueueSet, SyncOrder};
 use std::collections::hash_map::DefaultHasher;
@@ -73,7 +73,7 @@ pub struct LaunchSummary {
 }
 
 /// A deferred launch awaiting its co-resident group
-/// ([`BarracudaConfig::interleave_kernels`]): everything needed to
+/// ([`BarracudaConfig::interleave`]): everything needed to
 /// execute and detect it at the next flush. Its epoch, happens-before
 /// edges and detector were fixed at registration time — deferral changes
 /// *when* the kernel runs, never what it is ordered against.
@@ -276,8 +276,8 @@ pub struct Engine {
     /// Cumulative per-stream pipeline telemetry, indexed by stream id.
     stream_stats: Vec<StreamTelemetry>,
     /// Deferred launches awaiting their co-resident group
-    /// ([`BarracudaConfig::interleave_kernels`]); empty between launches
-    /// when interleaving is off.
+    /// ([`BarracudaConfig::interleave`]); empty between launches when
+    /// launches run eagerly.
     pending: Vec<PendingLaunch>,
 }
 
@@ -557,9 +557,9 @@ impl Engine {
 
     /// The instrumented-run pipeline shared by every launch entry point:
     /// registers a launch epoch (ordered after `stream`'s previous launch)
-    /// into the pending co-resident group. With
-    /// [`interleave_kernels`](BarracudaConfig::interleave_kernels) off the
-    /// group of one flushes at once — execute with logging, detect, drain
+    /// into the pending co-resident group. Eager
+    /// ([`interleave`](BarracudaConfig::interleave) `None`), the group of
+    /// one flushes at once — execute with logging, detect, drain
     /// the races the launch exposed, which may involve state left by
     /// *earlier* launches (inter-kernel races) or host operations
     /// (host-device races) — and the launch's full analysis is returned.
@@ -579,14 +579,14 @@ impl Engine {
         params: &[ParamValue],
     ) -> Result<Analysis, Error> {
         let deferred = self.defer_launch(stream, kernel, lk, istats, dims, params)?;
-        if self.config.interleave_kernels {
+        if self.config.interleave.is_some() {
             return Ok(deferred);
         }
         self.flush_last_launch(deferred)
     }
 
     /// Defers the launch into the pending co-resident group
-    /// ([`BarracudaConfig::interleave_kernels`]): the epoch, its
+    /// ([`BarracudaConfig::interleave`]): the epoch, its
     /// happens-before edges and its detector are fixed *now*, execution
     /// happens at the next flush. The returned analysis is a stub (races
     /// surface at the synchronization point that flushes the group) —
@@ -648,9 +648,9 @@ impl Engine {
     }
 
     /// Executes every deferred launch as one co-resident group under the
-    /// configured [`scheduler`](BarracudaConfig::scheduler) and returns
-    /// the races the group exposed. A no-op returning no races with
-    /// nothing pending (always so when interleaving is off: every launch
+    /// configured [`interleave`](BarracudaConfig::interleave) policy and
+    /// returns the races the group exposed. A no-op returning no races
+    /// with nothing pending (always so for eager launches: every launch
     /// flushed its group of one at once). The synchronization entry points
     /// ([`memcpy_h2d`](Engine::memcpy_h2d),
     /// [`stream_synchronize`](Engine::stream_synchronize),
@@ -678,7 +678,7 @@ impl Engine {
     /// group the checked launch just joined (otherwise
     /// [`run_launch`](Engine::run_launch) already has).
     fn flush_for_check(&mut self, deferred: Analysis) -> Result<Analysis, Error> {
-        if !self.config.interleave_kernels {
+        if self.config.interleave.is_none() {
             return Ok(deferred);
         }
         self.flush_last_launch(deferred)
@@ -752,10 +752,14 @@ impl Engine {
             })
             .collect();
 
+        // An eager group holds one launch, which no policy reorders.
+        let policy = self.config.interleave.unwrap_or(SchedPolicy::RoundRobin);
         let mut degradation: Vec<Diagnostic> = Vec::new();
         let result = match self.config.mode {
-            DetectionMode::Synchronous => self.run_group_sync(&gls, &dets),
-            DetectionMode::Threaded => self.run_group_threaded(&gls, &dets, &mut degradation),
+            DetectionMode::Synchronous => self.run_group_sync(&gls, &dets, policy),
+            DetectionMode::Threaded => {
+                self.run_group_threaded(&gls, &dets, policy, &mut degradation)
+            }
         };
         // The group's epochs are over: shared-memory sync state dies with
         // them.
@@ -833,11 +837,10 @@ impl Engine {
         &mut self,
         gls: &[GroupLaunch<'_>],
         dets: &[Arc<Detector>],
+        policy: SchedPolicy,
     ) -> Result<GroupTallies, Error> {
         let sink = VecSink::new();
-        let outcome = self
-            .gpu
-            .launch_group(gls, self.config.scheduler, Some(&sink))?;
+        let outcome = self.gpu.launch_group(gls, policy, Some(&sink))?;
         let recs = sink.take();
         let mut workers: Vec<Worker<'_>> = dets.iter().map(|d| Worker::new(d)).collect();
         for r in &recs {
@@ -882,6 +885,7 @@ impl Engine {
         &mut self,
         gls: &[GroupLaunch<'_>],
         dets: &[Arc<Detector>],
+        policy: SchedPolicy,
         degradation: &mut Vec<Diagnostic>,
     ) -> Result<GroupTallies, Error> {
         let nslots = dets.len();
@@ -916,9 +920,7 @@ impl Engine {
             done: &done,
             queues: &queues,
         };
-        let launch_res = self
-            .gpu
-            .launch_group(gls, self.config.scheduler, Some(&sink));
+        let launch_res = self.gpu.launch_group(gls, policy, Some(&sink));
         drop(end_of_group);
         let injected = sink.injected_drops();
         let dropped_per_slot: Vec<u64> = (0..nslots)

@@ -388,14 +388,11 @@ impl ReproInfo {
     /// per-run warp size.
     pub fn from_config(config: &crate::BarracudaConfig, warp_size: u32) -> Self {
         use barracuda_simt::{MemoryModel, SchedPolicy};
-        let (sched_policy, sched_seed) = if config.interleave_kernels {
-            match config.scheduler {
-                SchedPolicy::RoundRobin => ("rr".to_string(), 0),
-                SchedPolicy::Random(s) => ("random".to_string(), s),
-                SchedPolicy::StarveOne(s) => ("starve".to_string(), s),
-            }
-        } else {
-            ("eager".to_string(), 0)
+        let (sched_policy, sched_seed) = match config.interleave {
+            None => ("eager", 0),
+            Some(SchedPolicy::RoundRobin) => ("rr", 0),
+            Some(SchedPolicy::Random(s)) => ("random", s),
+            Some(SchedPolicy::StarveOne(s)) => ("starve", s),
         };
         ReproInfo {
             seed: config.gpu.seed,
@@ -407,7 +404,7 @@ impl ReproInfo {
             }
             .to_string(),
             chaos_seed: config.fault_plan.as_ref().map(|p| p.seed),
-            sched_policy,
+            sched_policy: sched_policy.to_string(),
             sched_seed,
         }
     }
@@ -877,16 +874,14 @@ mod tests {
         cfg.gpu.seed = 41;
         cfg.gpu.memory_model = MemoryModel::MaxwellTitanX;
         cfg.fault_plan = Some(FaultPlan::stalls_only(5));
-        cfg.interleave_kernels = true;
-        cfg.scheduler = SchedPolicy::StarveOne(8);
+        cfg.interleave = Some(SchedPolicy::StarveOne(8));
         let r = ReproInfo::from_config(&cfg, 8);
         assert_eq!(r.seed, 41);
         assert_eq!(r.warp_size, 8);
         assert_eq!(r.memory_model, "maxwell");
         assert_eq!(r.chaos_seed, Some(5));
         assert_eq!((r.sched_policy.as_str(), r.sched_seed), ("starve", 8));
-        // Eager (non-interleaved) runs record the policy as inert.
-        cfg.interleave_kernels = false;
+        cfg.interleave = None;
         assert_eq!(ReproInfo::from_config(&cfg, 8).sched_policy, "eager");
     }
 

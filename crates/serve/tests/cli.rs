@@ -193,6 +193,23 @@ fn bad_arguments_exit_2() {
         assert!(stderr.contains(want), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} printed output");
     }
+
+    // Declarations past the parser's caps are refused before anything is
+    // allocated: 4e9 registers or shared bytes would abort the process.
+    for (decl, cap) in [
+        (".reg .b32 %q<4000000000>;", "65536"),
+        (".shared .b8 sm[4000000000];", "49152"),
+    ] {
+        let src = RACY.replace("ld.param", &format!("{decl}\n    ld.param"));
+        let hostile = write_temp("hostile_decl", &src);
+        let out = Command::new(BIN)
+            .args(["check", hostile.to_str().expect("utf8"), "--param", "buf:4"])
+            .output()
+            .expect("run cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{decl}: {stderr}");
+        assert!(stderr.contains(cap), "{decl}: {stderr}");
+    }
 }
 
 #[test]

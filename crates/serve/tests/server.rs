@@ -476,3 +476,42 @@ fn an_oversized_buffer_socket_request_is_an_error_and_no_engine_is_quarantined()
     let stats = assert_other_session_unharmed(good, server);
     assert_eq!(stats.completed, 2, "the refused request still completed");
 }
+
+/// A register or static `.shared` declaration past the parser's cap is
+/// refused at parse time, before anything is allocated: an error answer,
+/// not an allocation abort that takes the server down. The register cap
+/// counts the whole module, so 1,000 small kernels that each declare the
+/// cap (about 3 GiB of register names between them) are refused too. The
+/// same session then gets the verdict of its next request.
+#[test]
+fn a_hostile_declaration_socket_request_is_an_error_and_the_server_keeps_serving() {
+    let (endpoint, server) = spawn_server(Wire::Unix, "hostiledecl");
+    let good = Connection::connect(&endpoint).expect("connect");
+
+    let mut bad = Connection::connect(&endpoint).expect("connect");
+    let (races, _, _) = direct_verdict(RACY);
+    let with_decl = |decl: &str| RACY.replace("ld.param", &format!("{decl}\n    ld.param"));
+    let many_kernels: String = (0..1000)
+        .map(|i| format!(".entry a{i}{{.reg .b32 %r<65536>;}}\n"))
+        .collect();
+    for (source, cap) in [
+        (with_decl(".reg .b32 %q<4000000000>;"), "65536"),
+        (with_decl(".shared .b8 sm[4000000000];"), "49152"),
+        (format!("{RACY}{many_kernels}"), "65536"),
+    ] {
+        let mut req = racy_request();
+        req.source = source;
+        match bad.submit(&req) {
+            Response::Error { message } => assert!(message.contains(cap), "{message}"),
+            other => panic!("expected Error, got {other:?}"),
+        }
+        match bad.submit(&racy_request()) {
+            Response::Done(body) => assert_eq!(body.races, races),
+            other => panic!("expected Done, got {other:?}"),
+        }
+    }
+    drop(bad);
+
+    let stats = assert_other_session_unharmed(good, server);
+    assert_eq!(stats.completed, 7, "the refused requests still completed");
+}

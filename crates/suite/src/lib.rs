@@ -24,8 +24,8 @@ mod multi;
 mod shared;
 
 pub use multi::{
-    multi_program, multi_programs, run_multi, run_multi_races, run_multi_races_with, MultiArg,
-    MultiKernel, MultiProgram, MultiStep,
+    multi_program, multi_programs, run_multi_races_with, MultiArg, MultiKernel, MultiProgram,
+    MultiStep,
 };
 
 use barracuda::{Analysis, BarracudaConfig, Engine, Error, KernelRun, SimError};

@@ -7,7 +7,9 @@
 //! exist because the engine's shadow memory and synchronization-location
 //! map survive across launches: write-write conflicts between kernels on
 //! different streams, host memcpys racing with in-flight kernels, and
-//! flag handoffs whose release happened in an *earlier* launch.
+//! flag handoffs whose release happened in an *earlier* launch. Each racy
+//! program has synchronized or disjoint twins that must stay clean under
+//! every co-resident schedule.
 
 use crate::{module_src, Expectation, KERNEL, LIN_TID};
 use barracuda::{BarracudaConfig, Engine, Error, KernelRun, RaceClass, RaceReport, StreamId};
@@ -92,18 +94,13 @@ pub struct MultiProgram {
     pub class: Option<RaceClass>,
 }
 
-/// Runs a multi-launch program on one persistent engine and returns every
-/// race reported across the whole host timeline.
-pub fn run_multi_races(p: &MultiProgram) -> Result<Vec<RaceReport>, Error> {
-    run_multi_races_with(p, BarracudaConfig::default())
-}
-
-/// Like [`run_multi_races`] with an explicit engine configuration — the
-/// entry point of the interleave-parity harness, which replays every
-/// program under co-resident scheduling and compares race sets against
-/// the eager default. A trailing [`Engine::flush_pending`] picks up
-/// launches still deferred when the timeline ends (programs that end
-/// without a synchronization step).
+/// Runs a multi-launch program on one persistent engine built from
+/// `config` and returns every race reported across the whole host
+/// timeline. The pipeline-parity matrix replays every program this way in
+/// both detection modes, eager and under every co-resident scheduling
+/// policy, and compares race sets against the eager default. A trailing
+/// [`Engine::flush_pending`] picks up launches still deferred when the
+/// timeline ends (programs that end without a synchronization step).
 pub fn run_multi_races_with(
     p: &MultiProgram,
     config: BarracudaConfig,
@@ -150,15 +147,6 @@ pub fn run_multi_races_with(
     }
     races.extend(eng.flush_pending()?);
     Ok(races)
-}
-
-/// Runs a multi-launch program and reduces the result to a verdict.
-pub fn run_multi(p: &MultiProgram) -> crate::Verdict {
-    match run_multi_races(p) {
-        Ok(races) if races.is_empty() => crate::Verdict::NoRace,
-        Ok(_) => crate::Verdict::Race,
-        Err(e) => crate::Verdict::Error(e.to_string()),
-    }
 }
 
 /// Per-thread disjoint writer: thread i stores to `buf[i]`.
@@ -255,6 +243,8 @@ fn consumer_kernel(fence: &str) -> MultiKernel {
 /// [`crate::all_programs`]'s 66 single-kernel programs.
 pub fn multi_programs() -> Vec<MultiProgram> {
     let dims = GridDims::new(1u32, 8u32);
+    // Two blocks of one full warp each.
+    let wide = GridDims::new(2u32, 32u32);
     vec![
         MultiProgram {
             name: "multi_xstream_ww_interkernel_race",
@@ -479,6 +469,95 @@ pub fn multi_programs() -> Vec<MultiProgram> {
                 },
                 MultiStep::Launch {
                     stream: 2,
+                    kernel: 1,
+                },
+            ],
+            expected: Expectation::NoRace,
+            class: None,
+        },
+        MultiProgram {
+            name: "multi_flag_handoff_device_sync_norace",
+            description: "the unfenced handoff with cudaDeviceSynchronize between the \
+                      launches: the host barrier orders the consumer after the producer",
+            buffers: vec![12],
+            extra_streams: 1,
+            kernels: vec![producer_kernel(""), consumer_kernel("")],
+            steps: vec![
+                MultiStep::Launch {
+                    stream: 0,
+                    kernel: 0,
+                },
+                MultiStep::SyncDevice,
+                MultiStep::Launch {
+                    stream: 1,
+                    kernel: 1,
+                },
+            ],
+            expected: Expectation::NoRace,
+            class: None,
+        },
+        MultiProgram {
+            name: "multi_flag_handoff_stream_sync_norace",
+            description: "the unfenced handoff with cudaStreamSynchronize of the \
+                      producer's stream between the launches",
+            buffers: vec![12],
+            extra_streams: 1,
+            kernels: vec![producer_kernel(""), consumer_kernel("")],
+            steps: vec![
+                MultiStep::Launch {
+                    stream: 0,
+                    kernel: 0,
+                },
+                MultiStep::SyncStream { stream: 0 },
+                MultiStep::Launch {
+                    stream: 1,
+                    kernel: 1,
+                },
+            ],
+            expected: Expectation::NoRace,
+            class: None,
+        },
+        MultiProgram {
+            name: "multi_stride_overlap_race",
+            description: "multi_xstream_ww_interkernel_race with two blocks of a \
+                      full warp per launch: each launch has more than one warp, so \
+                      a co-resident schedule interleaves the two launches' stores",
+            buffers: vec![256],
+            extra_streams: 1,
+            kernels: vec![writer_kernel(wide)],
+            steps: vec![
+                MultiStep::Launch {
+                    stream: 0,
+                    kernel: 0,
+                },
+                MultiStep::Launch {
+                    stream: 1,
+                    kernel: 0,
+                },
+            ],
+            expected: Expectation::Race,
+            class: Some(RaceClass::InterKernel),
+        },
+        MultiProgram {
+            name: "multi_stride_disjoint_norace",
+            description: "the two-block writer on two streams, each launch over its \
+                      own buffer",
+            buffers: vec![256, 256],
+            extra_streams: 1,
+            kernels: vec![
+                writer_kernel(wide),
+                MultiKernel {
+                    args: vec![MultiArg::Buf(1)],
+                    ..writer_kernel(wide)
+                },
+            ],
+            steps: vec![
+                MultiStep::Launch {
+                    stream: 0,
+                    kernel: 0,
+                },
+                MultiStep::Launch {
+                    stream: 1,
                     kernel: 1,
                 },
             ],

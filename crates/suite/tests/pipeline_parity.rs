@@ -11,9 +11,10 @@
 //!
 //! In every cell, each of the 66 single-kernel programs keeps its
 //! expected verdict and emits as many device records as in the
-//! synchronous 3-queue cell; each of the 11 multi-launch programs keeps
+//! synchronous 3-queue cell; each of the 15 multi-launch programs keeps
 //! its expected verdict and reports the race set of an eager run with the
-//! default configuration. Turning recycling off must not change a
+//! default configuration, and every race of a racy one carries the
+//! program's race class. Turning recycling off must not change a
 //! verdict, and must not change a multi-launch race set even in its race
 //! classes, pinning that bookkeeping truncation never leaks into
 //! detection state.
@@ -27,8 +28,8 @@ use std::sync::OnceLock;
 
 use barracuda::{BarracudaConfig, DetectionMode, Engine, KernelRun, RaceReport, SchedPolicy};
 use barracuda_suite::{
-    all_programs, check_program, multi_programs, program, run_multi_races, run_multi_races_with,
-    Expectation, SuiteProgram, Verdict, KERNEL,
+    all_programs, check_program, multi_programs, program, run_multi_races_with, Expectation,
+    SuiteProgram, Verdict, KERNEL,
 };
 use barracuda_trace::ops::MemSpace;
 
@@ -37,8 +38,7 @@ use barracuda_trace::ops::MemSpace;
 fn default_config(mode: DetectionMode, schedule: Option<SchedPolicy>) -> BarracudaConfig {
     let mut config = BarracudaConfig {
         mode,
-        interleave_kernels: schedule.is_some(),
-        scheduler: schedule.unwrap_or(SchedPolicy::RoundRobin),
+        interleave: schedule,
         ..BarracudaConfig::default()
     };
     if schedule.is_some() {
@@ -125,7 +125,10 @@ fn baseline() -> &'static Baseline {
         let cell = run_cell(&three_queues(DetectionMode::Synchronous));
         let races = multi_programs()
             .iter()
-            .map(|p| race_set(&run_multi_races(p).unwrap_or_else(|e| panic!("{}: {e}", p.name))))
+            .map(|p| {
+                let races = run_multi_races_with(p, BarracudaConfig::default());
+                race_set(&races.unwrap_or_else(|e| panic!("{}: {e}", p.name)))
+            })
             .collect();
         Baseline {
             records: cell.suite.into_iter().map(|(_, records)| records).collect(),
@@ -142,7 +145,7 @@ fn pin(mode: DetectionMode, schedule: Option<SchedPolicy>) {
     let programs = all_programs();
     let multis = multi_programs();
     assert_eq!(programs.len(), 66);
-    assert_eq!(multis.len(), 11);
+    assert_eq!(multis.len(), 15);
     let default = default_config(mode, schedule);
     let mut configs = vec![
         ("default", default.clone()),
@@ -188,6 +191,11 @@ fn pin(mode: DetectionMode, schedule: Option<SchedPolicy>) {
                     p.expected,
                     got.len()
                 ));
+            }
+            if let Some(class) = p.class {
+                for r in cell.multi[j].iter().filter(|r| r.class != class) {
+                    failures.push(format!("{} ({label}): expected {class:?}, {r}", p.name));
+                }
             }
         }
     }
@@ -236,8 +244,12 @@ matrix! {
     threaded_round_robin: Threaded, Some(SchedPolicy::RoundRobin);
     sync_random_1: Synchronous, Some(SchedPolicy::Random(1));
     threaded_random_1: Threaded, Some(SchedPolicy::Random(1));
+    sync_random_7: Synchronous, Some(SchedPolicy::Random(7));
+    threaded_random_7: Threaded, Some(SchedPolicy::Random(7));
     sync_random_42: Synchronous, Some(SchedPolicy::Random(42));
     threaded_random_42: Threaded, Some(SchedPolicy::Random(42));
+    sync_random_99: Synchronous, Some(SchedPolicy::Random(99));
+    threaded_random_99: Threaded, Some(SchedPolicy::Random(99));
     sync_random_deadbeef: Synchronous, Some(SchedPolicy::Random(0xdead_beef));
     threaded_random_deadbeef: Threaded, Some(SchedPolicy::Random(0xdead_beef));
     sync_starve_0: Synchronous, Some(SchedPolicy::StarveOne(0));

@@ -28,12 +28,10 @@
 
 pub mod corpus;
 mod gen;
-pub mod litmus;
 mod rows;
 
 pub use corpus::{enumerate, CorpusAxes, CorpusEntry};
 pub use gen::{GenCfg, RaceSite, WorkloadInstance};
-pub use litmus::{inter_kernel_litmus, InterKernelLitmus, LitmusKernel, LitmusStep};
 pub use rows::{all_workloads, workload, PaperRow, Workload};
 
 /// Scaling knobs for workload generation.
