@@ -109,7 +109,7 @@ const FIG10_RUNS: usize = 3;
 /// Panics if the workload fails to execute (generator bug).
 pub fn measure_workload(w: &Workload, scale: &Scale, mode: DetectionMode) -> Fig10Row {
     let inst = w.generate(scale);
-    let text = barracuda_ptx::printer::print_module(&inst.module);
+    let text = inst.ptx();
     let engine = || {
         let mut bar = Engine::with_config(BarracudaConfig {
             mode,

@@ -18,10 +18,20 @@
 //!
 //! `BARRACUDA_SOAK_LAUNCHES` scales the launch count (default one
 //! million; verify.sh quick mode sets it lower).
+//!
+//! The differential at the end holds recycling to its test-only oracle:
+//! an [`EngineCore`] that never calls [`EngineCore::maybe_recycle`], so
+//! its registry, frontiers and shadow only ever grow. Seeded random
+//! multi-stream timelines (overlapping reads and writes, host copies,
+//! stream and device syncs) must report the same races on both cores.
 
-use barracuda_core::{EngineCore, RecycleAction, Worker};
+use std::collections::BTreeSet;
+
+use barracuda_core::{EngineCore, RaceReport, RecycleAction, Worker};
 use barracuda_trace::ops::{AccessKind, Event, MemSpace};
 use barracuda_trace::GridDims;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
 /// 2 blocks × 8 threads, warp size 4.
 fn dims() -> GridDims {
@@ -182,4 +192,175 @@ fn compacted_predecessors_stay_ordered_and_live_launches_still_race() {
     core.host_write(0x4000, 4);
     let (races, _) = core.drain();
     assert_eq!(races.len(), 1, "live launch must still race: {races:?}");
+}
+
+/// One host-visible step of a generated timeline.
+#[derive(Debug, Clone)]
+enum Op {
+    /// A kernel on `stream`: each access is `(warp, write, lane mask,
+    /// word index of lane 0)`, lanes taking consecutive words.
+    Launch {
+        stream: usize,
+        accesses: Vec<(u64, bool, u32, u64)>,
+    },
+    /// A blocking copy on `stream` over `words` words from word `at`:
+    /// host-to-device (a host write) or device-to-host (a host read).
+    Copy {
+        stream: usize,
+        h2d: bool,
+        at: u64,
+        words: u64,
+    },
+    StreamSync(usize),
+    DeviceSync,
+}
+
+const STREAMS: usize = 3;
+/// Words of the shared working set: small, so launches overlap.
+const WORDS: u64 = 24;
+const BASE: u64 = 0x8000;
+
+fn timeline(seed: u64) -> Vec<Op> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let len = rng.random_range(8..48);
+    (0..len)
+        .map(|_| match rng.random_range(0u32..10) {
+            0..=4 => Op::Launch {
+                stream: rng.random_range(0..STREAMS),
+                accesses: (0..rng.random_range(1..5))
+                    .map(|_| {
+                        (
+                            rng.random_range(0u64..4),
+                            rng.random_bool(0.5),
+                            rng.random_range(1u32..16),
+                            rng.random_range(0..WORDS - 4),
+                        )
+                    })
+                    .collect(),
+            },
+            5 | 6 => Op::Copy {
+                stream: rng.random_range(0..STREAMS),
+                h2d: rng.random_bool(0.5),
+                at: rng.random_range(0..WORDS),
+                words: rng.random_range(1u64..6),
+            },
+            7 | 8 => Op::StreamSync(rng.random_range(0..STREAMS)),
+            _ => Op::DeviceSync,
+        })
+        .collect()
+}
+
+/// A race as both cores must agree on it: thread ids are left out,
+/// because a generation reset reuses them.
+fn race_key(r: &RaceReport) -> String {
+    format!(
+        "{:?} {:#x} {:?} {:?} after {:?}",
+        r.space, r.addr, r.class, r.current.1, r.previous.1
+    )
+}
+
+/// What one run of a timeline saw: the races each op exposed, and the
+/// floor compactions and generation resets recycling performed.
+struct Run {
+    races: Vec<BTreeSet<String>>,
+    compactions: u64,
+    resets: u64,
+}
+
+/// Runs `ops` on a fresh core. `recycle` mirrors the runtime engine's
+/// reclaim: `maybe_recycle` at every host synchronization point,
+/// forgetting the per-stream predecessors on a reset.
+fn run_timeline(ops: &[Op], recycle: bool) -> Run {
+    let mut core = EngineCore::new();
+    let mut last: [Option<u32>; STREAMS] = [None; STREAMS];
+    let mut races = Vec::with_capacity(ops.len());
+    let mut resets = 0;
+    for op in ops {
+        match op {
+            Op::Launch { stream, accesses } => {
+                let det = core.begin_launch(dims(), 0, last[*stream]);
+                last[*stream] = Some(det.epoch());
+                let mut w = Worker::new(&det);
+                for &(warp, write, mask, word) in accesses {
+                    let mut addrs = [0u64; 32];
+                    for (lane, a) in addrs.iter_mut().enumerate().take(4) {
+                        *a = BASE + (word + lane as u64) * 4;
+                    }
+                    w.process_event(&Event::Access {
+                        warp,
+                        kind: if write {
+                            AccessKind::Write
+                        } else {
+                            AccessKind::Read
+                        },
+                        space: MemSpace::Global,
+                        mask,
+                        addrs,
+                        size: 4,
+                    });
+                }
+                drop(w);
+                core.finish_launch();
+            }
+            Op::Copy {
+                stream,
+                h2d,
+                at,
+                words,
+            } => {
+                if let Some(e) = last[*stream] {
+                    core.join_epoch(e);
+                }
+                let (addr, len) = (BASE + at * 4, words * 4);
+                if *h2d {
+                    core.host_write(addr, len);
+                } else {
+                    core.host_read(addr, len);
+                }
+            }
+            Op::StreamSync(stream) => {
+                if let Some(e) = last[*stream] {
+                    core.join_epoch(e);
+                }
+            }
+            Op::DeviceSync => core.join_all(),
+        }
+        let (found, diags) = core.drain();
+        assert!(diags.is_empty(), "{diags:?}");
+        races.push(found.iter().map(race_key).collect());
+        let host_sync = !matches!(op, Op::Launch { .. });
+        if recycle && host_sync && core.maybe_recycle() == Some(RecycleAction::Reset) {
+            last = [None; STREAMS];
+            resets += 1;
+        }
+    }
+    Run {
+        races,
+        compactions: core.compactions(),
+        resets,
+    }
+}
+
+#[test]
+fn recycling_reports_the_races_of_a_core_that_never_recycles() {
+    let (mut racy, mut compactions, mut resets) = (0, 0, 0);
+    for seed in 0..400u64 {
+        let ops = timeline(seed);
+        let oracle = run_timeline(&ops, false);
+        let recycled = run_timeline(&ops, true);
+        for (i, (want, got)) in oracle.races.iter().zip(&recycled.races).enumerate() {
+            assert_eq!(
+                got, want,
+                "seed {seed}, op {i} ({:?}): recycling changed the races\ntimeline: {ops:#?}",
+                ops[i]
+            );
+        }
+        racy += oracle.races.iter().filter(|r| !r.is_empty()).count();
+        compactions += recycled.compactions;
+        resets += recycled.resets;
+    }
+    // The timelines exercise what the differential is about.
+    assert!(racy > 1000, "only {racy} ops exposed a race");
+    assert!(compactions > 300, "only {compactions} floor compactions");
+    assert!(resets > 300, "only {resets} generation resets");
 }

@@ -36,7 +36,7 @@ pub mod journal;
 pub mod runner;
 
 pub use aggregate::{build_report, cluster_key, Cluster, ClusterKey, Report};
-pub use corpus::{check_unique_ids, generated_targets, ptx_dir_targets, TargetSpec};
+pub use corpus::{check_unique_ids, generated_targets, ptx_dir_targets, CorpusAxes, TargetSpec};
 pub use journal::{load as load_journal, FinalRecord, Journal, JournalState, Outcome, StrikeKind};
 
 use barracuda_trace::backoff::{splitmix, RetryPolicy};

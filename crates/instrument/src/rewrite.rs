@@ -3,7 +3,8 @@
 
 use crate::infer::infer_kinds;
 use barracuda_ptx::ast::{
-    AddrBase, Address, Guard, Instruction, Kernel, Module, Op, Operand, RegClass, Statement,
+    AddrBase, Address, Dim, Guard, Instruction, Kernel, Module, MulMode, Op, Operand, RegClass,
+    SpecialReg, Statement, Type,
 };
 use barracuda_ptx::cfg::{Cfg, FlatKernel};
 use barracuda_trace::ops::{AccessKind, Scope};
@@ -16,18 +17,12 @@ pub struct InstrumentOptions {
     /// Intra-basic-block redundant-log elimination (the Fig. 9
     /// "optimized" configuration).
     pub prune_redundant: bool,
-    /// Insert `__barracuda_log_conv` markers at branch convergence points.
-    pub convergence_markers: bool,
-    /// Inject the unique-TID computation at kernel entry (§4.1).
-    pub compute_tid: bool,
 }
 
 impl Default for InstrumentOptions {
     fn default() -> Self {
         InstrumentOptions {
             prune_redundant: true,
-            convergence_markers: true,
-            compute_tid: true,
         }
     }
 }
@@ -38,7 +33,6 @@ impl InstrumentOptions {
     pub fn unoptimized() -> Self {
         InstrumentOptions {
             prune_redundant: false,
-            ..Self::default()
         }
     }
 }
@@ -176,6 +170,34 @@ fn access_parts(op: &Op) -> Option<(barracuda_ptx::ast::Space, u64, &Address, Op
     }
 }
 
+/// Convergence points: the statement indices of the reconvergence
+/// targets of conditional branches, mapped back from flat instruction
+/// indices. The flattened kernel and its CFG are dropped on return, so
+/// they never coexist with the rewritten kernel.
+fn convergence_stmts(kernel: &Kernel) -> HashSet<usize> {
+    let flat = FlatKernel::from_kernel(kernel);
+    let cfg = Cfg::build(&flat);
+    let stmt_of_instr: Vec<usize> = kernel
+        .stmts
+        .iter()
+        .enumerate()
+        .filter_map(|(i, s)| matches!(s, Statement::Instr(_)).then_some(i))
+        .collect();
+    let mut conv_stmts = HashSet::new();
+    for (b, block) in cfg.blocks.iter().enumerate() {
+        if block.end == 0 || block.end > flat.instrs.len() {
+            continue;
+        }
+        let last = &flat.instrs[block.end - 1];
+        if matches!(last.op, Op::Bra { .. }) && last.guard.is_some() {
+            if let Some(r) = cfg.reconvergence_point(b) {
+                conv_stmts.insert(stmt_of_instr[r]);
+            }
+        }
+    }
+    conv_stmts
+}
+
 /// Instruments one kernel.
 pub fn instrument_kernel(kernel: &Kernel, opts: &InstrumentOptions) -> (Kernel, InstrumentStats) {
     let mut stats = InstrumentStats {
@@ -187,30 +209,7 @@ pub fn instrument_kernel(kernel: &Kernel, opts: &InstrumentOptions) -> (Kernel, 
         .map(|k| (k.stmt, k.kind))
         .collect();
 
-    // Convergence points: reconvergence targets of conditional branches,
-    // mapped back from flat instruction indices to statement indices.
-    let mut conv_stmts: HashSet<usize> = HashSet::new();
-    if opts.convergence_markers {
-        let flat = FlatKernel::from_kernel(kernel);
-        let cfg = Cfg::build(&flat);
-        let stmt_of_instr: Vec<usize> = kernel
-            .stmts
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| matches!(s, Statement::Instr(_)).then_some(i))
-            .collect();
-        for (b, block) in cfg.blocks.iter().enumerate() {
-            if block.end == 0 || block.end > flat.instrs.len() {
-                continue;
-            }
-            let last = &flat.instrs[block.end - 1];
-            if matches!(last.op, Op::Bra { .. }) && last.guard.is_some() {
-                if let Some(r) = cfg.reconvergence_point(b) {
-                    conv_stmts.insert(stmt_of_instr[r]);
-                }
-            }
-        }
-    }
+    let conv_stmts = convergence_stmts(kernel);
 
     let mut regs = kernel.regs.clone();
     let mut out: Vec<Statement> = Vec::with_capacity(kernel.stmts.len() * 2);
@@ -218,43 +217,40 @@ pub fn instrument_kernel(kernel: &Kernel, opts: &InstrumentOptions) -> (Kernel, 
     let mut logged: HashMap<AddrKey, LoggedKind> = HashMap::new();
 
     // Unique-TID computation at kernel entry (§4.1).
-    if opts.compute_tid {
-        use barracuda_ptx::ast::{Dim, MulMode, SpecialReg, Type};
-        let t = regs.alloc(RegClass::B32);
-        let c = regs.alloc(RegClass::B32);
-        let n = regs.alloc(RegClass::B32);
-        let lin = regs.alloc(RegClass::B32);
-        let wide = regs.alloc(RegClass::B64);
-        out.push(Statement::Instr(Instruction::new(Op::Mov {
-            ty: Type::U32,
-            dst: t,
-            src: Operand::Special(SpecialReg::Tid(Dim::X)),
-        })));
-        out.push(Statement::Instr(Instruction::new(Op::Mov {
-            ty: Type::U32,
-            dst: c,
-            src: Operand::Special(SpecialReg::Ctaid(Dim::X)),
-        })));
-        out.push(Statement::Instr(Instruction::new(Op::Mov {
-            ty: Type::U32,
-            dst: n,
-            src: Operand::Special(SpecialReg::Ntid(Dim::X)),
-        })));
-        out.push(Statement::Instr(Instruction::new(Op::Mad {
-            mode: MulMode::Lo,
-            ty: Type::S32,
-            dst: lin,
-            a: Operand::Reg(c),
-            b: Operand::Reg(n),
-            c: Operand::Reg(t),
-        })));
-        out.push(Statement::Instr(Instruction::new(Op::Cvt {
-            dty: Type::U64,
-            sty: Type::U32,
-            dst: wide,
-            a: Operand::Reg(lin),
-        })));
-    }
+    let t = regs.alloc(RegClass::B32);
+    let c = regs.alloc(RegClass::B32);
+    let n = regs.alloc(RegClass::B32);
+    let lin = regs.alloc(RegClass::B32);
+    let wide = regs.alloc(RegClass::B64);
+    out.push(Statement::Instr(Instruction::new(Op::Mov {
+        ty: Type::U32,
+        dst: t,
+        src: Operand::Special(SpecialReg::Tid(Dim::X)),
+    })));
+    out.push(Statement::Instr(Instruction::new(Op::Mov {
+        ty: Type::U32,
+        dst: c,
+        src: Operand::Special(SpecialReg::Ctaid(Dim::X)),
+    })));
+    out.push(Statement::Instr(Instruction::new(Op::Mov {
+        ty: Type::U32,
+        dst: n,
+        src: Operand::Special(SpecialReg::Ntid(Dim::X)),
+    })));
+    out.push(Statement::Instr(Instruction::new(Op::Mad {
+        mode: MulMode::Lo,
+        ty: Type::S32,
+        dst: lin,
+        a: Operand::Reg(c),
+        b: Operand::Reg(n),
+        c: Operand::Reg(t),
+    })));
+    out.push(Statement::Instr(Instruction::new(Op::Cvt {
+        dty: Type::U64,
+        sty: Type::U32,
+        dst: wide,
+        a: Operand::Reg(lin),
+    })));
 
     for (i, stmt) in kernel.stmts.iter().enumerate() {
         if conv_stmts.contains(&i) {
@@ -589,12 +585,18 @@ mod tests {
     fn tid_computation_injected() {
         let m = module("ret;");
         let (im, _) = instrument_module(&m, &InstrumentOptions::default());
-        assert!(im.kernels[0].static_instruction_count() > 1);
-        let off = InstrumentOptions {
-            compute_tid: false,
-            ..InstrumentOptions::default()
-        };
-        let (im2, _) = instrument_module(&m, &off);
-        assert_eq!(im2.kernels[0].static_instruction_count(), 1);
+        // tid.x, ctaid.x and ntid.x moves, the mad and the widening cvt,
+        // then the original `ret`.
+        let ops: Vec<&Op> = im.kernels[0].instructions().map(|i| &i.op).collect();
+        assert_eq!(ops.len(), 6, "{ops:?}");
+        assert!(matches!(
+            ops[0],
+            Op::Mov {
+                src: Operand::Special(SpecialReg::Tid(Dim::X)),
+                ..
+            }
+        ));
+        assert!(matches!(ops[3], Op::Mad { .. }));
+        assert!(matches!(ops[4], Op::Cvt { .. }));
     }
 }

@@ -59,15 +59,6 @@ pub struct BarracudaConfig {
     /// because happens-before edges are fixed at registration time, before
     /// any schedule is chosen.
     pub interleave: Option<SchedPolicy>,
-    /// Epoch-space recycling (on by default): at host synchronization
-    /// points the engine compacts launch-registry entries and
-    /// predecessor clocks proven dead by the host-view watermark, and —
-    /// once every epoch is dead — resets the generation, reusing the
-    /// 32-bit TID space. This is what keeps a device-lifetime session
-    /// holding millions of launches memory-bounded. Off preserves the
-    /// append-only registry (the parity baseline for differential
-    /// tests).
-    pub epoch_recycling: bool,
     /// Bound on the retained per-launch history ([`Engine::launches`]
     /// summaries and the [`HostOp`] trace): when a history vector
     /// exceeds the cap at a synchronization point, its oldest half is
@@ -92,7 +83,6 @@ impl Default for BarracudaConfig {
             fault_plan: None,
             sharded_routing: false,
             interleave: None,
-            epoch_recycling: true,
             history_cap: 4096,
         }
     }

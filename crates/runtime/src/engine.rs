@@ -349,9 +349,9 @@ impl Engine {
     }
 
     /// Sets the step budget for subsequent launches (per-request
-    /// deadlines; `u64::MAX` disables).
+    /// deadlines; `u64::MAX` disables). [`config`](Engine::config) keeps
+    /// the budget the engine was built with.
     pub fn set_max_steps(&mut self, max_steps: u64) {
-        self.config.gpu.max_steps = max_steps;
         self.gpu.set_max_steps(max_steps);
     }
 
@@ -368,7 +368,9 @@ impl Engine {
         &self.gpu
     }
 
-    /// The active configuration.
+    /// The active configuration. Its step budget is the one the engine
+    /// was built with, whatever [`set_max_steps`](Engine::set_max_steps)
+    /// set since.
     pub fn config(&self) -> &BarracudaConfig {
         &self.config
     }
@@ -425,22 +427,23 @@ impl Engine {
     }
 
     /// Reclaims memory at a host synchronization point: epoch recycling
-    /// (gated by [`BarracudaConfig::epoch_recycling`]) plus history-cap
-    /// trimming. Only sound with nothing deferred or in flight — the
-    /// device layer calls it after joins, and it refuses while launches
-    /// are pending.
+    /// plus history-cap trimming. Recycling compacts launch-registry
+    /// entries and predecessor clocks proven dead by the host-view
+    /// watermark and, once every epoch is dead, resets the generation,
+    /// reusing the 32-bit TID space; this is what keeps a device-lifetime
+    /// session holding millions of launches memory-bounded. Only sound
+    /// with nothing deferred or in flight — the device layer calls it
+    /// after joins, and it refuses while launches are pending.
     pub(crate) fn reclaim(&mut self) {
         if !self.pending.is_empty() {
             return;
         }
-        if self.config.epoch_recycling {
-            if let Some(RecycleAction::Reset) = self.core.maybe_recycle() {
-                // Epoch numbers restarted: per-stream last-launch edges
-                // would alias the new generation's epochs. The ordering
-                // they carried is moot — everything old is fully dead.
-                for s in &mut self.streams {
-                    s.last_epoch = None;
-                }
+        if let Some(RecycleAction::Reset) = self.core.maybe_recycle() {
+            // Epoch numbers restarted: per-stream last-launch edges
+            // would alias the new generation's epochs. The ordering
+            // they carried is moot — everything old is fully dead.
+            for s in &mut self.streams {
+                s.last_epoch = None;
             }
         }
         let cap = self.config.history_cap.max(2);

@@ -387,7 +387,7 @@ impl ReproInfo {
     /// Builds the repro block from an engine configuration plus the
     /// per-run warp size.
     pub fn from_config(config: &crate::BarracudaConfig, warp_size: u32) -> Self {
-        use barracuda_simt::{MemoryModel, SchedPolicy};
+        use barracuda_simt::SchedPolicy;
         let (sched_policy, sched_seed) = match config.interleave {
             None => ("eager", 0),
             Some(SchedPolicy::RoundRobin) => ("rr", 0),
@@ -397,12 +397,7 @@ impl ReproInfo {
         ReproInfo {
             seed: config.gpu.seed,
             warp_size,
-            memory_model: match config.gpu.memory_model {
-                MemoryModel::SequentiallyConsistent => "sc",
-                MemoryModel::KeplerK520 => "kepler",
-                MemoryModel::MaxwellTitanX => "maxwell",
-            }
-            .to_string(),
+            memory_model: config.gpu.memory_model.to_string(),
             chaos_seed: config.fault_plan.as_ref().map(|p| p.seed),
             sched_policy: sched_policy.to_string(),
             sched_seed,

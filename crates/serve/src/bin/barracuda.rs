@@ -66,9 +66,12 @@
 //!
 //! `--timeout-ms` is the request's wall-clock deadline (cooperative
 //! cancellation, exit code 3), the same in `check`, `client` and
-//! `fleet`. `--chaos-abort` / `--chaos-hang` are fault-injection points
-//! for fleet robustness testing: the former crashes the process before
-//! the verdict, the latter wedges it while ignoring cooperative
+//! `fleet`. `--max-steps` is its step budget (exit code 3); a request
+//! without one gets the engine's configured budget
+//! (`GpuConfig::max_steps`), in `check` and on the server alike.
+//! `--chaos-abort` / `--chaos-hang` are fault-injection points for fleet
+//! robustness testing: the former crashes the process before the
+//! verdict, the latter wedges it while ignoring cooperative
 //! cancellation, forcing a coordinator's hard kill. `fleet` shards a
 //! generated corpus (workloads × seeds × weak-memory presets × warp
 //! sizes, plus `--ptx-dir` files) across crash-isolated child processes
@@ -218,14 +221,7 @@ fn parse_check_args(cmd: &str, args: &[String]) -> Result<(CheckRequest, LocalAr
             "--warp-sweep" => local.warp_sweep = true,
             "--threaded" => local.threaded = true,
             "--seed" => local.seed = num(value("--seed")?, "seed")?,
-            "--memory-model" => {
-                local.model = match value("--memory-model")?.as_str() {
-                    "sc" => MemoryModel::SequentiallyConsistent,
-                    "kepler" => MemoryModel::KeplerK520,
-                    "maxwell" => MemoryModel::MaxwellTitanX,
-                    other => return Err(format!("unknown memory model '{other}'")),
-                };
-            }
+            "--memory-model" => local.model = value("--memory-model")?.parse()?,
             "--stats-json" => local.stats_json = true,
             "--chaos-abort" => local.chaos_abort = true,
             "--chaos-hang" => local.chaos_hang = true,
@@ -351,7 +347,6 @@ fn cmd_check(args: &[String], trace: bool) -> ExitCode {
         },
         ..BarracudaConfig::default()
     });
-    let max_steps = engine.config().gpu.max_steps;
     let ws = local.warp_size;
 
     // Wall-clock deadline: the one-shot analog of the serve watchdog.
@@ -375,14 +370,14 @@ fn cmd_check(args: &[String], trace: bool) -> ExitCode {
     }
 
     if trace {
-        return match run_request(&mut engine, &req, ws, max_steps, dump_trace) {
+        return match run_request(&mut engine, &req, ws, dump_trace) {
             Ok(()) => ExitCode::SUCCESS,
             Err(resp) => fail(&resp),
         };
     }
 
     if local.warp_sweep {
-        let swept = run_request(&mut engine, &req, ws, max_steps, |engine, run| {
+        let swept = run_request(&mut engine, &req, ws, |engine, run| {
             let sizes: Vec<u32> = [32u32, 16, 8, 4]
                 .into_iter()
                 .filter(|&s| s <= run.dims.warp_size)
@@ -402,7 +397,7 @@ fn cmd_check(args: &[String], trace: bool) -> ExitCode {
         return ExitCode::from(u8::from(any));
     }
 
-    let checked = run_request(&mut engine, &req, ws, max_steps, |engine, run| {
+    let checked = run_request(&mut engine, &req, ws, |engine, run| {
         Ok((engine.check(run)?, run.dims.total_threads()))
     });
     let (analysis, threads) = match checked {
@@ -525,7 +520,7 @@ fn cmd_fleet(args: &[String]) -> ExitCode {
             })
             .collect()
     }
-    let mut axes: Option<barracuda_workloads::corpus::CorpusAxes> = None;
+    let mut axes: Option<barracuda_fleet::CorpusAxes> = None;
     let mut seeds = None;
     let mut warp_sizes = None;
     let mut presets = None;
@@ -570,7 +565,7 @@ fn cmd_fleet(args: &[String]) -> ExitCode {
         match a.as_str() {
             "--gen" => {
                 let v = value!("--gen");
-                let mut ax = barracuda_workloads::corpus::CorpusAxes::default();
+                let mut ax = barracuda_fleet::CorpusAxes::default();
                 if v != "all" {
                     ax.workloads = v.split(',').map(|s| s.trim().to_string()).collect();
                 }
@@ -590,14 +585,17 @@ fn cmd_fleet(args: &[String]) -> ExitCode {
                     return ExitCode::from(exitcode::USAGE);
                 }
             },
-            "--presets" => {
-                presets = Some(
-                    value!("--presets")
-                        .split(',')
-                        .map(|s| s.trim().to_string())
-                        .collect::<Vec<_>>(),
-                );
-            }
+            "--presets" => match value!("--presets")
+                .split(',')
+                .map(|s| s.trim().parse::<MemoryModel>())
+                .collect()
+            {
+                Ok(v) => presets = Some(v),
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    return ExitCode::from(exitcode::USAGE);
+                }
+            },
             "--scale" => {
                 scale = match value!("--scale").as_str() {
                     "quick" => barracuda_workloads::Scale::quick(),

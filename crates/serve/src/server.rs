@@ -86,8 +86,6 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// The retry hint returned with a rejection, in milliseconds.
     pub retry_after_ms: u64,
-    /// Step budget applied when a request does not set one.
-    pub default_max_steps: u64,
     /// Wall-clock deadline applied when a request does not set one
     /// (`None` = no default deadline).
     pub default_deadline_ms: Option<u64>,
@@ -116,7 +114,6 @@ impl Default for ServerConfig {
             engine: BarracudaConfig::default(),
             queue_depth: 4,
             retry_after_ms: 10,
-            default_max_steps: u64::MAX,
             default_deadline_ms: None,
             chaos_panic_kernel: None,
             pool_workers: cores,
@@ -463,8 +460,10 @@ const MAX_REQUEST_BUF_BYTES: u64 = 1 << 30;
 /// server's workers: resolves the default kernel (parsing the module only
 /// when the request names none), checks the launch geometry at
 /// `warp_size`, caps and allocates the buffer arguments, applies the step
-/// budget (`default_max_steps` when the request sets none) and the chaos
-/// plan, then hands the launch to `op` — [`Engine::check`] for a verdict.
+/// budget and the chaos plan, then hands the launch to `op` —
+/// [`Engine::check`] for a verdict. A request that sets no step budget
+/// gets the one `engine` was built with (`gpu.max_steps` of its
+/// configuration), never one an earlier request set.
 /// Deadlines stay with the caller: they need a clock outside the launch.
 ///
 /// # Errors
@@ -476,7 +475,6 @@ pub fn run_request<T>(
     engine: &mut Engine,
     req: &CheckRequest,
     warp_size: u32,
-    default_max_steps: u64,
     op: impl FnOnce(&mut Engine, &KernelRun<'_>) -> Result<T, Error>,
 ) -> Result<T, Response> {
     let error = |message: String| Response::Error { message };
@@ -508,7 +506,8 @@ pub fn run_request<T>(
     } else {
         &req.kernel
     };
-    engine.set_max_steps(req.max_steps.unwrap_or(default_max_steps));
+    let max_steps = req.max_steps.unwrap_or(engine.config().gpu.max_steps);
+    engine.set_max_steps(max_steps);
     engine.set_fault_plan(req.chaos_stalls.map(FaultPlan::stalls_only));
     let params = engine.gpu_mut().alloc_args(&req.params);
     let run = KernelRun {
@@ -541,22 +540,16 @@ fn run_check(engine: &mut Engine, shared: &Shared, req: &CheckRequest) -> Respon
     {
         panic!("chaos: injected server panic for kernel '{}'", req.kernel);
     }
-    let checked = run_request(
-        engine,
-        req,
-        32,
-        shared.config.default_max_steps,
-        |engine, run| {
-            let analysis = engine.check(run)?;
-            // Join the completed launch into the host's view so the
-            // engine's epoch recycling can reclaim it: this is what
-            // keeps a device-lifetime session memory-bounded. Verdicts
-            // are unaffected — checks are already ordered by the
-            // default stream.
-            let _ = engine.device_synchronize();
-            Ok(analysis)
-        },
-    );
+    let checked = run_request(engine, req, 32, |engine, run| {
+        let analysis = engine.check(run)?;
+        // Join the completed launch into the host's view so the
+        // engine's epoch recycling can reclaim it: this is what
+        // keeps a device-lifetime session memory-bounded. Verdicts
+        // are unaffected — checks are already ordered by the
+        // default stream.
+        let _ = engine.device_synchronize();
+        Ok(analysis)
+    });
     let analysis = match checked {
         Ok(analysis) => analysis,
         Err(resp) => return resp,

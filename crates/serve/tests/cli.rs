@@ -212,6 +212,36 @@ fn bad_arguments_exit_2() {
     }
 }
 
+/// Register files scale with the grid: 65,530 `.b64` registers, within
+/// the parser's cap, need about 32 GiB at 64 × 1,024 threads. `check`
+/// refuses that launch before allocating (exit 2, no abort), and the same
+/// kernel still runs on one block.
+#[test]
+fn grid_scaled_register_files_past_the_cap_exit_2() {
+    let src = RACY.replace(".reg .b64 %rd<4>;", ".reg .b64 %rd<65530>;");
+    let ptx = write_temp("regfile", &src);
+    let run = |grid: &str| {
+        Command::new(BIN)
+            .args(["check", ptx.to_str().expect("utf8"), "--param", "buf:4"])
+            .args(["--grid", grid, "--block", "1024"])
+            .output()
+            .expect("run cli")
+    };
+    let out = run("64");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("cap"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+
+    let out = run("1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "the racy kernel on one block: {stderr}"
+    );
+}
+
 #[test]
 fn bad_launch_geometry_exits_2_without_a_panic() {
     let ptx = write_temp("geometry", RACY);

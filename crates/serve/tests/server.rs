@@ -163,6 +163,57 @@ fn step_budget_timeouts_are_distinguished_from_deadlines() {
     assert_eq!(stats.deadlines_fired, 0, "no deadline was armed or fired");
 }
 
+/// A request without `max_steps` gets the engine template's
+/// `gpu.max_steps`, as `barracuda check` does: never an unbounded run,
+/// and never the budget an earlier request on the same engine set.
+#[test]
+fn a_request_without_a_step_budget_gets_the_template_budget() {
+    let mut engine = BarracudaConfig::default();
+    engine.gpu.max_steps = 100_000;
+    let server = Server::new(ServerConfig {
+        engine,
+        // One worker and one resident engine: every request below runs
+        // on the same engine.
+        pool_workers: 1,
+        max_resident_engines: 1,
+        ..ServerConfig::default()
+    });
+    let session = server.session().expect("session");
+    let template_budget = |req: CheckRequest| match session.submit(req) {
+        Response::Timeout { deadline, steps } => {
+            assert!(
+                !deadline,
+                "the step budget must stop the spin, not the deadline"
+            );
+            assert!(
+                (100_000..200_000).contains(&steps),
+                "{steps} steps under a 100000-step budget"
+            );
+        }
+        other => panic!("expected a step-budget Timeout, got {other:?}"),
+    };
+
+    // The deadline is only a backstop: the budget stops the spin first.
+    let mut spin = spin_request();
+    spin.deadline_ms = Some(10_000);
+    template_budget(spin.clone());
+
+    let mut cold = spin.clone();
+    cold.max_steps = Some(0);
+    match session.submit(cold) {
+        Response::Timeout { deadline, steps } => {
+            assert!(!deadline);
+            assert!(steps < 100_000, "a zero budget ran {steps} steps");
+        }
+        other => panic!("expected Timeout, got {other:?}"),
+    }
+    template_budget(spin);
+
+    let stats = server.shutdown();
+    assert_eq!(stats.timeouts, 3);
+    assert_eq!(stats.deadlines_fired, 0);
+}
+
 #[test]
 fn a_panicking_request_quarantines_the_engine_and_the_session_survives() {
     let config = ServerConfig {
@@ -514,4 +565,38 @@ fn a_hostile_declaration_socket_request_is_an_error_and_the_server_keeps_serving
 
     let stats = assert_other_session_unharmed(good, server);
     assert_eq!(stats.completed, 7, "the refused requests still completed");
+}
+
+/// A kernel declaring 65,530 `.b64` registers, within the parser's
+/// per-module cap, whose register files scale with the grid.
+fn wide_register_kernel() -> String {
+    RACY.replace(".reg .b64 %rd<4>;", ".reg .b64 %rd<65530>;")
+}
+
+/// A launch whose register files would need about 32 GiB (65,530
+/// registers × 2,048 warps × 32 lanes × 8 bytes) is refused before
+/// anything is allocated: an error answer, not an allocation abort that
+/// takes the server down. The same session then gets the verdict of its
+/// next request, and no engine is quarantined.
+#[test]
+fn a_grid_scaled_register_file_socket_request_is_an_error_and_the_server_keeps_serving() {
+    let (endpoint, server) = spawn_server(Wire::Unix, "regfile");
+    let good = Connection::connect(&endpoint).expect("connect");
+
+    let mut bad = Connection::connect(&endpoint).expect("connect");
+    let mut req = CheckRequest::new(&wide_register_kernel(), "k", 64, 1024);
+    req.params.push(ArgSpec::Buf(4));
+    match bad.submit(&req) {
+        Response::Error { message } => assert!(message.contains("cap"), "{message}"),
+        other => panic!("expected Error, got {other:?}"),
+    }
+    let (races, _, _) = direct_verdict(RACY);
+    match bad.submit(&racy_request()) {
+        Response::Done(body) => assert_eq!(body.races, races),
+        other => panic!("expected Done, got {other:?}"),
+    }
+    drop(bad);
+
+    let stats = assert_other_session_unharmed(good, server);
+    assert_eq!(stats.completed, 3, "the refused request still completed");
 }

@@ -1,6 +1,7 @@
 //! Simulator configuration and errors.
 
 use std::fmt;
+use std::str::FromStr;
 
 /// Weak-memory behaviour of global memory, calibrated against the paper's
 /// litmus observations (§3.3.3, Fig. 4).
@@ -32,6 +33,34 @@ impl MemoryModel {
     /// True if stores are buffered (anything but SC).
     pub fn buffered(self) -> bool {
         !matches!(self, MemoryModel::SequentiallyConsistent)
+    }
+}
+
+/// The one spelling of each preset, shared by `--memory-model`, fleet
+/// target ids and the `--stats-json` repro block: `sc`, `kepler`,
+/// `maxwell`.
+impl fmt::Display for MemoryModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            MemoryModel::SequentiallyConsistent => "sc",
+            MemoryModel::KeplerK520 => "kepler",
+            MemoryModel::MaxwellTitanX => "maxwell",
+        })
+    }
+}
+
+impl FromStr for MemoryModel {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "sc" => Ok(MemoryModel::SequentiallyConsistent),
+            "kepler" => Ok(MemoryModel::KeplerK520),
+            "maxwell" => Ok(MemoryModel::MaxwellTitanX),
+            other => Err(format!(
+                "unknown memory model '{other}' (want sc, kepler or maxwell)"
+            )),
+        }
     }
 }
 
@@ -128,6 +157,10 @@ pub enum SimError {
     /// malformed instrumentation hook, …). Raised at kernel load time with
     /// the flat instruction index.
     BadInstruction { index: usize, reason: String },
+    /// The group's register files and `.shared` segments would need
+    /// `bytes`, over [`MAX_RESIDENT_BYTES`](crate::MAX_RESIDENT_BYTES).
+    /// Raised before anything is allocated.
+    ResidentTooLarge { bytes: u64, cap: u64 },
     /// Runtime fault (bad generic address, param-space store, …).
     Fault(String),
 }
@@ -163,6 +196,10 @@ impl fmt::Display for SimError {
             SimError::BadInstruction { index, reason } => {
                 write!(f, "invalid instruction at index {index}: {reason}")
             }
+            SimError::ResidentTooLarge { bytes, cap } => write!(
+                f,
+                "launch needs {bytes} bytes of registers and shared memory, over the {cap}-byte cap"
+            ),
             SimError::Fault(m) => write!(f, "fault: {m}"),
         }
     }
@@ -181,6 +218,20 @@ mod tests {
         assert!(!c.memory_model.buffered());
         assert!(MemoryModel::KeplerK520.buffered());
         assert!(MemoryModel::MaxwellTitanX.buffered());
+    }
+
+    #[test]
+    fn memory_model_names_round_trip() {
+        for model in [
+            MemoryModel::SequentiallyConsistent,
+            MemoryModel::KeplerK520,
+            MemoryModel::MaxwellTitanX,
+        ] {
+            assert_eq!(model.to_string().parse::<MemoryModel>(), Ok(model));
+        }
+        assert_eq!(MemoryModel::KeplerK520.to_string(), "kepler");
+        let err = "tso".parse::<MemoryModel>().unwrap_err();
+        assert!(err.contains("'tso'"), "{err}");
     }
 
     #[test]

@@ -51,6 +51,13 @@ use crate::warp::{WarpState, WarpStatus};
 /// every record.
 pub const MAX_GROUP_SLOTS: usize = 255;
 
+/// The most bytes of register files and `.shared` segments one
+/// co-resident group may allocate (every lane's registers are 8 bytes).
+/// Device state is host memory here and scales with the grid, so a
+/// hostile launch could otherwise ask for tens of GiB and abort the
+/// process.
+pub const MAX_RESIDENT_BYTES: u64 = 1 << 30;
+
 /// Picks a victim launch once per this many non-victim picks under
 /// [`SchedPolicy::StarveOne`], bounding starvation so spin-wait handoffs
 /// (a consumer polling a flag the victim must set) still terminate.
@@ -299,6 +306,27 @@ impl Gpu {
             if let Some(dep) = l.dep {
                 assert!(dep < i, "dep must name an earlier group member");
             }
+        }
+
+        // Register files and `.shared` segments are allocated up front
+        // for every warp and block of the group: refuse a group whose
+        // total would not fit before allocating any of it.
+        let resident_bytes = launches.iter().fold(0u64, |sum, l| {
+            let regs = (l.lk.kernel.regs.len() as u64)
+                .saturating_mul(u64::from(l.dims.warp_size))
+                .saturating_mul(8)
+                .saturating_mul(l.dims.num_warps());
+            let shared =
+                l.lk.kernel
+                    .shared_size()
+                    .saturating_mul(l.dims.num_blocks());
+            sum.saturating_add(regs).saturating_add(shared)
+        });
+        if resident_bytes > MAX_RESIDENT_BYTES {
+            return Err(SimError::ResidentTooLarge {
+                bytes: resident_bytes,
+                cap: MAX_RESIDENT_BYTES,
+            });
         }
 
         // Build every resident before touching global memory so a bad

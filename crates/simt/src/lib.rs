@@ -80,7 +80,7 @@ pub mod value;
 pub mod warp;
 
 pub use config::{GpuConfig, MemoryModel, SimError};
-pub use coresident::{GroupLaunch, GroupOutcome, SchedPolicy, MAX_GROUP_SLOTS};
+pub use coresident::{GroupLaunch, GroupOutcome, SchedPolicy, MAX_GROUP_SLOTS, MAX_RESIDENT_BYTES};
 pub use kernel::LoadedKernel;
 pub use machine::{ArgSpec, DevicePtr, Gpu, LaunchStats, ParamValue};
 pub use sink::{EventSink, VecSink};

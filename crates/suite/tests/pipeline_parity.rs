@@ -1,23 +1,22 @@
 //! Pipeline parity over the whole suite, as one matrix: detection mode
 //! (synchronous, threaded) × co-resident interleaving (eager, or deferred
-//! under each scheduling policy) × epoch recycling (on, off).
+//! under each scheduling policy).
 //!
 //! Each test runs one mode × schedule pair in several cells: the default
 //! configuration (what `barracuda check` and the benchmarks run: no
 //! history trimming and, for an eager run, the default 24-SM GPU), and a
-//! history cap small enough to trim mid-program with recycling on and
-//! off. An eager run adds a 3-queue cell (3 SMs, one queue each), where
-//! many blocks share a detector queue.
+//! history cap small enough to trim mid-program. An eager run adds a
+//! 3-queue cell (3 SMs, one queue each), where many blocks share a
+//! detector queue.
 //!
 //! In every cell, each of the 66 single-kernel programs keeps its
 //! expected verdict and emits as many device records as in the
 //! synchronous 3-queue cell; each of the 15 multi-launch programs keeps
 //! its expected verdict and reports the race set of an eager run with the
 //! default configuration, and every race of a racy one carries the
-//! program's race class. Turning recycling off must not change a
-//! verdict, and must not change a multi-launch race set even in its race
-//! classes, pinning that bookkeeping truncation never leaks into
-//! detection state.
+//! program's race class. The engine recycles epochs at every host
+//! synchronization in every cell; `barracuda-core`'s `epoch_recycling`
+//! test holds it to an engine core that never recycles.
 //!
 //! Verdicts are a function of the program and its happens-before
 //! structure — frozen at launch registration — never of the pipeline, the
@@ -48,9 +47,8 @@ fn default_config(mode: DetectionMode, schedule: Option<SchedPolicy>) -> Barracu
 }
 
 /// Small enough that multi-program host timelines trim history.
-fn trimmed(config: &BarracudaConfig, recycling: bool) -> BarracudaConfig {
+fn trimmed(config: &BarracudaConfig) -> BarracudaConfig {
     BarracudaConfig {
-        epoch_recycling: recycling,
         history_cap: 8,
         ..config.clone()
     }
@@ -79,7 +77,7 @@ fn race_set(races: &[RaceReport]) -> BTreeSet<RaceKey> {
     races.iter().map(race_key).collect()
 }
 
-/// The race set with each race's class: what recycling must not change.
+/// The race set with each race's class.
 fn classed_race_set(races: &[RaceReport]) -> BTreeSet<String> {
     races
         .iter()
@@ -147,11 +145,7 @@ fn pin(mode: DetectionMode, schedule: Option<SchedPolicy>) {
     assert_eq!(programs.len(), 66);
     assert_eq!(multis.len(), 15);
     let default = default_config(mode, schedule);
-    let mut configs = vec![
-        ("default", default.clone()),
-        ("trimmed, recycling on", trimmed(&default, true)),
-        ("trimmed, recycling off", trimmed(&default, false)),
-    ];
+    let mut configs = vec![("default", default.clone()), ("trimmed", trimmed(&default))];
     if schedule.is_none() {
         configs.push(("3 queues", three_queues(mode)));
     }
@@ -197,27 +191,6 @@ fn pin(mode: DetectionMode, schedule: Option<SchedPolicy>) {
                     failures.push(format!("{} ({label}): expected {class:?}, {r}", p.name));
                 }
             }
-        }
-    }
-    let (on, off) = (&cells[1].1, &cells[2].1);
-    for (i, p) in programs.iter().enumerate() {
-        if on.suite[i].0 != off.suite[i].0 {
-            failures.push(format!(
-                "{}: recycling {:?}, baseline {:?}",
-                p.name, on.suite[i].0, off.suite[i].0
-            ));
-        }
-    }
-    for (j, p) in multis.iter().enumerate() {
-        let (with, without) = (
-            classed_race_set(&on.multi[j]),
-            classed_race_set(&off.multi[j]),
-        );
-        if with != without {
-            failures.push(format!(
-                "{}: recycling {with:?}, baseline {without:?}",
-                p.name
-            ));
         }
     }
     assert!(
@@ -301,7 +274,8 @@ fn sequential_independent_launches_do_not_cross_contaminate() {
 
 /// Recycling must actually fire on a long stream-ordered timeline: this
 /// is the memory-bounding claim, checked end-to-end through the public
-/// engine (not just the core soak).
+/// engine (not just the core soak). After the resets, a racy program must
+/// report exactly the races it reports on a fresh engine.
 #[test]
 fn a_long_synchronized_timeline_compacts_and_resets() {
     use barracuda_simt::ParamValue;
@@ -315,10 +289,11 @@ ld.param.u64 %rd1, [buf];\n\
 mov.u32 %r1, 7;\n\
 st.global.u32 [%rd1], %r1;\n\
 ret;\n}";
-    let mut eng = Engine::with_config(BarracudaConfig {
+    let config = BarracudaConfig {
         history_cap: 8,
         ..BarracudaConfig::default()
-    });
+    };
+    let mut eng = Engine::with_config(config.clone());
     let buf = eng.gpu_mut().malloc(4);
     for _ in 0..64 {
         let analysis = eng
@@ -341,4 +316,25 @@ ret;\n}";
         f.registry_high_water <= 4,
         "registry must stay flat across synchronized checks: {f:?}"
     );
+
+    // The same allocations on a fresh engine give the program's buffers
+    // the same addresses, so the race sets compare exactly.
+    let racy = program("global_ww_interblock_race").unwrap();
+    let mut fresh = Engine::with_config(config);
+    fresh.gpu_mut().malloc(4);
+    let races_of = |engine: &mut Engine| {
+        let params = engine.gpu_mut().alloc_args(&racy.args);
+        let analysis = engine
+            .check(&KernelRun {
+                source: &racy.source,
+                kernel: KERNEL,
+                dims: racy.dims,
+                params: &params,
+            })
+            .expect("racy check");
+        classed_race_set(analysis.races())
+    };
+    let want = races_of(&mut fresh);
+    assert!(!want.is_empty(), "the racy program must race");
+    assert_eq!(races_of(&mut eng), want, "races after a generation reset");
 }

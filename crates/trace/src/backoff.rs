@@ -18,9 +18,9 @@
 use std::time::Duration;
 
 /// SplitMix64 — the repo's one small mixing function. Besides retry
-/// jitter it derives queue affinity, shadow-page partitioning and
-/// striping, fault decisions and the `Random` scheduling stream, all
-/// without carrying RNG state.
+/// jitter it derives block-to-queue affinity, fault decisions, client
+/// launch ids and the `Random` scheduling stream, all without carrying
+/// RNG state.
 #[inline]
 #[must_use]
 pub fn splitmix(mut z: u64) -> u64 {

@@ -87,6 +87,11 @@ impl WorkloadInstance {
         vec![ParamValue::Ptr(gpu.malloc(self.buf_bytes))]
     }
 
+    /// The module as PTX text.
+    pub fn ptx(&self) -> String {
+        barracuda_ptx::printer::print_module(&self.module)
+    }
+
     /// Total expected racy locations.
     pub fn expected_races(&self) -> u32 {
         self.expected_global_races + self.expected_shared_races

@@ -26,11 +26,9 @@
 
 #![warn(missing_docs)]
 
-pub mod corpus;
 mod gen;
 mod rows;
 
-pub use corpus::{enumerate, CorpusAxes, CorpusEntry};
 pub use gen::{GenCfg, RaceSite, WorkloadInstance};
 pub use rows::{all_workloads, workload, PaperRow, Workload};
 
@@ -94,7 +92,7 @@ mod tests {
         assert_eq!(ws.len(), 26);
         for w in &ws {
             let inst = w.generate(&Scale::quick());
-            let text = barracuda_ptx::printer::print_module(&inst.module);
+            let text = inst.ptx();
             barracuda_ptx::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", w.name));
         }
     }

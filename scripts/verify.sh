@@ -73,7 +73,7 @@ cargo test -q -p barracuda-core --lib -- --exact \
 echo "==> shadow-check differential: core proptests against the dense reference detector"
 cargo test -q -p barracuda-core --test shadow_fastpath
 
-echo "==> pipeline parity matrix: 66 verdicts, device record counts and 15 multi-launch race sets, each race of a racy one of its program's class, over mode x interleaving (eager + 9 schedules) x epoch recycling, at the default config, a trimming history cap and 3 queues"
+echo "==> pipeline parity matrix: 66 verdicts, device record counts and 15 multi-launch race sets, each race of a racy one of its program's class, over mode x interleaving (eager + 9 schedules), at the default config, a trimming history cap and 3 queues"
 cargo test -q -p barracuda-suite --test pipeline_parity
 
 echo "==> simulation digest: record streams, launch stats, final memory and Fig. 4 counts vs the checked-in golden"
@@ -202,14 +202,14 @@ wait "$SERVER_PID"
 grep -qF '"verdict":"shutting_down"' <<< "$RAW_REPLY" \
   || { echo "verify: raw tcp shutdown line got '$RAW_REPLY', want a shutting_down line"; exit 1; }
 
-echo "==> epoch recycling: quick soak (its verdict parity is a pipeline-parity matrix axis)"
+echo "==> epoch recycling: quick soak, and the differential against a core that never recycles (seeded multi-stream timelines, same races op by op)"
 BARRACUDA_SOAK_LAUNCHES=200000 cargo test -q -p barracuda-core --test epoch_recycling
 
 echo "==> serve v2: multiplexing fairness/parity + streaming/resume suites"
 cargo test -q -p barracuda-serve --test multiplex
 cargo test -q -p barracuda-serve --test streaming
 
-echo "==> hostile wire frames: parser depth cap, exact u64 integers, linear-time strings, decoder proptests, line cap over both transports, bad launch geometry, oversized buffers and over-cap PTX declarations refused without a quarantine"
+echo "==> hostile wire frames: parser depth cap, exact u64 integers, linear-time strings, decoder proptests, line cap over both transports, bad launch geometry, oversized buffers, over-cap PTX declarations and grid-scaled register files refused without a quarantine"
 cargo test -q -p barracuda --lib -- \
   statsjson::tests::nesting_past_the_depth_cap_is_an_error_not_a_stack_overflow \
   statsjson::tests::integers_parse_and_dump_exactly \
@@ -231,7 +231,8 @@ cargo test -q -p barracuda-serve --test server -- \
   a_deeply_nested_tcp_line_is_an_error_and_other_sessions_keep_their_verdicts \
   a_zero_grid_socket_request_is_an_error_and_no_engine_is_quarantined \
   an_oversized_buffer_socket_request_is_an_error_and_no_engine_is_quarantined \
-  a_hostile_declaration_socket_request_is_an_error_and_the_server_keeps_serving
+  a_hostile_declaration_socket_request_is_an_error_and_the_server_keeps_serving \
+  a_grid_scaled_register_file_socket_request_is_an_error_and_the_server_keeps_serving
 cargo test -q -p barracuda-ptx --test parse_total
 cargo test -q -p barracuda-fleet --lib journal::tests::repro_seeds_survive_the_journal_exactly
 
