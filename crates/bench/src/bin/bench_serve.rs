@@ -6,9 +6,8 @@
 //!
 //! * **scenarios** — the in-process [`Server`] driven by 1, 4 and 16
 //!   concurrent clients (one isolated session each, standard retry
-//!   policy), fault-free and with per-request stall injection
-//!   (`chaos_stalls`): aggregate requests per second plus p50/p99
-//!   request latency.
+//!   policy): aggregate requests per second plus p50/p99 request
+//!   latency.
 //! * **pool_sweep** — 16 clients multiplexed over a bounded engine pool
 //!   of 1, 2 and 4 workers/resident engines: the cost (or win) of
 //!   engine sharing versus the per-session default.
@@ -69,10 +68,9 @@ fn slow_racy_source(loop_iters: u32) -> String {
     )
 }
 
-fn request(chaos_seed: Option<u64>) -> CheckRequest {
+fn request() -> CheckRequest {
     let mut req = CheckRequest::new(&source(), "k", 1, 32);
     req.params.push(ArgSpec::Buf(32 * 4));
-    req.chaos_stalls = chaos_seed;
     req
 }
 
@@ -96,14 +94,8 @@ fn summarize(mut latencies: Vec<Duration>, wall: f64) -> Measurement {
     }
 }
 
-/// One scenario: `clients` concurrent sessions, `requests` each,
-/// optionally with per-request stall faults.
-fn run_scenario(
-    config: ServerConfig,
-    clients: usize,
-    requests: usize,
-    faults: bool,
-) -> Measurement {
+/// One scenario: `clients` concurrent sessions, `requests` each.
+fn run_scenario(config: ServerConfig, clients: usize, requests: usize) -> Measurement {
     let server = Server::new(config);
     let start = Instant::now();
     let handles: Vec<_> = (0..clients)
@@ -118,14 +110,13 @@ fn run_scenario(
                     },
                 );
                 let mut latencies = Vec::with_capacity(requests);
-                for i in 0..requests {
-                    let seed = faults.then_some(0x5eed ^ ((c as u64) << 16) ^ i as u64);
-                    let req = request(seed);
+                for _ in 0..requests {
+                    let req = request();
                     let t = Instant::now();
                     match client.check(&req) {
                         Response::Done(body) => {
                             assert_eq!(body.races, 0, "bench kernel must be race-free");
-                            assert!(!body.degraded, "stall faults are lossless");
+                            assert!(!body.degraded, "a fault-free server loses nothing");
                         }
                         other => panic!("bench request failed: {other:?}"),
                     }
@@ -211,7 +202,7 @@ fn run_tcp(clients: usize, requests: usize) -> Measurement {
                 );
                 let mut latencies = Vec::with_capacity(requests);
                 for _ in 0..requests {
-                    let req = request(None);
+                    let req = request();
                     let t = Instant::now();
                     match client.check(&req) {
                         Response::Done(body) => assert_eq!(body.races, 0),
@@ -249,29 +240,23 @@ fn main() {
     let mut rows = String::new();
     let mut first = true;
     for &clients in &[1usize, 4, 16] {
-        for &faults in &[false, true] {
-            let m = run_scenario(ServerConfig::default(), clients, requests, faults);
-            println!(
-                "{:>2} client(s) {:<9} {:>8.0} req/s   p50 {:>7} us   p99 {:>7} us",
-                clients,
-                if faults { "faulted" } else { "clean" },
-                m.requests_per_sec,
-                m.p50_us,
-                m.p99_us
-            );
-            if !first {
-                rows.push_str(",\n");
-            }
-            first = false;
-            write!(
-                rows,
-                "    {{\n      \"clients\": {},\n      \"faults\": {},\n      \
-                 \"requests_per_sec\": {:.0},\n      \"p50_us\": {},\n      \
-                 \"p99_us\": {}\n    }}",
-                clients, faults, m.requests_per_sec, m.p50_us, m.p99_us
-            )
-            .expect("write to string");
+        let m = run_scenario(ServerConfig::default(), clients, requests);
+        println!(
+            "{clients:>2} client(s)        {:>8.0} req/s   p50 {:>7} us   p99 {:>7} us",
+            m.requests_per_sec, m.p50_us, m.p99_us
+        );
+        if !first {
+            rows.push_str(",\n");
         }
+        first = false;
+        write!(
+            rows,
+            "    {{\n      \"clients\": {clients},\n      \
+             \"requests_per_sec\": {:.0},\n      \"p50_us\": {},\n      \
+             \"p99_us\": {}\n    }}",
+            m.requests_per_sec, m.p50_us, m.p99_us
+        )
+        .expect("write to string");
     }
 
     let mut sweep_rows = String::new();
@@ -282,7 +267,7 @@ fn main() {
             max_resident_engines: pool,
             ..ServerConfig::default()
         };
-        let m = run_scenario(config, 16, requests, true);
+        let m = run_scenario(config, 16, requests);
         println!(
             "16 clients / pool {pool}   {:>8.0} req/s   p50 {:>7} us   p99 {:>7} us",
             m.requests_per_sec, m.p50_us, m.p99_us
@@ -294,7 +279,7 @@ fn main() {
         write!(
             sweep_rows,
             "    {{\n      \"pool_workers\": {pool},\n      \"max_resident_engines\": {pool},\n      \
-             \"clients\": 16,\n      \"faults\": true,\n      \
+             \"clients\": 16,\n      \
              \"requests_per_sec\": {:.0},\n      \"p50_us\": {},\n      \"p99_us\": {}\n    }}",
             m.requests_per_sec, m.p50_us, m.p99_us
         )
@@ -316,9 +301,8 @@ fn main() {
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         "{{\n  \"bench\": \"serve\",\n  \"description\": \"in-process detection server: \
-         concurrent sessions submitting race-free launches, with and without per-request \
-         stall-fault injection; engine-pool sweep, streamed first-race latency and loopback \
-         TCP transport\",\n  \"unit\": \"requests per second; latency in \
+         concurrent sessions submitting race-free launches; engine-pool sweep, streamed \
+         first-race latency and loopback TCP transport\",\n  \"unit\": \"requests per second; latency in \
          microseconds\",\n  \"nproc\": {nproc},\n  \"quick\": {quick},\n  \"requests_per_client\": {requests},\n  \
          \"scenarios\": [\n{rows}\n  ],\n  \"pool_sweep\": [\n{sweep_rows}\n  ],\n  \
          \"streaming\": {{\n    \"loop_iters\": {loop_iters},\n    \

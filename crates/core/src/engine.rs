@@ -395,11 +395,6 @@ impl EngineCore {
         Arc::clone(&self.races)
     }
 
-    /// The host thread's current clock.
-    pub fn host_clock(&self) -> Clock {
-        self.host_clock
-    }
-
     /// Distinct synchronization locations currently tracked.
     pub fn sync_location_count(&self) -> usize {
         self.sync_locs.len()

@@ -26,18 +26,6 @@ pub enum RaceClass {
     HostDevice,
 }
 
-impl RaceClass {
-    /// Every class, in reporting order.
-    pub const ALL: [RaceClass; 6] = [
-        RaceClass::IntraWarp,
-        RaceClass::Divergence,
-        RaceClass::IntraBlock,
-        RaceClass::InterBlock,
-        RaceClass::InterKernel,
-        RaceClass::HostDevice,
-    ];
-}
-
 impl fmt::Display for RaceClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -232,15 +220,6 @@ impl RaceSink {
         self.inner.lock().diagnostics.clone()
     }
 
-    /// Counts per race class.
-    pub fn class_counts(&self) -> Vec<(RaceClass, usize)> {
-        let g = self.inner.lock();
-        RaceClass::ALL
-            .iter()
-            .map(|&c| (c, g.reports.iter().filter(|r| r.class == c).count()))
-            .collect()
-    }
-
     /// Takes every collected report and diagnostic, resetting the
     /// dedup state. The persistent engine drains after each launch or
     /// host operation so races are attributed to the operation that
@@ -324,15 +303,12 @@ mod tests {
     }
 
     #[test]
-    fn class_and_space_counts() {
+    fn space_counts_split_global_and_shared() {
         let s = RaceSink::new();
         s.report(rep(0, MemSpace::Global));
         let mut r = rep(4, MemSpace::Shared);
         r.class = RaceClass::IntraWarp;
         s.report(r);
-        let counts = s.class_counts();
-        assert!(counts.contains(&(RaceClass::InterBlock, 1)));
-        assert!(counts.contains(&(RaceClass::IntraWarp, 1)));
         assert_eq!(s.space_counts(), (1, 1));
     }
 

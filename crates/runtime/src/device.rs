@@ -14,7 +14,6 @@
 //!   work into the host's view, cutting later host-device races.
 
 use crate::engine::{hash_key, Engine, KernelRun};
-use crate::sink::HostOpBuffer;
 use crate::{Analysis, Error};
 use barracuda_core::RaceReport;
 use barracuda_instrument::instrument_module;
@@ -113,9 +112,12 @@ impl Engine {
     ) -> Result<Vec<RaceReport>, Error> {
         let mut races = self.flush_pending()?;
         self.join_stream(stream);
-        let buf = HostOpBuffer::new();
-        self.gpu.write_bytes_traced(dst, data, stream.0, &buf);
-        self.host_trace.extend(buf.take());
+        self.gpu.write_bytes(dst, data);
+        self.host_trace.push(HostOp::MemcpyH2D {
+            stream: stream.0,
+            dst: dst.0,
+            len: data.len() as u64,
+        });
         self.core.host_write(dst.0, data.len() as u64);
         races.extend(self.core.drain().0);
         self.reclaim();
@@ -144,9 +146,12 @@ impl Engine {
     ) -> Result<Vec<RaceReport>, Error> {
         let mut races = self.flush_pending()?;
         self.join_stream(stream);
-        let buf = HostOpBuffer::new();
-        self.gpu.read_bytes_traced(src, out, stream.0, &buf);
-        self.host_trace.extend(buf.take());
+        self.gpu.read_bytes(src, out);
+        self.host_trace.push(HostOp::MemcpyD2H {
+            stream: stream.0,
+            src: src.0,
+            len: out.len() as u64,
+        });
         self.core.host_read(src.0, out.len() as u64);
         races.extend(self.core.drain().0);
         self.reclaim();

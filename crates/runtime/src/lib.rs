@@ -65,6 +65,7 @@ pub use cache::ModuleCache;
 pub use config::{BarracudaConfig, DetectionMode};
 pub use device::StreamId;
 pub use engine::{Engine, KernelRun, LaunchSummary, RaceStream};
+pub use sink::panic_message;
 pub use statsjson::ReproInfo;
 
 pub use barracuda_core::{Diagnostic, EngineFootprint, RaceClass, RaceReport};

@@ -4,9 +4,9 @@
 
 use barracuda_core::{Detector, PathStats, Worker};
 use barracuda_simt::EventSink;
-use barracuda_trace::{FaultPlan, HostOp, QueueSet, Record, SyncOrder};
+use barracuda_trace::{FaultPlan, QueueSet, Record, SyncOrder};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The producer-side sink of the threaded pipeline: routes records to
@@ -146,8 +146,9 @@ pub(crate) enum WorkerOutcome {
     Panicked(String),
 }
 
-/// Extracts a human-readable message from a panic payload.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Extracts a human-readable message from a panic payload: the detector
+/// worker pool and the server's quarantine both report panics this way.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else if let Some(s) = payload.downcast_ref::<&'static str>() {
@@ -290,31 +291,4 @@ pub(crate) fn drain_queue(
         tallies.paths.merge(&w.path_stats());
     }
     tallies
-}
-
-/// An [`EventSink`] that captures only host-side operations: the engine
-/// passes it to the device's traced memcpy entry points and appends the
-/// captured ops to its device-lifetime host trace.
-#[derive(Debug, Default)]
-pub(crate) struct HostOpBuffer {
-    ops: Mutex<Vec<HostOp>>,
-}
-
-impl HostOpBuffer {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Takes the captured host ops.
-    pub(crate) fn take(&self) -> Vec<HostOp> {
-        std::mem::take(&mut self.ops.lock().expect("host-op buffer poisoned"))
-    }
-}
-
-impl EventSink for HostOpBuffer {
-    fn emit(&self, _block: u64, _record: Record) {}
-
-    fn emit_host(&self, op: &HostOp) {
-        self.ops.lock().expect("host-op buffer poisoned").push(*op);
-    }
 }

@@ -265,9 +265,10 @@ fn kernel_after_h2d_sees_the_host_write() {
 
 #[test]
 fn host_trace_records_the_device_lifetime() {
-    use barracuda::HostOp;
     let mut eng = Engine::new();
     let buf = eng.gpu_mut().malloc(4);
+    let other = eng.gpu_mut().malloc(8);
+    let s1 = eng.create_stream();
     let src = writer();
     let params = [ParamValue::Ptr(buf)];
     eng.memcpy_h2d(StreamId::DEFAULT, buf, &0u32.to_le_bytes())
@@ -277,33 +278,41 @@ fn host_trace_records_the_device_lifetime() {
     eng.stream_synchronize(StreamId::DEFAULT).unwrap();
     let mut out = [0u8; 4];
     eng.memcpy_d2h(StreamId::DEFAULT, buf, &mut out).unwrap();
+    eng.memcpy_h2d(s1, other, &[7u8; 8]).unwrap();
+    eng.memcpy_d2h(s1, other.offset(4), &mut out).unwrap();
     eng.device_synchronize().unwrap();
-    let trace = eng.host_trace();
-    assert!(matches!(
-        trace[0],
-        HostOp::MemcpyH2D {
-            stream: 0,
-            len: 4,
-            ..
-        }
-    ));
-    assert!(matches!(
-        trace[1],
-        HostOp::LaunchKernel {
-            stream: 0,
-            epoch: 0
-        }
-    ));
-    assert!(matches!(trace[2], HostOp::StreamSynchronize { stream: 0 }));
-    assert!(matches!(
-        trace[3],
-        HostOp::MemcpyD2H {
-            stream: 0,
-            len: 4,
-            ..
-        }
-    ));
-    assert!(matches!(trace[4], HostOp::DeviceSynchronize));
+    assert_eq!(out, [7u8; 4]);
+    assert_eq!(
+        eng.host_trace(),
+        [
+            HostOp::MemcpyH2D {
+                stream: 0,
+                dst: buf.0,
+                len: 4
+            },
+            HostOp::LaunchKernel {
+                stream: 0,
+                epoch: 0
+            },
+            HostOp::StreamSynchronize { stream: 0 },
+            HostOp::MemcpyD2H {
+                stream: 0,
+                src: buf.0,
+                len: 4
+            },
+            HostOp::MemcpyH2D {
+                stream: 1,
+                dst: other.0,
+                len: 8
+            },
+            HostOp::MemcpyD2H {
+                stream: 1,
+                src: other.0 + 4,
+                len: 4
+            },
+            HostOp::DeviceSynchronize,
+        ]
+    );
     assert_eq!(eng.launches().len(), 1);
     assert_eq!(eng.launches()[0].kernel, "k");
 }

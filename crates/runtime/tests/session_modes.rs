@@ -272,7 +272,7 @@ fn chaos_config(plan: FaultPlan) -> BarracudaConfig {
 #[test]
 fn injected_worker_panic_degrades_instead_of_aborting() {
     let source = racy_counter_src();
-    let plan = FaultPlan::none().with_worker_panic(barracuda::WorkerPanic {
+    let plan = FaultPlan::default().with_worker_panic(barracuda::WorkerPanic {
         worker: 0,
         after_records: 5,
     });
@@ -319,7 +319,7 @@ fn full_queue_stall_window_counts_pressure_without_losing_records() {
     // construction rather than by winning a race between the two
     // threads. The wait is bounded by a budget 64x the stall, and with a
     // live consumer nothing is lost.
-    let plan = FaultPlan::none().with_consumer_stall(barracuda::ConsumerStall {
+    let plan = FaultPlan::default().with_consumer_stall(barracuda::ConsumerStall {
         every_records: 1,
         yields: 1 << 14,
     });
@@ -367,7 +367,7 @@ fn injected_drops_and_corruption_are_accounted() {
         seed: 9,
         drop_rate: 0.5,
         corrupt_rate: 0.2,
-        ..FaultPlan::none()
+        ..FaultPlan::default()
     };
     let mut bar = Engine::with_config(chaos_config(plan));
     let ctr = bar.gpu_mut().malloc(4);
@@ -422,7 +422,7 @@ fn persistent_pool_survives_a_panicked_launch() {
     // must run on healthy workers again (the pool catches the panic in
     // its command loop instead of losing the thread).
     let source = racy_counter_src();
-    let plan = FaultPlan::none().with_worker_panic(barracuda::WorkerPanic {
+    let plan = FaultPlan::default().with_worker_panic(barracuda::WorkerPanic {
         worker: 0,
         after_records: 5,
     });
@@ -472,7 +472,7 @@ fn persistent_pool_survives_a_panicked_launch() {
     assert_eq!(healed.stats().pipeline.worker_panics, 0);
     assert_eq!(healed.stats().pipeline.records_dropped, 0);
 
-    let mut baseline_cfg = chaos_config(FaultPlan::none());
+    let mut baseline_cfg = chaos_config(FaultPlan::default());
     baseline_cfg.fault_plan = None;
     baseline_cfg.queue_capacity = 8;
     baseline_cfg.push_stall_budget = BarracudaConfig::default().push_stall_budget;
@@ -497,7 +497,7 @@ fn persistent_pool_survives_a_panicked_launch() {
 fn per_stream_telemetry_tracks_each_streams_launches() {
     use barracuda::{Engine, StreamId};
     let source = racy_counter_src();
-    let mut cfg = chaos_config(FaultPlan::none());
+    let mut cfg = chaos_config(FaultPlan::default());
     cfg.fault_plan = None;
     let mut eng = Engine::with_config(cfg);
     let a_buf = eng.gpu_mut().malloc(4);

@@ -46,10 +46,9 @@
 //! through one function, [`barracuda_serve::run_request`]. The flags a
 //! served request does not honour — `--warp-size`, `--warp-sweep`,
 //! `--threaded`, `--memory-model`, `--seed`, `--stats-json`,
-//! `--chaos-stalls` (stall injection needs the threaded pipeline, and
-//! `serve` runs synchronous engines), `--chaos-abort` and `--chaos-hang` —
-//! only a local run honours: `client` refuses each with exit 2 and sends
-//! nothing, and `trace` refuses the ones it would ignore.
+//! `--chaos-stalls`, `--chaos-abort` and `--chaos-hang` — set up the local
+//! engine instead: `client` refuses each with exit 2 and sends nothing,
+//! and `trace` refuses the ones it would ignore.
 //!
 //! Exit codes follow the [`barracuda::exitcode`] taxonomy in **every**
 //! mode — `0` clean, `1` races/diagnostics, `2` usage error, `3`
@@ -59,10 +58,10 @@
 //!
 //! `--stats-json` prints one machine-readable JSON object (see
 //! `barracuda::statsjson`) with the verdict and the full pipeline
-//! telemetry. `--chaos-stalls SEED` enables stall-only fault injection in
-//! the threaded pipeline (implies `--threaded` in `check`): verdicts must
-//! match the synchronous mode, making it a quick self-check of pipeline
-//! robustness.
+//! telemetry. `--chaos-stalls SEED` builds the engine with a stall-only
+//! [`FaultPlan`] and the threaded pipeline (it implies `--threaded`):
+//! verdicts must match the synchronous mode, making it a quick
+//! self-check of pipeline robustness.
 //!
 //! `--timeout-ms` is the request's wall-clock deadline (cooperative
 //! cancellation, exit code 3), the same in `check`, `client` and
@@ -79,8 +78,8 @@
 //! emits a deduplicated triage report — see `barracuda-fleet`.
 
 use barracuda::{
-    exitcode, BarracudaConfig, DetectionMode, Engine, GpuConfig, InstrumentOptions, KernelRun,
-    MemoryModel,
+    exitcode, BarracudaConfig, DetectionMode, Engine, FaultPlan, GpuConfig, InstrumentOptions,
+    KernelRun, MemoryModel,
 };
 use barracuda_serve::{run_request, CheckRequest, Response};
 use std::process::ExitCode;
@@ -141,13 +140,14 @@ struct LocalArgs {
     model: MemoryModel,
     seed: u64,
     stats_json: bool,
+    /// Seed of a stall-only [`FaultPlan`] for the threaded pipeline.
+    stall_seed: Option<u64>,
     chaos_abort: bool,
     chaos_hang: bool,
 }
 
 /// Flags a server would not honour, so `client` refuses every one: those
-/// that set a [`LocalArgs`] field, and `--chaos-stalls`, whose stall plan
-/// only the threaded pipeline reads.
+/// that set a [`LocalArgs`] field.
 const LOCAL_ONLY: [&str; 9] = [
     "--warp-size",
     "--warp-sweep",
@@ -187,6 +187,7 @@ fn parse_check_args(cmd: &str, args: &[String]) -> Result<(CheckRequest, LocalAr
         model: MemoryModel::SequentiallyConsistent,
         seed: 0x0be5_11e5,
         stats_json: false,
+        stall_seed: None,
         chaos_abort: false,
         chaos_hang: false,
     };
@@ -214,7 +215,7 @@ fn parse_check_args(cmd: &str, args: &[String]) -> Result<(CheckRequest, LocalAr
             "--max-steps" => req.max_steps = Some(num(value("--max-steps")?, "max steps")?),
             "--timeout-ms" => req.deadline_ms = Some(num(value("--timeout-ms")?, "timeout")?),
             "--chaos-stalls" => {
-                req.chaos_stalls = Some(num(value("--chaos-stalls")?, "chaos seed")?);
+                local.stall_seed = Some(num(value("--chaos-stalls")?, "chaos seed")?);
                 local.threaded = true;
             }
             "--warp-size" => local.warp_size = num(value("--warp-size")?, "warp size")?,
@@ -345,6 +346,7 @@ fn cmd_check(args: &[String], trace: bool) -> ExitCode {
         } else {
             DetectionMode::Synchronous
         },
+        fault_plan: local.stall_seed.map(FaultPlan::stalls_only),
         ..BarracudaConfig::default()
     });
     let ws = local.warp_size;

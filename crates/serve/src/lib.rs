@@ -28,11 +28,9 @@
 //! launch id — see the [`server`] module docs for the architecture and
 //! its soundness arguments.
 //!
-//! Faults are first-class: requests can carry a stall-only
-//! [`FaultPlan`](barracuda::FaultPlan) seed (lossless by construction,
-//! so verdicts must not change — the chaos soak test pins parity
-//! against direct engine calls), and the server config can inject
-//! worker-level panics to exercise quarantine deterministically.
+//! The server config can inject worker-level panics to exercise
+//! quarantine deterministically; the soak test pins served verdicts
+//! against direct engine calls.
 
 #![warn(missing_docs)]
 

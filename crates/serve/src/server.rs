@@ -57,7 +57,7 @@
 //! [`ServerStats::dropped_on_shutdown`] — never silently discarded.
 
 use crate::proto::{CheckRequest, DoneBody, Response};
-use barracuda::{BarracudaConfig, Engine, Error, FaultPlan, KernelRun, ModuleCache, SimError};
+use barracuda::{panic_message, BarracudaConfig, Engine, Error, KernelRun, ModuleCache, SimError};
 use barracuda_simt::ArgSpec;
 use barracuda_trace::{CancelToken, GridDims};
 use std::cmp::Reverse;
@@ -92,7 +92,7 @@ pub struct ServerConfig {
     /// Server-level chaos hook: a request for this kernel name panics
     /// inside the worker before launching, exercising the quarantine
     /// path deterministically (the serving-layer counterpart of
-    /// [`FaultPlan`]'s worker panics, which the engine contains itself).
+    /// [`FaultPlan`](barracuda::FaultPlan)'s worker panics, which the engine contains itself).
     pub chaos_panic_kernel: Option<String>,
     /// Pool worker threads running session jobs (at least 1). Defaults
     /// to the machine's available parallelism so a fleet of clients
@@ -441,16 +441,6 @@ impl Session {
     }
 }
 
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else {
-        "unknown panic payload".to_string()
-    }
-}
-
 /// The most bytes of `buf:` arguments one request may allocate. Device
 /// memory is host memory here, zeroed up front, and a server shares it
 /// between sessions.
@@ -460,7 +450,7 @@ const MAX_REQUEST_BUF_BYTES: u64 = 1 << 30;
 /// server's workers: resolves the default kernel (parsing the module only
 /// when the request names none), checks the launch geometry at
 /// `warp_size`, caps and allocates the buffer arguments, applies the step
-/// budget and the chaos plan, then hands the launch to `op` —
+/// budget, then hands the launch to `op` —
 /// [`Engine::check`] for a verdict. A request that sets no step budget
 /// gets the one `engine` was built with (`gpu.max_steps` of its
 /// configuration), never one an earlier request set.
@@ -508,7 +498,6 @@ pub fn run_request<T>(
     };
     let max_steps = req.max_steps.unwrap_or(engine.config().gpu.max_steps);
     engine.set_max_steps(max_steps);
-    engine.set_fault_plan(req.chaos_stalls.map(FaultPlan::stalls_only));
     let params = engine.gpu_mut().alloc_args(&req.params);
     let run = KernelRun {
         source: &req.source,
@@ -626,7 +615,7 @@ fn serve_job(engine: &mut Engine, shared: &Shared, watchdog: &Watchdog, job: &Jo
                 Engine::with_shared_cache(shared.config.engine.clone(), Arc::clone(&shared.cache));
             shared.stats.quarantines.fetch_add(1, Ordering::Relaxed);
             Response::Degraded {
-                message: panic_text(payload.as_ref()),
+                message: panic_message(payload.as_ref()),
             }
         }
     };

@@ -383,6 +383,13 @@ fn chaos_stalls_flag_preserves_verdict_and_reports_telemetry() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     let doc = barracuda::statsjson::parse(&stdout).expect("json parses");
     assert_eq!(doc.get("verdict").and_then(|v| v.as_str()), Some("race"));
+    // The seed replays: the repro block names the stall plan it built.
+    assert_eq!(
+        doc.get("repro")
+            .and_then(|r| r.get("chaos_seed"))
+            .and_then(|v| v.as_u64()),
+        Some(42)
+    );
     // --chaos-stalls implies the threaded pipeline: queues are live.
     let pipeline = doc
         .get("stats")

@@ -34,7 +34,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use barracuda_trace::backoff::splitmix;
-use barracuda_trace::{CancelToken, GridDims, HostOp, Record};
+use barracuda_trace::{CancelToken, GridDims, Record};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
@@ -126,10 +126,6 @@ impl EventSink for SlotStamp<'_> {
         record.slot = self.slot;
         self.records.fetch_add(1, Ordering::Relaxed);
         self.inner.emit(block, record);
-    }
-
-    fn emit_host(&self, op: &HostOp) {
-        self.inner.emit_host(op);
     }
 }
 

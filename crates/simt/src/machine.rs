@@ -2,7 +2,7 @@
 //! (the warp scheduler itself is in [`crate::coresident`]).
 
 use barracuda_ptx::ast::Module;
-use barracuda_trace::{CancelToken, GridDims, HostOp};
+use barracuda_trace::{CancelToken, GridDims};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -186,49 +186,6 @@ impl Gpu {
         self.global
             .read_bytes(ptr.0, out)
             .expect("host read from unallocated memory");
-    }
-
-    /// [`write_bytes`](Self::write_bytes) that also reports the copy to
-    /// `sink` as a [`HostOp::MemcpyH2D`] ordered on `stream`, so a
-    /// persistent engine can check it against in-flight kernels.
-    ///
-    /// # Panics
-    ///
-    /// Panics on writes to unallocated memory.
-    pub fn write_bytes_traced(
-        &mut self,
-        ptr: DevicePtr,
-        data: &[u8],
-        stream: u32,
-        sink: &dyn EventSink,
-    ) {
-        sink.emit_host(&HostOp::MemcpyH2D {
-            stream,
-            dst: ptr.0,
-            len: data.len() as u64,
-        });
-        self.write_bytes(ptr, data);
-    }
-
-    /// [`read_bytes`](Self::read_bytes) that also reports the copy to
-    /// `sink` as a [`HostOp::MemcpyD2H`] ordered on `stream`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on reads from unallocated memory.
-    pub fn read_bytes_traced(
-        &self,
-        ptr: DevicePtr,
-        out: &mut [u8],
-        stream: u32,
-        sink: &dyn EventSink,
-    ) {
-        sink.emit_host(&HostOp::MemcpyD2H {
-            stream,
-            src: ptr.0,
-            len: out.len() as u64,
-        });
-        self.read_bytes(ptr, out);
     }
 
     /// Writes a slice of `u32`s starting at `ptr`.

@@ -1,7 +1,6 @@
 //! Event sinks: where the device-side logger sends its records.
 
 use barracuda_trace::record::Record;
-use barracuda_trace::HostOp;
 use parking_lot::Mutex;
 
 /// Destination for device-side log records. The runtime passes its
@@ -10,13 +9,6 @@ use parking_lot::Mutex;
 pub trait EventSink: Sync {
     /// Delivers one record produced by a warp of thread block `block`.
     fn emit(&self, block: u64, record: Record);
-
-    /// Delivers a host-side operation (memcpy, launch, synchronization).
-    /// Host ops bypass the device record format; sinks that only care
-    /// about device records (the default) ignore them.
-    fn emit_host(&self, op: &HostOp) {
-        let _ = op;
-    }
 }
 
 /// Collects records in memory, preserving emission order. For tests and

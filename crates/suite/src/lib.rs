@@ -7,10 +7,10 @@
 //! and branch-ordering cases.
 //!
 //! Each [`SuiteProgram`] carries its expected verdict; [`run_program`]
-//! checks it under BARRACUDA and [`evaluate`] compares. The paper reports
-//! BARRACUDA correct on all 66 programs while NVIDIA's CUDA-Racecheck is
-//! correct on only 19; the `barracuda-racecheck` crate models the
-//! comparator.
+//! checks it under BARRACUDA and [`Verdict::matches`] compares. The
+//! paper reports BARRACUDA correct on all 66 programs while NVIDIA's
+//! CUDA-Racecheck is correct on only 19; the `barracuda-racecheck` crate
+//! models the comparator.
 
 #![warn(missing_docs)]
 
@@ -181,11 +181,6 @@ pub fn check_program(p: &SuiteProgram, config: BarracudaConfig) -> Result<Analys
         dims: p.dims,
         params: &params,
     })
-}
-
-/// True when the program's observed verdict matches its expectation.
-pub fn evaluate(p: &SuiteProgram) -> bool {
-    run_program(p).matches(p.expected)
 }
 
 #[cfg(test)]

@@ -45,11 +45,6 @@ impl CancelToken {
     pub fn reset(&self) {
         self.flag.store(false, Ordering::Release);
     }
-
-    /// True when `other` is a clone of this token (same underlying flag).
-    pub fn same_as(&self, other: &CancelToken) -> bool {
-        Arc::ptr_eq(&self.flag, &other.flag)
-    }
 }
 
 #[cfg(test)]
@@ -63,7 +58,6 @@ mod tests {
         assert!(!c.is_cancelled());
         t.cancel();
         assert!(c.is_cancelled());
-        assert!(t.same_as(&c));
         c.reset();
         assert!(!t.is_cancelled());
     }
@@ -74,7 +68,6 @@ mod tests {
         let b = CancelToken::new();
         a.cancel();
         assert!(!b.is_cancelled());
-        assert!(!a.same_as(&b));
     }
 
     #[test]

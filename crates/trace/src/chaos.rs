@@ -72,11 +72,6 @@ impl Default for FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan that injects nothing (identical to `Default`).
-    pub fn none() -> Self {
-        Self::default()
-    }
-
     /// A stall-only plan: consumers pause periodically but no records are
     /// lost or damaged, so race verdicts must be unaffected. The stall
     /// cadence and length are derived from the seed so different seeds
@@ -105,12 +100,6 @@ impl FaultPlan {
     pub fn with_worker_panic(mut self, panic: WorkerPanic) -> Self {
         self.worker_panic = Some(panic);
         self
-    }
-
-    /// True when the plan can lose or damage records (verdicts may then
-    /// legitimately differ from a fault-free run).
-    pub fn is_lossy(&self) -> bool {
-        self.drop_rate > 0.0 || self.corrupt_rate > 0.0 || self.worker_panic.is_some()
     }
 
     /// Uniform `[0, 1)` draw for record `seq` of stream `stream` under
@@ -169,8 +158,7 @@ mod tests {
 
     #[test]
     fn default_plan_injects_nothing() {
-        let p = FaultPlan::none();
-        assert!(!p.is_lossy());
+        let p = FaultPlan::default();
         for seq in 0..1000 {
             assert!(!p.should_drop(0, seq));
             assert!(p.corrupt_kind(0, seq).is_none());
@@ -185,7 +173,7 @@ mod tests {
             seed: 42,
             drop_rate: 0.3,
             corrupt_rate: 0.2,
-            ..FaultPlan::none()
+            ..FaultPlan::default()
         };
         let b = a.clone();
         for q in 0..4u64 {
@@ -201,7 +189,7 @@ mod tests {
         let p = FaultPlan {
             seed: 7,
             drop_rate: 0.25,
-            ..FaultPlan::none()
+            ..FaultPlan::default()
         };
         let n = 20_000;
         let dropped = (0..n).filter(|&s| p.should_drop(3, s)).count();
@@ -214,12 +202,12 @@ mod tests {
         let a = FaultPlan {
             seed: 1,
             drop_rate: 0.5,
-            ..FaultPlan::none()
+            ..FaultPlan::default()
         };
         let b = FaultPlan {
             seed: 2,
             drop_rate: 0.5,
-            ..FaultPlan::none()
+            ..FaultPlan::default()
         };
         let differing = (0..1000)
             .filter(|&s| a.should_drop(0, s) != b.should_drop(0, s))
@@ -234,7 +222,7 @@ mod tests {
     fn stalls_only_plans_stall_but_never_lose() {
         for seed in 0..16 {
             let p = FaultPlan::stalls_only(seed);
-            assert!(!p.is_lossy());
+            assert!(p.drop_rate == 0.0 && p.corrupt_rate == 0.0 && p.worker_panic.is_none());
             let stall = p.consumer_stall.expect("stall plan has a stall");
             assert!(stall.every_records >= 16 && stall.every_records < 65);
             assert!(stall.yields >= 64 && stall.yields < 512);
@@ -248,7 +236,7 @@ mod tests {
         let p = FaultPlan {
             seed: 3,
             corrupt_rate: 1.0,
-            ..FaultPlan::none()
+            ..FaultPlan::default()
         };
         for seq in 0..100 {
             let k = p.corrupt_kind(0, seq).expect("rate 1.0 always corrupts");
@@ -258,7 +246,7 @@ mod tests {
 
     #[test]
     fn panic_targets_one_worker_by_modulo() {
-        let p = FaultPlan::none().with_worker_panic(WorkerPanic {
+        let p = FaultPlan::default().with_worker_panic(WorkerPanic {
             worker: 5,
             after_records: 10,
         });

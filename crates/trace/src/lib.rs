@@ -5,8 +5,9 @@
 //!
 //! * [`ids`] — the thread hierarchy: grids, blocks, warps, lanes, and the
 //!   globally-unique 64-bit TID of paper §4.1;
-//! * [`ops`] — the abstract trace operations of paper §3.1 and their
-//!   warp-level [`ops::Event`] encoding;
+//! * [`ops`] — the warp-level [`ops::Event`] the device logs (one per warp
+//!   instruction, standing for the thread-level operations of paper §3.1)
+//!   and the [`ops::HostOp`]s the engine records at host API calls;
 //! * [`record`] — the fixed-size 272-byte log record of paper §4.2
 //!   (Fig. 6);
 //! * [`queue`] — the lock-free ring queue with write head / commit index /
@@ -38,7 +39,7 @@ pub use backoff::RetryPolicy;
 pub use cancel::CancelToken;
 pub use chaos::{ConsumerStall, FaultPlan, WorkerPanic};
 pub use ids::{Dim3, GridDims, Tid, MAX_LAUNCH_THREADS};
-pub use ops::{AccessKind, Event, HostOp, MemSpace, Scope, TraceOp};
+pub use ops::{AccessKind, Event, HostOp, MemSpace, Scope};
 pub use order::SyncOrder;
 pub use queue::{Queue, QueueSet};
 pub use record::Record;

@@ -1,13 +1,13 @@
-//! Abstract trace operations (paper §3.1) and their warp-level encoding.
+//! Trace operations at the granularity the implementation logs them.
 //!
 //! The paper models an execution as a sequence of *thread-level* operations
 //! (`rd`, `wr`, `atm`, acquires/releases) punctuated by *warp-level*
-//! operations (`endi`, `if`, `else`, `fi`) and *block-level* barriers.
-//! For efficiency the implementation logs one record per warp instruction
-//! (§4.2); [`Event`] is the decoded form of such a record, and
-//! [`Event::expand`] lowers it to the paper's thread-level [`TraceOp`]s.
-
-use crate::ids::{GridDims, Tid};
+//! operations (`endi`, `if`, `else`, `fi`) and *block-level* barriers
+//! (§3.1). For efficiency the implementation logs one record per warp
+//! instruction (§4.2); [`Event`] is the decoded form of such a record, and
+//! the detector reads it directly: an `Access` stands for one thread-level
+//! op per active lane followed by `endi`. [`HostOp`] is a host-side
+//! operation the engine records itself when a host API call is intercepted.
 
 /// Which memory space an access touched. Local memory is thread-private
 /// and never logged.
@@ -58,71 +58,6 @@ impl AccessKind {
             AccessKind::Acquire(_) | AccessKind::Release(_) | AccessKind::AcquireRelease(_)
         )
     }
-}
-
-/// A thread-level trace operation, exactly as in paper §3.1.
-///
-/// Memory operations carry `(space, addr, size)`; race detection is
-/// performed at byte granularity over `[addr, addr+size)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[allow(missing_docs)] // variants are self-describing
-pub enum TraceOp {
-    Rd {
-        t: Tid,
-        space: MemSpace,
-        addr: u64,
-        size: u8,
-    },
-    Wr {
-        t: Tid,
-        space: MemSpace,
-        addr: u64,
-        size: u8,
-    },
-    Endi {
-        warp: u64,
-    },
-    If {
-        warp: u64,
-        then_mask: u32,
-        else_mask: u32,
-    },
-    Else {
-        warp: u64,
-    },
-    Fi {
-        warp: u64,
-    },
-    Bar {
-        block: u64,
-    },
-    Atm {
-        t: Tid,
-        space: MemSpace,
-        addr: u64,
-        size: u8,
-    },
-    Acq {
-        t: Tid,
-        space: MemSpace,
-        addr: u64,
-        size: u8,
-        scope: Scope,
-    },
-    Rel {
-        t: Tid,
-        space: MemSpace,
-        addr: u64,
-        size: u8,
-        scope: Scope,
-    },
-    AcqRel {
-        t: Tid,
-        space: MemSpace,
-        addr: u64,
-        size: u8,
-        scope: Scope,
-    },
 }
 
 /// A host-side operation on a device-lifetime trace. These never travel
@@ -218,100 +153,11 @@ impl Event {
             | Event::Exit { warp, .. } => warp,
         }
     }
-
-    /// Lowers this warp-level event to the paper's thread-level trace
-    /// operations. An `Access` expands to one memory op per active lane
-    /// followed by `endi(w)` (paper §3.1: a warp read becomes `rd(t, x)`
-    /// for each active thread followed by `endi(w)`). `Bar`/`Exit` events
-    /// expand to nothing here: barrier arrival aggregation is the
-    /// detector's job since `bar(b)` is a *block*-level operation.
-    pub fn expand(&self, dims: &GridDims) -> Vec<TraceOp> {
-        match *self {
-            Event::Access {
-                warp,
-                kind,
-                space,
-                mask,
-                ref addrs,
-                size,
-            } => {
-                let mut ops = Vec::with_capacity(mask.count_ones() as usize + 1);
-                for lane in 0..dims.warp_size {
-                    if mask & (1 << lane) == 0 {
-                        continue;
-                    }
-                    let t = dims.tid_of_lane(warp, lane);
-                    let addr = addrs[lane as usize];
-                    ops.push(match kind {
-                        AccessKind::Read => TraceOp::Rd {
-                            t,
-                            space,
-                            addr,
-                            size,
-                        },
-                        AccessKind::Write => TraceOp::Wr {
-                            t,
-                            space,
-                            addr,
-                            size,
-                        },
-                        AccessKind::Atomic => TraceOp::Atm {
-                            t,
-                            space,
-                            addr,
-                            size,
-                        },
-                        AccessKind::Acquire(scope) => TraceOp::Acq {
-                            t,
-                            space,
-                            addr,
-                            size,
-                            scope,
-                        },
-                        AccessKind::Release(scope) => TraceOp::Rel {
-                            t,
-                            space,
-                            addr,
-                            size,
-                            scope,
-                        },
-                        AccessKind::AcquireRelease(scope) => TraceOp::AcqRel {
-                            t,
-                            space,
-                            addr,
-                            size,
-                            scope,
-                        },
-                    });
-                }
-                ops.push(TraceOp::Endi { warp });
-                ops
-            }
-            Event::If {
-                warp,
-                then_mask,
-                else_mask,
-            } => {
-                vec![TraceOp::If {
-                    warp,
-                    then_mask,
-                    else_mask,
-                }]
-            }
-            Event::Else { warp } => vec![TraceOp::Else { warp }],
-            Event::Fi { warp } => vec![TraceOp::Fi { warp }],
-            Event::Bar { .. } | Event::Exit { .. } => vec![],
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn dims() -> GridDims {
-        GridDims::with_warp_size(1u32, 8u32, 4)
-    }
 
     #[test]
     fn access_kind_queries() {
@@ -320,98 +166,5 @@ mod tests {
         assert!(!AccessKind::Read.is_write());
         assert!(AccessKind::Acquire(Scope::Block).is_sync());
         assert!(!AccessKind::Atomic.is_sync());
-    }
-
-    #[test]
-    fn access_expands_per_lane_plus_endi() {
-        let mut addrs = [0u64; 32];
-        addrs[0] = 100;
-        addrs[2] = 108;
-        let e = Event::Access {
-            warp: 0,
-            kind: AccessKind::Read,
-            space: MemSpace::Global,
-            mask: 0b101,
-            addrs,
-            size: 4,
-        };
-        let ops = e.expand(&dims());
-        assert_eq!(ops.len(), 3);
-        assert_eq!(
-            ops[0],
-            TraceOp::Rd {
-                t: Tid(0),
-                space: MemSpace::Global,
-                addr: 100,
-                size: 4
-            }
-        );
-        assert_eq!(
-            ops[1],
-            TraceOp::Rd {
-                t: Tid(2),
-                space: MemSpace::Global,
-                addr: 108,
-                size: 4
-            }
-        );
-        assert_eq!(ops[2], TraceOp::Endi { warp: 0 });
-    }
-
-    #[test]
-    fn second_warp_lane_tids() {
-        let mut addrs = [0u64; 32];
-        addrs[1] = 4;
-        let e = Event::Access {
-            warp: 1,
-            kind: AccessKind::Write,
-            space: MemSpace::Shared,
-            mask: 0b10,
-            addrs,
-            size: 4,
-        };
-        let ops = e.expand(&dims());
-        // Warp 1 lane 1 = thread 5 of the block.
-        assert_eq!(
-            ops[0],
-            TraceOp::Wr {
-                t: Tid(5),
-                space: MemSpace::Shared,
-                addr: 4,
-                size: 4
-            }
-        );
-    }
-
-    #[test]
-    fn branch_events_expand_directly() {
-        let d = dims();
-        assert_eq!(
-            Event::If {
-                warp: 0,
-                then_mask: 1,
-                else_mask: 2
-            }
-            .expand(&d),
-            vec![TraceOp::If {
-                warp: 0,
-                then_mask: 1,
-                else_mask: 2
-            }]
-        );
-        assert_eq!(
-            Event::Else { warp: 0 }.expand(&d),
-            vec![TraceOp::Else { warp: 0 }]
-        );
-        assert_eq!(
-            Event::Fi { warp: 0 }.expand(&d),
-            vec![TraceOp::Fi { warp: 0 }]
-        );
-        assert!(Event::Bar {
-            warp: 0,
-            mask: 0b1111
-        }
-        .expand(&d)
-        .is_empty());
     }
 }

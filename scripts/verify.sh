@@ -19,7 +19,7 @@ echo "==> workspace: cargo test -q --workspace"
 cargo test -q --workspace
 
 echo "==> benchmark: build perfbench and run its self-test"
-cargo test --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "==> lint: cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -29,7 +29,7 @@ cargo clippy -p barracuda-simt --lib -- -D warnings
 
 echo "==> product builds link no AST walker: no normal dependency edge enables barracuda-simt/ast-oracle"
 for MANIFEST in Cargo.toml perfbench/Cargo.toml; do
-  TREE=$(cargo tree --offline --manifest-path "$MANIFEST" --workspace -e normal \
+  TREE=$(cargo tree --offline --locked --manifest-path "$MANIFEST" --workspace -e normal \
     -i barracuda-simt -f '{p} {f}')
   if grep -q 'ast-oracle' <<< "$TREE"; then
     echo "verify: a normal dependency of $MANIFEST enables barracuda-simt/ast-oracle:"
@@ -236,7 +236,7 @@ cargo test -q -p barracuda-serve --test server -- \
 cargo test -q -p barracuda-ptx --test parse_total
 cargo test -q -p barracuda-fleet --lib journal::tests::repro_seeds_survive_the_journal_exactly
 
-echo "==> chaos soak: fixed-seed server soak test"
+echo "==> chaos soak: concurrent retrying clients and injected panics against one server"
 cargo test -q -p barracuda-serve --test soak
 
 echo "==> fleet smoke: crash-isolated corpus run + resume + quarantine"
